@@ -1,8 +1,11 @@
 package mfgp
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -29,14 +32,76 @@ func threeLevelData() (X [][][]float64, y [][]float64, f2 func(float64) float64)
 		[][]float64{apply(X0, f0), apply(X1, f1), apply(X2, f2)}, f2
 }
 
-// TestMultiLevelMatchesNARGP pins the K=2 degradation of the recursive
-// model: refit on the SAME datasets with the two-fidelity pair model's
-// hyperparameters (SkipTraining) and deterministic Gauss–Hermite
-// propagation, the 2-level chain must reproduce the NARGP fused posterior to
-// numerical precision — same level-0 GP, same augmented design, same
-// quadrature collapse.
+// nargpGridPath holds the frozen two-fidelity NARGP posterior of the
+// pedagogical example: fused and level-0 mean/variance bits on a 101-point
+// grid, per propagation mode, recorded once and never regenerated.
+const nargpGridPath = "testdata/nargp_posterior.json"
+
+// nargpGrid is one propagation mode's frozen posterior, Float64bits in hex.
+type nargpGrid struct {
+	Mean    []string `json:"mean"`
+	Var     []string `json:"var"`
+	LowMean []string `json:"low_mean"`
+	LowVar  []string `json:"low_var"`
+}
+
+func propName(p Propagation) string {
+	switch p {
+	case GaussHermite:
+		return "gauss-hermite"
+	case MonteCarlo:
+		return "monte-carlo"
+	}
+	return "plug-in"
+}
+
+// checkNARGPGrid compares a posterior against the frozen grid bit for bit.
+func checkNARGPGrid(t *testing.T, want nargpGrid, fused, low func([]float64) (float64, float64)) {
+	t.Helper()
+	hx := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
+	for i := 0; i <= 100; i++ {
+		x := []float64{float64(i) / 100}
+		mu, va := fused(x)
+		ml, vl := low(x)
+		if hx(mu) != want.Mean[i] || hx(va) != want.Var[i] {
+			t.Fatalf("x=%v: fused posterior (%v ± %v) drifted from the frozen grid", x[0], mu, va)
+		}
+		if hx(ml) != want.LowMean[i] || hx(vl) != want.LowVar[i] {
+			t.Fatalf("x=%v: level-0 posterior (%v ± %v) drifted from the frozen grid", x[0], ml, vl)
+		}
+	}
+}
+
+func loadNARGPGrid(t *testing.T) map[string]nargpGrid {
+	t.Helper()
+	raw, err := os.ReadFile(nargpGridPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var grids map[string]nargpGrid
+	if err := json.Unmarshal(raw, &grids); err != nil {
+		t.Fatal(err)
+	}
+	return grids
+}
+
+// TestMultiLevelMatchesNARGP pins the two-fidelity NARGP posterior against
+// the frozen grid: same rng stream, same level-0 GP, same augmented design,
+// same propagation collapse, bit for bit, for Gauss–Hermite and Monte-Carlo
+// propagation. A chain refit on the SAME datasets with the fitted
+// hyperparameters frozen must reproduce it to numerical precision.
 func TestMultiLevelMatchesNARGP(t *testing.T) {
 	Xl, yl, Xh, yh := pedagogicalData()
+	grids := loadNARGPGrid(t)
+	mc, err := Fit(Xl, yl, Xh, yh, Config{
+		Restarts: 2, FixedNoise: fixedNoise(1e-6),
+		Propagation: MonteCarlo, NumSamples: 20,
+	}, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNARGPGrid(t, grids["monte-carlo"], mc.Predict, mc.PredictLow)
+
 	rng := rand.New(rand.NewSource(11))
 	pair, err := Fit(Xl, yl, Xh, yh, Config{
 		Restarts: 2, FixedNoise: fixedNoise(1e-6),
@@ -45,6 +110,7 @@ func TestMultiLevelMatchesNARGP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkNARGPGrid(t, grids["gauss-hermite"], pair.Predict, pair.PredictLow)
 	ml, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
 		FixedNoise:  fixedNoise(1e-6),
 		Propagation: GaussHermite, NumSamples: 20,
