@@ -53,7 +53,7 @@ func BenchmarkFigure1MultiFidelityPosterior(b *testing.B) {
 	var mfRMSE, sfRMSE float64
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(1))
-		mf, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+		mf, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
 			Restarts: 3, FixedNoise: &noise, Propagation: mfgp.MonteCarlo, NumSamples: 50,
 		}, rng)
 		if err != nil {
@@ -87,7 +87,7 @@ func BenchmarkFigure2EIOverMFPosterior(b *testing.B) {
 	Xl, yl, Xh, yh := pedagogicalData()
 	noise := 1e-6
 	rng := rand.New(rand.NewSource(1))
-	mf, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+	mf, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
 		Restarts: 3, FixedNoise: &noise, Propagation: mfgp.MonteCarlo, NumSamples: 50,
 	}, rng)
 	if err != nil {
@@ -364,7 +364,7 @@ func BenchmarkAblationFusionModel(b *testing.B) {
 	var nargpRMSE, ar1RMSE float64
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(3))
-		nargp, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+		nargp, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
 			Restarts: 3, FixedNoise: &noise, Propagation: mfgp.MonteCarlo, NumSamples: 40,
 		}, rng)
 		if err != nil {
@@ -406,7 +406,7 @@ func BenchmarkAblationPropagation(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+			m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
 				Restarts: 2, FixedNoise: &noise, Propagation: tc.prop, NumSamples: 30,
 			}, rng)
 			if err != nil {
@@ -495,7 +495,7 @@ func BenchmarkMFGPPredict(b *testing.B) {
 	Xl, yl, Xh, yh := pedagogicalData()
 	noise := 1e-6
 	rng := rand.New(rand.NewSource(1))
-	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{Restarts: 1, FixedNoise: &noise, NumSamples: 30}, rng)
+	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{Restarts: 1, FixedNoise: &noise, NumSamples: 30}, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 
 // pedagogicalModels fits the fused two-fidelity model and the 14-point
 // single-fidelity GP of the paper's Figure 1.
-func pedagogicalModels(seed int64) (*mfgp.Model, *gp.Model) {
+func pedagogicalModels(seed int64) (*mfgp.MultiLevel, *gp.Model) {
 	var Xl, Xh [][]float64
 	var yl, yh []float64
 	for i := 0; i < 50; i++ {
@@ -63,7 +63,7 @@ func pedagogicalModels(seed int64) (*mfgp.Model, *gp.Model) {
 	}
 	noise := 1e-6
 	rng := rand.New(rand.NewSource(seed))
-	mf, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+	mf, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
 		Restarts: 3, FixedNoise: &noise, Propagation: mfgp.MonteCarlo, NumSamples: 50,
 	}, rng)
 	if err != nil {

@@ -38,7 +38,7 @@ func main() {
 
 	noise := 1e-6
 	rng := rand.New(rand.NewSource(2))
-	fused, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+	fused, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
 		Restarts: 3, FixedNoise: &noise,
 		Propagation: mfgp.MonteCarlo, NumSamples: 50,
 	}, rng)

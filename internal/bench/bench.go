@@ -122,7 +122,7 @@ func PredictSingle() func(*testing.B) {
 }
 
 // fittedMF builds the shared two-fidelity surrogate and prediction grid.
-func fittedMF(workers int) (*mfgp.Model, [][]float64) {
+func fittedMF(workers int) (*mfgp.MultiLevel, [][]float64) {
 	Xl, yl, lo, hi := dataset(3, 60, 3)
 	rng := rand.New(rand.NewSource(13))
 	Xh := stats.LatinHypercube(rng, lo, hi, 16)
@@ -134,7 +134,7 @@ func fittedMF(workers int) (*mfgp.Model, [][]float64) {
 		}
 		yh[i] = 1.1*s + 0.05
 	}
-	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.Config{
+	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
 		MaxIter: 30, Workers: workers,
 	}, rng)
 	if err != nil {

@@ -122,11 +122,20 @@ func (st *state) snapshot() *Checkpoint {
 		LowY:           cloneMatrix(st.low.Y),
 		HighX:          cloneMatrix(st.high.X),
 		HighY:          cloneMatrix(st.high.Y),
-		WarmLow:        cloneMatrix(st.warmLow),
-		WarmHigh:       cloneMatrix(st.warmHigh),
+		WarmLow:        make([][]float64, st.nOut),
+		WarmHigh:       make([][]float64, st.nOut),
 		SinceRefit:     st.sinceRefit,
 		History:        hist,
 		Degradations:   append([]Degradation(nil), st.res.Degradations...),
+	}
+	// The rung-0 hyperparameters always travel in WarmLow; the target level's
+	// travel in WarmHigh on two-rung runs and inside WarmChain on longer
+	// ladders, so either shape decodes to the same per-level warm state.
+	for k, levels := range st.warm {
+		ck.WarmLow[k] = append([]float64(nil), levels[0]...)
+		if st.ladder.Rungs() == 2 {
+			ck.WarmHigh[k] = append([]float64(nil), levels[1]...)
+		}
 	}
 	if st.ladder.Rungs() > 2 {
 		ck.Rungs = st.ladder.Rungs()
@@ -139,11 +148,31 @@ func (st *state) snapshot() *Checkpoint {
 			ck.MidX[i] = cloneMatrix(d.X)
 			ck.MidY[i] = cloneMatrix(d.Y)
 		}
-		for _, levels := range st.warmChain {
+		for _, levels := range st.warm {
+			if levels[0] == nil && levels[len(levels)-1] == nil {
+				levels = nil // never fitted: encoded as null, as before any chain fit
+			}
 			ck.WarmChain = append(ck.WarmChain, cloneMatrix(levels))
 		}
 	}
 	return ck
+}
+
+// restoreWarm loads the per-level warm hyperparameters of a snapshot (see
+// snapshot for the layout). Entries of the wrong shape are ignored: the
+// affected levels start from the default hyperparameters.
+func (st *state) restoreWarm(ck *Checkpoint) {
+	for k, levels := range st.warm {
+		if len(ck.WarmLow) == st.nOut {
+			levels[0] = append([]float64(nil), ck.WarmLow[k]...)
+		}
+		if len(ck.WarmHigh) == st.nOut && st.ladder.Rungs() == 2 {
+			levels[1] = append([]float64(nil), ck.WarmHigh[k]...)
+		}
+		if len(ck.WarmChain) == st.nOut && len(ck.WarmChain[k]) == len(levels) && st.ladder.Rungs() > 2 {
+			copy(levels, cloneMatrix(ck.WarmChain[k]))
+		}
+	}
 }
 
 // checkpoint invokes the configured Checkpointer hook, if any, with a full

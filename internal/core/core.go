@@ -42,14 +42,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
-	"time"
 
-	"repro/internal/acq"
 	"repro/internal/fidelity"
 	"repro/internal/gp"
-	"repro/internal/kernel"
 	"repro/internal/mfgp"
 	"repro/internal/optimize"
 	"repro/internal/problem"
@@ -419,20 +415,17 @@ type state struct {
 
 	// Fidelity ladder (always set; two rungs for classic problems). mid
 	// holds the intermediate-rung training sets (len = Rungs()-2, empty for
-	// K=2); warmChain carries per-output per-level warm hyperparameters for
-	// the K>2 recursive surrogate.
-	ladder    fidelity.Ladder
-	mid       []*dataset
-	warmChain [][][]float64
-
-	warmLow, warmHigh [][]float64
+	// K=2); warm carries per-output per-level warm hyperparameters of the
+	// surrogate chain (warm[k][l], nil until level l was first fitted).
+	ladder fidelity.Ladder
+	mid    []*dataset
+	warm   [][][]float64
 
 	// Incremental-surrogate state (Config.Incremental): the cached models
 	// extended in place between full refits, and the proposals-since-refit
-	// counter driving the fit-skip schedule. cache is never checkpointed —
+	// counter driving the fit-skip schedule. lcache is never checkpointed —
 	// a restore starts with a full refit — but sinceRefit is, so the
-	// schedule phase survives resume. lcache is the K>2 ladder analogue.
-	cache      *surrCache
+	// schedule phase survives resume.
 	lcache     *ladderCache
 	sinceRefit int
 
@@ -470,11 +463,10 @@ func newState(p problem.Problem, cfg Config, rng *rand.Rand) (*state, error) {
 		high:    &dataset{},
 		ladder:  ladder,
 		costLow: ladder.Cost(0),
-		warmLow: make([][]float64, 1+nc), warmHigh: make([][]float64, 1+nc),
-		// warmChain is allocated for every K so the ladder path is exercisable
-		// on two-rung problems (the K=2 bit-identity oracle test); production
-		// proposals only consult it when K > 2.
-		warmChain: make([][][]float64, 1+nc),
+		warm:    make([][][]float64, 1+nc),
+	}
+	for k := range st.warm {
+		st.warm[k] = make([][]float64, ladder.Rungs())
 	}
 	if k := ladder.Rungs(); k > 2 {
 		st.mid = make([]*dataset, k-2)
@@ -678,100 +670,6 @@ func OptimizeCtx(ctx context.Context, p problem.Problem, cfg Config, rng *rand.R
 	return eng.drive(ctx)
 }
 
-// fitSurrogates builds the per-output low and fused models, walking the
-// degradation ladder on failure. ok=false means not even the low-fidelity
-// surrogates are usable and the iteration must fall back to random
-// exploration. fused[k] may be nil (low-fidelity-only mode for output k).
-func (st *state) fitSurrogates(iter int, fullRefit bool, span *telemetry.Span) (lowGPs []*gp.Model, fused []*mfgp.Model, ok bool) {
-	cfg := &st.cfg
-	lowX, lowYs := st.low.window(cfg.MaxLowData)
-	lowGPs = make([]*gp.Model, st.nOut)
-	fused = make([]*mfgp.Model, st.nOut)
-	for k := 0; k < st.nOut; k++ {
-		lm, err := gp.Fit(lowX, lowYs.column(k), gp.Config{
-			Kernel:       kernel.NewSEARD(st.d),
-			Restarts:     cfg.GPRestarts,
-			MaxIter:      cfg.GPMaxIter,
-			FixedNoise:   cfg.FixedNoise,
-			WarmStart:    st.warmLow[k],
-			SkipTraining: !fullRefit && st.warmLow[k] != nil,
-			Inducing:     cfg.LowRankAfter,
-			Workers:      cfg.Workers,
-			Span:         span,
-		}, st.rng)
-		if err != nil && st.warmLow[k] != nil {
-			// Rung 1: freeze last iteration's hyperparameters.
-			var err2 error
-			lm, err2 = gp.Fit(lowX, lowYs.column(k), gp.Config{
-				Kernel:       kernel.NewSEARD(st.d),
-				Restarts:     cfg.GPRestarts,
-				MaxIter:      cfg.GPMaxIter,
-				FixedNoise:   cfg.FixedNoise,
-				WarmStart:    st.warmLow[k],
-				SkipTraining: true,
-				Inducing:     cfg.LowRankAfter,
-				Workers:      cfg.Workers,
-				Span:         span,
-			}, st.rng)
-			if err2 == nil {
-				st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("low fit: %w", err))
-				err = nil
-			}
-		}
-		if err != nil {
-			// Rung 3: no usable low model for this output — the whole
-			// iteration explores randomly.
-			st.degrade(iter, DegradeRandom, k, fmt.Errorf("low fit: %w", err))
-			return nil, nil, false
-		}
-		st.warmLow[k] = lm.Hyper()
-		lowGPs[k] = lm
-		st.noteFit(iter, lm, false)
-
-		fm, err := mfgp.FitWithLow(lm, st.d, st.high.X, st.high.column(k), mfgp.Config{
-			Restarts:      cfg.GPRestarts,
-			MaxIter:       cfg.GPMaxIter,
-			FixedNoise:    cfg.FixedNoise,
-			Propagation:   cfg.Propagation,
-			NumSamples:    cfg.NumSamples,
-			WarmStartHigh: st.warmHigh[k],
-			Inducing:      cfg.LowRankAfter,
-			Workers:       cfg.Workers,
-			Span:          span,
-		}, st.rng)
-		if err != nil && st.warmHigh[k] != nil {
-			// Rung 1 for the fused level.
-			var err2 error
-			fm, err2 = mfgp.FitWithLow(lm, st.d, st.high.X, st.high.column(k), mfgp.Config{
-				Restarts:      cfg.GPRestarts,
-				MaxIter:       cfg.GPMaxIter,
-				FixedNoise:    cfg.FixedNoise,
-				Propagation:   cfg.Propagation,
-				NumSamples:    cfg.NumSamples,
-				WarmStartHigh: st.warmHigh[k],
-				SkipTraining:  true,
-				Inducing:      cfg.LowRankAfter,
-				Workers:       cfg.Workers,
-				Span:          span,
-			}, st.rng)
-			if err2 == nil {
-				st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("fusion fit: %w", err))
-				err = nil
-			}
-		}
-		if err != nil {
-			// Rung 2: run this output on the low-fidelity surrogate only.
-			st.degrade(iter, DegradeLowOnly, k, fmt.Errorf("fusion fit: %w", err))
-			fused[k] = nil
-			continue
-		}
-		st.warmHigh[k] = fm.High().Hyper()
-		fused[k] = fm
-		st.noteFit(iter, fm.High(), true)
-	}
-	return lowGPs, fused, true
-}
-
 // noteFit records one fitted model's NLML and restart bookkeeping into the
 // in-flight iteration event and the fit counters. No-op when telemetry is
 // off; it only reads values the fit already computed.
@@ -795,253 +693,6 @@ func (st *state) noteFit(iter int, m *gp.Model, fusedHigh bool) {
 	}
 }
 
-// propose computes the next adaptive query — the body of one Algorithm 1
-// iteration up to (but excluding) the simulation itself: fit the surrogates
-// (walking the degradation ladder on failure), maximize the low- and
-// high-fidelity acquisitions with the §4.1 multiple-starting-point strategy,
-// and pick the evaluation fidelity by the §3.4 criterion.
-//
-// iter labels the slot being proposed (it may run ahead of st.iter while a
-// batch is outstanding). When wantFantasy is set the third return value
-// carries the synthetic outputs (per Config.Fantasy) that stand in for the
-// point's observation while later batch slots are proposed; it is nil for a
-// random-exploration fallback, where no surrogate exists to fantasize from.
-func (st *state) propose(iter int, span *telemetry.Span, wantFantasy bool) ([]float64, problem.Fidelity, []float64) {
-	if st.ladder.Rungs() > 2 {
-		// K>2 fidelity ladders run the generalized recursive-surrogate path
-		// (ladder.go); K=2 stays on this code path untouched, so classic
-		// two-fidelity trajectories are bit-identical to every prior release.
-		return st.proposeLadder(iter, span, wantFantasy)
-	}
-	cfg := &st.cfg
-	var ev *telemetry.IterationEvent
-	if st.telem != nil {
-		// The in-flight event: decision fields are filled here, the outcome
-		// fields when the observation is told back (observeTelemetry).
-		ev = &telemetry.IterationEvent{Iter: iter, Nc: st.nc, Gamma: cfg.Gamma}
-		st.ev = ev
-	}
-	var tFit time.Time
-	if ev != nil {
-		tFit = time.Now()
-	}
-	var lowGPs []*gp.Model
-	var fused []*mfgp.Model
-	var ok bool
-	if cfg.Incremental {
-		var skipped bool
-		lowGPs, fused, ok, skipped = st.incrementalSurrogates(iter, span)
-		if ev != nil {
-			ev.FitSkipped = skipped
-			ev.SinceRefit = st.sinceRefit
-		}
-	} else {
-		fullRefit := iter%cfg.RefitEvery == 0
-		lowGPs, fused, ok = st.fitSurrogates(iter, fullRefit, span)
-	}
-	if ev != nil {
-		if ok && lowGPs[0].IsLowRank() {
-			ev.LowRank = true
-		}
-		d := time.Since(tFit)
-		ev.FitMs = float64(d.Nanoseconds()) / 1e6
-		if st.met != nil {
-			st.met.fitSeconds.Observe(d.Seconds())
-		}
-	}
-	if !ok {
-		// Random exploration keeps the budget moving while the training
-		// sets recover (e.g. after a burst of failed evaluations).
-		xt := stats.UniformInBox(st.rng, st.lo, st.hi, 1)[0]
-		fid := problem.Low
-		if cfg.ForceHighFidelity {
-			fid = problem.High
-		}
-		if ev != nil {
-			ev.Fidelity = fid.String()
-			ev.ForcedHigh = cfg.ForceHighFidelity
-		}
-		return xt, fid, nil
-	}
-
-	// Incumbents.
-	tauLowX, tauLowEval, hasLowFeasible := bestOf(st.low)
-	tauHighX, tauHighEval, hasHighFeasible := bestOf(st.high)
-	if ev != nil {
-		if hasLowFeasible {
-			ev.HasTauLow = true
-			ev.TauLow = tauLowEval.Objective
-		}
-		if hasHighFeasible {
-			ev.HasTauHigh = true
-			ev.TauHigh = tauHighEval.Objective
-		}
-	}
-
-	// Posterior adapters. A nil fused[k] (low-only degradation) aliases
-	// the low-fidelity posterior.
-	nc := st.nc
-	lowObj := func(x []float64) (float64, float64) { return lowGPs[0].PredictLatent(x) }
-	lowCons := make([]acq.Posterior, nc)
-	for i := 0; i < nc; i++ {
-		m := lowGPs[1+i]
-		lowCons[i] = func(x []float64) (float64, float64) { return m.PredictLatent(x) }
-	}
-	fusedObj := lowObj
-	if fused[0] != nil {
-		m := fused[0]
-		fusedObj = func(x []float64) (float64, float64) { return m.Predict(x) }
-	}
-	fusedCons := make([]acq.Posterior, nc)
-	for i := 0; i < nc; i++ {
-		if fused[1+i] != nil {
-			m := fused[1+i]
-			fusedCons[i] = func(x []float64) (float64, float64) { return m.Predict(x) }
-		} else {
-			fusedCons[i] = lowCons[i]
-		}
-	}
-
-	mspCfg := cfg.MSP
-	var incHigh, incLow []float64
-	if !cfg.DisableIncumbentSeeding {
-		if hasHighFeasible {
-			incHigh = tauHighX
-		}
-		if hasLowFeasible {
-			incLow = tauLowX
-		}
-	}
-
-	// Step 5: low-fidelity acquisition → x*_l.
-	var acqLow func([]float64) float64
-	bootstrapLow := false
-	switch {
-	case hasLowFeasible:
-		acqLow = acq.WEI(lowObj, lowCons, tauLowEval.Objective)
-	case nc > 0:
-		fo := acq.FeasibilityObjective(lowCons)
-		acqLow = func(x []float64) float64 { return -fo(x) }
-		bootstrapLow = true
-	default:
-		acqLow = acq.WEI(lowObj, nil, math.Inf(1))
-	}
-	var tAcq time.Time
-	var mspLow, mspHigh optimize.MSPStats
-	if ev != nil {
-		tAcq = time.Now()
-		mspCfg.Stats = &mspLow
-		mspCfg.Span = span
-	}
-	xStarLow, acqLowVal := optimize.MaximizeMSP(st.rng, acqLow, st.box, incHigh, incLow, mspCfg)
-
-	// Step 6: high-fidelity acquisition seeded with x*_l.
-	var acqHigh func([]float64) float64
-	bootstrap := false
-	switch {
-	case hasHighFeasible:
-		acqHigh = acq.WEI(fusedObj, fusedCons, tauHighEval.Objective)
-	case nc > 0:
-		// §4.2: no feasible point yet — chase predicted feasibility.
-		fo := acq.FeasibilityObjective(fusedCons)
-		acqHigh = func(x []float64) float64 { return -fo(x) }
-		bootstrap = true
-	default:
-		acqHigh = acq.WEI(fusedObj, nil, math.Inf(1))
-	}
-	mspCfg.Extra = append(append([][]float64(nil), cfg.MSP.Extra...), xStarLow)
-	if ev != nil {
-		mspCfg.Stats = &mspHigh
-	}
-	xt, acqHighVal := optimize.MaximizeMSP(st.rng, acqHigh, st.box, incHigh, incLow, mspCfg)
-	if ev != nil {
-		d := time.Since(tAcq)
-		ev.AcqMs = float64(d.Nanoseconds()) / 1e6
-		if st.met != nil {
-			st.met.acqSeconds.Observe(d.Seconds())
-		}
-		ev.AcqLow = acqLowVal
-		ev.AcqHigh = acqHighVal
-		ev.Bootstrap = bootstrap
-		ev.BootstrapLow = bootstrapLow
-		ev.MSPStartsLow = mspLow.Starts
-		ev.MSPDivergedLow = mspLow.Diverged
-		ev.MSPStartsHigh = mspHigh.Starts
-		ev.MSPDivergedHigh = mspHigh.Diverged
-	}
-
-	// Degenerate-query guard: re-sampling an existing point adds no
-	// information; fall back to a random exploration point.
-	dec := cfg.selectFidelity(lowGPs, xt, nc)
-	if isDuplicate(xt, st.low, st.high, dec.fid) {
-		xt = stats.UniformInBox(st.rng, st.lo, st.hi, 1)[0]
-		dec = cfg.selectFidelity(lowGPs, xt, nc)
-		if ev != nil {
-			ev.DuplicateFallback = true
-		}
-	}
-	if ev != nil {
-		// §3.4 decision record: the final comparison that chose the fidelity.
-		ev.Fidelity = dec.fid.String()
-		ev.Sigma2Max = dec.sigma2Max
-		ev.Threshold = dec.threshold
-		ev.HasSigma2 = dec.hasSigma2
-		ev.ForcedHigh = dec.forced
-	}
-	var fantasy []float64
-	if wantFantasy {
-		fantasy = st.fantasize(lowGPs, fused, xt, dec.fid)
-	}
-	return xt, dec.fid, fantasy
-}
-
-// fantasize produces the synthetic per-output observation batch acquisition
-// substitutes for xt while its real outcome is outstanding (Config.Fantasy).
-//
-// Kriging-believer returns the posterior mean at xt from the model the next
-// slot will actually train against: the fused NARGP posterior for a
-// high-fidelity pending point (falling back to the low posterior when that
-// output degraded to low-only), the low-fidelity posterior for a cheap one.
-// Constant-liar returns, per output, the maximum value observed so far at the
-// target fidelity — the pessimistic lie under minimization — and falls back to
-// the believer mean for outputs with no data yet.
-func (st *state) fantasize(lowGPs []*gp.Model, fused []*mfgp.Model, xt []float64, fid problem.Fidelity) []float64 {
-	out := make([]float64, st.nOut)
-	believe := func(k int) float64 {
-		if fid == problem.High && fused[k] != nil {
-			mu, _ := fused[k].Predict(xt)
-			return mu
-		}
-		mu, _ := lowGPs[k].PredictLatent(xt)
-		return mu
-	}
-	switch st.cfg.Fantasy {
-	case FantasyConstantLiar:
-		ds := st.low
-		if fid == problem.High {
-			ds = st.high
-		}
-		for k := 0; k < st.nOut; k++ {
-			if len(ds.Y) == 0 {
-				out[k] = believe(k)
-				continue
-			}
-			lie := ds.Y[0][k]
-			for _, row := range ds.Y[1:] {
-				if row[k] > lie {
-					lie = row[k]
-				}
-			}
-			out[k] = lie
-		}
-	default: // FantasyKrigingBeliever
-		for k := 0; k < st.nOut; k++ {
-			out[k] = believe(k)
-		}
-	}
-	return out
-}
-
 // finish assembles the terminal Result fields from the current state.
 func (st *state) finish(context.Context) *Result {
 	res := st.res
@@ -1055,41 +706,6 @@ func (st *state) finish(context.Context) *Result {
 		res.Faults = fp.Faults().Snapshot()
 	}
 	return res
-}
-
-// fidelityDecision is the outcome of one §3.4 fidelity selection, with the
-// comparison values behind it (for telemetry). hasSigma2 is false when the
-// variance comparison was skipped (ForceHighFidelity ablation).
-type fidelityDecision struct {
-	fid       problem.Fidelity
-	sigma2Max float64 // max standardized low-fidelity posterior variance at x
-	threshold float64 // (1+Nc)·γ
-	hasSigma2 bool
-	forced    bool
-}
-
-// selectFidelity applies the §3.4 criterion (eqs. 11–12): evaluate at HIGH
-// fidelity when every low-fidelity posterior variance (standardized) is
-// below (1+Nc)·γ — i.e. when more cheap data would not improve the
-// low-fidelity models around xt.
-func (c *Config) selectFidelity(lowGPs []*gp.Model, x []float64, nc int) fidelityDecision {
-	if c.ForceHighFidelity {
-		return fidelityDecision{fid: problem.High, forced: true}
-	}
-	maxVar := 0.0
-	for _, m := range lowGPs {
-		_, va := m.PredictLatent(x)
-		std := m.OutputStd()
-		if v := va / (std * std); v > maxVar {
-			maxVar = v
-		}
-	}
-	threshold := (1 + float64(nc)) * c.Gamma
-	fid := problem.Low
-	if maxVar < threshold {
-		fid = problem.High
-	}
-	return fidelityDecision{fid: fid, sigma2Max: maxVar, threshold: threshold, hasSigma2: true}
 }
 
 // bestOf returns the best observation of a dataset under the constrained
@@ -1111,24 +727,4 @@ func bestOf(d *dataset) ([]float64, problem.Evaluation, bool) {
 
 func rowEval(row []float64) problem.Evaluation {
 	return problem.Evaluation{Objective: row[0], Constraints: row[1:]}
-}
-
-// isDuplicate reports whether xt coincides (to numerical precision) with a
-// point already evaluated at the target fidelity.
-func isDuplicate(xt []float64, low, high *dataset, fid problem.Fidelity) bool {
-	ds := low
-	if fid == problem.High {
-		ds = high
-	}
-	for _, x := range ds.X {
-		d2 := 0.0
-		for j := range x {
-			dd := x[j] - xt[j]
-			d2 += dd * dd
-		}
-		if d2 < 1e-16 {
-			return true
-		}
-	}
-	return false
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/doe"
+	"repro/internal/fidelity"
 	"repro/internal/mfgp"
 	"repro/internal/optimize"
 	"repro/internal/problem"
@@ -351,15 +352,19 @@ func TestBestOfOrdering(t *testing.T) {
 }
 
 func TestIsDuplicate(t *testing.T) {
-	lowD, highD := &dataset{}, &dataset{}
-	lowD.add([]float64{0.5, 0.5}, problem.Evaluation{})
-	if !isDuplicate([]float64{0.5, 0.5}, lowD, highD, problem.Low) {
+	ladder, err := fidelity.TwoLevel(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &state{low: &dataset{}, high: &dataset{}, ladder: ladder}
+	st.low.add([]float64{0.5, 0.5}, problem.Evaluation{})
+	if !st.isDuplicateAtRung([]float64{0.5, 0.5}, 0) {
 		t.Fatal("exact duplicate not detected")
 	}
-	if isDuplicate([]float64{0.5, 0.5}, lowD, highD, problem.High) {
+	if st.isDuplicateAtRung([]float64{0.5, 0.5}, 1) {
 		t.Fatal("duplicate reported against wrong fidelity")
 	}
-	if isDuplicate([]float64{0.6, 0.5}, lowD, highD, problem.Low) {
+	if st.isDuplicateAtRung([]float64{0.6, 0.5}, 0) {
 		t.Fatal("distinct point reported as duplicate")
 	}
 }

@@ -34,6 +34,10 @@ type Suggestion struct {
 type pendingSug struct {
 	sug     Suggestion
 	fantasy []float64
+	// ev is the slot's in-flight iteration event (telemetry on only): the
+	// decision fields recorded when it was proposed, completed and emitted
+	// when its observation is told — whatever order the batch returns in.
+	ev *telemetry.IterationEvent
 }
 
 // Engine is the explicit ask/tell state machine behind Optimize: the same
@@ -212,17 +216,7 @@ func RestoreEngine(p problem.Problem, cfg Config, rng *rand.Rand, ck *Checkpoint
 			st.mid[i] = &dataset{X: cloneMatrix(ck.MidX[i]), Y: cloneMatrix(ck.MidY[i])}
 		}
 	}
-	if len(ck.WarmLow) == st.nOut {
-		st.warmLow = cloneMatrix(ck.WarmLow)
-	}
-	if len(ck.WarmHigh) == st.nOut {
-		st.warmHigh = cloneMatrix(ck.WarmHigh)
-	}
-	if len(ck.WarmChain) == st.nOut && st.ladder.Rungs() > 2 {
-		for k, levels := range ck.WarmChain {
-			st.warmChain[k] = cloneMatrix(levels)
-		}
-	}
+	st.restoreWarm(ck)
 	st.sinceRefit = ck.SinceRefit
 	st.res.NumLow = ck.NumLow
 	st.res.NumHigh = ck.NumHigh
@@ -567,12 +561,14 @@ func (e *Engine) proposeSlot(ctx context.Context, batch bool) {
 			ds.Y = append(ds.Y, p.fantasy)
 		}
 	}
-	x, fid, fantasy := st.propose(iter, span, batch)
+	x, fid, fantasy := st.proposeLadder(iter, span, batch)
 	for r := range sizes {
 		ds := st.ds(r)
 		ds.X, ds.Y = ds.X[:sizes[r]], ds.Y[:sizes[r]]
 	}
-	st.retract(sizes)
+	st.retractLadderCache(sizes)
+	ev := st.ev
+	st.ev = nil
 	if st.telem != nil {
 		span.End()
 		if st.met != nil {
@@ -582,6 +578,7 @@ func (e *Engine) proposeSlot(ctx context.Context, batch bool) {
 	e.pending = append(e.pending, &pendingSug{
 		sug:     Suggestion{ID: fmt.Sprintf("iter-%d", iter), X: x, Fid: fid, Iter: iter},
 		fantasy: fantasy,
+		ev:      ev,
 	})
 }
 
@@ -684,6 +681,7 @@ func (e *Engine) tellAt(ctx context.Context, i int, ev problem.Evaluation) error
 		span.Attr("iter", float64(sug.Iter))
 		defer span.End()
 	}
+	e.st.ev = p.ev
 	e.st.ingest(sug.Iter, sug.X, sug.Fid, ev)
 	if sug.Iter < 0 {
 		if len(e.pending) == 0 && e.initRemaining() == 0 {

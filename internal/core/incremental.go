@@ -14,64 +14,69 @@ import (
 	"repro/internal/telemetry"
 )
 
-// surrCache holds the models served between full refits, together with the
-// dataset coordinates they cover so extensions and retractions line up.
-type surrCache struct {
-	lowGPs []*gp.Model
-	fused  []*mfgp.Model
+// ladderCache holds the models served between full refits — every output's
+// rung-0 GP and the chain stacked on it (nil for a low-only output) —
+// together with the dataset coordinates they cover so extensions and
+// retractions line up.
+type ladderCache struct {
+	chains []*mfgp.MultiLevel
+	low    []*gp.Model
 
-	lowStart int // window start index of the low training view at fit time
-	lowN     int // low rows (window-relative) folded into the models
-	highN    int // high rows folded into the models
+	lowStart int   // window start of the rung-0 training view at fit time
+	counts   []int // rows folded per rung (rung 0 window-relative)
 
-	// Per-point NLML at the last full refit, for the degradation trigger.
-	baseLow, baseHigh []float64
+	// Per-point NLML of the rung-0 and target-level GPs at the last full
+	// refit, for the early-refit degradation trigger.
+	baseLow, baseTop []float64
 }
 
 var errCacheUnusable = errors.New("core: surrogate cache unusable")
 
-// incrementalSurrogates serves one proposal's models: extend the cache with
+// incrementalLadder serves one proposal's models: extend the cache with
 // rank-1 updates when the schedule allows, otherwise fall back to a full
-// fitSurrogates and rebuild the cache. skipped reports which path ran.
-func (st *state) incrementalSurrogates(iter int, span *telemetry.Span) (lowGPs []*gp.Model, fused []*mfgp.Model, ok, skipped bool) {
+// fitLadder and rebuild the cache. skipped reports which path ran.
+func (st *state) incrementalLadder(iter int, span *telemetry.Span) (chains []*mfgp.MultiLevel, low []*gp.Model, ok, skipped bool) {
 	cfg := &st.cfg
 	lowX, _ := st.low.window(cfg.MaxLowData)
 	start := len(st.low.X) - len(lowX)
-	if c := st.cache; c != nil && st.sinceRefit+1 < cfg.RefitEvery && c.lowStart == start && !st.nlmlDegraded(c) {
-		if err := st.extendCache(c); err == nil {
+	if c := st.lcache; c != nil && st.sinceRefit+1 < cfg.RefitEvery && c.lowStart == start && !st.ladderNLMLDegraded(c) {
+		if err := st.extendLadderCache(c); err == nil {
 			st.sinceRefit++
 			if st.met != nil {
 				st.met.fitSkipped.Add(1)
 			}
-			return c.lowGPs, c.fused, true, true
+			return c.chains, c.low, true, true
 		}
 		// A failed extension (e.g. an indefinite downdate residue) poisons
 		// the cache; fall through to a full refit.
-		st.cache = nil
 	}
-	st.cache = nil
+	st.lcache = nil
 	st.sinceRefit = 0
-	lowGPs, fused, ok = st.fitSurrogates(iter, true, span)
+	chains, low, ok = st.fitLadder(iter, true, span)
 	if !ok {
 		return nil, nil, false, false
 	}
-	c := &surrCache{
-		lowGPs:   lowGPs,
-		fused:    fused,
+	target := st.ladder.Target()
+	c := &ladderCache{
+		chains:   chains,
+		low:      low,
 		lowStart: start,
-		lowN:     len(lowX),
-		highN:    len(st.high.X),
+		counts:   make([]int, target+1),
 		baseLow:  make([]float64, st.nOut),
-		baseHigh: make([]float64, st.nOut),
+		baseTop:  make([]float64, st.nOut),
+	}
+	c.counts[0] = len(lowX)
+	for r := 1; r <= target; r++ {
+		c.counts[r] = len(st.ds(r).X)
 	}
 	for k := 0; k < st.nOut; k++ {
-		c.baseLow[k] = perPointNLML(lowGPs[k])
-		if fused[k] != nil {
-			c.baseHigh[k] = perPointNLML(fused[k].High())
+		c.baseLow[k] = perPointNLML(low[k])
+		if chains[k] != nil {
+			c.baseTop[k] = perPointNLML(chains[k].Level(target))
 		}
 	}
-	st.cache = c
-	return lowGPs, fused, true, false
+	st.lcache = c
+	return chains, low, true, false
 }
 
 func perPointNLML(m *gp.Model) float64 {
@@ -81,55 +86,62 @@ func perPointNLML(m *gp.Model) float64 {
 	return 0
 }
 
-// nlmlDegraded reports whether any cached model's per-point NLML has drifted
-// more than NLMLTrigger nats above its last-full-refit baseline — the early
-// warning that frozen hyperparameters no longer explain the data.
-func (st *state) nlmlDegraded(c *surrCache) bool {
+// ladderNLMLDegraded reports whether any cached model's per-point NLML has
+// drifted more than NLMLTrigger nats above its last-full-refit baseline, at
+// either end of an output's chain — the early warning that frozen
+// hyperparameters no longer explain the data.
+func (st *state) ladderNLMLDegraded(c *ladderCache) bool {
 	trig := st.cfg.NLMLTrigger
 	if trig < 0 {
 		return false
 	}
+	target := st.ladder.Target()
 	for k := 0; k < st.nOut; k++ {
-		if perPointNLML(c.lowGPs[k]) > c.baseLow[k]+trig {
+		if perPointNLML(c.low[k]) > c.baseLow[k]+trig {
 			return true
 		}
-		if c.fused[k] != nil && perPointNLML(c.fused[k].High()) > c.baseHigh[k]+trig {
+		if c.chains[k] != nil && perPointNLML(c.chains[k].Level(target)) > c.baseTop[k]+trig {
 			return true
 		}
 	}
 	return false
 }
 
-// extendCache folds every dataset row the cached models have not seen yet —
-// real observations and fantasy rows alike — into the models with rank-1
-// updates (O(n²) per row). Models whose fidelity received no new data are
-// left untouched. On error the caller must discard the cache: some models may
-// already hold the new rows.
-func (st *state) extendCache(c *surrCache) error {
+// extendLadderCache folds every rung's unseen rows — real observations and
+// fantasy rows alike — into the cached models with rank-1 updates (O(n²) per
+// row), cheapest rung first so lower-level updates inform the frozen
+// augmentations of subsequent higher-level rows. Models whose rung received
+// no new data are left untouched. A row above rung 0 for a low-only output
+// makes the cache unusable: it has no chain to absorb it. On error the
+// caller must discard the cache: some models may already hold the new rows.
+func (st *state) extendLadderCache(c *ladderCache) error {
 	cfg := &st.cfg
-	lowX, lowView := st.low.window(cfg.MaxLowData)
+	target := st.ladder.Target()
 	updates := 0
-	for i := c.lowN; i < len(lowX); i++ {
+	lowX, lowView := st.low.window(cfg.MaxLowData)
+	for i := c.counts[0]; i < len(lowX); i++ {
 		for k := 0; k < st.nOut; k++ {
-			if err := c.lowGPs[k].AppendObservation(lowX[i], lowView.Y[i][k]); err != nil {
+			if err := c.low[k].AppendObservation(lowX[i], lowView.Y[i][k]); err != nil {
 				return err
 			}
 			updates++
 		}
-		c.lowN = i + 1
+		c.counts[0] = i + 1
 	}
-	for i := c.highN; i < len(st.high.X); i++ {
-		for k := 0; k < st.nOut; k++ {
-			if c.fused[k] == nil {
-				// Low-only degraded output: no high model to extend.
-				return errCacheUnusable
+	for r := 1; r <= target; r++ {
+		ds := st.ds(r)
+		for i := c.counts[r]; i < len(ds.X); i++ {
+			for k := 0; k < st.nOut; k++ {
+				if c.chains[k] == nil {
+					return errCacheUnusable
+				}
+				if err := c.chains[k].AppendLevel(r, ds.X[i], ds.Y[i][k]); err != nil {
+					return err
+				}
+				updates++
 			}
-			if err := c.fused[k].AppendHigh(st.high.X[i], st.high.Y[i][k]); err != nil {
-				return err
-			}
-			updates++
+			c.counts[r] = i + 1
 		}
-		c.highN = i + 1
 	}
 	if updates > 0 {
 		if st.met != nil {
@@ -142,39 +154,41 @@ func (st *state) extendCache(c *surrCache) error {
 	return nil
 }
 
-// retractCache truncates the cached models back to the committed dataset
-// sizes after a batch proposal retracted its fantasy rows. nLow/nHigh are the
-// committed (fantasy-free) dataset lengths. Any mismatch the truncation
-// cannot reconcile poisons the cache so the next proposal refits.
-func (st *state) retractCache(nLow, nHigh int) {
-	c := st.cache
+// retractLadderCache truncates the cached models back to the committed
+// per-rung dataset sizes (rung-ordered, as datasetSizes) after a batch
+// proposal retracted its fantasy rows. Any mismatch the truncation cannot
+// reconcile poisons the cache so the next proposal refits.
+func (st *state) retractLadderCache(sizes []int) {
+	c := st.lcache
 	if c == nil {
 		return
 	}
-	lowTarget := nLow - c.lowStart
-	if lowTarget < 1 || nHigh < 1 || lowTarget > c.lowN || nHigh > c.highN {
-		st.cache = nil
-		return
+	target := st.ladder.Target()
+	want := append([]int{sizes[0] - c.lowStart}, sizes[1:]...)
+	for r, n := range want {
+		if n < 1 || n > c.counts[r] {
+			st.lcache = nil
+			return
+		}
 	}
-	if lowTarget < c.lowN {
+	for r := 0; r <= target; r++ {
+		n := want[r]
+		if n == c.counts[r] {
+			continue
+		}
 		for k := 0; k < st.nOut; k++ {
-			if err := c.lowGPs[k].Truncate(lowTarget); err != nil {
-				st.cache = nil
+			var err error
+			switch {
+			case r == 0:
+				err = c.low[k].Truncate(n)
+			case c.chains[k] != nil:
+				err = c.chains[k].TruncateLevel(r, n)
+			}
+			if err != nil {
+				st.lcache = nil
 				return
 			}
 		}
-		c.lowN = lowTarget
-	}
-	if nHigh < c.highN {
-		for k := 0; k < st.nOut; k++ {
-			if c.fused[k] == nil {
-				continue
-			}
-			if err := c.fused[k].TruncateHigh(nHigh); err != nil {
-				st.cache = nil
-				return
-			}
-		}
-		c.highN = nHigh
+		c.counts[r] = n
 	}
 }

@@ -113,37 +113,37 @@ func TestIncrementalSkipsUntouchedModels(t *testing.T) {
 		}
 	}
 	st := eng.st
-	c := st.cache
+	c := st.lcache
 	if c == nil {
 		t.Fatal("adaptive proposal left no surrogate cache")
 	}
-	fusedBefore := c.fused[0]
-	if fusedBefore == nil {
-		t.Fatal("cache holds no fused model")
+	chainBefore := c.chains[0]
+	if chainBefore == nil {
+		t.Fatal("cache holds no fused chain")
 	}
-	highNLML := fusedBefore.High().NLML()
-	highSize := fusedBefore.High().TrainingSize()
-	lowSize := c.lowGPs[0].TrainingSize()
+	highNLML := chainBefore.Level(1).NLML()
+	highSize := chainBefore.LevelSize(1)
+	lowSize := c.low[0].TrainingSize()
 
 	// A new LOW observation arrives; the next proposal must extend the low
-	// models in place and leave the fused models' high factorization alone.
+	// models in place and leave the fused level's factorization alone.
 	x := []float64{0.375}
 	st.low.X = append(st.low.X, x)
 	st.low.Y = append(st.low.Y, []float64{p.Evaluate(x, problem.Low).Objective})
-	lowGPs, fused, ok, skipped := st.incrementalSurrogates(st.iter+1, nil)
+	chains, low, ok, skipped := st.incrementalLadder(st.iter+1, nil)
 	if !ok || !skipped {
 		t.Fatalf("expected a skipped fit, got ok=%v skipped=%v", ok, skipped)
 	}
-	if fused[0] != fusedBefore {
-		t.Fatal("fused model was rebuilt despite receiving no new data")
+	if chains[0] != chainBefore {
+		t.Fatal("fused chain was rebuilt despite receiving no new high data")
 	}
-	if got := fused[0].High().NLML(); got != highNLML {
+	if got := chains[0].Level(1).NLML(); got != highNLML {
 		t.Fatalf("high factorization changed: NLML %v vs %v", got, highNLML)
 	}
-	if got := fused[0].High().TrainingSize(); got != highSize {
+	if got := chains[0].LevelSize(1); got != highSize {
 		t.Fatalf("high training size changed: %d vs %d", got, highSize)
 	}
-	if got := lowGPs[0].TrainingSize(); got != lowSize+1 {
+	if got := low[0].TrainingSize(); got != lowSize+1 {
 		t.Fatalf("low model did not absorb the new row: size %d, want %d", got, lowSize+1)
 	}
 }
@@ -201,15 +201,15 @@ func TestIncrementalCheckpointRoundTrip(t *testing.T) {
 	if restored.st.sinceRefit != eng.st.sinceRefit {
 		t.Fatalf("restored sinceRefit %d, want %d", restored.st.sinceRefit, eng.st.sinceRefit)
 	}
-	if !reflect.DeepEqual(restored.st.warmLow, eng.st.warmLow) {
-		t.Fatalf("warm low hypers did not survive restore:\n%v\nvs\n%v", restored.st.warmLow, eng.st.warmLow)
+	if eng.st.warm[0][0] == nil || eng.st.warm[0][1] == nil {
+		t.Fatal("test needs warm hyperparameters at both levels to be meaningful")
 	}
-	if !reflect.DeepEqual(restored.st.warmHigh, eng.st.warmHigh) {
-		t.Fatalf("warm high hypers did not survive restore:\n%v\nvs\n%v", restored.st.warmHigh, eng.st.warmHigh)
+	if !reflect.DeepEqual(restored.st.warm, eng.st.warm) {
+		t.Fatalf("warm hypers did not survive restore:\n%v\nvs\n%v", restored.st.warm, eng.st.warm)
 	}
 	// The model cache is deliberately not serialized: a restored engine must
 	// start from a clean full refit.
-	if restored.st.cache != nil {
+	if restored.st.lcache != nil {
 		t.Fatal("restored engine has a surrogate cache")
 	}
 }

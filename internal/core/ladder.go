@@ -1,11 +1,12 @@
-// Fidelity-ladder proposals (K > 2 rungs): the generalized form of
-// Algorithm 1 where the low/high fidelity pair becomes an ordered ladder of
+// Fidelity-ladder proposals: Algorithm 1 over an ordered ladder of K ≥ 2
 // simulation accuracies. Per output the surrogate is the recursive K-level
 // NARGP chain (mfgp.MultiLevel); the §3.4 fidelity switch generalizes to a
 // cost-weighted rung selector that evaluates at the cheapest rung still
 // carrying useful information per unit cost, and falls through to the target
-// rung when every cheaper posterior is already resolved. K = 2 problems never
-// enter this file — they run the historical two-fidelity path bit for bit.
+// rung when every cheaper posterior is already resolved. The paper's
+// two-fidelity algorithm is the K = 2 case: a two-level chain and the
+// original "HIGH iff σ²_l,max < (1+Nc)·γ" rule (testdata/k2_golden.json pins
+// its trajectories).
 package core
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/acq"
 	"repro/internal/gp"
-	"repro/internal/kernel"
 	"repro/internal/mfgp"
 	"repro/internal/optimize"
 	"repro/internal/problem"
@@ -42,8 +42,7 @@ type rungDecision struct {
 // variance per unit cost (ties to the cheaper rung).
 //
 // With K = 2 this is exactly the paper's rule: vars = [σ²_l,max], and the
-// decision degenerates to "HIGH iff σ²_l,max < (1+Nc)·γ"
-// (TestChooseRungMatchesSelectFidelity pins the equivalence).
+// decision degenerates to "HIGH iff σ²_l,max < (1+Nc)·γ".
 func chooseRung(vars, costs []float64, nc int, gamma float64) rungDecision {
 	target := len(costs) - 1
 	threshold := (1 + float64(nc)) * gamma
@@ -76,278 +75,86 @@ func chooseRung(vars, costs []float64, nc int, gamma float64) rungDecision {
 	return dec
 }
 
-// ladderCache is the K>2 analogue of surrCache: the fitted per-output chains
-// extended in place with per-level rank-1 updates between full refits.
-type ladderCache struct {
-	chains  []*mfgp.MultiLevel
-	lowOnly []*gp.Model // per-output fallback when the chain degraded
-
-	lowStart int   // window start of the rung-0 training view at fit time
-	counts   []int // rows folded per rung (rung 0 window-relative)
-
-	// Per-point NLML of the level-0 and target-level GPs at the last full
-	// refit, for the early-refit degradation trigger.
-	baseLow, baseTop []float64
-}
-
-// fitLadder trains one recursive K-level chain per output, walking the
-// degradation ladder on failure: (1) refit with the previous chain's warm
-// hyperparameters frozen, (2) drop the output to a plain rung-0 surrogate,
-// (3) no usable surrogate at all — random exploration. chains[k] == nil with
-// lowOnly[k] != nil marks a low-only output.
-func (st *state) fitLadder(iter int, fullRefit bool, span *telemetry.Span) (chains []*mfgp.MultiLevel, lowOnly []*gp.Model, ok bool) {
+// fitLadder trains every output's surrogate, walking the degradation ladder
+// on failure. The rung-0 GP is fitted first; a failed fit is retried with
+// the previous hyperparameters frozen (DegradeWarmHypers), and when that
+// fails too no surrogate is usable and the iteration explores randomly
+// (DegradeRandom). The fused chain is then stacked on that GP, retried frozen
+// the same way, and on failure the output runs on its rung-0 GP alone
+// (DegradeLowOnly): low[k] is always set, chains[k] is nil for such outputs.
+func (st *state) fitLadder(iter int, fullRefit bool, span *telemetry.Span) (chains []*mfgp.MultiLevel, low []*gp.Model, ok bool) {
 	cfg := &st.cfg
 	target := st.ladder.Target()
 	lowX, lowView := st.low.window(cfg.MaxLowData)
-	levelsX := make([][][]float64, target+1)
-	levelsX[0] = lowX
+	upX := make([][][]float64, target)
 	for r := 1; r <= target; r++ {
-		levelsX[r] = st.ds(r).X
+		upX[r-1] = st.ds(r).X
 	}
 	chains = make([]*mfgp.MultiLevel, st.nOut)
-	lowOnly = make([]*gp.Model, st.nOut)
+	low = make([]*gp.Model, st.nOut)
 	for k := 0; k < st.nOut; k++ {
-		levelsY := make([][]float64, target+1)
-		levelsY[0] = lowView.column(k)
-		for r := 1; r <= target; r++ {
-			levelsY[r] = st.ds(r).column(k)
-		}
+		warm := st.warm[k]
 		mlCfg := mfgp.MultiLevelConfig{
 			Restarts: cfg.GPRestarts, MaxIter: cfg.GPMaxIter,
 			FixedNoise: cfg.FixedNoise, Propagation: cfg.Propagation,
 			NumSamples: cfg.NumSamples, Inducing: cfg.LowRankAfter,
 			Workers: cfg.Workers, Span: span,
-			WarmStarts:   st.warmChain[k],
-			SkipTraining: !fullRefit && st.warmChain[k] != nil,
+			WarmStarts:   warm,
+			SkipTraining: !fullRefit,
 			// Between full refits only the sub-target levels freeze; the small
-			// target-level GP always retrains, as in the two-fidelity engine.
+			// target-level GP always retrains.
 			TrainTarget: true,
 		}
-		chain, err := mfgp.FitMultiLevel(levelsX, levelsY, mlCfg, st.rng)
-		if err != nil && st.warmChain[k] != nil && (!mlCfg.SkipTraining || mlCfg.TrainTarget) {
-			// Rung 1: freeze the previous chain's hyperparameters entirely.
-			mlCfg.SkipTraining = true
-			mlCfg.TrainTarget = false
+		frozen := mlCfg
+		frozen.SkipTraining, frozen.TrainTarget = true, false
+
+		lowY := lowView.column(k)
+		lm, err := mfgp.FitBase(lowX, lowY, st.d, mlCfg, st.rng)
+		if err != nil && warm[0] != nil {
 			var err2 error
-			chain, err2 = mfgp.FitMultiLevel(levelsX, levelsY, mlCfg, st.rng)
-			if err2 == nil {
-				st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("chain fit: %w", err))
+			if lm, err2 = mfgp.FitBase(lowX, lowY, st.d, frozen, st.rng); err2 == nil {
+				st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("low fit: %w", err))
 				err = nil
 			}
 		}
-		if err == nil {
-			st.warmChain[k] = chain.Hyper()
-			st.warmLow[k] = chain.Level(0).Hyper()
-			chains[k] = chain
-			st.noteFit(iter, chain.Level(0), false)
-			st.noteFit(iter, chain.Level(target), true)
-			continue
-		}
-		// Rung 2: plain rung-0 surrogate for this output.
-		chainErr := err
-		lm, lerr := gp.Fit(lowX, levelsY[0], gp.Config{
-			Kernel:     kernel.NewSEARD(st.d),
-			Restarts:   cfg.GPRestarts,
-			MaxIter:    cfg.GPMaxIter,
-			FixedNoise: cfg.FixedNoise,
-			WarmStart:  st.warmLow[k],
-			Inducing:   cfg.LowRankAfter,
-			Workers:    cfg.Workers,
-			Span:       span,
-		}, st.rng)
-		if lerr != nil {
-			// Rung 3: nothing usable for this output.
-			st.degrade(iter, DegradeRandom, k, fmt.Errorf("chain fit: %v; low fit: %w", chainErr, lerr))
+		if err != nil {
+			st.degrade(iter, DegradeRandom, k, fmt.Errorf("low fit: %w", err))
 			return nil, nil, false
 		}
-		st.degrade(iter, DegradeLowOnly, k, fmt.Errorf("chain fit: %w", chainErr))
-		st.warmLow[k] = lm.Hyper()
-		lowOnly[k] = lm
+		warm[0] = lm.Hyper()
+		low[k] = lm
 		st.noteFit(iter, lm, false)
-	}
-	return chains, lowOnly, true
-}
 
-// incrementalLadder is the K>2 analogue of incrementalSurrogates: serve the
-// proposal from the cached chains extended with per-level rank-1 updates when
-// the schedule allows, otherwise refit and rebuild the cache.
-func (st *state) incrementalLadder(iter int, span *telemetry.Span) (chains []*mfgp.MultiLevel, lowOnly []*gp.Model, ok, skipped bool) {
-	cfg := &st.cfg
-	lowX, _ := st.low.window(cfg.MaxLowData)
-	start := len(st.low.X) - len(lowX)
-	if c := st.lcache; c != nil && st.sinceRefit+1 < cfg.RefitEvery && c.lowStart == start && !st.ladderNLMLDegraded(c) {
-		if err := st.extendLadderCache(c); err == nil {
-			st.sinceRefit++
-			if st.met != nil {
-				st.met.fitSkipped.Add(1)
-			}
-			return c.chains, c.lowOnly, true, true
+		upY := make([][]float64, target)
+		for r := 1; r <= target; r++ {
+			upY[r-1] = st.ds(r).column(k)
 		}
-		st.lcache = nil
-	}
-	st.lcache = nil
-	st.sinceRefit = 0
-	chains, lowOnly, ok = st.fitLadder(iter, true, span)
-	if !ok {
-		return nil, nil, false, false
-	}
-	target := st.ladder.Target()
-	c := &ladderCache{
-		chains:   chains,
-		lowOnly:  lowOnly,
-		lowStart: start,
-		counts:   make([]int, target+1),
-		baseLow:  make([]float64, st.nOut),
-		baseTop:  make([]float64, st.nOut),
-	}
-	c.counts[0] = len(lowX)
-	for r := 1; r <= target; r++ {
-		c.counts[r] = len(st.ds(r).X)
-	}
-	for k := 0; k < st.nOut; k++ {
-		if chains[k] != nil {
-			c.baseLow[k] = perPointNLML(chains[k].Level(0))
-			c.baseTop[k] = perPointNLML(chains[k].Level(target))
-		} else {
-			c.baseLow[k] = perPointNLML(lowOnly[k])
-		}
-	}
-	st.lcache = c
-	return chains, lowOnly, true, false
-}
-
-// ladderNLMLDegraded mirrors nlmlDegraded for the chain cache: drift past
-// NLMLTrigger at either end of any output's chain forces an early refit.
-func (st *state) ladderNLMLDegraded(c *ladderCache) bool {
-	trig := st.cfg.NLMLTrigger
-	if trig < 0 {
-		return false
-	}
-	target := st.ladder.Target()
-	for k := 0; k < st.nOut; k++ {
-		if c.chains[k] == nil {
-			if perPointNLML(c.lowOnly[k]) > c.baseLow[k]+trig {
-				return true
+		chain, err := mfgp.FitOnBase(lm, upX, upY, mlCfg, st.rng)
+		if err != nil && warm[target] != nil {
+			var err2 error
+			if chain, err2 = mfgp.FitOnBase(lm, upX, upY, frozen, st.rng); err2 == nil {
+				st.degrade(iter, DegradeWarmHypers, k, fmt.Errorf("fusion fit: %w", err))
+				err = nil
 			}
+		}
+		if err != nil {
+			st.degrade(iter, DegradeLowOnly, k, fmt.Errorf("fusion fit: %w", err))
 			continue
 		}
-		if perPointNLML(c.chains[k].Level(0)) > c.baseLow[k]+trig {
-			return true
+		for l := 1; l <= target; l++ {
+			warm[l] = chain.Level(l).Hyper()
 		}
-		if perPointNLML(c.chains[k].Level(target)) > c.baseTop[k]+trig {
-			return true
-		}
+		chains[k] = chain
+		st.noteFit(iter, chain.Level(target), true)
 	}
-	return false
-}
-
-// extendLadderCache folds every rung's unseen rows — real observations and
-// fantasy rows alike — into the cached chains with per-level rank-1 updates,
-// cheapest rung first so lower-level updates inform the frozen augmentations
-// of subsequent higher-level rows. A degraded (low-only) output makes the
-// cache unusable: its chain cannot absorb new rows above rung 0.
-func (st *state) extendLadderCache(c *ladderCache) error {
-	cfg := &st.cfg
-	target := st.ladder.Target()
-	for k := 0; k < st.nOut; k++ {
-		if c.chains[k] == nil {
-			return errCacheUnusable
-		}
-	}
-	updates := 0
-	lowX, lowView := st.low.window(cfg.MaxLowData)
-	for i := c.counts[0]; i < len(lowX); i++ {
-		for k := 0; k < st.nOut; k++ {
-			if err := c.chains[k].AppendLevel(0, lowX[i], lowView.Y[i][k]); err != nil {
-				return err
-			}
-			updates++
-		}
-		c.counts[0] = i + 1
-	}
-	for r := 1; r <= target; r++ {
-		ds := st.ds(r)
-		for i := c.counts[r]; i < len(ds.X); i++ {
-			for k := 0; k < st.nOut; k++ {
-				if err := c.chains[k].AppendLevel(r, ds.X[i], ds.Y[i][k]); err != nil {
-					return err
-				}
-				updates++
-			}
-			c.counts[r] = i + 1
-		}
-	}
-	if updates > 0 {
-		if st.met != nil {
-			st.met.rank1Updates.Add(uint64(updates))
-		}
-		if ev := st.ev; ev != nil {
-			ev.Rank1Updates += updates
-		}
-	}
-	return nil
-}
-
-// retractLadderCache truncates the cached chains back to the committed
-// per-rung dataset sizes after a batch proposal retracted its fantasy rows.
-// Any mismatch poisons the cache so the next proposal refits.
-func (st *state) retractLadderCache(sizes []int) {
-	c := st.lcache
-	if c == nil {
-		return
-	}
-	target := st.ladder.Target()
-	lowTarget := sizes[0] - c.lowStart
-	if lowTarget < 1 || lowTarget > c.counts[0] {
-		st.lcache = nil
-		return
-	}
-	for r := 1; r <= target; r++ {
-		if sizes[r] < 1 || sizes[r] > c.counts[r] {
-			st.lcache = nil
-			return
-		}
-	}
-	truncate := func(r, n int) bool {
-		if n >= c.counts[r] {
-			return true
-		}
-		for k := 0; k < st.nOut; k++ {
-			if c.chains[k] == nil {
-				continue
-			}
-			if err := c.chains[k].TruncateLevel(r, n); err != nil {
-				return false
-			}
-		}
-		c.counts[r] = n
-		return true
-	}
-	if !truncate(0, lowTarget) {
-		st.lcache = nil
-		return
-	}
-	for r := 1; r <= target; r++ {
-		if !truncate(r, sizes[r]) {
-			st.lcache = nil
-			return
-		}
-	}
-}
-
-// retract restores every surrogate cache to the committed (fantasy-free)
-// dataset sizes; sizes is rung-ordered (datasetSizes). Dispatches to the
-// two-fidelity cache, the ladder cache, or neither — whichever is live.
-func (st *state) retract(sizes []int) {
-	st.retractCache(sizes[0], sizes[len(sizes)-1])
-	st.retractLadderCache(sizes)
+	return chains, low, true
 }
 
 // chooseEvalRung computes the per-rung standardized chain variances at xt and
 // applies the generalized §3.4 rule. Degraded (low-only) outputs contribute
 // their rung-0 variance only — with no chain there is no evidence that a
 // higher intermediate rung needs data for them.
-func (st *state) chooseEvalRung(chains []*mfgp.MultiLevel, lowOnly []*gp.Model, xt []float64) rungDecision {
+func (st *state) chooseEvalRung(chains []*mfgp.MultiLevel, low []*gp.Model, xt []float64) rungDecision {
 	target := st.ladder.Target()
 	if st.cfg.ForceHighFidelity {
 		return rungDecision{rung: target, forced: true}
@@ -357,12 +164,12 @@ func (st *state) chooseEvalRung(chains []*mfgp.MultiLevel, lowOnly []*gp.Model, 
 		for k := 0; k < st.nOut; k++ {
 			var va, std float64
 			switch {
+			case r == 0:
+				_, va = low[k].PredictLatent(xt)
+				std = low[k].OutputStd()
 			case chains[k] != nil:
 				_, va = chains[k].PredictLevel(xt, r)
 				std = chains[k].Level(r).OutputStd()
-			case r == 0:
-				_, va = lowOnly[k].PredictLatent(xt)
-				std = lowOnly[k].OutputStd()
 			default:
 				continue
 			}
@@ -390,18 +197,21 @@ func (st *state) isDuplicateAtRung(xt []float64, r int) bool {
 	return false
 }
 
-// fantasizeLadder produces the synthetic per-output observation for a pending
-// ladder suggestion at rung r: the chain posterior mean at that rung
-// (kriging-believer) or the per-output worst value observed at the rung
+// fantasizeLadder produces the synthetic per-output observation batch
+// acquisition substitutes for a pending suggestion at rung r while its real
+// outcome is outstanding (Config.Fantasy): the posterior mean at that rung
+// from the model the next slot trains against — the chain level, or the
+// rung-0 GP of a low-only output (kriging-believer) — or the per-output worst
+// value observed at the rung, the pessimistic lie under minimization
 // (constant-liar, falling back to the believer mean on an empty rung).
-func (st *state) fantasizeLadder(chains []*mfgp.MultiLevel, lowOnly []*gp.Model, xt []float64, r int) []float64 {
+func (st *state) fantasizeLadder(chains []*mfgp.MultiLevel, low []*gp.Model, xt []float64, r int) []float64 {
 	out := make([]float64, st.nOut)
 	believe := func(k int) float64 {
 		if chains[k] != nil {
 			mu, _ := chains[k].PredictLevel(xt, r)
 			return mu
 		}
-		mu, _ := lowOnly[k].PredictLatent(xt)
+		mu, _ := low[k].PredictLatent(xt)
 		return mu
 	}
 	switch st.cfg.Fantasy {
@@ -428,16 +238,24 @@ func (st *state) fantasizeLadder(chains []*mfgp.MultiLevel, lowOnly []*gp.Model,
 	return out
 }
 
-// proposeLadder is the K>2 body of one generalized Algorithm 1 iteration:
-// fit the per-output K-level chains (walking the degradation ladder on
-// failure), maximize the rung-0 and target-rung acquisitions with the §4.1
-// multiple-starting-point strategy, and pick the evaluation rung by the
-// cost-weighted generalization of the §3.4 criterion.
+// proposeLadder computes the next adaptive query — the body of one
+// Algorithm 1 iteration up to (but excluding) the simulation itself: fit the
+// per-output chains (walking the degradation ladder on failure), maximize the
+// rung-0 and target-rung acquisitions with the §4.1 multiple-starting-point
+// strategy, and pick the evaluation rung by the §3.4 criterion.
+//
+// iter labels the slot being proposed (it may run ahead of st.iter while a
+// batch is outstanding). When wantFantasy is set the third return value
+// carries the synthetic outputs (per Config.Fantasy) that stand in for the
+// point's observation while later batch slots are proposed; it is nil for a
+// random-exploration fallback, where no surrogate exists to fantasize from.
 func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool) ([]float64, problem.Fidelity, []float64) {
 	cfg := &st.cfg
 	target := st.ladder.Target()
 	var ev *telemetry.IterationEvent
 	if st.telem != nil {
+		// The in-flight event: decision fields are filled here, the outcome
+		// fields when the observation is told back (observeTelemetry).
 		ev = &telemetry.IterationEvent{Iter: iter, Nc: st.nc, Gamma: cfg.Gamma}
 		st.ev = ev
 	}
@@ -446,27 +264,22 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		tFit = time.Now()
 	}
 	var chains []*mfgp.MultiLevel
-	var lowOnly []*gp.Model
+	var low []*gp.Model
 	var ok bool
 	if cfg.Incremental {
 		var skipped bool
-		chains, lowOnly, ok, skipped = st.incrementalLadder(iter, span)
+		chains, low, ok, skipped = st.incrementalLadder(iter, span)
 		if ev != nil {
 			ev.FitSkipped = skipped
 			ev.SinceRefit = st.sinceRefit
 		}
 	} else {
 		fullRefit := iter%cfg.RefitEvery == 0
-		chains, lowOnly, ok = st.fitLadder(iter, fullRefit, span)
+		chains, low, ok = st.fitLadder(iter, fullRefit, span)
 	}
 	if ev != nil {
-		if ok {
-			for k := 0; k < st.nOut; k++ {
-				if chains[k] != nil && chains[k].Level(0).IsLowRank() {
-					ev.LowRank = true
-					break
-				}
-			}
+		if ok && low[0].IsLowRank() {
+			ev.LowRank = true
 		}
 		d := time.Since(tFit)
 		ev.FitMs = float64(d.Nanoseconds()) / 1e6
@@ -475,6 +288,8 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		}
 	}
 	if !ok {
+		// Random exploration keeps the budget moving while the training sets
+		// recover (e.g. after a burst of failed evaluations).
 		xt := stats.UniformInBox(st.rng, st.lo, st.hi, 1)[0]
 		rung := 0
 		if cfg.ForceHighFidelity {
@@ -482,14 +297,15 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		}
 		if ev != nil {
 			ev.Fidelity = st.ladder.Name(rung)
-			ev.Rung = rung
+			if st.ladder.Rungs() > 2 {
+				ev.Rung = rung
+			}
 			ev.ForcedHigh = cfg.ForceHighFidelity
 		}
 		return xt, problem.Fidelity(rung), nil
 	}
 
-	// Incumbents: the cheapest and the target rung seed the §4.1 starts, as
-	// in the two-fidelity algorithm.
+	// Incumbents: the cheapest and the target rung seed the §4.1 starts.
 	tauLowX, tauLowEval, hasLowFeasible := bestOf(st.low)
 	tauHighX, tauHighEval, hasHighFeasible := bestOf(st.high)
 	if ev != nil {
@@ -503,16 +319,15 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		}
 	}
 
-	// Posterior adapters: rung-0 chain level for the cheap acquisition, the
-	// fused target level for the expensive one. A nil chain (low-only
-	// degradation) aliases the plain rung-0 surrogate for both.
+	// Posterior adapters: the rung-0 GP for the cheap acquisition, the fused
+	// target level for the expensive one. A nil chain (low-only degradation)
+	// aliases the rung-0 GP for both.
 	nc := st.nc
 	levelPost := func(k, level int) acq.Posterior {
-		if chains[k] != nil {
-			m := chains[k]
+		if m := chains[k]; level > 0 && m != nil {
 			return func(x []float64) (float64, float64) { return m.PredictLevel(x, level) }
 		}
-		m := lowOnly[k]
+		m := low[k]
 		return func(x []float64) (float64, float64) { return m.PredictLatent(x) }
 	}
 	lowObj := levelPost(0, 0)
@@ -594,18 +409,23 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		ev.MSPDivergedHigh = mspHigh.Diverged
 	}
 
-	dec := st.chooseEvalRung(chains, lowOnly, xt)
+	// Degenerate-query guard: re-sampling an existing point adds no
+	// information; fall back to a random exploration point.
+	dec := st.chooseEvalRung(chains, low, xt)
 	if st.isDuplicateAtRung(xt, dec.rung) {
 		xt = stats.UniformInBox(st.rng, st.lo, st.hi, 1)[0]
-		dec = st.chooseEvalRung(chains, lowOnly, xt)
+		dec = st.chooseEvalRung(chains, low, xt)
 		if ev != nil {
 			ev.DuplicateFallback = true
 		}
 	}
 	if ev != nil {
+		// §3.4 decision record: the final comparison that chose the rung.
 		ev.Fidelity = st.ladder.Name(dec.rung)
-		ev.Rung = dec.rung
-		ev.RungVars = dec.vars
+		if st.ladder.Rungs() > 2 {
+			ev.Rung = dec.rung
+			ev.RungVars = dec.vars
+		}
 		ev.Sigma2Max = dec.sigma2Max
 		ev.Threshold = dec.threshold
 		ev.HasSigma2 = dec.hasSigma2
@@ -613,7 +433,7 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 	}
 	var fantasy []float64
 	if wantFantasy {
-		fantasy = st.fantasizeLadder(chains, lowOnly, xt, dec.rung)
+		fantasy = st.fantasizeLadder(chains, low, xt, dec.rung)
 	}
 	return xt, problem.Fidelity(dec.rung), fantasy
 }

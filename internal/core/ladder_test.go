@@ -8,17 +8,20 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fidelity"
 	"repro/internal/gp"
 	"repro/internal/kernel"
+	"repro/internal/mfgp"
 	"repro/internal/problem"
 	"repro/internal/stats"
 	"repro/internal/testfunc"
 )
 
-// TestChooseRungMatchesSelectFidelity pins the K=2 degradation of the
-// generalized rung selector: fed the same standardized low-fidelity variance,
-// chooseRung and the paper's selectFidelity must make bit-identical decisions
-// — same rung, same σ²_max, same threshold — for every nc and γ.
+// TestChooseRungMatchesSelectFidelity pins the K=2 case of the generalized
+// rung selector to the paper's §3.4 rule (eqs. 11–12): evaluate at HIGH
+// fidelity iff the largest standardized low-fidelity posterior variance over
+// the outputs is below (1+Nc)·γ. chooseEvalRung must reproduce the rule's
+// decision, σ²_max and threshold bit for bit, for every nc and γ.
 func TestChooseRungMatchesSelectFidelity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n, d := 20, 2
@@ -38,13 +41,17 @@ func TestChooseRungMatchesSelectFidelity(t *testing.T) {
 		mkGP(func(x []float64) float64 { return math.Sin(7*x[0]) + x[1] }),
 		mkGP(func(x []float64) float64 { return x[0]*x[0] - math.Cos(5*x[1]) }),
 	}
+	ladder, err := fidelity.TwoLevel(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains := make([]*mfgp.MultiLevel, len(lowGPs))
 	for _, gamma := range []float64{0.01, 0.05, 0.5} {
 		for nc := 0; nc <= 2; nc++ {
-			cfg := Config{Gamma: gamma}
+			st := &state{cfg: Config{Gamma: gamma}, nc: nc, nOut: len(lowGPs), ladder: ladder}
 			for trial := 0; trial < 200; trial++ {
 				x := stats.UniformInBox(rng, []float64{0, 0}, []float64{1, 1}, 1)[0]
-				legacy := cfg.selectFidelity(lowGPs, x, nc)
-				// The same standardized variance chooseEvalRung would compute.
+				// The paper's rule, computed directly.
 				maxVar := 0.0
 				for _, m := range lowGPs {
 					_, va := m.PredictLatent(x)
@@ -53,16 +60,17 @@ func TestChooseRungMatchesSelectFidelity(t *testing.T) {
 						maxVar = v
 					}
 				}
-				dec := chooseRung([]float64{maxVar}, []float64{0.1, 1}, nc, gamma)
-				wantHigh := legacy.fid == problem.High
+				threshold := (1 + float64(nc)) * gamma
+				wantHigh := maxVar < threshold
+				dec := st.chooseEvalRung(chains, lowGPs, x)
 				if (dec.rung == 1) != wantHigh {
-					t.Fatalf("γ=%v nc=%d σ²=%v: chooseRung picked rung %d, selectFidelity %v",
-						gamma, nc, maxVar, dec.rung, legacy.fid)
+					t.Fatalf("γ=%v nc=%d σ²=%v: chose rung %d, the §3.4 rule says high=%v",
+						gamma, nc, maxVar, dec.rung, wantHigh)
 				}
-				if math.Float64bits(dec.sigma2Max) != math.Float64bits(legacy.sigma2Max) ||
-					math.Float64bits(dec.threshold) != math.Float64bits(legacy.threshold) {
+				if math.Float64bits(dec.sigma2Max) != math.Float64bits(maxVar) ||
+					math.Float64bits(dec.threshold) != math.Float64bits(threshold) {
 					t.Fatalf("decision record differs: (%v, %v) vs (%v, %v)",
-						dec.sigma2Max, dec.threshold, legacy.sigma2Max, legacy.threshold)
+						dec.sigma2Max, dec.threshold, maxVar, threshold)
 				}
 				if !dec.hasSigma2 || dec.forced {
 					t.Fatal("unforced selection must record σ²")
@@ -70,92 +78,10 @@ func TestChooseRungMatchesSelectFidelity(t *testing.T) {
 			}
 		}
 	}
-	// ForceHighFidelity short-circuits identically on both selectors.
-	cfg := Config{Gamma: 0.01, ForceHighFidelity: true}
-	legacy := cfg.selectFidelity(lowGPs, X[0], 1)
-	if legacy.fid != problem.High || !legacy.forced {
-		t.Fatal("selectFidelity must force high")
-	}
-}
-
-// ingestShared feeds one evaluation into several states identically.
-func ingestShared(iter int, x []float64, fid problem.Fidelity, e problem.Evaluation, sts ...*state) {
-	for _, st := range sts {
-		st.ingest(iter, append([]float64(nil), x...), fid, e)
-	}
-}
-
-// TestProposeLadderMatchesProposeAtK2 is the engine-level oracle for the
-// ladder generalization: on a two-fidelity problem, the K-level proposal path
-// (fitLadder → chooseEvalRung → fantasizeLadder) must reproduce the legacy
-// two-fidelity proposal path bit for bit — same rng consumption, same query
-// point, same fidelity decision, same fantasy — across full refits, the
-// fit-skipping warm schedule, and the incremental rank-1 maintenance path.
-func TestProposeLadderMatchesProposeAtK2(t *testing.T) {
-	cases := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"full-refit", nil},
-		{"warm-skip", func(c *Config) { c.RefitEvery = 2 }},
-		{"incremental", func(c *Config) { c.Incremental = true; c.RefitEvery = 3 }},
-	}
-	probs := []func() problem.Problem{
-		func() problem.Problem { return testfunc.Forrester() },
-		func() problem.Problem { return testfunc.ConstrainedSynthetic() },
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, mk := range probs {
-				p := mk()
-				mkState := func() *state {
-					cfg := fastCfg(100)
-					cfg.NumSamples = 20
-					if tc.mod != nil {
-						tc.mod(&cfg)
-					}
-					if err := cfg.defaults(); err != nil {
-						t.Fatal(err)
-					}
-					st, err := newState(p, cfg, rand.New(rand.NewSource(17)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return st
-				}
-				stA, stB := mkState(), mkState()
-				if stA.ladder.Rungs() != 2 {
-					t.Fatalf("problem %q is not two-fidelity", p.Name())
-				}
-
-				// Identical initialization data in both states.
-				initRng := rand.New(rand.NewSource(99))
-				lo, hi := p.Bounds()
-				for _, x := range stats.LatinHypercube(initRng, lo, hi, 8) {
-					ingestShared(-1, x, problem.Low, p.Evaluate(x, problem.Low), stA, stB)
-				}
-				for _, x := range stats.LatinHypercube(initRng, lo, hi, 4) {
-					ingestShared(-1, x, problem.High, p.Evaluate(x, problem.High), stA, stB)
-				}
-
-				for iter := 0; iter < 5; iter++ {
-					xA, fidA, fanA := stA.propose(iter, nil, true)
-					xB, fidB, fanB := stB.proposeLadder(iter, nil, true)
-					if fidA != fidB {
-						t.Fatalf("%s iter %d: fidelity %v vs %v", p.Name(), iter, fidA, fidB)
-					}
-					for j := range xA {
-						if math.Float64bits(xA[j]) != math.Float64bits(xB[j]) {
-							t.Fatalf("%s iter %d: x[%d] %v vs %v", p.Name(), iter, j, xA[j], xB[j])
-						}
-					}
-					if !reflect.DeepEqual(fanA, fanB) {
-						t.Fatalf("%s iter %d: fantasy %v vs %v", p.Name(), iter, fanA, fanB)
-					}
-					ingestShared(iter, xA, fidA, p.Evaluate(xA, fidA), stA, stB)
-				}
-			}
-		})
+	// ForceHighFidelity short-circuits to the target rung without a σ² record.
+	st := &state{cfg: Config{Gamma: 0.01, ForceHighFidelity: true}, nc: 1, nOut: len(lowGPs), ladder: ladder}
+	if dec := st.chooseEvalRung(chains, lowGPs, X[0]); dec.rung != 1 || !dec.forced || dec.hasSigma2 {
+		t.Fatalf("forced selection = %+v, want the forced target rung", dec)
 	}
 }
 
@@ -384,5 +310,37 @@ func TestLadderIncrementalMatchesFullRefit(t *testing.T) {
 	relaxed := run(true, 4)
 	if !relaxed.Feasible || relaxed.Best.Objective > -5.0 {
 		t.Fatalf("incremental K=3 run (RefitEvery=4) missed the optimum: %+v", relaxed.Best)
+	}
+}
+
+// rungZeroBlackout fails every rung-0 simulation of a K-rung problem.
+type rungZeroBlackout struct{ *testfunc.LadderFunc }
+
+func (b rungZeroBlackout) Evaluate(x []float64, fid problem.Fidelity) problem.Evaluation {
+	if fid == 0 {
+		return problem.Evaluation{Objective: math.NaN()}
+	}
+	return b.LadderFunc.Evaluate(x, fid)
+}
+
+// TestLadderRungZeroBlackoutDegradesAsLowFit pins the degradation walk on a
+// K>2 ladder: with no rung-0 data the rung-0 fit fails first, so every
+// adaptive iteration falls back to random exploration with the same "low fit"
+// reason the two-fidelity engine logs, without attempting the chain above it.
+func TestLadderRungZeroBlackoutDegradesAsLowFit(t *testing.T) {
+	p := rungZeroBlackout{testfunc.Forrester3()}
+	cfg := ladderCfg(6)
+	cfg.MaxIterations = 4
+	res, err := Optimize(p, cfg, rand.New(rand.NewSource(31)))
+	if err != nil && res == nil {
+		t.Fatal(err)
+	}
+	if len(res.Degradations) == 0 {
+		t.Fatal("rung-0 blackout took no degradation")
+	}
+	for _, d := range res.Degradations {
+		if d.Stage != DegradeRandom || !strings.HasPrefix(d.Reason, "low fit: ") {
+			t.Fatalf("degradation %+v, want %s with a %q reason", d, DegradeRandom, "low fit: ")
+		}
 	}
 }

@@ -273,3 +273,66 @@ func TestTelemetryMetrics(t *testing.T) {
 		t.Fatalf("cost gauge %v vs %v", g, res.EquivalentSims)
 	}
 }
+
+// TestTelemetryBatchDecisionRecords drives AskBatch(3) with the newest slot
+// told first. Every adaptive observation must still be logged with the §3.4
+// decision record of its own proposal — its rung, σ²_max against the
+// threshold that chose that rung, and the fit-skip flag — and switching
+// telemetry on must not move the trajectory.
+func TestTelemetryBatchDecisionRecords(t *testing.T) {
+	run := func(rec *telemetry.Recorder) *Result {
+		p := testfunc.ConstrainedSynthetic()
+		cfg := fastCfg(8)
+		cfg.Incremental, cfg.RefitEvery = true, 3
+		cfg.Telemetry = rec
+		eng, err := NewEngine(p, cfg, rand.New(rand.NewSource(44)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return driveBatch(t, eng, p, 3)
+	}
+	ring := telemetry.NewRing(4096)
+	res := run(telemetry.NewRecorder(ring, 0))
+	historiesIdentical(t, run(nil), res)
+
+	var iters []*telemetry.IterationEvent
+	for _, ev := range ring.Snapshot() {
+		if ev.Iteration != nil {
+			iters = append(iters, ev.Iteration)
+		}
+	}
+	if len(iters) != len(res.History) {
+		t.Fatalf("%d iteration events for %d observations", len(iters), len(res.History))
+	}
+	seen := map[int]bool{}
+	skipped := 0
+	for i, ev := range iters {
+		ob := res.History[i]
+		if ev.Iter != ob.Iter || ev.Fidelity != ob.Fid.String() {
+			t.Fatalf("event %d (iter %d, %s) does not match observation (iter %d, %s)",
+				i, ev.Iter, ev.Fidelity, ob.Iter, ob.Fid)
+		}
+		if ob.Iter < 0 {
+			continue
+		}
+		if seen[ev.Iter] {
+			t.Fatalf("iteration %d logged twice", ev.Iter)
+		}
+		seen[ev.Iter] = true
+		if ev.Degrade != "" {
+			continue
+		}
+		if !ev.HasSigma2 || ev.Threshold == 0 || (len(ev.NLMLLow) == 0) != ev.FitSkipped {
+			t.Fatalf("adaptive event %d lost its decision record: %+v", i, ev)
+		}
+		if high := ev.Sigma2Max < ev.Threshold; high != (ob.Fid == problem.High) {
+			t.Fatalf("event %d: σ²_max %v vs threshold %v does not choose %s", i, ev.Sigma2Max, ev.Threshold, ob.Fid)
+		}
+		if ev.FitSkipped {
+			skipped++
+		}
+	}
+	if len(seen) < 3 || skipped == 0 {
+		t.Fatalf("%d adaptive events, %d fit-skipped: the run is too short to test batch records", len(seen), skipped)
+	}
+}

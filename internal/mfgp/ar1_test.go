@@ -61,7 +61,7 @@ func TestAR1RecoversLinearRelation(t *testing.T) {
 func TestNARGPBeatsAR1OnNonlinearMap(t *testing.T) {
 	Xl, yl, Xh, yh := pedagogicalData()
 	rngA := rand.New(rand.NewSource(3))
-	nargp, err := Fit(Xl, yl, Xh, yh, Config{
+	nargp, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
 		Restarts: 3, FixedNoise: fixedNoise(1e-6), Propagation: MonteCarlo, NumSamples: 40,
 	}, rngA)
 	if err != nil {

@@ -33,11 +33,11 @@ func pedagogicalData() (Xl [][]float64, yl []float64, Xh [][]float64, yh []float
 
 func fixedNoise(v float64) *float64 { return &v }
 
-func fitPedagogical(t *testing.T, prop Propagation, seed int64) *Model {
+func fitPedagogical(t *testing.T, prop Propagation, seed int64) *MultiLevel {
 	t.Helper()
 	Xl, yl, Xh, yh := pedagogicalData()
 	rng := rand.New(rand.NewSource(seed))
-	m, err := Fit(Xl, yl, Xh, yh, Config{
+	m, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
 		Restarts:    3,
 		FixedNoise:  fixedNoise(1e-6),
 		Propagation: prop,
@@ -51,10 +51,10 @@ func fitPedagogical(t *testing.T, prop Propagation, seed int64) *Model {
 
 func TestFitValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Fit(nil, nil, nil, nil, Config{}, rng); err == nil {
+	if _, err := Fit(nil, nil, nil, nil, MultiLevelConfig{}, rng); err == nil {
 		t.Fatal("expected error on empty data")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1}, [][]float64{{1, 2}}, []float64{1}, Config{}, rng); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1}, [][]float64{{1, 2}}, []float64{1}, MultiLevelConfig{}, rng); err == nil {
 		t.Fatal("expected error on dim mismatch")
 	}
 }
@@ -110,14 +110,14 @@ func TestLowFidelityAccessors(t *testing.T) {
 	if m.Dim() != 1 {
 		t.Fatalf("Dim = %d", m.Dim())
 	}
-	mu, va := m.PredictLow([]float64{0.3})
+	mu, va := m.PredictLevel([]float64{0.3}, 0)
 	if math.Abs(mu-pedagogicalLow(0.3)) > 0.05 {
 		t.Fatalf("low prediction %v vs %v", mu, pedagogicalLow(0.3))
 	}
 	if va < 0 {
 		t.Fatalf("negative low variance %v", va)
 	}
-	if m.Low() == nil || m.High() == nil {
+	if m.Levels() != 2 || m.Level(0) == nil || m.Level(1) == nil {
 		t.Fatal("accessors returned nil")
 	}
 }
@@ -169,12 +169,12 @@ func TestUncertaintyPropagationWidensVariance(t *testing.T) {
 		yh = append(yh, pedagogicalHigh(x))
 	}
 	rngA := rand.New(rand.NewSource(8))
-	full, err := Fit(Xl, yl, Xh, yh, Config{Propagation: MonteCarlo, NumSamples: 200, FixedNoise: fixedNoise(1e-6)}, rngA)
+	full, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{Propagation: MonteCarlo, NumSamples: 200, FixedNoise: fixedNoise(1e-6)}, rngA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rngB := rand.New(rand.NewSource(8))
-	plug, err := Fit(Xl, yl, Xh, yh, Config{Propagation: PlugIn, FixedNoise: fixedNoise(1e-6)}, rngB)
+	plug, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{Propagation: PlugIn, FixedNoise: fixedNoise(1e-6)}, rngB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMismatchedDesignsSupported(t *testing.T) {
 		yh[i] = pedagogicalHigh(x[0])
 	}
 	rng := rand.New(rand.NewSource(11))
-	m, err := Fit(Xl, yl, Xh, yh, Config{FixedNoise: fixedNoise(1e-6)}, rng)
+	m, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{FixedNoise: fixedNoise(1e-6)}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/gp"
 	"repro/internal/kernel"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -16,17 +18,21 @@ import (
 // levels with the recursive NARGP scheme of Perdikaris et al. (2017):
 // level 0 is a plain GP over x, and every level ℓ > 0 is a GP over the
 // augmented input (x, f̂_{ℓ−1}(x)) with the structured kernel of eq. (9).
-// The paper restricts itself to two levels (§3); this type backs the
+// The paper's model is L = 2 (see Fit); longer chains back the
 // fidelity-ladder engine (K > 2 rungs) the introduction motivates ("we can
 // always carry out the circuit simulation at different precision levels").
-// For L = 2 with identical hyperparameters and propagation it reproduces the
-// two-fidelity Model's fused posterior (see TestMultiLevelMatchesNARGP).
 type MultiLevel struct {
 	models  []*gp.Model // models[0] over x, models[ℓ>0] over (x, prev)
 	dim     int
+	workers int
 	zs      [][]float64 // propagation nodes per fused level
 	weights []float64   // quadrature weights (GaussHermite); nil for MC
 	prop    Propagation
+
+	// augPool recycles the augmented point (x, f̂_{ℓ−1}(x)) of fused
+	// predictions, so Predict allocates nothing in steady state even when
+	// acquisition loops hammer it concurrently.
+	augPool sync.Pool
 }
 
 // MultiLevelConfig tunes multi-level training.
@@ -35,12 +41,10 @@ type MultiLevelConfig struct {
 	Restarts, MaxIter int
 	FixedNoise        *float64
 	// Propagation selects how each level's posterior is pushed through the
-	// next: MonteCarlo (default), GaussHermite or PlugIn — the same modes as
-	// the two-fidelity Model.
+	// next: MonteCarlo (default), GaussHermite or PlugIn.
 	Propagation Propagation
 	// NumSamples is the propagation cloud size per fused level (default 50
-	// for MonteCarlo — matching the two-fidelity Model — or 20 nodes for
-	// GaussHermite; ignored by PlugIn).
+	// for MonteCarlo or 20 nodes for GaussHermite; ignored by PlugIn).
 	NumSamples int
 	// WarmStarts, when non-nil, supplies per-level hyperparameter starts
 	// (WarmStarts[l] forwards to gp.Config.WarmStart for level l; nil
@@ -51,14 +55,14 @@ type MultiLevelConfig struct {
 	// fit-skipping fast path of the incremental maintenance schedule.
 	SkipTraining bool
 	// TrainTarget exempts the top (target) level from SkipTraining: its
-	// training set is the smallest and the two-fidelity engine always
-	// retrains it between full refits, so the K=2 chain must too to stay
-	// bit-compatible.
+	// training set is the smallest, so the BO loop retrains it even between
+	// full refits while the cheaper levels keep their warm hyperparameters.
 	TrainTarget bool
 	// Inducing forwards to gp.Config.Inducing at every level.
 	Inducing int
-	// Workers forwards to gp.Config.Workers at every level (0 = default,
-	// 1 = serial); results are bit-identical for every setting.
+	// Workers forwards to gp.Config.Workers at every level and bounds the
+	// goroutines of PredictBatch (0 = default, 1 = serial); results are
+	// bit-identical for every setting.
 	Workers int
 	// Span, when non-nil, parents the per-level gp.fit trace spans.
 	Span *telemetry.Span
@@ -92,49 +96,71 @@ func FitMultiLevel(X [][][]float64, y [][]float64, cfg MultiLevelConfig, rng *ra
 		return nil, fmt.Errorf("mfgp: %d input levels but %d output levels", len(X), len(y))
 	}
 	for l := range X {
-		if len(X[l]) == 0 {
-			return nil, fmt.Errorf("mfgp: level %d has no data", l)
-		}
-		if len(X[l]) != len(y[l]) {
-			return nil, fmt.Errorf("mfgp: level %d has %d inputs but %d outputs", l, len(X[l]), len(y[l]))
+		if err := checkLevel(X[l], y[l], l); err != nil {
+			return nil, err
 		}
 	}
-	d := len(X[0][0])
-	m := &MultiLevel{dim: d, prop: cfg.Propagation}
-	var ghNodes, ghWeights []float64
+	base, err := FitBase(X[0], y[0], len(X[0][0]), cfg, rng)
+	if err != nil {
+		return nil, fmt.Errorf("mfgp: level 0 fit: %w", err)
+	}
+	return FitOnBase(base, X[1:], y[1:], cfg, rng)
+}
+
+// FitBase trains the level-0 GP over d-dimensional inputs exactly as
+// FitMultiLevel does (SE-ARD kernel, cfg.WarmStarts[0]); errors are gp.Fit's,
+// unwrapped.
+func FitBase(X [][]float64, y []float64, d int, cfg MultiLevelConfig, rng *rand.Rand) (*gp.Model, error) {
+	return gp.Fit(X, y, cfg.levelGPConfig(0, 2, d), rng)
+}
+
+// FitOnBase stacks fused levels 1..L−1 on an already-trained level-0 GP;
+// X[i], y[i] hold the data of level i+1 and cfg indexes levels from 0. The BO
+// loop fits level 0 on its own — it is the surrogate of the cheap
+// acquisition and carries the iteration alone when the fused levels fail —
+// and builds the chain on top of it.
+func FitOnBase(base *gp.Model, X [][][]float64, y [][]float64, cfg MultiLevelConfig, rng *rand.Rand) (*MultiLevel, error) {
+	if base == nil || len(X) == 0 {
+		return nil, errors.New("mfgp: need a level-0 model and at least one fused level")
+	}
+	if len(y) != len(X) {
+		return nil, fmt.Errorf("mfgp: %d input levels but %d output levels", len(X), len(y))
+	}
+	d := base.Kernel().Dim()
+	for i := range X {
+		if err := checkLevel(X[i], y[i], i+1); err != nil {
+			return nil, err
+		}
+		if len(X[i][0]) != d {
+			return nil, fmt.Errorf("mfgp: level %d input dim %d != %d", i+1, len(X[i][0]), d)
+		}
+	}
+	levels := len(X) + 1
+	m := &MultiLevel{models: []*gp.Model{base}, dim: d, workers: cfg.Workers, prop: cfg.Propagation}
+	var ghNodes []float64
 	switch cfg.Propagation {
 	case GaussHermite:
 		n := cfg.NumSamples
 		if n <= 0 {
 			n = 20
 		}
-		ghNodes, ghWeights = stats.GaussHermite(n)
-		m.weights = ghWeights
+		ghNodes, m.weights = stats.GaussHermite(n)
 	case PlugIn, MonteCarlo:
 	default:
 		return nil, fmt.Errorf("mfgp: unknown propagation %d", cfg.Propagation)
 	}
-	// Level 0: plain GP.
-	base, err := gp.Fit(X[0], y[0], cfg.levelGPConfig(0, len(X), d), rng)
-	if err != nil {
-		return nil, fmt.Errorf("mfgp: level 0 fit: %w", err)
-	}
-	m.models = append(m.models, base)
-	// Levels 1..L−1: augment with the previous level's fused posterior mean.
-	// The propagation cloud for a level is drawn AFTER its GP is trained —
-	// building the augmented design only reads the nodes of levels below —
-	// so with L = 2 the rng stream is consumed in exactly the order of the
-	// two-fidelity gp.Fit + FitWithLow pair (bit-compatible trajectories).
-	for l := 1; l < len(X); l++ {
-		if len(X[l][0]) != d {
-			return nil, fmt.Errorf("mfgp: level %d input dim %d != %d", l, len(X[l][0]), d)
-		}
-		Xaug := make([][]float64, len(X[l]))
-		for i, x := range X[l] {
+	// Each level is augmented with the previous level's fused posterior
+	// mean. The propagation cloud for a level is drawn AFTER its GP is
+	// trained — building the augmented design only reads the nodes of levels
+	// below — so the rng stream reads level-0 fit, level-1 fit, level-1
+	// cloud, level-2 fit, …
+	for l := 1; l < levels; l++ {
+		Xaug := make([][]float64, len(X[l-1]))
+		for i, x := range X[l-1] {
 			mu, _ := m.predictLevel(x, l-1)
 			Xaug[i] = append(append(make([]float64, 0, d+1), x...), mu)
 		}
-		model, err := gp.Fit(Xaug, y[l], cfg.levelGPConfig(l, len(X), d), rng)
+		model, err := gp.Fit(Xaug, y[l-1], cfg.levelGPConfig(l, levels, d), rng)
 		if err != nil {
 			return nil, fmt.Errorf("mfgp: level %d fit: %w", l, err)
 		}
@@ -157,6 +183,17 @@ func FitMultiLevel(X [][][]float64, y [][]float64, cfg MultiLevelConfig, rng *ra
 		}
 	}
 	return m, nil
+}
+
+// checkLevel validates one level's dataset.
+func checkLevel(X [][]float64, y []float64, l int) error {
+	if len(X) == 0 {
+		return fmt.Errorf("mfgp: level %d has no data", l)
+	}
+	if len(X) != len(y) {
+		return fmt.Errorf("mfgp: level %d has %d inputs but %d outputs", l, len(X), len(y))
+	}
+	return nil
 }
 
 // Levels returns the number of fidelity levels.
@@ -191,10 +228,10 @@ func (m *MultiLevel) Hyper() [][]float64 {
 // AppendLevel folds one observation (x, y) at level l into the chain with a
 // rank-1 Cholesky update instead of a refit. For l > 0 the augmented
 // coordinate is computed from the CURRENT lower chain and then frozen — the
-// same streaming approximation as the two-fidelity AppendHigh: later appends
-// to lower levels sharpen future augmentations but do not retroactively move
-// this row. The periodic full refit of the maintenance schedule rebuilds all
-// augmentations exactly.
+// standard streaming approximation: later appends to lower levels sharpen
+// future augmentations but do not retroactively move this row. The periodic
+// full refit of the maintenance schedule rebuilds all augmentations exactly.
+// Errors leave the chain unchanged.
 func (m *MultiLevel) AppendLevel(l int, x []float64, y float64) error {
 	if l < 0 || l >= len(m.models) {
 		return fmt.Errorf("mfgp: append level %d out of range [0, %d)", l, len(m.models))
@@ -211,9 +248,9 @@ func (m *MultiLevel) AppendLevel(l int, x []float64, y float64) error {
 }
 
 // TruncateLevel drops level-l training rows beyond the first n — the
-// retraction primitive for ladder fantasy proposals. Like the two-fidelity
-// TruncateHigh it restores the exact pre-append posterior of that level
-// provided no OTHER level was appended to in between (an append at a lower
+// retraction primitive for batch fantasy proposals. On the exact path it
+// restores the pre-append posterior of that level bit for bit, provided no
+// OTHER level was appended to in between (an append at a lower
 // level changes the augmentation of subsequent upper-level appends, which
 // truncation of this level alone cannot undo).
 func (m *MultiLevel) TruncateLevel(l, n int) error {
@@ -236,13 +273,36 @@ func (m *MultiLevel) PredictLevel(x []float64, l int) (mean, variance float64) {
 	return m.predictLevel(x, l)
 }
 
+// PredictBatch evaluates Predict over many points, fanning the grid across
+// the configured worker count. Every point is an independent pure function
+// of the trained chain, so the output is bit-identical to the serial loop for
+// any worker count.
+func (m *MultiLevel) PredictBatch(xs [][]float64) (means, variances []float64) {
+	means = make([]float64, len(xs))
+	variances = make([]float64, len(xs))
+	parallel.ForEach(parallel.Workers(m.workers), len(xs), func(i int) {
+		means[i], variances[i] = m.Predict(xs[i])
+	})
+	return means, variances
+}
+
 // predictLevel propagates the posterior through levels 1..l with common
 // random numbers (MonteCarlo), shared quadrature nodes (GaussHermite) or the
 // plug-in mean, collapsing to (mean, variance) at each step — the sequential
-// approximation used by recursive NARGP implementations.
+// approximation used by recursive NARGP implementations (eq. 10 for l = 1;
+// the variance is the law of total variance over the propagation cloud).
 func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 	mu, va := m.models[0].PredictLatent(x)
-	aug := append(append(make([]float64, 0, m.dim+1), x...), 0)
+	if l == 0 {
+		return mu, va
+	}
+	buf, _ := m.augPool.Get().(*[]float64)
+	if buf == nil {
+		b := make([]float64, m.dim+1)
+		buf = &b
+	}
+	aug := *buf
+	copy(aug, x)
 	for lev := 1; lev <= l; lev++ {
 		sd := math.Sqrt(math.Max(va, 0))
 		if m.prop == PlugIn || sd == 0 {
@@ -272,5 +332,6 @@ func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 			va = 0
 		}
 	}
+	m.augPool.Put(buf)
 	return mu, va
 }

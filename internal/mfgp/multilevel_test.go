@@ -45,16 +45,6 @@ type nargpGrid struct {
 	LowVar  []string `json:"low_var"`
 }
 
-func propName(p Propagation) string {
-	switch p {
-	case GaussHermite:
-		return "gauss-hermite"
-	case MonteCarlo:
-		return "monte-carlo"
-	}
-	return "plug-in"
-}
-
 // checkNARGPGrid compares a posterior against the frozen grid bit for bit.
 func checkNARGPGrid(t *testing.T, want nargpGrid, fused, low func([]float64) (float64, float64)) {
 	t.Helper()
@@ -70,6 +60,10 @@ func checkNARGPGrid(t *testing.T, want nargpGrid, fused, low func([]float64) (fl
 			t.Fatalf("x=%v: level-0 posterior (%v ± %v) drifted from the frozen grid", x[0], ml, vl)
 		}
 	}
+}
+
+func level0(m *MultiLevel) func([]float64) (float64, float64) {
+	return func(x []float64) (float64, float64) { return m.PredictLevel(x, 0) }
 }
 
 func loadNARGPGrid(t *testing.T) map[string]nargpGrid {
@@ -93,28 +87,29 @@ func loadNARGPGrid(t *testing.T) map[string]nargpGrid {
 func TestMultiLevelMatchesNARGP(t *testing.T) {
 	Xl, yl, Xh, yh := pedagogicalData()
 	grids := loadNARGPGrid(t)
-	mc, err := Fit(Xl, yl, Xh, yh, Config{
+	mc, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
 		Restarts: 2, FixedNoise: fixedNoise(1e-6),
 		Propagation: MonteCarlo, NumSamples: 20,
 	}, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkNARGPGrid(t, grids["monte-carlo"], mc.Predict, mc.PredictLow)
+	checkNARGPGrid(t, grids["monte-carlo"], mc.Predict, level0(mc))
 
 	rng := rand.New(rand.NewSource(11))
-	pair, err := Fit(Xl, yl, Xh, yh, Config{
+	pair, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
 		Restarts: 2, FixedNoise: fixedNoise(1e-6),
 		Propagation: GaussHermite, NumSamples: 20,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkNARGPGrid(t, grids["gauss-hermite"], pair.Predict, pair.PredictLow)
+	checkNARGPGrid(t, grids["gauss-hermite"], pair.Predict, level0(pair))
+
 	ml, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
 		FixedNoise:  fixedNoise(1e-6),
 		Propagation: GaussHermite, NumSamples: 20,
-		WarmStarts:   [][]float64{pair.Low().Hyper(), pair.High().Hyper()},
+		WarmStarts:   pair.Hyper(),
 		SkipTraining: true,
 	}, rng)
 	if err != nil {
@@ -128,8 +123,8 @@ func TestMultiLevelMatchesNARGP(t *testing.T) {
 			t.Fatalf("x=%v: pair (%v ± %v) vs 2-level chain (%v ± %v)", x[0], muP, vaP, muM, vaM)
 		}
 	}
-	// The level-0 chain posterior is the pair model's low-fidelity posterior.
-	muPL, vaPL := pair.PredictLow([]float64{0.37})
+	// The refit chain's level-0 posterior is the fitted low-fidelity one.
+	muPL, vaPL := pair.PredictLevel([]float64{0.37}, 0)
 	muML, vaML := ml.PredictLevel([]float64{0.37}, 0)
 	if math.Abs(muPL-muML) > 1e-10 || math.Abs(vaPL-vaML) > 1e-10 {
 		t.Fatalf("level-0 posterior mismatch: (%v, %v) vs (%v, %v)", muPL, vaPL, muML, vaML)
@@ -306,5 +301,66 @@ func TestMultiLevelAppendValidation(t *testing.T) {
 	}
 	if err := m.TruncateLevel(9, 0); err == nil {
 		t.Fatal("expected truncate range error")
+	}
+}
+
+// TestAppendHighTruncateRoundTrip proves the two-level model's fantasy cycle
+// is exact: appending high-fidelity observations to level 1 and truncating
+// back leaves fused predictions bit-identical.
+func TestAppendHighTruncateRoundTrip(t *testing.T) {
+	m := fitPedagogical(t, GaussHermite, 3)
+	n0 := m.LevelSize(1)
+	probes := [][]float64{{0.11}, {0.42}, {0.87}}
+	muBefore := make([]float64, len(probes))
+	vaBefore := make([]float64, len(probes))
+	for i, p := range probes {
+		muBefore[i], vaBefore[i] = m.Predict(p)
+	}
+	for _, x := range []float64{0.21, 0.63} {
+		if err := m.AppendLevel(1, []float64{x}, pedagogicalHigh(x)); err != nil {
+			t.Fatalf("append high: %v", err)
+		}
+	}
+	if m.LevelSize(1) != n0+2 {
+		t.Fatalf("high size %d, want %d", m.LevelSize(1), n0+2)
+	}
+	// The appended points must actually influence the posterior.
+	changed := false
+	for i, p := range probes {
+		mu, _ := m.Predict(p)
+		if mu != muBefore[i] {
+			changed = true
+		}
+	}
+	if !changed {
+		t.Fatal("appended observations left every prediction unchanged")
+	}
+	if err := m.TruncateLevel(1, n0); err != nil {
+		t.Fatalf("truncate high: %v", err)
+	}
+	for i, p := range probes {
+		mu, va := m.Predict(p)
+		if mu != muBefore[i] || va != vaBefore[i] {
+			t.Fatalf("probe %d changed across append+truncate: µ %v vs %v", i, mu, muBefore[i])
+		}
+	}
+}
+
+// TestAppendHighTracksInterpolation checks the incremental path produces a
+// model that roughly interpolates the appended observation, i.e. the bordered
+// update carries real information and not just a resized factor.
+func TestAppendHighTracksInterpolation(t *testing.T) {
+	m := fitPedagogical(t, GaussHermite, 5)
+	x := []float64{0.33}
+	y := pedagogicalHigh(0.33)
+	if err := m.AppendLevel(1, x, y); err != nil {
+		t.Fatal(err)
+	}
+	mu, _ := m.Predict(x)
+	if math.Abs(mu-y) > 0.05 {
+		t.Fatalf("prediction %v far from appended observation %v", mu, y)
+	}
+	if err := m.AppendLevel(1, []float64{0.5, 0.5}, 0); err == nil {
+		t.Fatal("expected dimension mismatch error")
 	}
 }

@@ -37,9 +37,9 @@ func fusionSet(seed int64, nl, nh, d int) (Xl [][]float64, yl []float64, Xh [][]
 	return Xl, yl, Xh, yh, lo, hi
 }
 
-// TestFusedPredictBatchParallelDeterminism is the prediction-side tentpole
-// guarantee for the fused model: training and batch prediction must be
-// bit-identical for every worker count, across propagation schemes.
+// TestFusedPredictBatchParallelDeterminism is the prediction-side guarantee
+// for the fused chain: training and batch prediction must be bit-identical
+// for every worker count, across propagation schemes.
 func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -53,8 +53,8 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			Xl, yl, Xh, yh, lo, hi := fusionSet(21, 40, 12, 3)
 			grid := stats.LatinHypercube(rand.New(rand.NewSource(22)), lo, hi, 48)
-			fit := func(workers int) *Model {
-				m, err := Fit(Xl, yl, Xh, yh, Config{
+			fit := func(workers int) *MultiLevel {
+				m, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
 					MaxIter: 30, Propagation: tc.prop, NumSamples: 10, Workers: workers,
 				}, rand.New(rand.NewSource(23)))
 				if err != nil {
@@ -81,9 +81,9 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPredictAllocationLean asserts the satellite fix for the augmented-point
-// allocation: after warmup, a fused prediction must run with (near) zero
-// allocations per call thanks to the pooled scratch.
+// TestPredictAllocationLean pins the augmented-point allocation discipline:
+// after warmup, a fused prediction must run with (near) zero allocations per
+// call thanks to the pooled scratch, for every propagation mode.
 func TestPredictAllocationLean(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race runtime defeats sync.Pool reuse; alloc counts only hold without -race")
@@ -92,9 +92,9 @@ func TestPredictAllocationLean(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		prop Propagation
-	}{{"plugin", PlugIn}, {"gauss-hermite", GaussHermite}} {
+	}{{"plugin", PlugIn}, {"gauss-hermite", GaussHermite}, {"monte-carlo", MonteCarlo}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := Fit(Xl, yl, Xh, yh, Config{
+			m, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
 				MaxIter: 30, Propagation: tc.prop, NumSamples: 10,
 			}, rand.New(rand.NewSource(32)))
 			if err != nil {
@@ -107,26 +107,5 @@ func TestPredictAllocationLean(t *testing.T) {
 				t.Fatalf("Predict allocates %.1f objects per call; want ≤ 2", allocs)
 			}
 		})
-	}
-}
-
-// TestPredictIntoMatchesPredict pins the caller-owned-scratch entry point
-// against the pooled path.
-func TestPredictIntoMatchesPredict(t *testing.T) {
-	Xl, yl, Xh, yh, lo, hi := fusionSet(41, 30, 10, 2)
-	m, err := Fit(Xl, yl, Xh, yh, Config{
-		MaxIter: 30, Propagation: GaussHermite, NumSamples: 8,
-	}, rand.New(rand.NewSource(42)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := m.NewPredictScratch()
-	for _, x := range stats.LatinHypercube(rand.New(rand.NewSource(43)), lo, hi, 20) {
-		pm, pv := m.Predict(x)
-		im, iv := m.PredictInto(x, sc)
-		if math.Float64bits(pm) != math.Float64bits(im) ||
-			math.Float64bits(pv) != math.Float64bits(iv) {
-			t.Fatalf("PredictInto mismatch at %v: (%v,%v) vs (%v,%v)", x, pm, pv, im, iv)
-		}
 	}
 }

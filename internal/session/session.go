@@ -9,9 +9,8 @@
 // Tell. The underlying engine guarantees that a session-driven trajectory is
 // bit-identical to the in-process core.Optimize under the same seed.
 //
-// Sessions are durable: when Config.Store (pluggable storage engine) or
-// Config.CheckpointPath (direct file) is set, every ingested observation is
-// persisted atomically and durably, and Open restores a previously persisted
+// Sessions are durable: when Config.Store (pluggable storage engine) is set,
+// every ingested observation is persisted atomically and durably, and Open restores a previously persisted
 // session transparently — a process killed mid-run resumes exactly where its
 // last checkpoint left off, rolling back past torn or corrupt snapshot
 // generations when the store detects them.
@@ -27,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -116,25 +114,20 @@ type Config struct {
 	// twin of whatever the evaluator runs; only its identity/shape and cost
 	// model are consulted — evaluations arrive through Tell.
 	Problem problem.Problem
-	// Core tunes the optimizer. Core.Checkpointer is overridden when
-	// CheckpointPath is set.
+	// Core tunes the optimizer. Core.Checkpointer is overridden when Store is
+	// set.
 	Core core.Config
 	// Seed seeds the session RNG; the whole trajectory is a deterministic
 	// function of (Problem, Core, Seed).
 	Seed int64
 	// Store, when non-nil, persists a snapshot into the storage engine under
 	// StoreID after every ingested observation and enables Open to restore
-	// the session — the pluggable-backend successor of CheckpointPath, with
-	// crash consistency, corruption detection and generational rollback
-	// handled by the backend. Takes precedence over CheckpointPath.
+	// the session, with crash consistency, corruption detection and
+	// generational rollback handled by the backend.
 	Store storage.Store
 	// StoreID is the record ID snapshots are stored under (required when
 	// Store is set; typically the server-side session ID).
 	StoreID string
-	// CheckpointPath, when non-empty (and Store is nil), persists a snapshot
-	// after every completed iteration and enables Open to restore the
-	// session.
-	CheckpointPath string
 	// Limiter, when non-nil, bounds concurrent surrogate fits across all
 	// sessions sharing it.
 	Limiter *Limiter
@@ -167,14 +160,11 @@ func (c *Config) prepare() error {
 	if c.Problem == nil {
 		return errors.New("session: Config.Problem is required")
 	}
-	switch {
-	case c.Store != nil:
+	if c.Store != nil {
 		if c.StoreID == "" {
 			return errors.New("session: Config.StoreID is required with Config.Store")
 		}
 		c.Core.Checkpointer = core.StoreCheckpointer(c.Store, c.StoreID)
-	case c.CheckpointPath != "":
-		c.Core.Checkpointer = core.FileCheckpointer(c.CheckpointPath)
 	}
 	if c.Core.Telemetry == nil {
 		c.Core.Telemetry = c.Telemetry
@@ -209,8 +199,7 @@ func Restore(cfg Config, ck *core.Checkpoint) (*Session, error) {
 	return &Session{eng: eng, cfg: cfg, created: now, lastUsed: now}, nil
 }
 
-// Open restores the session persisted in cfg.Store (or at
-// cfg.CheckpointPath) when a snapshot exists, and starts a fresh session
+// Open restores the session persisted in cfg.Store when a snapshot exists, and starts a fresh session
 // otherwise — the idempotent entry point for servers recovering their
 // session inventory after a restart. A store whose every generation of the
 // snapshot is corrupt reports storage.ErrNotFound (after quarantining the
@@ -225,17 +214,6 @@ func Open(cfg Config) (*Session, error) {
 			// No snapshot yet: fresh session.
 		default:
 			return nil, fmt.Errorf("session: open %s from store: %w", cfg.StoreID, err)
-		}
-		return New(cfg)
-	}
-	if cfg.CheckpointPath != "" {
-		switch ck, err := core.LoadCheckpoint(cfg.CheckpointPath); {
-		case err == nil:
-			return Restore(cfg, ck)
-		case errors.Is(err, fs.ErrNotExist):
-			// No snapshot yet: fresh session.
-		default:
-			return nil, fmt.Errorf("session: open %s: %w", cfg.CheckpointPath, err)
 		}
 	}
 	return New(cfg)
@@ -363,19 +341,16 @@ func (s *Session) Snapshot() *core.Checkpoint {
 	return s.eng.Snapshot()
 }
 
-// Persist force-writes the current snapshot to the session's store or
-// CheckpointPath (a no-op for non-durable sessions). Servers call it before
+// Persist force-writes the current snapshot to the session's store (a no-op
+// for non-durable sessions). Servers call it before
 // evicting idle sessions and during graceful shutdown.
 func (s *Session) Persist() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Store != nil {
-		return core.StoreCheckpointer(s.cfg.Store, s.cfg.StoreID)(s.eng.Snapshot())
-	}
-	if s.cfg.CheckpointPath == "" {
+	if s.cfg.Store == nil {
 		return nil
 	}
-	return core.SaveCheckpoint(s.cfg.CheckpointPath, s.eng.Snapshot())
+	return core.StoreCheckpointer(s.cfg.Store, s.cfg.StoreID)(s.eng.Snapshot())
 }
 
 // LastUsed reports the time of the most recent Ask/Tell.
@@ -384,9 +359,6 @@ func (s *Session) LastUsed() time.Time {
 	defer s.mu.Unlock()
 	return s.lastUsed
 }
-
-// CheckpointPath returns the session's persistence file ("" when volatile).
-func (s *Session) CheckpointPath() string { return s.cfg.CheckpointPath }
 
 // Problem returns the session's problem.
 func (s *Session) Problem() problem.Problem { return s.cfg.Problem }

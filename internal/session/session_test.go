@@ -5,13 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/optimize"
 	"repro/internal/problem"
+	"repro/internal/storage"
 	"repro/internal/testfunc"
 )
 
@@ -86,12 +86,20 @@ func TestSessionMatchesOptimize(t *testing.T) {
 	}
 }
 
-// TestSessionOpenPersistRoundTrip: Open restores a persisted session (here
-// snapshotted mid-initialization via Persist) and the continuation completes
-// with the original prefix intact.
+// TestSessionOpenPersistRoundTrip: Open restores a session persisted in an
+// on-disk store (here snapshotted mid-initialization via Persist) by a store
+// reopened over the same directory, and the continuation completes with the
+// original prefix intact.
 func TestSessionOpenPersistRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sess.ckpt.json")
-	cfg := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, CheckpointPath: path}
+	dir := t.TempDir()
+	openStore := func() storage.Store {
+		st, err := storage.NewFS(storage.FSConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	cfg := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, Store: openStore(), StoreID: "sess"}
 
 	s, err := Open(cfg)
 	if err != nil {
@@ -113,7 +121,7 @@ func TestSessionOpenPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg2 := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, CheckpointPath: path}
+	cfg2 := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, Store: openStore(), StoreID: "sess"}
 	restored, err := Open(cfg2)
 	if err != nil {
 		t.Fatal(err)
