@@ -430,9 +430,10 @@ type state struct {
 	sinceRefit int
 
 	// Telemetry plumbing (all nil when Config.Telemetry is nil; never part
-	// of a Checkpoint). ev is the in-flight iteration event: propose fills
-	// the decision fields, ingest completes it with the observation and
-	// emits it.
+	// of a Checkpoint). ev is the iteration event being worked on:
+	// proposeLadder fills the decision fields, the engine parks it on the
+	// slot's pendingSug until that slot is told, and ingest completes it
+	// with the observation and emits it.
 	telem *telemetry.Recorder
 	met   *coreMetrics
 	ev    *telemetry.IterationEvent
@@ -570,9 +571,10 @@ func (st *state) observeTelemetry(ob *Observation, failed bool) {
 	rung := st.rungOf(ob.Fid)
 	ev := st.ev
 	if ev == nil || ev.Iter != ob.Iter {
-		// Initialization point (or an observation without a matching
-		// propose, e.g. right after a resume): emit a minimal event. The
-		// ladder rung name degrades to "low"/"high" on two-rung problems.
+		// Initialization point (or an observation whose proposal event did
+		// not survive, e.g. a slot replayed after a resume): emit a minimal
+		// event. The ladder rung name degrades to "low"/"high" on two-rung
+		// problems.
 		ev = &telemetry.IterationEvent{Iter: ob.Iter, Nc: st.nc, Fidelity: st.ladder.Name(rung)}
 		if st.ladder.Rungs() > 2 {
 			ev.Rung = rung
