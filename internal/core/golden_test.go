@@ -22,11 +22,14 @@ import (
 	"repro/internal/testfunc"
 )
 
-// goldenPath holds the frozen two-fidelity trajectories. The fixtures were
-// recorded once and are the reference: they are never regenerated, so any
-// change to a K=2 proposal, rung decision, checkpoint byte or event shows up
-// here as a failure.
-const goldenPath = "testdata/k2_golden.json"
+// goldenPaths hold the frozen two-fidelity trajectories. The fixtures were
+// recorded once, against the dedicated two-fidelity engine that preceded the
+// fidelity-ladder path, and are the reference: they are never regenerated,
+// so any change to a K=2 proposal, rung decision, checkpoint byte or event
+// shows up here as a failure. The second file holds the high-fidelity
+// blackout runs, which pin the low-fidelity-only rung of the degradation
+// walk and its reason wording.
+var goldenPaths = []string{"testdata/k2_golden.json", "testdata/k2_golden_high_blackout.json"}
 
 // goldenRecord is one pinned run.
 type goldenRecord struct {
@@ -130,6 +133,45 @@ func goldenCases() []goldenCase {
 			seed: seed,
 		})
 	}
+	// A high-fidelity blackout: 80% of high-fidelity simulations fail, and
+	// under this chaos seed the whole initial high design does. Until a high
+	// evaluation succeeds the fused model has no data, so the adaptive
+	// iterations run on the low-fidelity GP alone — fitted from scratch, kept
+	// in the incremental cache, or under batch fantasies.
+	blackoutHigh := []struct {
+		name  string
+		mod   func(*Config)
+		batch int
+	}{
+		{"exact", nil, 0},
+		{"incremental", func(c *Config) { c.Incremental = true; c.RefitEvery = 3 }, 0},
+		{"batch3", nil, 3},
+	}
+	for _, sc := range blackoutHigh {
+		for seed := int64(29); seed <= 31; seed++ {
+			sc := sc
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("high-blackout/%s/seed%d", sc.name, seed),
+				mk: func() problem.Problem {
+					ch := robust.NewChaos(testfunc.Forrester(), robust.ChaosConfig{
+						High: robust.FidelityChaos{FailRate: 0.8},
+						Seed: 3,
+					})
+					return robust.Wrap(ch, robust.Policy{MaxRetries: -1, Sleep: noSleep})
+				},
+				cfg: func() Config {
+					c := fastCfg(6)
+					c.MaxIterations = 6
+					if sc.mod != nil {
+						sc.mod(&c)
+					}
+					return c
+				},
+				seed:  seed,
+				batch: sc.batch,
+			})
+		}
+	}
 	return cases
 }
 
@@ -154,7 +196,9 @@ func (e *eventHash) Emit(ev telemetry.Event) {
 	}
 	b, err := json.Marshal(v)
 	if err != nil {
-		panic(err)
+		// Failed evaluations can carry non-finite values JSON cannot encode;
+		// digest the Go formatting of such events instead.
+		b = []byte(fmt.Sprintf("%v", v))
 	}
 	e.mu.Lock()
 	e.h.Write(b)
@@ -207,13 +251,19 @@ func runGolden(t *testing.T, gc goldenCase) goldenRecord {
 // bit identity: the same points at the same rungs, the same final checkpoint
 // bytes and the same decision-event stream.
 func TestGoldenK2Trajectories(t *testing.T) {
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]goldenRecord
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
+	want := map[string]goldenRecord{}
+	for _, path := range goldenPaths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs map[string]goldenRecord
+		if err := json.Unmarshal(raw, &recs); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for name, rec := range recs {
+			want[name] = rec
+		}
 	}
 	cases := goldenCases()
 	if len(want) != len(cases) {

@@ -119,12 +119,20 @@ func FitBase(X [][]float64, y []float64, d int, cfg MultiLevelConfig, rng *rand.
 // loop fits level 0 on its own — it is the surrogate of the cheap
 // acquisition and carries the iteration alone when the fused levels fail —
 // and builds the chain on top of it.
+//
+// For the paper's pair (one fused level) the errors name the high-fidelity
+// level as the two-fidelity model always has, so the degradation reasons that
+// K=2 runs log and checkpoint keep their wording.
 func FitOnBase(base *gp.Model, X [][][]float64, y [][]float64, cfg MultiLevelConfig, rng *rand.Rand) (*MultiLevel, error) {
 	if base == nil || len(X) == 0 {
 		return nil, errors.New("mfgp: need a level-0 model and at least one fused level")
 	}
 	if len(y) != len(X) {
 		return nil, fmt.Errorf("mfgp: %d input levels but %d output levels", len(X), len(y))
+	}
+	pair := len(X) == 1
+	if pair && len(X[0]) == 0 {
+		return nil, errors.New("mfgp: need a low-fidelity model and high-fidelity data")
 	}
 	d := base.Kernel().Dim()
 	for i := range X {
@@ -162,6 +170,9 @@ func FitOnBase(base *gp.Model, X [][][]float64, y [][]float64, cfg MultiLevelCon
 		}
 		model, err := gp.Fit(Xaug, y[l-1], cfg.levelGPConfig(l, levels, d), rng)
 		if err != nil {
+			if pair {
+				return nil, fmt.Errorf("mfgp: high-fidelity fit: %w", err)
+			}
 			return nil, fmt.Errorf("mfgp: level %d fit: %w", l, err)
 		}
 		m.models = append(m.models, model)

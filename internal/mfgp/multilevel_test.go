@@ -304,6 +304,42 @@ func TestMultiLevelAppendValidation(t *testing.T) {
 	}
 }
 
+// TestFitOnBaseErrorWording pins the fused-level fit errors. The BO loop logs
+// and checkpoints them as degradation reasons, so the paper's pair keeps the
+// two-fidelity wording while longer chains name the failing level.
+func TestFitOnBaseErrorWording(t *testing.T) {
+	X, y, _ := threeLevelData()
+	cfg := MultiLevelConfig{Restarts: 1, FixedNoise: fixedNoise(1e-6)}
+	base, err := FitBase(X[0], y[0], 1, cfg, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cfg
+	bad.Restarts = -1 // every fused gp.Fit rejects its config
+	cases := []struct {
+		name string
+		X    [][][]float64
+		y    [][]float64
+		cfg  MultiLevelConfig
+		want string
+	}{
+		{"pair/no-data", [][][]float64{nil}, [][]float64{nil}, cfg,
+			"mfgp: need a low-fidelity model and high-fidelity data"},
+		{"pair/fit", X[1:2], y[1:2], bad,
+			"mfgp: high-fidelity fit: gp: negative restarts -1"},
+		{"chain/no-data", [][][]float64{X[1], nil}, [][]float64{y[1], nil}, cfg,
+			"mfgp: level 2 has no data"},
+		{"chain/fit", X[1:], y[1:], bad,
+			"mfgp: level 1 fit: gp: negative restarts -1"},
+	}
+	for _, c := range cases {
+		_, err := FitOnBase(base, c.X, c.y, c.cfg, rand.New(rand.NewSource(6)))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestAppendHighTruncateRoundTrip proves the two-level model's fantasy cycle
 // is exact: appending high-fidelity observations to level 1 and truncating
 // back leaves fused predictions bit-identical.
