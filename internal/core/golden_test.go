@@ -196,8 +196,9 @@ func (e *eventHash) Emit(ev telemetry.Event) {
 	}
 	b, err := json.Marshal(v)
 	if err != nil {
-		// Failed evaluations can carry non-finite values JSON cannot encode;
-		// digest the Go formatting of such events instead.
+		// A low-fidelity-only iteration with no high-fidelity incumbent
+		// records AcqHigh = +Inf, which JSON cannot encode; digest the Go
+		// formatting of such events instead.
 		b = []byte(fmt.Sprintf("%v", v))
 	}
 	e.mu.Lock()
