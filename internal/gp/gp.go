@@ -125,9 +125,11 @@ type Model struct {
 // evaluation: the standardized query point, the cross-covariance row, the
 // forward-solve vector, a difference vector for the kernel profile, and the
 // profile itself (profiles carry scratch and must not be shared across
-// goroutines).
+// goroutines). PredictLatentAugmented adds the per-row design-space kernel
+// factors k2, k3 and the augmented point of its per-point fallback.
 type predictScratch struct {
 	x, ks, v, diff []float64
+	k2, k3, aug    []float64
 	prof           kernel.PairProfile
 }
 
@@ -141,7 +143,17 @@ func (m *Model) getPredictScratch() *predictScratch {
 		ks:   make([]float64, n),
 		v:    make([]float64, n),
 		diff: make([]float64, d),
+		aug:  make([]float64, d),
 		prof: kernel.ProfileOf(m.kern), // nil for non-Pairwise kernels
+	}
+}
+
+// grow resizes the per-row buffers for n training rows: incremental appends
+// can outgrow buffers sized at fit time.
+func (sc *predictScratch) grow(n int) {
+	if len(sc.ks) < n {
+		sc.ks = make([]float64, n)
+		sc.v = make([]float64, n)
 	}
 }
 
@@ -460,11 +472,7 @@ func (m *Model) PredictLatent(x []float64) (mean, variance float64) {
 func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, variance float64) {
 	m.toStdXInto(x, sc.x)
 	n := len(m.xs)
-	// Incremental appends can outgrow pooled buffers sized at fit time.
-	if len(sc.ks) < n {
-		sc.ks = make([]float64, n)
-		sc.v = make([]float64, n)
-	}
+	sc.grow(n)
 	if m.lowRank != nil {
 		return m.lowRank.predict(m, sc)
 	}
@@ -483,23 +491,96 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, varian
 			ks[i] = m.kern.Eval(sc.x, m.xs[i])
 		}
 	}
-	mu := linalg.Dot(ks, m.alpha)
-	v := sc.v[:n]
-	m.chol.ForwardSolveInto(ks, v)
 	var kss float64
 	if sc.prof != nil {
-		for t := range sc.diff {
-			sc.diff[t] = 0
-		}
-		kss = sc.prof.Eval(sc.diff)
+		kss = sc.prof.Eval(zero(sc.diff))
 	} else {
 		kss = m.kern.Eval(sc.x, sc.x)
 	}
+	return m.posterior(ks, sc.v[:n], kss)
+}
+
+// posterior finishes an exact prediction from the cross-covariance row ks and
+// the prior variance kss, using v as forward-solve scratch. Both prediction
+// paths end here, so they share every operation after the kernel row.
+func (m *Model) posterior(ks, v []float64, kss float64) (mean, variance float64) {
+	mu := linalg.Dot(ks, m.alpha)
+	m.chol.ForwardSolveInto(ks, v)
 	va := kss - linalg.Dot(v, v)
 	if va < 0 {
 		va = 0
 	}
 	return m.yMean + m.yStd*mu, va * m.yStd * m.yStd
+}
+
+// zero clears v and returns it.
+func zero(v []float64) []float64 {
+	for i := range v {
+		v[i] = 0
+	}
+	return v
+}
+
+// PredictLatentAugmented writes the latent posterior at the augmented points
+// (x, ts[s]) into means[s] and variances[s] for every s; x holds the leading
+// Dim()−1 input coordinates. Each result is bit-identical to PredictLatent on
+// the augmented point. It serves fused multi-fidelity predictions, where
+// every point of a propagation cloud shares x: with a kernel.SplitProfile
+// kernel (kernel.NARGP) on an exact model, x is standardized once, the
+// design-space kernel factors of every training row and the prior variance
+// are computed once, and each point then costs one Combine per row plus the
+// dot product and forward solve. Low-rank models and kernels without the split
+// take the per-point path. Safe for concurrent use; allocates nothing in
+// steady state.
+func (m *Model) PredictLatentAugmented(x, ts, means, variances []float64) {
+	sc := m.getPredictScratch()
+	if sp, ok := sc.prof.(kernel.SplitProfile); ok && m.lowRank == nil {
+		m.predictSplit(x, ts, means, variances, sp, sc)
+	} else {
+		d := len(m.xMean) - 1
+		aug := sc.aug
+		copy(aug[:d], x)
+		for s, t := range ts {
+			aug[d] = t
+			means[s], variances[s] = m.predictLatentInto(aug, sc)
+		}
+	}
+	m.predPool.Put(sc)
+}
+
+// predictSplit is PredictLatentAugmented's shared-x path. It repeats
+// predictLatentInto's operations on the same operands in the same order:
+// diff[t] = std(x)[t] − x_i[t] for the design coordinates and
+// std(t) − x_i[last] for the last, so Combine(XPart) reproduces the kernel
+// row of every augmented point exactly.
+func (m *Model) predictSplit(x, ts, means, variances []float64, sp kernel.SplitProfile, sc *predictScratch) {
+	d := len(m.xMean) - 1
+	n := len(m.xs)
+	sc.grow(n)
+	if len(sc.k2) < n {
+		sc.k2 = make([]float64, n)
+		sc.k3 = make([]float64, n)
+	}
+	xs, diff := sc.x, sc.diff
+	m.toStdXInto(x[:d], xs)
+	k2, k3 := sc.k2[:n], sc.k3[:n]
+	for i := 0; i < n; i++ {
+		xi := m.xs[i]
+		for t := 0; t < d; t++ {
+			diff[t] = xs[t] - xi[t]
+		}
+		k2[i], k3[i] = sp.XPart(diff)
+	}
+	kss := sp.Eval(zero(diff))
+	ks, v := sc.ks[:n], sc.v[:n]
+	mean, std := m.xMean[d], m.xStd[d]
+	for s, t := range ts {
+		st := (t - mean) / std
+		for i := 0; i < n; i++ {
+			ks[i] = sp.Combine(st-m.xs[i][d], k2[i], k3[i])
+		}
+		means[s], variances[s] = m.posterior(ks, v, kss)
+	}
 }
 
 // PredictBatch evaluates PredictLatent over many points, fanning the grid

@@ -154,18 +154,3 @@ func (k *Slice) Bounds(lo, hi []float64) ([]float64, []float64) { return k.Inner
 func (k *Slice) Clone() Kernel {
 	return &Slice{Inner: k.Inner.Clone(), Start: k.Start, End: k.End, fullDim: k.fullDim}
 }
-
-// NewNARGP builds the structured multi-fidelity kernel of eq. (9) over the
-// augmented input z = (x_1..x_d, f_l(x)):
-//
-//	k_h(z, z') = k1(f, f') · k2(x, x') + k3(x, x'),
-//
-// with squared-exponential factors. k1 acts on the low-fidelity posterior
-// value (last coordinate), k2 and k3 on the original design variables.
-func NewNARGP(d int) Kernel {
-	full := d + 1
-	k1 := NewSlice(NewSEARD(1), d, d+1, full)
-	k2 := NewSlice(NewSEARD(d), 0, d, full)
-	k3 := NewSlice(NewSEARD(d), 0, d, full)
-	return NewSum(NewProduct(k1, k2), k3)
-}

@@ -29,10 +29,30 @@ type MultiLevel struct {
 	weights []float64   // quadrature weights (GaussHermite); nil for MC
 	prop    Propagation
 
-	// augPool recycles the augmented point (x, f̂_{ℓ−1}(x)) of fused
-	// predictions, so Predict allocates nothing in steady state even when
-	// acquisition loops hammer it concurrently.
-	augPool sync.Pool
+	// scratch recycles the buffers of fused predictions (see levelScratch),
+	// so Predict allocates nothing in steady state even when acquisition
+	// loops hammer it concurrently.
+	scratch sync.Pool
+}
+
+// levelScratch is the buffer set of one fused prediction: the augmented point
+// (x, f̂_{ℓ−1}(x)) of the plug-in step, and the propagation cloud with the
+// per-node posteriors of the sampled step.
+type levelScratch struct {
+	aug          []float64
+	ts, mus, vas []float64
+}
+
+func (m *MultiLevel) getScratch() *levelScratch {
+	if sc, ok := m.scratch.Get().(*levelScratch); ok {
+		return sc
+	}
+	n := 0
+	for _, zs := range m.zs {
+		n = max(n, len(zs))
+	}
+	return &levelScratch{aug: make([]float64, m.dim+1),
+		ts: make([]float64, n), mus: make([]float64, n), vas: make([]float64, n)}
 }
 
 // MultiLevelConfig tunes multi-level training.
@@ -302,17 +322,15 @@ func (m *MultiLevel) PredictBatch(xs [][]float64) (means, variances []float64) {
 // plug-in mean, collapsing to (mean, variance) at each step — the sequential
 // approximation used by recursive NARGP implementations (eq. 10 for l = 1;
 // the variance is the law of total variance over the propagation cloud).
+// Every node of a cloud shares x, so each sampled step is one
+// gp.PredictLatentAugmented call over the cloud mu + sd·z.
 func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 	mu, va := m.models[0].PredictLatent(x)
 	if l == 0 {
 		return mu, va
 	}
-	buf, _ := m.augPool.Get().(*[]float64)
-	if buf == nil {
-		b := make([]float64, m.dim+1)
-		buf = &b
-	}
-	aug := *buf
+	sc := m.getScratch()
+	aug := sc.aug
 	copy(aug, x)
 	for lev := 1; lev <= l; lev++ {
 		sd := math.Sqrt(math.Max(va, 0))
@@ -325,14 +343,18 @@ func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 			continue
 		}
 		zs := m.zs[lev-1]
-		var sumW, meanAcc, m2Acc float64
+		ts, mus, vas := sc.ts[:len(zs)], sc.mus[:len(zs)], sc.vas[:len(zs)]
 		for i, z := range zs {
+			ts[i] = mu + sd*z
+		}
+		m.models[lev].PredictLatentAugmented(x, ts, mus, vas)
+		var sumW, meanAcc, m2Acc float64
+		for i := range zs {
 			w := 1.0 / float64(len(zs))
 			if m.weights != nil {
 				w = m.weights[i]
 			}
-			aug[m.dim] = mu + sd*z
-			mi, vi := m.models[lev].PredictLatent(aug)
+			mi, vi := mus[i], vas[i]
 			sumW += w
 			meanAcc += w * mi
 			m2Acc += w * (vi + mi*mi)
@@ -343,6 +365,6 @@ func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 			va = 0
 		}
 	}
-	m.augPool.Put(buf)
+	m.scratch.Put(sc)
 	return mu, va
 }

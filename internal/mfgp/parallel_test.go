@@ -81,30 +81,40 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPredictAllocationLean pins the augmented-point allocation discipline:
-// after warmup, a fused prediction must run with (near) zero allocations per
-// call thanks to the pooled scratch, for every propagation mode.
+// TestPredictAllocationLean pins the allocation discipline of fused
+// prediction: after warmup, Predict on a two-level model and PredictLevel on
+// every level of a three-level chain allocate nothing, for every propagation
+// mode, thanks to the pooled scratch of mfgp and gp.
 func TestPredictAllocationLean(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race runtime defeats sync.Pool reuse; alloc counts only hold without -race")
 	}
 	Xl, yl, Xh, yh, lo, hi := fusionSet(31, 30, 10, 3)
+	X3, y3 := chainSet(34, []int{30, 14, 8}, 3)
 	for _, tc := range []struct {
 		name string
 		prop Propagation
 	}{{"plugin", PlugIn}, {"gauss-hermite", GaussHermite}, {"monte-carlo", MonteCarlo}} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
-				MaxIter: 30, Propagation: tc.prop, NumSamples: 10,
-			}, rand.New(rand.NewSource(32)))
+			cfg := MultiLevelConfig{MaxIter: 30, Propagation: tc.prop, NumSamples: 10}
+			m, err := Fit(Xl, yl, Xh, yh, cfg, rand.New(rand.NewSource(32)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			x := stats.LatinHypercube(rand.New(rand.NewSource(33)), lo, hi, 1)[0]
 			m.Predict(x) // warm the scratch pools
-			allocs := testing.AllocsPerRun(200, func() { m.Predict(x) })
-			if allocs > 2 {
-				t.Fatalf("Predict allocates %.1f objects per call; want ≤ 2", allocs)
+			if allocs := testing.AllocsPerRun(200, func() { m.Predict(x) }); allocs != 0 {
+				t.Fatalf("Predict allocates %.1f objects per call; want 0", allocs)
+			}
+			chain, err := FitMultiLevel(X3, y3, cfg, rand.New(rand.NewSource(35)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := 0; l < chain.Levels(); l++ {
+				chain.PredictLevel(x, l)
+				if allocs := testing.AllocsPerRun(200, func() { chain.PredictLevel(x, l) }); allocs != 0 {
+					t.Fatalf("K=3 PredictLevel(x, %d) allocates %.1f objects per call; want 0", l, allocs)
+				}
 			}
 		})
 	}
