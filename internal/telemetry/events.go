@@ -264,26 +264,28 @@ func OpenJSONL(path string) (*JSONL, error) {
 	return &JSONL{w: bufio.NewWriter(f), c: f}, nil
 }
 
-// Emit implements Sink. Marshal or write failures are sticky and reported by
-// Close — event logging must never fail an optimization run.
+// Emit implements Sink. JSON has no NaN or ±Inf — a low-fidelity-only
+// iteration with no high-fidelity incumbent records AcqHigh = +Inf — so an
+// event holding one is written with those fields left out (see
+// marshalFinite); every other event is written exactly as json.Marshal
+// encodes it. A write failure is sticky (the buffered writer keeps it) and
+// the first error is reported by Close — event logging must never fail an
+// optimization run.
 func (j *JSONL) Emit(ev Event) {
 	if j == nil {
 		return
 	}
 	data, err := json.Marshal(ev)
+	if err != nil {
+		data, err = marshalFinite(ev)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err != nil {
-		if j.err == nil {
-			j.err = err
-		}
-		return
+	if err == nil {
+		_, err = j.w.Write(append(data, '\n'))
 	}
-	if j.err == nil {
-		data = append(data, '\n')
-		if _, werr := j.w.Write(data); werr != nil {
-			j.err = werr
-		}
+	if err != nil && j.err == nil {
+		j.err = err
 	}
 }
 

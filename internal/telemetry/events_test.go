@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +162,79 @@ func TestJSONLStickyError(t *testing.T) {
 	}
 	if err := j.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("sticky error = %v", err)
+	}
+}
+
+// TestJSONLSurvivesNonFiniteEvent: an event JSON cannot encode (AcqHigh =
+// +Inf on a low-fidelity-only iteration) is written without its non-finite
+// fields, and the events after it still reach the log.
+func TestJSONLSurvivesNonFiniteEvent(t *testing.T) {
+	var buf bytes.Buffer
+	j := NewJSONL(&buf)
+	j.Emit(Event{Type: EventIteration, TimeUnixMs: 1, Iteration: &IterationEvent{
+		Iter: 3, Fidelity: "low", AcqLow: 0.7, AcqHigh: math.Inf(1),
+		RungVars: []float64{0.1, math.NaN()}, X: []float64{0.5}, Objective: -2, CumCost: 4,
+	}})
+	j.Emit(Event{Type: EventSpan, TimeUnixMs: 2, Span: &SpanEvent{
+		ID: 7, Name: "engine.ask", Attrs: map[string]float64{"nlml": math.NaN(), "n": 12},
+	}})
+	later := Event{Type: EventIteration, TimeUnixMs: 3, Iteration: &IterationEvent{
+		Iter: 4, Fidelity: "high", AcqHigh: 1.25, X: []float64{0.75}, Objective: -3, CumCost: 5,
+	}}
+	j.Emit(later)
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close = %v, want nil", err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("log has %d lines, want 3:\n%s", len(lines), buf.String())
+	}
+	want := `{"type":"iteration","t_ms":1,"iteration":{"iter":3,"fidelity":"low","nc":0,` +
+		`"acq_low":0.7,"x":[0.5],"objective":-2,"cum_cost":4}}`
+	if lines[0] != want {
+		t.Fatalf("non-finite event encoded as\n%s\nwant\n%s", lines[0], want)
+	}
+	if want := `{"type":"span","t_ms":2,"span":{"id":7,"name":"engine.ask","start_ns":0,"dur_ns":0,"attrs":{"n":12}}}`; lines[1] != want {
+		t.Fatalf("non-finite span encoded as\n%s\nwant\n%s", lines[1], want)
+	}
+	// Events that encode keep their json.Marshal bytes.
+	if enc, _ := json.Marshal(later); lines[2] != string(enc) {
+		t.Fatalf("later event encoded as\n%s\nwant\n%s", lines[2], enc)
+	}
+	events, err := ReadJSONL(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := events[0].Iteration; it.AcqHigh != 0 || it.AcqLow != 0.7 || it.RungVars != nil {
+		t.Fatalf("read back %+v", it)
+	}
+}
+
+// TestMarshalFiniteMatchesJSON: on events with only finite values the
+// fallback encoder produces json.Marshal's bytes, field order and omitempty
+// included.
+func TestMarshalFiniteMatchesJSON(t *testing.T) {
+	for _, ev := range []Event{
+		{Type: EventRun, TimeUnixMs: 9, Run: &RunEvent{Problem: "poweramp", Dim: 5, Budget: 30,
+			Gamma: 0.01, InitLow: 10, InitHigh: 5, Rungs: 3, RungCosts: []float64{0.1, 0.3, 1}}},
+		{Type: EventIteration, Iteration: &IterationEvent{Iter: 2, Fidelity: "high", Sigma2Max: 0.003,
+			HasSigma2: true, RungVars: []float64{0.2}, NLMLHigh: []float64{-1, 2.5}, Degrade: "warm-hypers",
+			X: []float64{0.1, 0.9}, Constraints: []float64{-0.5}, FitMs: 1.5}},
+		{Type: EventSpan, Span: &SpanEvent{ID: 1, Parent: 2, Trace: "ab", Service: "mfbod/ra",
+			Name: "gp.fit", DurNs: 3, Attrs: map[string]float64{"z": 1, "a": 2}}},
+		{Type: EventFault, Fault: &FaultEvent{Fidelity: "low", Kind: "error", Err: "bad \"quote\" <&>"}},
+	} {
+		want, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := marshalFinite(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("marshalFinite\n%s\njson.Marshal\n%s", got, want)
+		}
 	}
 }
 

@@ -241,8 +241,11 @@ func escapeLabel(v string) string {
 }
 
 // lookup returns (creating if needed) the series for (name, labels); the
-// family's kind and help are fixed by the first registration.
-func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *series {
+// family's kind and help are fixed by the first registration. A new series
+// gets its handle (counter, gauge, or a histogram with buckets, nil selecting
+// DefBuckets) under the write lock, before any other caller can see it, so
+// concurrent first registrations of one series all receive the same handle.
+func (r *Registry) lookup(name, help string, kind metricKind, kv []string, buckets []float64) *series {
 	if r == nil {
 		return nil
 	}
@@ -272,6 +275,14 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 	s, ok := f.series[ls]
 	if !ok {
 		s = &series{labels: ls}
+		switch kind {
+		case kindCounter:
+			s.ctr = &Counter{}
+		case kindGauge:
+			s.gauge = &Gauge{}
+		case kindHistogram:
+			s.hist = newHistogram(buckets)
+		}
 		f.series[ls] = s
 		f.order = append(f.order, ls)
 	}
@@ -282,50 +293,52 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 // alternating label key/value pairs. Safe on a nil registry (returns nil,
 // and nil metrics no-op).
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
-	s := r.lookup(name, help, kindCounter, kv)
-	if s == nil {
-		return nil
+	if s := r.lookup(name, help, kindCounter, kv, nil); s != nil {
+		return s.ctr
 	}
-	if s.ctr == nil {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
+	return nil
 }
 
 // Gauge returns (registering if needed) the gauge for name/labels.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
-	s := r.lookup(name, help, kindGauge, kv)
-	if s == nil {
-		return nil
+	if s := r.lookup(name, help, kindGauge, kv, nil); s != nil {
+		return s.gauge
 	}
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return nil
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time — ideal
 // for uptime, queue depths and registry sizes owned by other subsystems.
+// Registering the same series again replaces its function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
-	s := r.lookup(name, help, kindGaugeFunc, kv)
+	s := r.lookup(name, help, kindGaugeFunc, kv, nil)
 	if s == nil {
 		return
 	}
+	r.mu.Lock()
 	s.fn = fn
+	r.mu.Unlock()
+}
+
+// gaugeFuncValue evaluates a GaugeFunc series (0 before its function is set).
+func (r *Registry) gaugeFuncValue(s *series) (float64, bool) {
+	r.mu.RLock()
+	fn := s.fn
+	r.mu.RUnlock()
+	if fn == nil {
+		return 0, false
+	}
+	return fn(), true
 }
 
 // Histogram returns (registering if needed) the fixed-bucket histogram for
 // name/labels; buckets are upper bounds (nil selects DefBuckets) and are
 // fixed by the first registration.
 func (r *Registry) Histogram(name, help string, buckets []float64, kv ...string) *Histogram {
-	s := r.lookup(name, help, kindHistogram, kv)
-	if s == nil {
-		return nil
+	if s := r.lookup(name, help, kindHistogram, kv, buckets); s != nil {
+		return s.hist
 	}
-	if s.hist == nil {
-		s.hist = newHistogram(buckets)
-	}
-	return s.hist
+	return nil
 }
 
 // CounterVec is a handle cache over one counter family with a fixed label
@@ -419,10 +432,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindGauge:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.gauge.Value()))
 			case kindGaugeFunc:
-				v := 0.0
-				if s.fn != nil {
-					v = s.fn()
-				}
+				v, _ := r.gaugeFuncValue(s)
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(v))
 			case kindHistogram:
 				writeHistogram(&b, f.name, s.labels, s.hist)
@@ -493,8 +503,8 @@ func (r *Registry) Snapshot() map[string]any {
 			case kindGauge:
 				out[key] = s.gauge.Value()
 			case kindGaugeFunc:
-				if s.fn != nil {
-					out[key] = s.fn()
+				if v, ok := r.gaugeFuncValue(s); ok {
+					out[key] = v
 				}
 			case kindHistogram:
 				bounds, cum := s.hist.Buckets()

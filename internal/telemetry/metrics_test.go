@@ -291,3 +291,49 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Fatalf("lost gauge adds: %v", g)
 	}
 }
+
+// TestFirstRegistrationRace has 32 goroutines register the same new series
+// at once (run with -race): every caller must get the same handle, so no
+// observation is lost to a handle nobody exposes.
+func TestFirstRegistrationRace(t *testing.T) {
+	const workers = 32
+	r := NewRegistry()
+	ctrs := make([]*Counter, workers)
+	gauges := make([]*Gauge, workers)
+	hists := make([]*Histogram, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			ctrs[w] = r.Counter("race_total", "", "k", "v")
+			ctrs[w].Inc()
+			gauges[w] = r.Gauge("race_gauge", "")
+			gauges[w].Add(1)
+			hists[w] = r.Histogram("race_hist", "", nil, "k", "v")
+			hists[w].Observe(0.1)
+			r.GaugeFunc("race_fn", "", func() float64 { return 1 })
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if ctrs[w] != ctrs[0] || gauges[w] != gauges[0] || hists[w] != hists[0] {
+			t.Fatalf("goroutine %d got a different handle for the same series", w)
+		}
+	}
+	if got := r.Counter("race_total", "", "k", "v").Value(); got != workers {
+		t.Fatalf("counter = %d, want %d", got, workers)
+	}
+	if got := r.Gauge("race_gauge", "").Value(); got != workers {
+		t.Fatalf("gauge = %v, want %d", got, workers)
+	}
+	if got := r.Histogram("race_hist", "", nil, "k", "v").Count(); got != workers {
+		t.Fatalf("histogram count = %d, want %d", got, workers)
+	}
+	if got := r.Snapshot()["race_fn"]; got != 1.0 {
+		t.Fatalf("gauge func = %v, want 1", got)
+	}
+}
