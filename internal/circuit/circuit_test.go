@@ -417,3 +417,23 @@ func TestUnknownNodePanics(t *testing.T) {
 	}()
 	sol.V("nope")
 }
+
+// TestNewtonReusesBuffers: a transient allocates per accepted step only for
+// the recorded sample, not per Newton iteration — the MNA matrix, right-hand
+// side, LU factors and solution live on the Sim.
+func TestNewtonReusesBuffers(t *testing.T) {
+	c := New()
+	c.AddVSource("V1", "in", Ground, Pulse{V1: 0, V2: 1, Rise: 1e-12, Width: 1, Period: 2})
+	c.AddResistor("R1", "in", "out", 1e3)
+	c.AddDiode("D1", "out", "mid", DiodeParams{})
+	c.AddCapacitor("C1", "mid", Ground, 1e-9)
+	const steps = 200
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewSim(c).Transient(5e-6, 5e-6/steps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perStep := allocs / steps; perStep > 1.5 {
+		t.Fatalf("transient allocates %.2f objects per step; want at most the recorded sample", perStep)
+	}
+}

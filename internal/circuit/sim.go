@@ -23,6 +23,15 @@ type Sim struct {
 	MaxNewton int     // Newton iterations per solve (default 100)
 	VTol      float64 // voltage convergence tolerance (default 1e-9)
 	MaxStep   float64 // Newton per-iteration voltage damping limit (default 0.6 V)
+
+	// Newton scratch, allocated on first use and reused by every iteration
+	// of every solve: the MNA matrix (and its row views), right-hand side,
+	// LU factorization and solution. A Sim is not safe for concurrent use.
+	mat       *linalg.Matrix
+	rows      [][]float64
+	rhs, xNew []float64
+	lu        linalg.LU
+	asm       Asm
 }
 
 // NewSim prepares a simulator for the circuit, assigning branch indices.
@@ -92,13 +101,18 @@ func (s *Sim) DC() (*Solution, error) {
 // place.
 func (s *Sim) newton(x []float64, t, dt, gmin float64) error {
 	size := s.Size()
-	rows := make([][]float64, size)
-	flat := make([]float64, size*size)
-	for i := range rows {
-		rows[i] = flat[i*size : (i+1)*size]
+	if s.mat == nil {
+		s.mat = linalg.NewMatrix(size, size)
+		s.rows = make([][]float64, size)
+		for i := range s.rows {
+			s.rows[i] = s.mat.Data[i*size : (i+1)*size]
+		}
+		s.rhs = make([]float64, size)
+		s.xNew = make([]float64, size)
 	}
-	b := make([]float64, size)
-	asm := &Asm{N: s.n, M: s.m, A: rows, B: b, X: x, Time: t, Dt: dt, Gmin: gmin}
+	flat, b, xNew := s.mat.Data, s.rhs, s.xNew
+	asm := &s.asm
+	*asm = Asm{N: s.n, M: s.m, A: s.rows, B: b, X: x, Time: t, Dt: dt, Gmin: gmin}
 	for iter := 0; iter < s.MaxNewton; iter++ {
 		for i := range flat {
 			flat[i] = 0
@@ -109,11 +123,10 @@ func (s *Sim) newton(x []float64, t, dt, gmin float64) error {
 		for _, d := range s.ckt.Devices() {
 			d.Stamp(asm)
 		}
-		mat := linalg.NewMatrixFrom(size, size, flat)
-		xNew, err := linalg.SolveLinear(mat, b)
-		if err != nil {
+		if err := s.lu.Factorize(s.mat); err != nil {
 			return fmt.Errorf("circuit: singular MNA matrix: %w", err)
 		}
+		s.lu.SolveVecInto(b, xNew)
 		// Damped update on node voltages; branch currents move freely.
 		maxDelta := 0.0
 		for i := 0; i < size; i++ {

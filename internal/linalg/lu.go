@@ -22,12 +22,29 @@ type LU struct {
 // NewLU factorizes the square matrix a with partial pivoting. a is not
 // modified.
 func NewLU(a *Matrix) (*LU, error) {
+	f := &LU{}
+	if err := f.Factorize(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factorize makes f the factorization of the square matrix a, reusing f's
+// storage when a has the size of the previous factorization; a is not
+// modified. Iterative solvers that refactor a same-sized matrix many times
+// use it to allocate nothing per factorization. After an error f holds no
+// usable factorization.
+func (f *LU) Factorize(a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: LU of non-square %d×%d matrix", a.Rows, a.Cols)
+		return fmt.Errorf("linalg: LU of non-square %d×%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	lu := a.Clone()
-	pivot := make([]int, n)
+	if f.lu == nil || f.lu.Rows != n {
+		f.lu = NewMatrix(n, n)
+		f.pivot = make([]int, n)
+	}
+	lu, pivot := f.lu, f.pivot
+	copy(lu.Data, a.Data)
 	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
@@ -39,7 +56,7 @@ func NewLU(a *Matrix) (*LU, error) {
 			}
 		}
 		if mx == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		pivot[k] = p
 		if p != k {
@@ -64,16 +81,24 @@ func NewLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 // SolveVec solves A·x = b, returning x as a new vector.
 func (f *LU) SolveVec(b []float64) []float64 {
+	x := make([]float64, f.lu.Rows)
+	f.SolveVecInto(b, x)
+	return x
+}
+
+// SolveVecInto solves A·x = b into x, which must have length n and may be b
+// itself.
+func (f *LU) SolveVecInto(b, x []float64) {
 	n := f.lu.Rows
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: LU solve length %d != %d", len(b), n))
+	if len(b) != n || len(x) != n {
+		panic(fmt.Sprintf("linalg: LU solve lengths %d, %d != %d", len(b), len(x), n))
 	}
-	x := make([]float64, n)
 	copy(x, b)
 	// Apply permutation.
 	for k := 0; k < n; k++ {
@@ -99,7 +124,6 @@ func (f *LU) SolveVec(b []float64) []float64 {
 		}
 		x[i] = s / row[i]
 	}
-	return x
 }
 
 // Det returns the determinant of A.

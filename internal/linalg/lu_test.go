@@ -172,3 +172,45 @@ func TestConditionNumber(t *testing.T) {
 		t.Fatalf("cond of singular = %v, want +Inf", k)
 	}
 }
+
+// TestLUFactorizeReuse: refactoring into one LU gives NewLU's factors and
+// solutions bit for bit, across sizes and after a singular matrix, and the
+// same-size refactor and solve allocate nothing.
+func TestLUFactorizeReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var f LU
+	for trial, n := range []int{4, 4, 7, 3, 3} {
+		a := randomMatrix(rng, n, n)
+		if trial == 3 {
+			if err := f.Factorize(NewMatrix(n, n)); err != ErrSingular {
+				t.Fatalf("singular matrix: err = %v", err)
+			}
+		}
+		if err := f.Factorize(a); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewLU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := randomMatrix(rng, 1, n).Data
+		want := ref.SolveVec(b)
+		got := make([]float64, n)
+		f.SolveVecInto(b, got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: x[%d] = %v, NewLU gives %v", trial, i, got[i], want[i])
+			}
+		}
+		if f.Det() != ref.Det() {
+			t.Fatalf("trial %d: det %v != %v", trial, f.Det(), ref.Det())
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			_ = f.Factorize(a)
+			f.SolveVecInto(b, got)
+		})
+		if allocs != 0 {
+			t.Fatalf("same-size Factorize+SolveVecInto allocates %.0f objects", allocs)
+		}
+	}
+}
