@@ -155,6 +155,7 @@ func main() {
 	pair("MSP", bench.MSP)
 	pair("PredictBatch", bench.PredictBatch)
 	results = append(results, measure("PredictSingle", 1, bench.PredictSingle()))
+	results = append(results, measure("FusedPredict", 1, bench.FusedPredict()))
 	results = append(results, measure("Cholesky160", 1, bench.Cholesky(160)))
 
 	rep := report{

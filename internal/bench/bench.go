@@ -144,6 +144,41 @@ func fittedMF(workers int) (*mfgp.MultiLevel, [][]float64) {
 	return m, grid
 }
 
+// FusedPredict measures one fused posterior of the shape the poweramp
+// engine evaluates inside its acquisition loop: 5 design variables, 40
+// low-fidelity and 20 high-fidelity points, and a 30-node Monte-Carlo
+// propagation cloud (the default sample count). It is the per-layer
+// workload behind optimize.msp's self time.
+func FusedPredict() func(*testing.B) {
+	return func(b *testing.B) {
+		const d = 5
+		Xl, yl, lo, hi := dataset(23, 40, d)
+		rng := rand.New(rand.NewSource(29))
+		Xh := stats.LatinHypercube(rng, lo, hi, 20)
+		yh := make([]float64, len(Xh))
+		for i, x := range Xh {
+			s := 0.0
+			for j, v := range x {
+				s += math.Sin(3*v + float64(j))
+			}
+			yh[i] = 1.1*s + 0.2*s*s
+		}
+		m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
+			MaxIter: 30, NumSamples: 30, Workers: 1,
+		}, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		grid := stats.LatinHypercube(rand.New(rand.NewSource(31)), lo, hi, 256)
+		m.Predict(grid[0]) // warm the scratch pools
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Predict(grid[i%len(grid)])
+		}
+	}
+}
+
 // Cholesky measures the blocked factorization on an n×n SPD Gram matrix with
 // the reusable-buffer entry point — the inner solver of every surrogate fit.
 func Cholesky(n int) func(*testing.B) {

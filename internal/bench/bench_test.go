@@ -13,4 +13,5 @@ func BenchmarkMSPWorkers8(b *testing.B)          { MSP(8)(b) }
 func BenchmarkPredictBatchSerial(b *testing.B)   { PredictBatch(1)(b) }
 func BenchmarkPredictBatchWorkers8(b *testing.B) { PredictBatch(8)(b) }
 func BenchmarkPredictSingle(b *testing.B)        { PredictSingle()(b) }
+func BenchmarkFusedPredict(b *testing.B)         { FusedPredict()(b) }
 func BenchmarkCholesky160(b *testing.B)          { Cholesky(160)(b) }
