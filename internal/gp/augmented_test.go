@@ -99,6 +99,15 @@ func TestPredictLatentAugmentedMatchesPerPoint(t *testing.T) {
 
 func nargp(d int) kernel.Kernel { return kernel.NewNARGP(d) }
 
+// TestNARGPProfileSplits: the eq. (9) kernel takes the shared-x path; if its
+// profile stopped satisfying splitProfile, fused predictions would fall back
+// to the per-point path silently.
+func TestNARGPProfileSplits(t *testing.T) {
+	if _, ok := kernel.ProfileOf(kernel.NewNARGP(3)).(splitProfile); !ok {
+		t.Fatal("kernel.NARGP's profile does not implement splitProfile")
+	}
+}
+
 // TestPredictLatentAugmentedConcurrent runs many callers on one model (run it
 // under -race): the pooled scratch must never be shared between goroutines.
 func TestPredictLatentAugmentedConcurrent(t *testing.T) {

@@ -521,12 +521,23 @@ func zero(v []float64) []float64 {
 	return v
 }
 
+// splitProfile is a pair profile whose value splits into a part that reads
+// only the leading (design-space) coordinates of the difference vector and a
+// combination with the last coordinate; kernel.NARGP's profile is one. For
+// every diff, Combine(diff[last], XPart(diff)) must equal Eval(diff) bit for
+// bit.
+type splitProfile interface {
+	kernel.PairProfile
+	XPart(diff []float64) (k2, k3 float64)
+	Combine(df, k2, k3 float64) float64
+}
+
 // PredictLatentAugmented writes the latent posterior at the augmented points
 // (x, ts[s]) into means[s] and variances[s] for every s; x holds the leading
 // Dim()−1 input coordinates. Each result is bit-identical to PredictLatent on
 // the augmented point. It serves fused multi-fidelity predictions, where
-// every point of a propagation cloud shares x: with a kernel.SplitProfile
-// kernel (kernel.NARGP) on an exact model, x is standardized once, the
+// every point of a propagation cloud shares x: with a kernel whose profile is
+// a splitProfile (kernel.NARGP) on an exact model, x is standardized once, the
 // design-space kernel factors of every training row and the prior variance
 // are computed once, and each point then costs one Combine per row plus the
 // dot product and forward solve. Low-rank models and kernels without the split
@@ -534,7 +545,7 @@ func zero(v []float64) []float64 {
 // steady state.
 func (m *Model) PredictLatentAugmented(x, ts, means, variances []float64) {
 	sc := m.getPredictScratch()
-	if sp, ok := sc.prof.(kernel.SplitProfile); ok && m.lowRank == nil {
+	if sp, ok := sc.prof.(splitProfile); ok && m.lowRank == nil {
 		m.predictSplit(x, ts, means, variances, sp, sc)
 	} else {
 		d := len(m.xMean) - 1
@@ -553,7 +564,7 @@ func (m *Model) PredictLatentAugmented(x, ts, means, variances []float64) {
 // diff[t] = std(x)[t] − x_i[t] for the design coordinates and
 // std(t) − x_i[last] for the last, so Combine(XPart) reproduces the kernel
 // row of every augmented point exactly.
-func (m *Model) predictSplit(x, ts, means, variances []float64, sp kernel.SplitProfile, sc *predictScratch) {
+func (m *Model) predictSplit(x, ts, means, variances []float64, sp splitProfile, sc *predictScratch) {
 	d := len(m.xMean) - 1
 	n := len(m.xs)
 	sc.grow(n)

@@ -17,7 +17,7 @@ import "fmt"
 // platform may fuse it into an FMA: the value is bit-identical to evaluating
 // the three factors separately and combining them term by term, which is what
 // lets a fused prediction compute k2 and k3 once per query point (see
-// SplitProfile).
+// Profile).
 type NARGP struct {
 	d          int
 	k1, k2, k3 *SEARD
@@ -92,29 +92,22 @@ func (k *NARGP) Clone() Kernel {
 	return &NARGP{d: k.d, k1: k.k1.Clone().(*SEARD), k2: k.k2.Clone().(*SEARD), k3: k.k3.Clone().(*SEARD)}
 }
 
-// SplitProfile is a pair profile whose value splits into a part that reads
-// only the leading (design-space) coordinates of the difference vector and a
-// cheap combination with the last coordinate. For a batch of points that
-// share x and differ only in the last coordinate, the x-part is computed once
-// per training row and each point costs one Combine. For every diff,
-// Combine(diff[last], XPart(diff)) is bit-identical to Eval(diff).
-type SplitProfile interface {
-	PairProfile
-	// XPart returns the design-space factors (k2, k3) of eq. (9) for the
-	// leading coordinates of diff; the last coordinate is not read.
-	XPart(diff []float64) (k2, k3 float64)
-	// Combine returns float64(k1(df)·k2) + k3, the kernel value for
-	// last-coordinate difference df.
-	Combine(df, k2, k3 float64) float64
-}
-
 type nargpProfile struct {
 	d          int
 	k1, k2, k3 *seProfile
 	df         [1]float64 // scratch: the last-coordinate difference
 }
 
-// Profile implements Pairwise; the profile also implements SplitProfile.
+// Profile implements Pairwise. Besides Eval and EvalGrad, the profile splits
+// its value in two steps for points that share x and differ only in the last
+// coordinate:
+//
+//	XPart(diff []float64) (k2, k3 float64)   // reads diff[:d] only
+//	Combine(df, k2, k3 float64) float64      // float64(k1(df)·k2) + k3
+//
+// so the x-part is computed once per training row and each point costs one
+// Combine. For every diff, Combine(diff[d], XPart(diff)) is Eval(diff): Eval
+// is built from the two steps.
 func (k *NARGP) Profile() PairProfile {
 	return &nargpProfile{d: k.d,
 		k1: k.k1.Profile().(*seProfile), k2: k.k2.Profile().(*seProfile), k3: k.k3.Profile().(*seProfile)}

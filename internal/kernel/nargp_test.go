@@ -75,10 +75,7 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 					t.Fatalf("d=%d trial %d: profile grad[%d] %v != composite %v", d, trial, j, g[j], gr[j])
 				}
 			}
-			sp, ok := p.(SplitProfile)
-			if !ok {
-				t.Fatal("NARGP profile does not implement SplitProfile")
-			}
+			sp := p.(*nargpProfile)
 			k2, k3 := sp.XPart(diff)
 			if a, b := sp.Combine(diff[d], k2, k3), pr.Eval(diff); !same(a, b) {
 				t.Fatalf("d=%d trial %d: Combine(XPart) %v != composite %v", d, trial, a, b)
