@@ -15,10 +15,12 @@
 //
 // Robustness (mfbo algorithm only): -robust wraps the problem in the safe
 // evaluation runtime (panic recovery, NaN sanitization, retries, timeouts);
-// -checkpoint snapshots the run after every iteration and -resume restarts
-// from such a snapshot; -chaos injects synthetic low-fidelity failures for
-// fault-tolerance demos. Ctrl-C interrupts gracefully, leaving a resumable
-// checkpoint behind when -checkpoint is set.
+// -checkpoint P snapshots the run after every observation into the storage
+// fs backend (generations <dir of P>/<id>.ckpt.g*.mfbo, where id is P's base
+// name without ".ckpt.json") and -resume restarts from the newest intact one;
+// -chaos injects synthetic low-fidelity failures for fault-tolerance demos.
+// Ctrl-C interrupts gracefully, leaving a resumable checkpoint behind when
+// -checkpoint is set.
 package main
 
 import (
@@ -29,6 +31,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -41,6 +44,7 @@ import (
 	"repro/internal/fidelity"
 	"repro/internal/optimize"
 	"repro/internal/robust"
+	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
 
@@ -60,7 +64,7 @@ func main() {
 	useRobust := flag.Bool("robust", false, "wrap the problem in the safe evaluation runtime")
 	retries := flag.Int("retries", 2, "max retries per evaluation (with -robust)")
 	evalTimeout := flag.Duration("eval-timeout", 0, "per-evaluation timeout, 0 = none (with -robust)")
-	ckptPath := flag.String("checkpoint", "", "write a resumable snapshot here after every iteration (mfbo)")
+	ckptPath := flag.String("checkpoint", "", "persist a resumable snapshot for this path after every observation, as generations <dir>/<name>.ckpt.g*.mfbo (mfbo)")
 	resume := flag.Bool("resume", false, "resume the mfbo run from the -checkpoint file")
 	chaosRate := flag.Float64("chaos", 0, "inject this low-fidelity failure rate (plus panics at a quarter of it); implies a fault-tolerance demo")
 	procs := flag.Int("procs", 0, "worker goroutines for surrogate training and acquisition maximization (0 = all CPUs, 1 = serial; the result is bit-identical for every setting)")
@@ -159,15 +163,21 @@ func main() {
 			}
 			cfg.Ladder = &ladder
 		}
+		var store storage.Store
+		var id string
 		if *ckptPath != "" {
-			cfg.Checkpointer = core.FileCheckpointer(*ckptPath)
+			store, id, err = checkpointStore(*ckptPath)
+			if err != nil {
+				log.Fatalf("mfbo: %v", err)
+			}
+			cfg.Checkpointer = core.StoreCheckpointer(store, id)
 		}
 		if *resume {
 			if *ckptPath == "" {
 				log.Fatal("mfbo: -resume requires -checkpoint")
 			}
 			var ck *core.Checkpoint
-			ck, err = core.LoadCheckpoint(*ckptPath)
+			ck, err = core.LoadCheckpointFromStore(store, id)
 			if err != nil {
 				log.Fatalf("mfbo: %v", err)
 			}
@@ -238,6 +248,15 @@ func main() {
 			fmt.Printf("telemetry: event log written to %s (render with mfbo-trace)\n", *telemetryPath)
 		}
 	}
+}
+
+// checkpointStore maps -checkpoint path onto the storage fs backend: the
+// records live in path's directory under the ID path's base name minus
+// ".ckpt.json", so a flat snapshot file written at path by earlier releases
+// still resumes through the backend's legacy reader.
+func checkpointStore(path string) (storage.Store, string, error) {
+	fs, err := storage.NewFS(storage.FSConfig{Dir: filepath.Dir(path)})
+	return fs, strings.TrimSuffix(filepath.Base(path), ".ckpt.json"), err
 }
 
 func parseCosts(s string) ([]float64, error) {

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 
 	"repro/internal/problem"
 	"repro/internal/storage"
@@ -204,82 +202,10 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// SaveCheckpoint writes the checkpoint atomically and durably: the data is
-// written to a temp file, fsynced, renamed over the destination, and the
-// parent directory is fsynced as well — so the snapshot survives not only a
-// process crash mid-write but also a power loss right after the rename (an
-// unsynced directory entry can otherwise vanish on crash-recovering
-// filesystems).
-func SaveCheckpoint(path string, ck *Checkpoint) error {
-	data, err := ck.Marshal()
-	if err != nil {
-		return fmt.Errorf("core: marshal checkpoint: %w", err)
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.json")
-	if err != nil {
-		return fmt.Errorf("core: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	// Flush file contents to stable storage before the rename publishes the
-	// new name: rename-before-sync can leave a zero-length file after power
-	// loss.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("core: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: commit checkpoint: %w", err)
-	}
-	// Persist the rename itself: the directory entry is metadata owned by
-	// the parent directory, which has its own write-back cache.
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("core: sync checkpoint directory: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so recently renamed entries survive power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// LoadCheckpoint reads a snapshot written by SaveCheckpoint.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: read checkpoint: %w", err)
-	}
-	return UnmarshalCheckpoint(data)
-}
-
-// FileCheckpointer returns a Checkpointer hook persisting every snapshot to
-// path (atomically overwriting the previous one).
-func FileCheckpointer(path string) func(*Checkpoint) error {
-	return func(ck *Checkpoint) error { return SaveCheckpoint(path, ck) }
-}
-
 // StoreCheckpointer returns a Checkpointer hook persisting every snapshot
-// into store under (storage.KindCheckpoint, id) — the pluggable-backend
-// successor of FileCheckpointer. The serialized bytes are identical to the
-// file path's (Marshal output); durability and generational rollback are the
-// store's business.
+// into store under (storage.KindCheckpoint, id) as its Marshal bytes;
+// durability (storage.FS: temp file, fsync, rename, directory fsync) and
+// generational rollback are the store's business.
 func StoreCheckpointer(store storage.Store, id string) func(*Checkpoint) error {
 	return func(ck *Checkpoint) error {
 		data, err := ck.Marshal()
@@ -331,6 +257,46 @@ func validateResume(p problem.Problem, cfg *Config, ck *Checkpoint) error {
 	if k := problem.NumFidelities(p); k != rungs {
 		return fmt.Errorf("%w: checkpoint has %d fidelity rungs, problem %q has %d",
 			ErrResumeMismatch, rungs, p.Name(), k)
+	}
+	// Data shapes: RestoreEngine and the first proposal index these sets
+	// row by row, so a ragged snapshot must be refused here.
+	if len(ck.MidX) != len(ck.MidY) {
+		return fmt.Errorf("%w: checkpoint has %d mid-rung input sets but %d output sets",
+			ErrResumeMismatch, len(ck.MidX), len(ck.MidY))
+	}
+	ny := 1 + p.NumConstraints()
+	if err := checkDataShape("low-fidelity", ck.LowX, ck.LowY, ck.Dim, ny); err != nil {
+		return err
+	}
+	if err := checkDataShape("high-fidelity", ck.HighX, ck.HighY, ck.Dim, ny); err != nil {
+		return err
+	}
+	for i := range ck.MidX {
+		if err := checkDataShape(fmt.Sprintf("rung-%d", i+1), ck.MidX[i], ck.MidY[i], ck.Dim, ny); err != nil {
+			return err
+		}
+	}
+	for _, ps := range ck.Pending {
+		if len(ps.X) != ck.Dim {
+			return fmt.Errorf("%w: pending suggestion %q has %d inputs, want %d",
+				ErrResumeMismatch, ps.ID, len(ps.X), ck.Dim)
+		}
+	}
+	return nil
+}
+
+// checkDataShape reports a training set whose inputs and outputs disagree in
+// count, or whose rows are not dim inputs and ny outputs wide.
+func checkDataShape(name string, X, Y [][]float64, dim, ny int) error {
+	if len(X) != len(Y) {
+		return fmt.Errorf("%w: checkpoint %s set has %d inputs but %d outputs",
+			ErrResumeMismatch, name, len(X), len(Y))
+	}
+	for i := range X {
+		if len(X[i]) != dim || len(Y[i]) != ny {
+			return fmt.Errorf("%w: checkpoint %s row %d has %d inputs and %d outputs, want %d and %d",
+				ErrResumeMismatch, name, i, len(X[i]), len(Y[i]), dim, ny)
+		}
 	}
 	return nil
 }

@@ -5,10 +5,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/testfunc"
 )
 
@@ -52,31 +52,40 @@ func TestCheckpointRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointFilePersistence: snapshots written through StoreCheckpointer
+// on the fs backend survive a restart (a fresh store over the same
+// directory), and a later snapshot supersedes an earlier one.
 func TestCheckpointFilePersistence(t *testing.T) {
 	_, cks := captureCheckpoints(t, 6, 22)
 	ck := cks[len(cks)-1]
-	path := filepath.Join(t.TempDir(), "run.ckpt.json")
-	if err := SaveCheckpoint(path, ck); err != nil {
+	dir := t.TempDir()
+	open := func() storage.Store {
+		fs, err := storage.NewFS(storage.FSConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	if err := StoreCheckpointer(open(), "run")(ck); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCheckpoint(path)
+	back, err := LoadCheckpointFromStore(open(), "run")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ck, back) {
 		t.Fatal("loaded checkpoint differs from saved one")
 	}
-	// FileCheckpointer overwrites atomically.
-	hook := FileCheckpointer(path)
-	if err := hook(cks[0]); err != nil {
+	if err := StoreCheckpointer(open(), "run")(cks[0]); err != nil {
 		t.Fatal(err)
 	}
-	first, err := LoadCheckpoint(path)
+	first, err := LoadCheckpointFromStore(open(), "run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Iter != cks[0].Iter {
-		t.Fatalf("overwrite lost data: iter %d, want %d", first.Iter, cks[0].Iter)
+	if first.Iter != cks[0].Iter || len(first.History) != len(cks[0].History) {
+		t.Fatalf("newest snapshot not served: iter %d with %d observations, want %d with %d",
+			first.Iter, len(first.History), cks[0].Iter, len(cks[0].History))
 	}
 }
 
@@ -212,5 +221,27 @@ func TestResumeValidation(t *testing.T) {
 	bad.Version = 999
 	if _, err := Resume(context.Background(), testfunc.ConstrainedSynthetic(), fastCfg(6), rng, &bad); !errors.Is(err, ErrResumeMismatch) {
 		t.Fatalf("resume must reject an unknown version with ErrResumeMismatch, got %v", err)
+	}
+	// Inconsistent data shapes (each mutation applies to a fresh copy).
+	for name, mut := range map[string]func(*Checkpoint){
+		"short LowY":     func(c *Checkpoint) { c.LowY = c.LowY[:len(c.LowY)-1] },
+		"short HighX":    func(c *Checkpoint) { c.HighX = c.HighX[:len(c.HighX)-1] },
+		"ragged X row":   func(c *Checkpoint) { c.LowX[0] = c.LowX[0][:1] },
+		"narrow Y row":   func(c *Checkpoint) { c.HighY[0] = c.HighY[0][:1] },
+		"MidY missing":   func(c *Checkpoint) { c.MidX = [][][]float64{c.LowX} },
+		"pending X wide": func(c *Checkpoint) { c.Pending = []PendingSuggestion{{ID: "p", X: make([]float64, c.Dim+1)}} },
+	} {
+		data, err := ck.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(bad)
+		if _, err := RestoreEngine(testfunc.ConstrainedSynthetic(), fastCfg(6), rng, bad); !errors.Is(err, ErrResumeMismatch) {
+			t.Fatalf("%s: restore must fail with ErrResumeMismatch, got %v", name, err)
+		}
 	}
 }

@@ -137,8 +137,9 @@ type Config struct {
 	InitSampler func(rng *rand.Rand, lo, hi []float64, n int) [][]float64
 	// Checkpointer, when non-nil, receives a full state snapshot after the
 	// initialization phase and after every adaptive iteration. Use
-	// FileCheckpointer for atomic JSON-on-disk persistence; a non-nil error
-	// aborts the run (the partial Result is still returned alongside it).
+	// StoreCheckpointer for durable persistence through a storage.Store; a
+	// non-nil error aborts the run (the partial Result is still returned
+	// alongside it).
 	Checkpointer func(*Checkpoint) error
 	// Fantasy selects the synthetic-observation strategy used by AskBatch
 	// when proposing the 2nd..q-th concurrently-outstanding suggestions

@@ -1,0 +1,68 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/problem"
+	"repro/internal/testfunc"
+)
+
+// fuzzBudget is the budget of the seed snapshots; a mutated snapshot only
+// reaches RestoreEngine's data handling while its Budget still matches.
+const fuzzBudget = 6.0
+
+// adaptiveSnapshot runs p to completion and returns the Marshal bytes of the
+// first snapshot taken in the adaptive phase, so that an Ask on the restored
+// engine fits the surrogates and proposes.
+func adaptiveSnapshot(f *testing.F, p problem.Problem, cfg Config) []byte {
+	f.Helper()
+	var first *Checkpoint
+	cfg.Checkpointer = func(ck *Checkpoint) error {
+		if first == nil && ck.Iter > 0 {
+			first = ck
+		}
+		return nil
+	}
+	if _, err := Optimize(p, cfg, rand.New(rand.NewSource(3))); err != nil {
+		f.Fatal(err)
+	}
+	if first == nil {
+		f.Fatalf("%s: no adaptive-phase snapshot", p.Name())
+	}
+	data, err := first.Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// FuzzRestoreCheckpoint feeds arbitrary bytes through the resume path:
+// UnmarshalCheckpoint, RestoreEngine, then one Ask, on a two-rung and a
+// three-rung problem. A snapshot is either refused with an error or restored
+// into an engine whose next Ask returns; neither step may panic.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	f.Add(adaptiveSnapshot(f, testfunc.Forrester(), fastCfg(fuzzBudget)))
+	f.Add(adaptiveSnapshot(f, testfunc.Forrester3(), ladderCfg(fuzzBudget)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		for _, tc := range []struct {
+			p   problem.Problem
+			cfg Config
+		}{
+			{testfunc.Forrester(), fastCfg(fuzzBudget)},
+			{testfunc.Forrester3(), ladderCfg(fuzzBudget)},
+		} {
+			eng, err := RestoreEngine(tc.p, tc.cfg, rand.New(rand.NewSource(1)), ck)
+			if err != nil {
+				continue
+			}
+			// Any error is an acceptable outcome; only a panic fails.
+			_, _ = eng.Ask(context.Background())
+		}
+	})
+}

@@ -14,39 +14,40 @@ import (
 	"repro/internal/testfunc"
 )
 
-// TestStoreCheckpointerOracle is the acceptance oracle: the filesystem
-// storage.Store backend must produce byte-identical checkpoint/restore
-// behavior to the historical FileCheckpointer path on a seeded run.
+// TestStoreCheckpointerOracle pins the migration path of a flat checkpoint
+// file: a Marshal() snapshot at <dir>/<id>.ckpt.json, the layout earlier
+// releases of mfbo -checkpoint wrote, restores through the fs store to the
+// same bytes and snapshot the store path itself persists, and both resume
+// onto the same trajectory.
 func TestStoreCheckpointerOracle(t *testing.T) {
 	p := testfunc.ConstrainedSynthetic()
 	const budget, seed = 6.0, 91
 
-	// Reference: the legacy direct-file path.
-	filePath := filepath.Join(t.TempDir(), "run.ckpt.json")
-	fcfg := fastCfg(budget)
-	fcfg.Checkpointer = FileCheckpointer(filePath)
-	fileRes, err := Optimize(p, fcfg, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same run, checkpointed through the storage engine.
 	fs, err := storage.NewFS(storage.FSConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := fastCfg(budget)
-	scfg.Checkpointer = StoreCheckpointer(fs, "run")
-	storeRes, err := Optimize(p, scfg, rand.New(rand.NewSource(seed)))
+	var last *Checkpoint
+	persist := StoreCheckpointer(fs, "run")
+	cfg := fastCfg(budget)
+	cfg.Checkpointer = func(ck *Checkpoint) error {
+		last = ck
+		return persist(ck)
+	}
+	if _, err := Optimize(p, cfg, rand.New(rand.NewSource(seed))); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same snapshot as a flat legacy file in a directory of its own.
+	flatDir := t.TempDir()
+	data, err := last.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fileRes.History, storeRes.History) {
-		t.Fatal("trajectory diverged between FileCheckpointer and StoreCheckpointer")
+	if err := os.WriteFile(filepath.Join(flatDir, "run.ckpt.json"), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	// The persisted snapshot payloads are byte-identical.
-	fileBytes, err := os.ReadFile(filePath)
+	legacy, err := storage.NewFS(storage.FSConfig{Dir: flatDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,38 +55,43 @@ func TestStoreCheckpointerOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fileBytes, storeBytes) {
-		t.Fatalf("checkpoint payloads differ: file %d bytes, store %d bytes", len(fileBytes), len(storeBytes))
-	}
-
-	// And both load paths reconstruct the same snapshot.
-	fromFile, err := LoadCheckpoint(filePath)
+	flatBytes, err := legacy.Get(storage.KindCheckpoint, "run")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(storeBytes, data) || !bytes.Equal(flatBytes, data) {
+		t.Fatalf("checkpoint payloads differ: store %d, flat %d, Marshal %d bytes",
+			len(storeBytes), len(flatBytes), len(data))
+	}
+
 	fromStore, err := LoadCheckpointFromStore(fs, "run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromFile, fromStore) {
-		t.Fatal("loaded checkpoints differ between file and store paths")
-	}
-
-	// Resume from the store snapshot behaves exactly like resume from the
-	// file snapshot (same continuation seed).
-	rcfg := fastCfg(budget * 2)
-	rcfg.Budget = budget * 2
-	fromFile.Budget, fromStore.Budget = budget*2, budget*2
-	resFile, err := Resume(context.Background(), p, rcfg, rand.New(rand.NewSource(7)), fromFile)
+	fromFlat, err := LoadCheckpointFromStore(legacy, "run")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(fromStore, fromFlat) {
+		t.Fatal("loaded checkpoints differ between store and flat layouts")
+	}
+
+	// Both resume onto the same continuation (same seed, extended budget).
+	rcfg := fastCfg(budget * 2)
+	fromStore.Budget, fromFlat.Budget = budget*2, budget*2
 	resStore, err := Resume(context.Background(), p, rcfg, rand.New(rand.NewSource(7)), fromStore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resFile.History, resStore.History) {
-		t.Fatal("resumed trajectories diverged between file and store snapshots")
+	resFlat, err := Resume(context.Background(), p, rcfg, rand.New(rand.NewSource(7)), fromFlat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resStore.History) <= len(last.History) {
+		t.Fatalf("resume did not continue: %d <= %d observations", len(resStore.History), len(last.History))
+	}
+	if !reflect.DeepEqual(resStore.History, resFlat.History) {
+		t.Fatal("resumed trajectories diverged between store and flat snapshots")
 	}
 }
 

@@ -103,7 +103,7 @@ func nargp(d int) kernel.Kernel { return kernel.NewNARGP(d) }
 // profile stopped satisfying splitProfile, fused predictions would fall back
 // to the per-point path silently.
 func TestNARGPProfileSplits(t *testing.T) {
-	if _, ok := kernel.ProfileOf(kernel.NewNARGP(3)).(splitProfile); !ok {
+	if _, ok := kernel.NewNARGP(3).Profile().(splitProfile); !ok {
 		t.Fatal("kernel.NARGP's profile does not implement splitProfile")
 	}
 }

@@ -144,7 +144,7 @@ func (m *Model) getPredictScratch() *predictScratch {
 		v:    make([]float64, n),
 		diff: make([]float64, d),
 		aug:  make([]float64, d),
-		prof: kernel.ProfileOf(m.kern), // nil for non-Pairwise kernels
+		prof: m.kern.Profile(),
 	}
 }
 
@@ -268,7 +268,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	}
 	wss := make([]*fitWorkspace, workers)
 	for w := range wss {
-		wss[w] = newFitWorkspace(m.kern, geo, m.xs, m.ys)
+		wss[w] = newFitWorkspace(m.kern, geo, m.ys)
 	}
 	fixedLogNoise := m.logNoise
 	parallel.ForEachWorker(workers, len(starts), func(w, idx int) {
@@ -402,29 +402,21 @@ func (m *Model) toStdXInto(x, out []float64) {
 
 // factorize builds the Cholesky of K + σ_n²I and the alpha vector for the
 // current hyperparameters, using the kernel's pair profile (hyperparameter
-// transcendentals hoisted out of the O(n²) loop) when available.
+// transcendentals hoisted out of the O(n²) loop).
 func (m *Model) factorize() error {
 	n := len(m.xs)
 	K := linalg.NewMatrix(n, n)
 	noise2 := math.Exp(2 * m.logNoise)
-	prof := kernel.ProfileOf(m.kern)
-	var diff []float64
-	if prof != nil && n > 0 {
-		diff = make([]float64, len(m.xs[0]))
-	}
+	prof := m.kern.Profile()
+	diff := make([]float64, len(m.xMean))
 	for i := 0; i < n; i++ {
 		xi := m.xs[i]
 		for j := i; j < n; j++ {
-			var v float64
-			if prof != nil {
-				xj := m.xs[j]
-				for t := range diff {
-					diff[t] = xi[t] - xj[t]
-				}
-				v = prof.Eval(diff)
-			} else {
-				v = m.kern.Eval(xi, m.xs[j])
+			xj := m.xs[j]
+			for t := range diff {
+				diff[t] = xi[t] - xj[t]
 			}
+			v := prof.Eval(diff)
 			K.Set(i, j, v)
 			K.Set(j, i, v)
 		}
@@ -444,7 +436,7 @@ func (m *Model) factorize() error {
 // hyperparameters and noise. Fit uses per-restart workspaces directly; this
 // entry point serves gradient-check tests and one-off evaluations.
 func (m *Model) nlmlGrad() (float64, []float64, error) {
-	ws := newFitWorkspace(m.kern, newPairGeo(m.xs), m.xs, m.ys)
+	ws := newFitWorkspace(m.kern, newPairGeo(m.xs), m.ys)
 	ws.kern = m.kern // evaluate the live kernel, not a clone
 	ws.logNoise = m.logNoise
 	return ws.nlmlGrad()
@@ -477,27 +469,19 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, varian
 		return m.lowRank.predict(m, sc)
 	}
 	ks := sc.ks[:n]
-	if sc.prof != nil {
-		diff := sc.diff
-		for i := 0; i < n; i++ {
-			xi := m.xs[i]
-			for t := range diff {
-				diff[t] = sc.x[t] - xi[t]
-			}
-			ks[i] = sc.prof.Eval(diff)
+	kernelRow(sc.prof, sc.x, m.xs, sc.diff, ks)
+	return m.posterior(ks, sc.v[:n], sc.prof.Eval(zero(sc.diff)))
+}
+
+// kernelRow writes k(x, rows[i]) into out[i] for every row, evaluating prof
+// on the difference vector x − rows[i] built in diff.
+func kernelRow(prof kernel.PairProfile, x []float64, rows [][]float64, diff, out []float64) {
+	for i, xi := range rows {
+		for t := range diff {
+			diff[t] = x[t] - xi[t]
 		}
-	} else {
-		for i := 0; i < n; i++ {
-			ks[i] = m.kern.Eval(sc.x, m.xs[i])
-		}
+		out[i] = prof.Eval(diff)
 	}
-	var kss float64
-	if sc.prof != nil {
-		kss = sc.prof.Eval(zero(sc.diff))
-	} else {
-		kss = m.kern.Eval(sc.x, sc.x)
-	}
-	return m.posterior(ks, sc.v[:n], kss)
 }
 
 // posterior finishes an exact prediction from the cross-covariance row ks and

@@ -269,7 +269,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 		X[i] = []float64{rng.Float64() * 4, rng.Float64() * 4}
 		y[i] = X[i][0] * math.Sin(X[i][1])
 	}
-	m, err := Fit(X, y, Config{Kernel: kernel.NewMatern52(2)}, rng)
+	m, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(2)}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/kernel"
 	"repro/internal/linalg"
 )
 
@@ -44,22 +43,10 @@ func (m *Model) AppendObservation(x []float64, y float64) error {
 	}
 	n := len(m.xs)
 	row := m.rowScratch(n)
-	prof := kernel.ProfileOf(m.kern)
-	if prof != nil {
-		diff := m.diffScratch(len(sx))
-		for i := 0; i < n; i++ {
-			xi := m.xs[i]
-			for t := range diff {
-				diff[t] = sx[t] - xi[t]
-			}
-			row[i] = prof.Eval(diff)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			row[i] = m.kern.Eval(sx, m.xs[i])
-		}
-	}
-	kss := m.kern.Eval(sx, sx)
+	prof := m.kern.Profile()
+	diff := m.diffScratch(len(sx))
+	kernelRow(prof, sx, m.xs, diff, row)
+	kss := prof.Eval(zero(diff))
 	noise2 := math.Exp(2 * m.logNoise)
 	if err := m.chol.AppendRow(row, kss+noise2); err != nil {
 		return fmt.Errorf("gp: incremental factor update: %w", err)

@@ -272,3 +272,85 @@ func almostEqF(a, b, tol float64) bool {
 	}
 	return math.Abs(a-b) <= tol*scale
 }
+
+// TestJitterPathsIn36D drives both Cholesky jitter escalations of a 36-D
+// SE-ARD model with warm hyperparameters and a 1e-10 noise floor, where
+// points 1e-13 apart make the Gram matrix numerically singular:
+//
+//   - fit: near-duplicate training pairs, so Fit's factorization needs
+//     jitter;
+//   - append: distinct training points (no jitter at Fit), so the rank-1
+//     AppendRow of each near-duplicate observation needs its own.
+//
+// After Fit and after every append the posterior must be finite with
+// nonnegative variance, and Truncate back to the fitted size must restore
+// the fitted posterior bit for bit.
+func TestJitterPathsIn36D(t *testing.T) {
+	const d, n, appends = 36, 24, 6
+	near := func(x []float64) []float64 {
+		c := append([]float64(nil), x...)
+		c[0] += 1e-13
+		return c
+	}
+	warm := make([]float64, d+1) // unit amplitude, length scales √d
+	for j := 1; j <= d; j++ {
+		warm[j] = 0.5 * math.Log(d)
+	}
+	for _, tc := range []struct {
+		name     string
+		fitPairs bool
+	}{{"fit", true}, {"append", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(36))
+			base, y0 := incrTrainSet(rng, n+4, d)
+			X, y, probes := base[:n], y0[:n], base[n:]
+			if tc.fitPairs {
+				X, y = nil, nil
+				for i := 0; i < n/2; i++ {
+					X = append(X, base[i], near(base[i]))
+					y = append(y, y0[i], y0[i])
+				}
+			}
+			m, err := Fit(X, y, Config{
+				Kernel: kernel.NewSEARD(d), FixedNoise: fixedNoise(1e-10),
+				WarmStart: warm, SkipTraining: true,
+			}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.chol.Jitter; (got > 0) != tc.fitPairs {
+				t.Fatalf("jitter %g after Fit; want jitter exactly when the training set has near-duplicates", got)
+			}
+			posterior := func(stage string) []float64 {
+				t.Helper()
+				var out []float64
+				for _, x := range probes {
+					mu, va := m.PredictLatent(x)
+					if math.IsNaN(mu) || math.IsInf(mu, 0) || math.IsNaN(va) || math.IsInf(va, 0) || va < 0 {
+						t.Fatalf("%s: posterior (%v, %v) at a probe", stage, mu, va)
+					}
+					out = append(out, mu, va)
+				}
+				return out
+			}
+			fitted := posterior("fit")
+			for i := 0; i < appends; i++ {
+				if err := m.AppendObservation(near(near(base[i])), y0[i]); err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+				if m.chol.Jitter <= 0 {
+					t.Fatalf("append %d: no jitter on a near-duplicate row", i)
+				}
+				posterior("append")
+			}
+			if err := m.Truncate(len(X)); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range posterior("truncate") {
+				if math.Float64bits(v) != math.Float64bits(fitted[i]) {
+					t.Fatalf("truncated posterior[%d] = %v, fitted %v", i, v, fitted[i])
+				}
+			}
+		})
+	}
+}

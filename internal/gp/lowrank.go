@@ -183,29 +183,9 @@ func (lr *lowRankState) refreshWeights(m *Model) {
 func (lr *lowRankState) predict(m *Model, sc *predictScratch) (mean, variance float64) {
 	mi := len(lr.zs)
 	km := sc.ks[:mi]
-	if sc.prof != nil {
-		diff := sc.diff
-		for i, zi := range lr.zs {
-			for t := range diff {
-				diff[t] = sc.x[t] - zi[t]
-			}
-			km[i] = sc.prof.Eval(diff)
-		}
-	} else {
-		for i, zi := range lr.zs {
-			km[i] = m.kern.Eval(sc.x, zi)
-		}
-	}
+	kernelRow(sc.prof, sc.x, lr.zs, sc.diff, km)
 	mu := linalg.Dot(km, lr.w)
-	var kss float64
-	if sc.prof != nil {
-		for t := range sc.diff {
-			sc.diff[t] = 0
-		}
-		kss = sc.prof.Eval(sc.diff)
-	} else {
-		kss = m.kern.Eval(sc.x, sc.x)
-	}
+	kss := sc.prof.Eval(zero(sc.diff))
 	v := sc.v[:mi]
 	lr.cholMM.ForwardSolveInto(km, v)
 	va := kss - linalg.Dot(v, v)

@@ -83,13 +83,13 @@ func TestDuplicateTrainingPoints(t *testing.T) {
 	}
 }
 
-// The kernel choice must not change the exact-interpolation property.
+// The kernel choice must not change the exact-interpolation property; the
+// sum and product composites route through their combined pair profiles.
 func TestInterpolationAcrossKernels(t *testing.T) {
 	kernels := []func() kernel.Kernel{
 		func() kernel.Kernel { return kernel.NewSEARD(1) },
-		func() kernel.Kernel { return kernel.NewMatern32(1) },
-		func() kernel.Kernel { return kernel.NewMatern52(1) },
-		func() kernel.Kernel { return kernel.NewRationalQuadratic(1) },
+		func() kernel.Kernel { return kernel.NewSum(kernel.NewSEARD(1), kernel.NewSEARD(1)) },
+		func() kernel.Kernel { return kernel.NewProduct(kernel.NewSEARD(1), kernel.NewSEARD(1)) },
 	}
 	X := [][]float64{{0}, {0.5}, {1}}
 	y := []float64{1, -1, 2}

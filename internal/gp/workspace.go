@@ -11,7 +11,7 @@ import (
 // NLML and its gradient without allocating: a cloned kernel (so concurrent
 // restarts never share mutable hyperparameter state), the covariance matrix,
 // a reusable Cholesky, the precision matrix, and gradient accumulators. The
-// geometry cache and the training data are shared read-only across all
+// geometry cache and the training targets are shared read-only across all
 // workspaces.
 //
 // The arithmetic is ordered to be bit-identical to the original
@@ -26,7 +26,6 @@ type fitWorkspace struct {
 
 	// Shared read-only state.
 	geo *pairGeo
-	xs  [][]float64
 	ys  []float64
 
 	// Reusable numerics.
@@ -39,13 +38,12 @@ type fitWorkspace struct {
 	out     []float64 // NLML gradient accumulators, length nk+1
 }
 
-func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, xs [][]float64, ys []float64) *fitWorkspace {
-	n := len(xs)
+func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, ys []float64) *fitWorkspace {
+	n := len(ys)
 	nk := kern.NumHyper()
 	return &fitWorkspace{
 		kern:    kern.Clone(),
 		geo:     geo,
-		xs:      xs,
 		ys:      ys,
 		K:       linalg.NewMatrix(n, n),
 		alpha:   make([]float64, n),
@@ -57,18 +55,12 @@ func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, xs [][]float64, ys []floa
 }
 
 // fillCovariance writes K + σ_n²·I into dst (symmetric-half evaluation, both
-// triangles stored) using prof when non-nil, else the direct kernel path.
-func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, kern kernel.Kernel,
-	geo *pairGeo, xs [][]float64, noise2 float64) {
-	n := len(xs)
+// triangles stored) from the cached pair differences.
+func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, geo *pairGeo, noise2 float64) {
+	n := geo.n
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			var v float64
-			if prof != nil {
-				v = prof.Eval(geo.diff(i, j))
-			} else {
-				v = kern.Eval(xs[i], xs[j])
-			}
+			v := prof.Eval(geo.diff(i, j))
 			dst.Set(i, j, v)
 			dst.Set(j, i, v)
 		}
@@ -81,13 +73,13 @@ func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, kern kernel.Ker
 // workspace's current kernel state. The returned slice is w.out, valid until
 // the next call.
 func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
-	n := len(w.xs)
+	n := len(w.ys)
 	nk := w.kern.NumHyper()
-	prof := kernel.ProfileOf(w.kern)
+	prof := w.kern.Profile()
 	noise2 := math.Exp(2 * w.logNoise)
 
 	// Pass 1: covariance fill and factorization.
-	fillCovariance(w.K, prof, w.kern, w.geo, w.xs, noise2)
+	fillCovariance(w.K, prof, w.geo, noise2)
 	chol, err := linalg.NewCholeskyReuse(w.K, w.chol)
 	if err != nil {
 		return 0, nil, err
@@ -115,11 +107,7 @@ func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
 			if lo > hi {
 				lo, hi = j, i
 			}
-			if prof != nil {
-				prof.EvalGrad(w.geo.diff(lo, hi), w.gbuf)
-			} else {
-				w.kern.EvalGrad(w.xs[lo], w.xs[hi], w.gbuf)
-			}
+			prof.EvalGrad(w.geo.diff(lo, hi), w.gbuf)
 			wij := wi[j] - ai*alpha[j]
 			for h := 0; h < nk; h++ {
 				out[h] += wij * w.gbuf[h]

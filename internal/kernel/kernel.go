@@ -1,7 +1,7 @@
-// Package kernel implements covariance functions for Gaussian-process
-// regression: squared-exponential and Matérn kernels with ARD length scales,
-// sum/product/slice combinators, and the structured multi-fidelity kernel of
-// Perdikaris et al. (2017) used by the paper's fusion model:
+// Package kernel implements the two covariance functions of the paper: the
+// squared-exponential kernel with ARD length scales (eq. 2) for every
+// single-fidelity GP, and the structured multi-fidelity kernel of Perdikaris
+// et al. (2017) used by the paper's fusion model (eq. 9):
 //
 //	k_h(z, z') = k1(f, f') · k2(x, x') + k3(x, x'),
 //
@@ -10,7 +10,10 @@
 //
 // All hyperparameters live in log-space so that unconstrained optimizers can
 // train them, and every kernel provides analytic gradients with respect to its
-// log-hyperparameters for fast marginal-likelihood training.
+// log-hyperparameters for fast marginal-likelihood training. Every kernel also
+// provides a PairProfile, the form package gp evaluates it in. The
+// sum/product/slice combinators exist as the term-by-term reference the eq. (9)
+// kernel is tested against.
 package kernel
 
 import "fmt"
@@ -36,6 +39,9 @@ type Kernel interface {
 	Bounds(lo, hi []float64) ([]float64, []float64)
 	// Clone returns an independent deep copy.
 	Clone() Kernel
+	// Profile returns a PairProfile snapshot of the current
+	// hyperparameters, bit-identical to Eval/EvalGrad (see PairProfile).
+	Profile() PairProfile
 }
 
 // HyperVector returns the kernel's log-hyperparameters as a fresh slice.

@@ -109,54 +109,9 @@ func TestSEARDGradient(t *testing.T) {
 	}
 }
 
-func TestMaternGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, mk := range []Kernel{NewMatern32(3), NewMatern52(3)} {
-		randHyper(rng, mk)
-		checkGradFD(t, mk, randVec(rng, 3), randVec(rng, 3), 1e-5)
-	}
-}
-
-func TestMaternAtZeroDistance(t *testing.T) {
-	for _, mk := range []Kernel{NewMatern32(2), NewMatern52(2)} {
-		x := []float64{0.3, -0.7}
-		if got := mk.Eval(x, x); math.Abs(got-1) > 1e-15 {
-			t.Fatalf("k(x,x) = %v, want 1 (unit amplitude)", got)
-		}
-		// Gradient at zero distance must be finite (no r=0 singularity).
-		grad := make([]float64, mk.NumHyper())
-		mk.EvalGrad(x, x, grad)
-		for _, g := range grad {
-			if math.IsNaN(g) || math.IsInf(g, 0) {
-				t.Fatalf("gradient at zero distance: %v", grad)
-			}
-		}
-	}
-}
-
-func TestMaternHeavierTails(t *testing.T) {
-	// At large distance, Matérn decays slower than SE.
-	se := NewSEARD(1)
-	m52 := NewMatern52(1)
-	x1, x2 := []float64{0}, []float64{4}
-	if se.Eval(x1, x2) >= m52.Eval(x1, x2) {
-		t.Fatal("SE should decay faster than Matérn-5/2 at large distance")
-	}
-}
-
-func TestConstantKernel(t *testing.T) {
-	k := NewConstant(3)
-	SetHyperVector(k, []float64{math.Log(2)})
-	if got := k.Eval(randVec(rand.New(rand.NewSource(1)), 3), randVec(rand.New(rand.NewSource(2)), 3)); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("constant = %v, want 4", got)
-	}
-	rng := rand.New(rand.NewSource(9))
-	checkGradFD(t, k, randVec(rng, 3), randVec(rng, 3), 1e-6)
-}
-
 func TestSumProductValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a, b := NewSEARD(2), NewMatern52(2)
+	a, b := NewSEARD(2), NewSEARD(2)
 	randHyper(rng, a)
 	randHyper(rng, b)
 	x1, x2 := randVec(rng, 2), randVec(rng, 2)
@@ -172,7 +127,7 @@ func TestSumProductValues(t *testing.T) {
 
 func TestSumProductGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	k := NewSum(NewProduct(NewSEARD(2), NewMatern32(2)), NewSEARD(2))
+	k := NewSum(NewProduct(NewSEARD(2), NewSEARD(2)), NewSEARD(2))
 	randHyper(rng, k)
 	checkGradFD(t, k, randVec(rng, 2), randVec(rng, 2), 1e-5)
 }
@@ -254,9 +209,9 @@ func TestNARGPIgnoresFWhenK1Flat(t *testing.T) {
 func TestGramPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	kernels := []Kernel{
-		NewSEARD(3), NewMatern32(3), NewMatern52(3),
-		NewSum(NewSEARD(3), NewMatern52(3)),
-		NewProduct(NewSEARD(3), NewMatern32(3)),
+		NewSEARD(3), NewNARGP(2),
+		NewSum(NewSEARD(3), NewSEARD(3)),
+		NewProduct(NewSEARD(3), NewSEARD(3)),
 	}
 	for _, k := range kernels {
 		randHyper(rng, k)
@@ -307,7 +262,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestBoundsLengths(t *testing.T) {
-	for _, k := range []Kernel{NewSEARD(4), NewMatern52(2), NewNARGP(3), NewConstant(1)} {
+	for _, k := range []Kernel{NewSEARD(4), NewNARGP(3), NewSum(NewSEARD(2), NewSlice(NewSEARD(1), 1, 2, 2))} {
 		lo, hi := BoundsVectors(k)
 		if len(lo) != k.NumHyper() || len(hi) != k.NumHyper() {
 			t.Fatalf("%T bounds lengths %d/%d, want %d", k, len(lo), len(hi), k.NumHyper())

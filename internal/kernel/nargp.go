@@ -98,7 +98,7 @@ type nargpProfile struct {
 	df         [1]float64 // scratch: the last-coordinate difference
 }
 
-// Profile implements Pairwise. Besides Eval and EvalGrad, the profile splits
+// Profile implements Kernel. Besides Eval and EvalGrad, the profile splits
 // its value in two steps for points that share x and differ only in the last
 // coordinate:
 //

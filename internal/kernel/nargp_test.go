@@ -62,7 +62,7 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 					t.Fatalf("d=%d trial %d: grad[%d] %v != composite %v", d, trial, j, g[j], gr[j])
 				}
 			}
-			p, pr := ProfileOf(k), ProfileOf(ref)
+			p, pr := k.Profile(), ref.Profile()
 			if a, b := p.Eval(diff), pr.Eval(diff); !same(a, b) {
 				t.Fatalf("d=%d trial %d: profile Eval %v != composite %v", d, trial, a, b)
 			}

@@ -96,154 +96,3 @@ func (k *SEARD) checkDim(x1, x2 []float64) {
 		panic(fmt.Sprintf("kernel: SEARD input dims %d/%d != %d", len(x1), len(x2), k.dim))
 	}
 }
-
-// Matern is the Matérn covariance with ARD length scales and ν ∈ {3/2, 5/2}.
-// Hyperparameters (log-space): [log σ_f, log l_1, …, log l_d].
-type Matern struct {
-	dim      int
-	nu32     bool // true: ν = 3/2, false: ν = 5/2
-	logAmp   float64
-	logScale []float64
-}
-
-// NewMatern32 returns a Matérn-3/2 ARD kernel.
-func NewMatern32(d int) *Matern { return newMatern(d, true) }
-
-// NewMatern52 returns a Matérn-5/2 ARD kernel.
-func NewMatern52(d int) *Matern { return newMatern(d, false) }
-
-func newMatern(d int, nu32 bool) *Matern {
-	if d < 1 {
-		panic(fmt.Sprintf("kernel: Matern dimension %d < 1", d))
-	}
-	return &Matern{dim: d, nu32: nu32, logScale: make([]float64, d)}
-}
-
-// Dim implements Kernel.
-func (k *Matern) Dim() int { return k.dim }
-
-// NumHyper implements Kernel.
-func (k *Matern) NumHyper() int { return 1 + k.dim }
-
-// Hyper implements Kernel.
-func (k *Matern) Hyper(dst []float64) []float64 {
-	dst = append(dst, k.logAmp)
-	return append(dst, k.logScale...)
-}
-
-// SetHyper implements Kernel.
-func (k *Matern) SetHyper(src []float64) int {
-	k.logAmp = src[0]
-	copy(k.logScale, src[1:1+k.dim])
-	return 1 + k.dim
-}
-
-func (k *Matern) r2(x1, x2 []float64, scaled []float64) float64 {
-	q := 0.0
-	for i := 0; i < k.dim; i++ {
-		d := (x1[i] - x2[i]) * math.Exp(-k.logScale[i])
-		s := d * d
-		if scaled != nil {
-			scaled[i] = s
-		}
-		q += s
-	}
-	return q
-}
-
-// Eval implements Kernel.
-func (k *Matern) Eval(x1, x2 []float64) float64 {
-	r := math.Sqrt(k.r2(x1, x2, nil))
-	amp2 := math.Exp(2 * k.logAmp)
-	if k.nu32 {
-		c := math.Sqrt(3) * r
-		return amp2 * (1 + c) * math.Exp(-c)
-	}
-	c := math.Sqrt(5) * r
-	return amp2 * (1 + c + c*c/3) * math.Exp(-c)
-}
-
-// EvalGrad implements Kernel.
-func (k *Matern) EvalGrad(x1, x2 []float64, grad []float64) float64 {
-	scaled := make([]float64, k.dim)
-	r := math.Sqrt(k.r2(x1, x2, scaled))
-	amp2 := math.Exp(2 * k.logAmp)
-	var v, dFactor float64
-	if k.nu32 {
-		c := math.Sqrt(3) * r
-		e := math.Exp(-c)
-		v = amp2 * (1 + c) * e
-		// ∂k/∂log l_i = 3·σ_f²·e^{−√3 r}·Δ_i²/l_i²
-		dFactor = 3 * amp2 * e
-	} else {
-		c := math.Sqrt(5) * r
-		e := math.Exp(-c)
-		v = amp2 * (1 + c + c*c/3) * e
-		// ∂k/∂log l_i = (5/3)·σ_f²·(1+√5 r)·e^{−√5 r}·Δ_i²/l_i²
-		dFactor = (5.0 / 3.0) * amp2 * (1 + c) * e
-	}
-	grad[0] = 2 * v
-	for i := 0; i < k.dim; i++ {
-		grad[1+i] = dFactor * scaled[i]
-	}
-	return v
-}
-
-// Bounds implements Kernel.
-func (k *Matern) Bounds(lo, hi []float64) ([]float64, []float64) {
-	lo = append(lo, -6)
-	hi = append(hi, 6)
-	for i := 0; i < k.dim; i++ {
-		lo = append(lo, -5)
-		hi = append(hi, 5)
-	}
-	return lo, hi
-}
-
-// Clone implements Kernel.
-func (k *Matern) Clone() Kernel {
-	return &Matern{dim: k.dim, nu32: k.nu32, logAmp: k.logAmp,
-		logScale: append([]float64(nil), k.logScale...)}
-}
-
-// Constant is the constant covariance k(x, x') = σ². Hyperparameter: [log σ].
-type Constant struct {
-	dim    int
-	logAmp float64
-}
-
-// NewConstant returns a constant kernel for d-dimensional inputs.
-func NewConstant(d int) *Constant { return &Constant{dim: d} }
-
-// Dim implements Kernel.
-func (k *Constant) Dim() int { return k.dim }
-
-// NumHyper implements Kernel.
-func (k *Constant) NumHyper() int { return 1 }
-
-// Hyper implements Kernel.
-func (k *Constant) Hyper(dst []float64) []float64 { return append(dst, k.logAmp) }
-
-// SetHyper implements Kernel.
-func (k *Constant) SetHyper(src []float64) int {
-	k.logAmp = src[0]
-	return 1
-}
-
-// Eval implements Kernel.
-func (k *Constant) Eval(_, _ []float64) float64 { return math.Exp(2 * k.logAmp) }
-
-// EvalGrad implements Kernel.
-func (k *Constant) EvalGrad(_, _ []float64, grad []float64) float64 {
-	v := math.Exp(2 * k.logAmp)
-	grad[0] = 2 * v
-	return v
-}
-
-// Bounds implements Kernel.
-func (k *Constant) Bounds(lo, hi []float64) ([]float64, []float64) {
-	return append(lo, -6), append(hi, 6)
-}
-
-// Clone implements Kernel.
-func (k *Constant) Clone() Kernel { return &Constant{dim: k.dim, logAmp: k.logAmp} }

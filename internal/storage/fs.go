@@ -32,8 +32,9 @@ type FSConfig struct {
 
 // FS is the hardened filesystem Store: each Put writes a checksummed,
 // length-prefixed envelope to a temp file, fsyncs it, renames it over the
-// new generation name and fsyncs the directory — the same discipline as
-// core.SaveCheckpoint, plus generational rollback. Layout under Dir:
+// new generation name and fsyncs the directory, so a snapshot survives both
+// a crash mid-write and a power loss right after the rename; older
+// generations allow rollback past a damaged one. Layout under Dir:
 //
 //	<id>.<kind>.g<%012d>.mfbo   record generations (envelope-framed)
 //	<id>.ckpt.json              legacy checkpoint (read-only fallback)
