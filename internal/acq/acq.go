@@ -1,7 +1,7 @@
 // Package acq implements the acquisition functions of §2.4: expected
 // improvement (eq. 5), probability of feasibility, the weighted expected
 // improvement wEI = EI·ΠPF (eq. 6) used by both the proposed method and the
-// WEIBO baseline, lower/upper confidence bounds (used by GASPAD), and the
+// WEIBO baseline, the lower confidence bound (used by GASPAD), and the
 // first-feasible bootstrap objective of §4.2 (eq. 13).
 //
 // All functions treat optimization as MINIMIZATION of the objective and
@@ -44,30 +44,6 @@ func EI(mu, sigma2, tau float64) float64 {
 	return sigma * (lambda*stats.NormCDF(lambda) + stats.NormPDF(lambda))
 }
 
-// LogEI returns log(EI) computed stably for very negative λ, where EI
-// underflows; useful when comparing tiny acquisition values far from the
-// incumbent.
-func LogEI(mu, sigma2, tau float64) float64 {
-	sigma := math.Sqrt(math.Max(sigma2, 0))
-	if sigma < 1e-12 {
-		imp := tau - mu
-		if imp <= 0 {
-			return math.Inf(-1)
-		}
-		return math.Log(imp)
-	}
-	lambda := (tau - mu) / sigma
-	if lambda > -6 {
-		v := lambda*stats.NormCDF(lambda) + stats.NormPDF(lambda)
-		if v <= 0 {
-			return math.Inf(-1)
-		}
-		return math.Log(sigma) + math.Log(v)
-	}
-	// Tail: EI ≈ σ·φ(λ)/λ² for λ → −∞ (from the asymptotics of Mills ratio).
-	return math.Log(sigma) - 0.5*lambda*lambda - 0.5*math.Log(2*math.Pi) - 2*math.Log(-lambda)
-}
-
 // PF returns the probability of feasibility Φ(−µ/σ) of a constraint modelled
 // as c(x) ~ N(mu, sigma2) with feasibility c(x) < 0. A deterministic
 // posterior (σ≈0) returns a hard 0/1 indicator.
@@ -100,28 +76,10 @@ func WEI(obj Posterior, cons []Posterior, tau float64) func(x []float64) float64
 	}
 }
 
-// PFOnly builds the pure feasibility-seeking acquisition Π_i PF_i(x), used
-// when no feasible incumbent exists yet and EI is undefined.
-func PFOnly(cons []Posterior) func(x []float64) float64 {
-	return func(x []float64) float64 {
-		a := 1.0
-		for _, c := range cons {
-			cm, cv := c(x)
-			a *= PF(cm, cv)
-		}
-		return a
-	}
-}
-
 // LCB returns the lower confidence bound µ − β·σ (for minimization); GASPAD
 // uses it for prescreening evolutionary candidates.
 func LCB(mu, sigma2, beta float64) float64 {
 	return mu - beta*math.Sqrt(math.Max(sigma2, 0))
-}
-
-// UCB returns the upper confidence bound µ + β·σ.
-func UCB(mu, sigma2, beta float64) float64 {
-	return mu + beta*math.Sqrt(math.Max(sigma2, 0))
 }
 
 // FeasibilityObjective builds the §4.2 bootstrap objective (eq. 13)

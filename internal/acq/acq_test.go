@@ -49,31 +49,6 @@ func TestEIMonotoneInSigmaAtMean(t *testing.T) {
 	}
 }
 
-func TestLogEIMatchesLogOfEI(t *testing.T) {
-	for _, c := range []struct{ mu, v, tau float64 }{
-		{0, 1, 0}, {1, 2, 0.5}, {-1, 0.3, -0.5}, {2, 1, 1.5},
-	} {
-		want := math.Log(EI(c.mu, c.v, c.tau))
-		got := LogEI(c.mu, c.v, c.tau)
-		if math.Abs(got-want) > 1e-8 {
-			t.Fatalf("LogEI(%v,%v,%v) = %v, want %v", c.mu, c.v, c.tau, got, want)
-		}
-	}
-}
-
-func TestLogEIStableInTail(t *testing.T) {
-	// Far above the incumbent, EI underflows but LogEI must stay finite and
-	// monotone decreasing in µ.
-	a := LogEI(50, 1, 0)
-	b := LogEI(60, 1, 0)
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		t.Fatalf("tail LogEI not finite: %v %v", a, b)
-	}
-	if b >= a {
-		t.Fatalf("LogEI should decrease with µ: %v vs %v", a, b)
-	}
-}
-
 func TestPF(t *testing.T) {
 	if got := PF(0, 1); math.Abs(got-0.5) > 1e-14 {
 		t.Fatalf("PF(0,1) = %v, want 0.5", got)
@@ -132,25 +107,9 @@ func TestWEIMultipleConstraintsMultiply(t *testing.T) {
 	}
 }
 
-func TestPFOnly(t *testing.T) {
-	a := PFOnly([]Posterior{constPosterior(0, 1), constPosterior(0, 1)})
-	if got := a([]float64{0}); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("PFOnly = %v, want 0.25", got)
-	}
-	if got := PFOnly(nil)([]float64{0}); got != 1 {
-		t.Fatalf("PFOnly(nil) = %v, want 1", got)
-	}
-}
-
-func TestLCBUCB(t *testing.T) {
+func TestLCB(t *testing.T) {
 	if got := LCB(1, 4, 2); got != 1-4 {
 		t.Fatalf("LCB = %v, want -3", got)
-	}
-	if got := UCB(1, 4, 2); got != 1+4 {
-		t.Fatalf("UCB = %v, want 5", got)
-	}
-	if LCB(1, 4, 2) > UCB(1, 4, 2) {
-		t.Fatal("LCB must not exceed UCB")
 	}
 }
 

@@ -30,15 +30,6 @@ type GASPADConfig struct {
 	F, CR float64
 	// GPRestarts / GPMaxIter / RefitEvery tune surrogate training.
 	GPRestarts, GPMaxIter, RefitEvery int
-	// Incremental maintains the surrogates between full refits with O(n²)
-	// rank-1 Cholesky appends instead of refactorizing from scratch — the
-	// same machinery as core.Config.Incremental. With RefitEvery = 1 it is
-	// bit-identical to the exact path.
-	Incremental bool
-	// LowRankAfter, when positive, switches any surrogate whose training set
-	// exceeds it to the inducing-point approximation with LowRankAfter
-	// inducing points (gp.Config.Inducing). Zero keeps exact GPs.
-	LowRankAfter int
 	// FixedNoise pins GP observation noise.
 	FixedNoise *float64
 	// Callback observes every simulation.
@@ -83,9 +74,6 @@ func (c *GASPADConfig) defaults() error {
 	if c.RefitEvery <= 0 {
 		c.RefitEvery = 1
 	}
-	if c.LowRankAfter < 0 {
-		return fmt.Errorf("baselines: GASPAD negative LowRankAfter %d", c.LowRankAfter)
-	}
 	if c.FixedNoise == nil {
 		v := 1e-4
 		c.FixedNoise = &v
@@ -125,8 +113,7 @@ func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, 
 		record(-1, x)
 	}
 
-	surr := newSurrogates(d, nOut, cfg.Incremental, cfg.LowRankAfter,
-		cfg.GPRestarts, cfg.GPMaxIter, cfg.FixedNoise, cfg.Workers)
+	surr := newSurrogates(d, nOut, cfg.GPRestarts, cfg.GPMaxIter, cfg.FixedNoise, cfg.Workers)
 
 	for iter := 0; res.NumHigh < cfg.Budget; iter++ {
 		fullRefit := iter%cfg.RefitEvery == 0

@@ -8,41 +8,27 @@ import (
 	"repro/internal/kernel"
 )
 
-// surrogates maintains the per-output GP models of a single-fidelity baseline
-// across iterations, mirroring the incremental machinery of the core MFBO
-// loop (core.Config.Incremental, DESIGN.md §12) so the baseline comparisons
-// scale the same way:
+// surrogates maintains the per-output exact SE-ARD GP models of a
+// single-fidelity baseline across iterations:
 //
-//   - full-refit iterations retrain hyperparameters (warm-started) and
-//     rebuild the factorization — the exact path;
-//   - skip iterations with Incremental off re-factorize from scratch under
-//     frozen hyperparameters (gp.Config.SkipTraining), O(n³);
-//   - skip iterations with Incremental on fold only the new rows into the
-//     cached models with bordered rank-1 Cholesky updates, O(n²) — falling
-//     back to a full fit if an update fails;
-//   - LowRankAfter > 0 additionally caps any model's exact training at that
-//     many inducing points (gp.Config.Inducing).
-//
-// With RefitEvery = 1 every iteration is a full refit, so Incremental changes
-// nothing — the bit-exactness oracle the tests pin down.
+//   - full-refit iterations retrain hyperparameters (warm-started from the
+//     previous fit) and rebuild the factorization;
+//   - the other iterations re-factorize under the frozen hyperparameters
+//     (gp.Config.SkipTraining).
 type surrogates struct {
-	dim         int
-	nOut        int
-	incremental bool
-	inducing    int
-	restarts    int
-	maxIter     int
-	fixedNoise  *float64
-	workers     int
+	dim        int
+	nOut       int
+	restarts   int
+	maxIter    int
+	fixedNoise *float64
+	workers    int
 
-	warm   [][]float64
-	cached []*gp.Model
+	warm [][]float64
 }
 
-func newSurrogates(dim, nOut int, incremental bool, inducing, restarts, maxIter int, fixedNoise *float64, workers int) *surrogates {
+func newSurrogates(dim, nOut, restarts, maxIter int, fixedNoise *float64, workers int) *surrogates {
 	return &surrogates{
 		dim: dim, nOut: nOut,
-		incremental: incremental, inducing: inducing,
 		restarts: restarts, maxIter: maxIter,
 		fixedNoise: fixedNoise, workers: workers,
 		warm: make([][]float64, nOut),
@@ -51,11 +37,6 @@ func newSurrogates(dim, nOut int, incremental bool, inducing, restarts, maxIter 
 
 // models returns one trained model per output covering all rows of (X, Y).
 func (s *surrogates) models(X [][]float64, Y [][]float64, fullRefit bool, rng *rand.Rand) ([]*gp.Model, error) {
-	if s.incremental && !fullRefit && s.cached != nil {
-		if ms, ok := s.extend(X, Y); ok {
-			return ms, nil
-		}
-	}
 	column := func(k int) []float64 {
 		col := make([]float64, len(Y))
 		for i, row := range Y {
@@ -72,7 +53,6 @@ func (s *surrogates) models(X [][]float64, Y [][]float64, fullRefit bool, rng *r
 			FixedNoise:   s.fixedNoise,
 			WarmStart:    s.warm[k],
 			SkipTraining: !fullRefit && s.warm[k] != nil,
-			Inducing:     s.inducing,
 			Workers:      s.workers,
 		}, rng)
 		if err != nil {
@@ -81,20 +61,5 @@ func (s *surrogates) models(X [][]float64, Y [][]float64, fullRefit bool, rng *r
 		s.warm[k] = m.Hyper()
 		ms[k] = m
 	}
-	s.cached = ms
 	return ms, nil
-}
-
-// extend folds the rows the cached models have not seen yet into them via
-// rank-1 appends. false (with the cache dropped) means a full fit is needed.
-func (s *surrogates) extend(X [][]float64, Y [][]float64) ([]*gp.Model, bool) {
-	for k, m := range s.cached {
-		for i := m.TrainingSize(); i < len(X); i++ {
-			if err := m.AppendObservation(X[i], Y[i][k]); err != nil {
-				s.cached = nil
-				return nil, false
-			}
-		}
-	}
-	return s.cached, true
 }

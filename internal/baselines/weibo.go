@@ -33,15 +33,6 @@ type WEIBOConfig struct {
 	MSP optimize.MSPConfig
 	// GPRestarts / GPMaxIter / RefitEvery tune surrogate training.
 	GPRestarts, GPMaxIter, RefitEvery int
-	// Incremental maintains the surrogates between full refits with O(n²)
-	// rank-1 Cholesky appends instead of refactorizing from scratch — the
-	// same machinery as core.Config.Incremental. With RefitEvery = 1 it is
-	// bit-identical to the exact path.
-	Incremental bool
-	// LowRankAfter, when positive, switches any surrogate whose training set
-	// exceeds it to the inducing-point approximation with LowRankAfter
-	// inducing points (gp.Config.Inducing). Zero keeps exact GPs.
-	LowRankAfter int
 	// FixedNoise pins GP observation noise (default 1e-4, standardized).
 	FixedNoise *float64
 	// Callback observes every simulation.
@@ -70,9 +61,6 @@ func (c *WEIBOConfig) defaults() error {
 	}
 	if c.RefitEvery <= 0 {
 		c.RefitEvery = 1
-	}
-	if c.LowRankAfter < 0 {
-		return fmt.Errorf("baselines: WEIBO negative LowRankAfter %d", c.LowRankAfter)
 	}
 	if c.FixedNoise == nil {
 		v := 1e-4
@@ -116,8 +104,7 @@ func WEIBO(p problem.Problem, cfg WEIBOConfig, rng *rand.Rand) (*core.Result, er
 		record(-1, x)
 	}
 
-	surr := newSurrogates(d, nOut, cfg.Incremental, cfg.LowRankAfter,
-		cfg.GPRestarts, cfg.GPMaxIter, cfg.FixedNoise, cfg.Workers)
+	surr := newSurrogates(d, nOut, cfg.GPRestarts, cfg.GPMaxIter, cfg.FixedNoise, cfg.Workers)
 
 	for iter := 0; res.NumHigh < cfg.Budget; iter++ {
 		fullRefit := iter%cfg.RefitEvery == 0

@@ -50,7 +50,6 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/problem"
 	"repro/internal/robust"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -131,10 +130,6 @@ type Config struct {
 	MaxIterations int
 	// Callback, when non-nil, observes every simulation as it happens.
 	Callback func(Observation)
-	// InitSampler generates the initialization designs (default
-	// stats.LatinHypercube; doe.SobolInBox / doe.HaltonInBox / doe.Auto are
-	// drop-in alternatives).
-	InitSampler func(rng *rand.Rand, lo, hi []float64, n int) [][]float64
 	// Checkpointer, when non-nil, receives a full state snapshot after the
 	// initialization phase and after every adaptive iteration. Use
 	// StoreCheckpointer for durable persistence through a storage.Store; a
@@ -205,9 +200,6 @@ func (c *Config) defaults() error {
 	if c.FixedNoise == nil {
 		v := 1e-4
 		c.FixedNoise = &v
-	}
-	if c.InitSampler == nil {
-		c.InitSampler = stats.LatinHypercube
 	}
 	if c.MSP.Workers == 0 {
 		c.MSP.Workers = c.Workers

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/doe"
 	"repro/internal/fidelity"
 	"repro/internal/mfgp"
 	"repro/internal/optimize"
@@ -251,28 +250,6 @@ func TestRefitEveryStillWorks(t *testing.T) {
 	}
 	if len(res.History) == 0 {
 		t.Fatal("no history")
-	}
-}
-
-func TestInitSamplerPluggable(t *testing.T) {
-	p := testfunc.Forrester()
-	rng := rand.New(rand.NewSource(16))
-	cfg := fastCfg(8)
-	cfg.InitSampler = doe.SobolInBox
-	res, err := Optimize(p, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumLow < cfg.InitLow || res.NumHigh < cfg.InitHigh {
-		t.Fatal("Sobol initialization missing points")
-	}
-	// High-dimensional automatic fallback (Halton) also works.
-	cp := testfunc.ParkMF()
-	rng = rand.New(rand.NewSource(17))
-	cfg = fastCfg(6)
-	cfg.InitSampler = doe.Auto
-	if _, err := Optimize(cp, cfg, rng); err != nil {
-		t.Fatal(err)
 	}
 }
 

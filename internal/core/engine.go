@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/problem"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -122,7 +123,7 @@ func NewEngine(p problem.Problem, cfg Config, rng *rand.Rand) (*Engine, error) {
 	e.initQ = make([][][]float64, len(sizes))
 	e.initNext = make([]int, len(sizes))
 	for r, n := range sizes {
-		e.initQ[r] = cfg.InitSampler(rng, st.lo, st.hi, n)
+		e.initQ[r] = stats.LatinHypercube(rng, st.lo, st.hi, n)
 	}
 	return e, nil
 }
@@ -282,7 +283,7 @@ func RestoreEngine(p problem.Problem, cfg Config, rng *rand.Rand, ck *Checkpoint
 		return e, nil
 	}
 	for r, n := range sizes {
-		design := cfg.InitSampler(rng, st.lo, st.hi, n)
+		design := stats.LatinHypercube(rng, st.lo, st.hi, n)
 		if e.initNext[r] < len(design) {
 			e.initQ[r] = design[e.initNext[r]:]
 		}

@@ -22,6 +22,9 @@ import (
 	"repro/internal/telemetry"
 )
 
+// minLogNoise and maxLogNoise bound the trained log σ_n.
+const minLogNoise, maxLogNoise = -8.0, 1.0
+
 // Config controls model training. The zero value of optional fields selects
 // sensible defaults.
 type Config struct {
@@ -33,13 +36,12 @@ type Config struct {
 	Restarts int
 	// MaxIter bounds L-BFGS iterations per restart (default 100).
 	MaxIter int
-	// NoiseBounds are log-space bounds for log σ_n (default [-8, 1]).
-	NoiseBounds [2]float64
 	// FixedNoise, when non-nil, pins σ_n to the given value (in standardized
 	// output units) instead of training it. Use a small value such as 1e-4
 	// for noiseless computer experiments.
 	FixedNoise *float64
-	// NoStandardizeX disables input standardization (used by tests).
+	// NoStandardizeX disables input standardization (set by the low-rank
+	// subset fit, whose inputs are already standardized).
 	NoStandardizeX bool
 	// WarmStart, when non-nil, is used as the primary training start instead
 	// of the default initialization — pass a previous fit's Hyper() to speed
@@ -82,9 +84,6 @@ func (c *Config) defaults() error {
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 100
-	}
-	if c.NoiseBounds == [2]float64{} {
-		c.NoiseBounds = [2]float64{-8, 1}
 	}
 	return nil
 }
@@ -208,7 +207,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 		if len(cfg.WarmStart) >= nk {
 			m.kern.SetHyper(cfg.WarmStart[:nk])
 			if trainNoise && len(cfg.WarmStart) > nk {
-				m.logNoise = clamp(cfg.WarmStart[nk], cfg.NoiseBounds[0], cfg.NoiseBounds[1])
+				m.logNoise = clamp(cfg.WarmStart[nk], minLogNoise, maxLogNoise)
 			}
 		}
 		if err := m.factorize(); err != nil {
@@ -233,7 +232,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	if len(cfg.WarmStart) >= nk {
 		copy(start[:nk], cfg.WarmStart[:nk])
 		if trainNoise && len(cfg.WarmStart) > nk {
-			start[nk] = clamp(cfg.WarmStart[nk], cfg.NoiseBounds[0], cfg.NoiseBounds[1])
+			start[nk] = clamp(cfg.WarmStart[nk], minLogNoise, maxLogNoise)
 		}
 	}
 	starts[0] = start
@@ -243,8 +242,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 			theta0[j] = loK[j] + rng.Float64()*(hiK[j]-loK[j])*0.5 + 0.25*(hiK[j]-loK[j])
 		}
 		if trainNoise {
-			lo, hi := cfg.NoiseBounds[0], cfg.NoiseBounds[1]
-			theta0[nk] = lo + rng.Float64()*(hi-lo)
+			theta0[nk] = minLogNoise + rng.Float64()*(maxLogNoise-minLogNoise)
 		}
 		starts[1+r] = theta0
 	}
@@ -277,7 +275,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 		obj := func(theta, grad []float64) float64 {
 			ws.kern.SetHyper(theta[:nk])
 			if trainNoise {
-				ws.logNoise = clamp(theta[nk], cfg.NoiseBounds[0], cfg.NoiseBounds[1])
+				ws.logNoise = clamp(theta[nk], minLogNoise, maxLogNoise)
 			} else {
 				ws.logNoise = fixedLogNoise
 			}
@@ -315,7 +313,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	}
 	m.kern.SetHyper(bestTheta[:nk])
 	if trainNoise {
-		m.logNoise = clamp(bestTheta[nk], cfg.NoiseBounds[0], cfg.NoiseBounds[1])
+		m.logNoise = clamp(bestTheta[nk], minLogNoise, maxLogNoise)
 	}
 	if err := m.factorize(); err != nil {
 		return nil, err

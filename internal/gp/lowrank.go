@@ -71,7 +71,7 @@ func (m *Model) fitLowRank(rng *rand.Rand) error {
 		if len(cfg.WarmStart) >= nk {
 			m.kern.SetHyper(cfg.WarmStart[:nk])
 			if trainNoise && len(cfg.WarmStart) > nk {
-				m.logNoise = clamp(cfg.WarmStart[nk], cfg.NoiseBounds[0], cfg.NoiseBounds[1])
+				m.logNoise = clamp(cfg.WarmStart[nk], minLogNoise, maxLogNoise)
 			}
 		}
 		m.info = FitInfo{SkippedTraining: true, LowRank: true}
@@ -84,8 +84,7 @@ func (m *Model) fitLowRank(rng *rand.Rand) error {
 		}
 		sub, err := Fit(subX, subY, Config{
 			Kernel: m.kern.Clone(), Restarts: cfg.Restarts, MaxIter: cfg.MaxIter,
-			NoiseBounds: cfg.NoiseBounds, FixedNoise: cfg.FixedNoise,
-			NoStandardizeX: true, WarmStart: cfg.WarmStart,
+			FixedNoise: cfg.FixedNoise, NoStandardizeX: true, WarmStart: cfg.WarmStart,
 			Workers: cfg.Workers, Span: cfg.Span,
 		}, rng)
 		if err != nil {
@@ -94,7 +93,7 @@ func (m *Model) fitLowRank(rng *rand.Rand) error {
 		h := sub.Hyper()
 		m.kern.SetHyper(h[:nk])
 		if trainNoise {
-			m.logNoise = clamp(h[nk], cfg.NoiseBounds[0], cfg.NoiseBounds[1])
+			m.logNoise = clamp(h[nk], minLogNoise, maxLogNoise)
 		} else {
 			m.logNoise = math.Log(math.Max(*cfg.FixedNoise, 1e-10))
 		}

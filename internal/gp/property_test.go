@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 )
 
 // Conditioning on an additional observation must reduce (or keep) the
@@ -88,8 +89,8 @@ func TestDuplicateTrainingPoints(t *testing.T) {
 func TestInterpolationAcrossKernels(t *testing.T) {
 	kernels := []func() kernel.Kernel{
 		func() kernel.Kernel { return kernel.NewSEARD(1) },
-		func() kernel.Kernel { return kernel.NewSum(kernel.NewSEARD(1), kernel.NewSEARD(1)) },
-		func() kernel.Kernel { return kernel.NewProduct(kernel.NewSEARD(1), kernel.NewSEARD(1)) },
+		func() kernel.Kernel { return kerneltest.NewSum(kernel.NewSEARD(1), kernel.NewSEARD(1)) },
+		func() kernel.Kernel { return kerneltest.NewProduct(kernel.NewSEARD(1), kernel.NewSEARD(1)) },
 	}
 	X := [][]float64{{0}, {0.5}, {1}}
 	y := []float64{1, -1, 2}

@@ -11,9 +11,7 @@
 // All hyperparameters live in log-space so that unconstrained optimizers can
 // train them, and every kernel provides analytic gradients with respect to its
 // log-hyperparameters for fast marginal-likelihood training. Every kernel also
-// provides a PairProfile, the form package gp evaluates it in. The
-// sum/product/slice combinators exist as the term-by-term reference the eq. (9)
-// kernel is tested against.
+// provides a PairProfile, the form package gp evaluates it in.
 package kernel
 
 import "fmt"

@@ -1,4 +1,4 @@
-package kernel
+package kernel_test
 
 import (
 	"math"
@@ -6,11 +6,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/linalg"
 )
 
 // checkGradFD compares EvalGrad against central finite differences.
-func checkGradFD(t *testing.T, k Kernel, x1, x2 []float64, tol float64) {
+func checkGradFD(t *testing.T, k kernel.Kernel, x1, x2 []float64, tol float64) {
 	t.Helper()
 	n := k.NumHyper()
 	grad := make([]float64, n)
@@ -18,18 +20,18 @@ func checkGradFD(t *testing.T, k Kernel, x1, x2 []float64, tol float64) {
 	if got := k.Eval(x1, x2); math.Abs(got-v) > 1e-12*(1+math.Abs(v)) {
 		t.Fatalf("EvalGrad value %v != Eval %v", v, got)
 	}
-	theta := HyperVector(k)
+	theta := kernel.HyperVector(k)
 	const h = 1e-6
 	for j := 0; j < n; j++ {
 		save := theta[j]
 		theta[j] = save + h
-		SetHyperVector(k, theta)
+		kernel.SetHyperVector(k, theta)
 		up := k.Eval(x1, x2)
 		theta[j] = save - h
-		SetHyperVector(k, theta)
+		kernel.SetHyperVector(k, theta)
 		dn := k.Eval(x1, x2)
 		theta[j] = save
-		SetHyperVector(k, theta)
+		kernel.SetHyperVector(k, theta)
 		fd := (up - dn) / (2 * h)
 		if math.Abs(fd-grad[j]) > tol*(1+math.Abs(fd)) {
 			t.Fatalf("hyper %d: analytic %v vs fd %v", j, grad[j], fd)
@@ -45,16 +47,16 @@ func randVec(rng *rand.Rand, d int) []float64 {
 	return v
 }
 
-func randHyper(rng *rand.Rand, k Kernel) {
+func randHyper(rng *rand.Rand, k kernel.Kernel) {
 	h := make([]float64, k.NumHyper())
 	for i := range h {
 		h[i] = rng.Float64()*2 - 1
 	}
-	SetHyperVector(k, h)
+	kernel.SetHyperVector(k, h)
 }
 
 func TestSEARDValue(t *testing.T) {
-	k := NewSEARD(2) // unit amplitude, unit length scales
+	k := kernel.NewSEARD(2) // unit amplitude, unit length scales
 	if got := k.Eval([]float64{0, 0}, []float64{0, 0}); math.Abs(got-1) > 1e-15 {
 		t.Fatalf("k(x,x) = %v, want 1", got)
 	}
@@ -65,10 +67,10 @@ func TestSEARDValue(t *testing.T) {
 }
 
 func TestSEARDLengthScaleEffect(t *testing.T) {
-	k := NewSEARD(1)
-	SetHyperVector(k, []float64{0, math.Log(10)}) // long length scale
+	k := kernel.NewSEARD(1)
+	kernel.SetHyperVector(k, []float64{0, math.Log(10)}) // long length scale
 	far := k.Eval([]float64{0}, []float64{1})
-	SetHyperVector(k, []float64{0, math.Log(0.1)}) // short length scale
+	kernel.SetHyperVector(k, []float64{0, math.Log(0.1)}) // short length scale
 	near := k.Eval([]float64{0}, []float64{1})
 	if far <= near {
 		t.Fatalf("longer length scale should increase correlation: %v vs %v", far, near)
@@ -79,23 +81,23 @@ func TestSEARDGradient(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := 1 + rng.Intn(4)
-		k := NewSEARD(d)
+		k := kernel.NewSEARD(d)
 		randHyper(rng, k)
 		x1, x2 := randVec(rng, d), randVec(rng, d)
 		grad := make([]float64, k.NumHyper())
 		v := k.EvalGrad(x1, x2, grad)
-		theta := HyperVector(k)
+		theta := kernel.HyperVector(k)
 		const h = 1e-6
 		for j := range theta {
 			save := theta[j]
 			theta[j] = save + h
-			SetHyperVector(k, theta)
+			kernel.SetHyperVector(k, theta)
 			up := k.Eval(x1, x2)
 			theta[j] = save - h
-			SetHyperVector(k, theta)
+			kernel.SetHyperVector(k, theta)
 			dn := k.Eval(x1, x2)
 			theta[j] = save
-			SetHyperVector(k, theta)
+			kernel.SetHyperVector(k, theta)
 			fd := (up - dn) / (2 * h)
 			if math.Abs(fd-grad[j]) > 1e-5*(1+math.Abs(fd)) {
 				return false
@@ -111,12 +113,12 @@ func TestSEARDGradient(t *testing.T) {
 
 func TestSumProductValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a, b := NewSEARD(2), NewSEARD(2)
+	a, b := kernel.NewSEARD(2), kernel.NewSEARD(2)
 	randHyper(rng, a)
 	randHyper(rng, b)
 	x1, x2 := randVec(rng, 2), randVec(rng, 2)
-	sum := NewSum(a.Clone(), b.Clone())
-	prod := NewProduct(a.Clone(), b.Clone())
+	sum := kerneltest.NewSum(a.Clone(), b.Clone())
+	prod := kerneltest.NewProduct(a.Clone(), b.Clone())
 	if got, want := sum.Eval(x1, x2), a.Eval(x1, x2)+b.Eval(x1, x2); math.Abs(got-want) > 1e-14 {
 		t.Fatalf("sum %v != %v", got, want)
 	}
@@ -127,18 +129,18 @@ func TestSumProductValues(t *testing.T) {
 
 func TestSumProductGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	k := NewSum(NewProduct(NewSEARD(2), NewSEARD(2)), NewSEARD(2))
+	k := kerneltest.NewSum(kerneltest.NewProduct(kernel.NewSEARD(2), kernel.NewSEARD(2)), kernel.NewSEARD(2))
 	randHyper(rng, k)
 	checkGradFD(t, k, randVec(rng, 2), randVec(rng, 2), 1e-5)
 }
 
 func TestHyperRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	k := NewNARGP(3)
+	k := kernel.NewNARGP(3)
 	randHyper(rng, k)
-	h1 := HyperVector(k)
-	SetHyperVector(k, h1)
-	h2 := HyperVector(k)
+	h1 := kernel.HyperVector(k)
+	kernel.SetHyperVector(k, h1)
+	h2 := kernel.HyperVector(k)
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatalf("hyper round trip mismatch at %d", i)
@@ -150,8 +152,8 @@ func TestHyperRoundTrip(t *testing.T) {
 }
 
 func TestSliceKernel(t *testing.T) {
-	inner := NewSEARD(2)
-	s := NewSlice(inner, 1, 3, 4)
+	inner := kernel.NewSEARD(2)
+	s := kerneltest.NewSlice(inner, 1, 3, 4)
 	x1 := []float64{9, 0.1, 0.2, 9}
 	x2 := []float64{-9, 0.3, 0.4, -9}
 	want := inner.Eval([]float64{0.1, 0.2}, []float64{0.3, 0.4})
@@ -169,19 +171,19 @@ func TestSlicePanicsOnBadRange(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSlice(NewSEARD(2), 0, 1, 4)
+	kerneltest.NewSlice(kernel.NewSEARD(2), 0, 1, 4)
 }
 
 func TestNARGPStructure(t *testing.T) {
 	d := 3
-	k := NewNARGP(d)
+	k := kernel.NewNARGP(d)
 	if k.Dim() != d+1 {
-		t.Fatalf("NARGP dim %d, want %d", k.Dim(), d+1)
+		t.Fatalf("kernel.NARGP dim %d, want %d", k.Dim(), d+1)
 	}
 	// NumHyper: k1 (1-d SE: 2) + k2 (d-dim SE: d+1) + k3 (d+1) = d+d+4... wait
 	want := 2 + (d + 1) + (d + 1)
 	if k.NumHyper() != want {
-		t.Fatalf("NARGP hypers %d, want %d", k.NumHyper(), want)
+		t.Fatalf("kernel.NARGP hypers %d, want %d", k.NumHyper(), want)
 	}
 	rng := rand.New(rand.NewSource(8))
 	randHyper(rng, k)
@@ -192,10 +194,10 @@ func TestNARGPIgnoresFWhenK1Flat(t *testing.T) {
 	// With a huge k1 length scale on the f coordinate, the kernel should be
 	// nearly independent of f.
 	d := 2
-	k := NewNARGP(d)
+	k := kernel.NewNARGP(d)
 	h := make([]float64, k.NumHyper())
 	h[1] = 5 // log l_f large → k1 ≈ constant
-	SetHyperVector(k, h)
+	kernel.SetHyperVector(k, h)
 	z1 := []float64{0.1, 0.2, -3}
 	z2 := []float64{0.1, 0.2, +3}
 	v1 := k.Eval(z1, z1)
@@ -208,10 +210,10 @@ func TestNARGPIgnoresFWhenK1Flat(t *testing.T) {
 // Gram matrices of valid kernels must be symmetric PSD.
 func TestGramPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	kernels := []Kernel{
-		NewSEARD(3), NewNARGP(2),
-		NewSum(NewSEARD(3), NewSEARD(3)),
-		NewProduct(NewSEARD(3), NewSEARD(3)),
+	kernels := []kernel.Kernel{
+		kernel.NewSEARD(3), kernel.NewNARGP(2),
+		kerneltest.NewSum(kernel.NewSEARD(3), kernel.NewSEARD(3)),
+		kerneltest.NewProduct(kernel.NewSEARD(3), kernel.NewSEARD(3)),
 	}
 	for _, k := range kernels {
 		randHyper(rng, k)
@@ -247,14 +249,14 @@ func TestGramPSD(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	k := NewNARGP(2)
+	k := kernel.NewNARGP(2)
 	c := k.Clone()
 	h := make([]float64, k.NumHyper())
 	for i := range h {
 		h[i] = 1
 	}
-	SetHyperVector(c, h)
-	for _, v := range HyperVector(k) {
+	kernel.SetHyperVector(c, h)
+	for _, v := range kernel.HyperVector(k) {
 		if v != 0 {
 			t.Fatal("Clone shares hyperparameter storage")
 		}
@@ -262,8 +264,8 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestBoundsLengths(t *testing.T) {
-	for _, k := range []Kernel{NewSEARD(4), NewNARGP(3), NewSum(NewSEARD(2), NewSlice(NewSEARD(1), 1, 2, 2))} {
-		lo, hi := BoundsVectors(k)
+	for _, k := range []kernel.Kernel{kernel.NewSEARD(4), kernel.NewNARGP(3), kerneltest.NewSum(kernel.NewSEARD(2), kerneltest.NewSlice(kernel.NewSEARD(1), 1, 2, 2))} {
+		lo, hi := kernel.BoundsVectors(k)
 		if len(lo) != k.NumHyper() || len(hi) != k.NumHyper() {
 			t.Fatalf("%T bounds lengths %d/%d, want %d", k, len(lo), len(hi), k.NumHyper())
 		}

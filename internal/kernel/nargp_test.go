@@ -1,30 +1,40 @@
-package kernel
+package kernel_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 )
 
 // compositeNARGP is eq. (9) assembled from the generic combinators: the
 // reference the dedicated NARGP type must reproduce bit for bit.
-func compositeNARGP(d int) Kernel {
+func compositeNARGP(d int) kernel.Kernel {
 	full := d + 1
-	k1 := NewSlice(NewSEARD(1), d, d+1, full)
-	k2 := NewSlice(NewSEARD(d), 0, d, full)
-	k3 := NewSlice(NewSEARD(d), 0, d, full)
-	return NewSum(NewProduct(k1, k2), k3)
+	k1 := kerneltest.NewSlice(kernel.NewSEARD(1), d, d+1, full)
+	k2 := kerneltest.NewSlice(kernel.NewSEARD(d), 0, d, full)
+	k3 := kerneltest.NewSlice(kernel.NewSEARD(d), 0, d, full)
+	return kerneltest.NewSum(kerneltest.NewProduct(k1, k2), k3)
+}
+
+// splitProfile is the x-part/combine split the NARGP profile offers fused
+// predictions.
+type splitProfile interface {
+	XPart(diff []float64) (k2, k3 float64)
+	Combine(df, k2, k3 float64) float64
 }
 
 func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, d := range []int{1, 3, 5} {
-		k, ref := NewNARGP(d), compositeNARGP(d)
+		k, ref := kernel.NewNARGP(d), compositeNARGP(d)
 		if k.NumHyper() != ref.NumHyper() || k.Dim() != ref.Dim() {
 			t.Fatalf("d=%d: shape (%d, %d) != composite (%d, %d)", d, k.Dim(), k.NumHyper(), ref.Dim(), ref.NumHyper())
 		}
-		lo, hi := BoundsVectors(k)
-		rlo, rhi := BoundsVectors(ref)
+		lo, hi := kernel.BoundsVectors(k)
+		rlo, rhi := kernel.BoundsVectors(ref)
 		for j := range lo {
 			if lo[j] != rlo[j] || hi[j] != rhi[j] {
 				t.Fatalf("d=%d: bound %d differs from the composite", d, j)
@@ -38,9 +48,9 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 			for j := range h {
 				h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 			}
-			SetHyperVector(k, h)
-			SetHyperVector(ref, h)
-			for j, v := range HyperVector(k) {
+			kernel.SetHyperVector(k, h)
+			kernel.SetHyperVector(ref, h)
+			for j, v := range kernel.HyperVector(k) {
 				if v != h[j] {
 					t.Fatalf("d=%d: hyper layout moved entry %d", d, j)
 				}
@@ -75,7 +85,7 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 					t.Fatalf("d=%d trial %d: profile grad[%d] %v != composite %v", d, trial, j, g[j], gr[j])
 				}
 			}
-			sp := p.(*nargpProfile)
+			sp := p.(splitProfile)
 			k2, k3 := sp.XPart(diff)
 			if a, b := sp.Combine(diff[d], k2, k3), pr.Eval(diff); !same(a, b) {
 				t.Fatalf("d=%d trial %d: Combine(XPart) %v != composite %v", d, trial, a, b)
@@ -90,5 +100,5 @@ func TestNARGPRejectsZeroDim(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewNARGP(0)
+	kernel.NewNARGP(0)
 }

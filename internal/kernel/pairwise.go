@@ -73,76 +73,3 @@ func (p *seProfile) EvalGrad(diff, grad []float64) float64 {
 	}
 	return v
 }
-
-// --- Combinators ---
-
-type sumProfile struct {
-	a, b PairProfile
-	na   int
-}
-
-// Profile implements Kernel.
-func (k *Sum) Profile() PairProfile {
-	return &sumProfile{a: k.A.Profile(), b: k.B.Profile(), na: k.A.NumHyper()}
-}
-
-func (p *sumProfile) NumHyper() int { return p.na + p.b.NumHyper() }
-
-func (p *sumProfile) Eval(diff []float64) float64 {
-	return p.a.Eval(diff) + p.b.Eval(diff)
-}
-
-func (p *sumProfile) EvalGrad(diff, grad []float64) float64 {
-	va := p.a.EvalGrad(diff, grad[:p.na])
-	vb := p.b.EvalGrad(diff, grad[p.na:])
-	return va + vb
-}
-
-type productProfile struct {
-	a, b PairProfile
-	na   int
-}
-
-// Profile implements Kernel.
-func (k *Product) Profile() PairProfile {
-	return &productProfile{a: k.A.Profile(), b: k.B.Profile(), na: k.A.NumHyper()}
-}
-
-func (p *productProfile) NumHyper() int { return p.na + p.b.NumHyper() }
-
-func (p *productProfile) Eval(diff []float64) float64 {
-	return p.a.Eval(diff) * p.b.Eval(diff)
-}
-
-func (p *productProfile) EvalGrad(diff, grad []float64) float64 {
-	va := p.a.EvalGrad(diff, grad[:p.na])
-	vb := p.b.EvalGrad(diff, grad[p.na:])
-	for i := 0; i < p.na; i++ {
-		grad[i] *= vb
-	}
-	for i := p.na; i < len(grad); i++ {
-		grad[i] *= va
-	}
-	return va * vb
-}
-
-type sliceProfile struct {
-	inner      PairProfile
-	start, end int
-}
-
-// Profile implements Kernel: the inner profile sees diff[Start:End], which
-// equals the difference vector of the sliced coordinates exactly.
-func (k *Slice) Profile() PairProfile {
-	return &sliceProfile{inner: k.Inner.Profile(), start: k.Start, end: k.End}
-}
-
-func (p *sliceProfile) NumHyper() int { return p.inner.NumHyper() }
-
-func (p *sliceProfile) Eval(diff []float64) float64 {
-	return p.inner.Eval(diff[p.start:p.end])
-}
-
-func (p *sliceProfile) EvalGrad(diff, grad []float64) float64 {
-	return p.inner.EvalGrad(diff[p.start:p.end], grad)
-}

@@ -1,19 +1,22 @@
-package kernel
+package kernel_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 )
 
-// profileKernels enumerates every built-in kernel (including the NARGP
-// composite) with a fresh instance per call.
-func profileKernels(d int) map[string]Kernel {
-	return map[string]Kernel{
-		"seard":   NewSEARD(d),
-		"sum":     NewSum(NewSEARD(d), NewSEARD(d)),
-		"product": NewProduct(NewSEARD(d), NewSEARD(d)),
-		"slice":   NewSlice(NewSEARD(d-1), 1, d, d),
-		"nargp":   NewNARGP(d - 1),
+// profileKernels enumerates the two production kernels and the test
+// combinators with a fresh instance per call.
+func profileKernels(d int) map[string]kernel.Kernel {
+	return map[string]kernel.Kernel{
+		"seard":   kernel.NewSEARD(d),
+		"sum":     kerneltest.NewSum(kernel.NewSEARD(d), kernel.NewSEARD(d)),
+		"product": kerneltest.NewProduct(kernel.NewSEARD(d), kernel.NewSEARD(d)),
+		"slice":   kerneltest.NewSlice(kernel.NewSEARD(d-1), 1, d, d),
+		"nargp":   kernel.NewNARGP(d - 1),
 	}
 }
 
@@ -25,11 +28,11 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 			nh := k.NumHyper()
 			for trial := 0; trial < 20; trial++ {
 				h := make([]float64, nh)
-				lo, hi := BoundsVectors(k)
+				lo, hi := kernel.BoundsVectors(k)
 				for j := range h {
 					h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 				}
-				SetHyperVector(k, h)
+				kernel.SetHyperVector(k, h)
 				p := k.Profile()
 				if p.NumHyper() != nh {
 					t.Fatalf("%s: profile NumHyper %d != %d", name, p.NumHyper(), nh)
@@ -68,14 +71,14 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 }
 
 func TestProfileSnapshotsHyperparameters(t *testing.T) {
-	k := NewSEARD(2)
-	SetHyperVector(k, []float64{0.3, -0.2, 0.1})
+	k := kernel.NewSEARD(2)
+	kernel.SetHyperVector(k, []float64{0.3, -0.2, 0.1})
 	p := k.Profile()
 	x1 := []float64{0.5, -1.2}
 	x2 := []float64{-0.3, 0.7}
 	diff := []float64{x1[0] - x2[0], x1[1] - x2[1]}
 	before := p.Eval(diff)
-	SetHyperVector(k, []float64{1.1, 0.4, -0.9})
+	kernel.SetHyperVector(k, []float64{1.1, 0.4, -0.9})
 	if got := p.Eval(diff); got != before {
 		t.Fatalf("profile tracked SetHyper: %v != snapshot %v", got, before)
 	}

@@ -400,3 +400,63 @@ func TestAppendHighTracksInterpolation(t *testing.T) {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
+
+// TestMultiLevelConstantLowerRung fits chains whose cheaper rungs carry no
+// information: a constant level 0 (and, at K=3, a constant middle level)
+// under a sin(6x) target. Every propagation mode must still fit, return
+// finite posteriors with non-negative variance, and interpolate the target
+// level's data.
+func TestMultiLevelConstantLowerRung(t *testing.T) {
+	grid := func(n int) (X [][]float64) {
+		for i := 0; i < n; i++ {
+			X = append(X, []float64{float64(i) / float64(n-1)})
+		}
+		return
+	}
+	constant := func(X [][]float64, c float64) (y []float64) {
+		for range X {
+			y = append(y, c)
+		}
+		return
+	}
+	Xl, Xh := grid(12), grid(5)
+	var yh []float64
+	for _, x := range Xh {
+		yh = append(yh, math.Sin(6*x[0]))
+	}
+	chains := map[string]struct {
+		X [][][]float64
+		y [][]float64
+	}{
+		"K=2": {[][][]float64{Xl, Xh}, [][]float64{constant(Xl, 0.7), yh}},
+		"K=3": {[][][]float64{Xl, grid(8), Xh}, [][]float64{constant(Xl, 0.7), constant(grid(8), -0.4), yh}},
+	}
+	props := map[string]Propagation{"monte-carlo": MonteCarlo, "gauss-hermite": GaussHermite, "plug-in": PlugIn}
+	for cname, c := range chains {
+		for pname, prop := range props {
+			t.Run(cname+"/"+pname, func(t *testing.T) {
+				m, err := FitMultiLevel(c.X, c.y, MultiLevelConfig{
+					Restarts: 1, FixedNoise: fixedNoise(1e-6),
+					Propagation: prop, NumSamples: 12,
+				}, rand.New(rand.NewSource(14)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i <= 50; i++ {
+					x := []float64{float64(i) / 50}
+					for l := 0; l < m.Levels(); l++ {
+						mu, va := m.PredictLevel(x, l)
+						if math.IsNaN(mu) || math.IsInf(mu, 0) || math.IsNaN(va) || math.IsInf(va, 0) || va < 0 {
+							t.Fatalf("level %d at x=%v: posterior (%v, %v)", l, x[0], mu, va)
+						}
+					}
+				}
+				for i, x := range Xh {
+					if mu, _ := m.Predict(x); math.Abs(mu-yh[i]) > 1e-6 {
+						t.Fatalf("target mean %v at x=%v, want its datum %v", mu, x[0], yh[i])
+					}
+				}
+			})
+		}
+	}
+}

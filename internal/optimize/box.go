@@ -52,33 +52,6 @@ func (b Box) Clip(x []float64) []float64 {
 	return out
 }
 
-// Center returns the box midpoint.
-func (b Box) Center() []float64 {
-	c := make([]float64, b.Dim())
-	for i := range c {
-		c[i] = 0.5 * (b.Lo[i] + b.Hi[i])
-	}
-	return c
-}
-
-// ToUnit maps x ∈ [lo, hi] to u ∈ [0, 1] element-wise.
-func (b Box) ToUnit(x []float64) []float64 {
-	u := make([]float64, len(x))
-	for i := range x {
-		u[i] = (x[i] - b.Lo[i]) / (b.Hi[i] - b.Lo[i])
-	}
-	return u
-}
-
-// FromUnit maps u ∈ [0, 1] back to the box.
-func (b Box) FromUnit(u []float64) []float64 {
-	x := make([]float64, len(u))
-	for i := range u {
-		x[i] = b.Lo[i] + u[i]*(b.Hi[i]-b.Lo[i])
-	}
-	return x
-}
-
 // logitEps keeps the logit transform away from the box boundary where its
 // Jacobian vanishes and gradients become useless.
 const logitEps = 1e-9

@@ -21,7 +21,6 @@ type MSPConfig struct {
 	FracLow   float64 // fraction seeded near IncumbentLow (default 0.1)
 	SigmaFrac float64 // ball std as a fraction of each box width (default 0.02)
 	LocalIter int     // local refinement iterations per start (default 60)
-	UseNM     bool    // use Nelder–Mead instead of L-BFGS for local refinement
 	// Extra starting points appended verbatim (clipped to the box). The BO
 	// loop passes the low-fidelity acquisition optimum here (Algorithm 1,
 	// line 6: the high-fidelity acquisition is optimized "based on x*_l").
@@ -96,20 +95,7 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 	}
 	results := make([]local, len(starts))
 	parallel.ForEach(parallel.Workers(cfg.Workers), len(starts), func(i int) {
-		s := starts[i]
-		var r Result
-		if cfg.UseNM {
-			r = NelderMead(func(x []float64) float64 {
-				if !box.Contains(x) {
-					x = box.Clip(x)
-				}
-				return neg(x)
-			}, s, NelderMeadConfig{MaxIter: cfg.LocalIter * len(s)})
-			r.X = box.Clip(r.X)
-			r.F = neg(r.X)
-		} else {
-			r = MinimizeInBox(neg, box, s, LBFGSConfig{MaxIter: cfg.LocalIter})
-		}
+		r := MinimizeInBox(neg, box, starts[i], LBFGSConfig{MaxIter: cfg.LocalIter})
 		results[i] = local{x: r.X, f: -r.F}
 	})
 	var bestX []float64

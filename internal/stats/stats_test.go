@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestNormPDFSymmetryAndPeak(t *testing.T) {
@@ -31,57 +30,6 @@ func TestNormCDFKnownValues(t *testing.T) {
 		if got := NormCDF(c.x); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("NormCDF(%v) = %v, want %v", c.x, got, c.want)
 		}
-	}
-}
-
-func TestNormQuantileRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := rng.Float64()*0.9998 + 0.0001
-		x := NormQuantile(p)
-		return math.Abs(NormCDF(x)-p) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNormQuantileExtremes(t *testing.T) {
-	if !math.IsInf(NormQuantile(0), -1) || !math.IsInf(NormQuantile(1), 1) {
-		t.Fatal("quantile endpoints should be ±Inf")
-	}
-	if got := NormQuantile(0.5); math.Abs(got) > 1e-14 {
-		t.Fatalf("NormQuantile(0.5) = %v, want 0", got)
-	}
-}
-
-func TestNormLogCDFMatchesDirect(t *testing.T) {
-	for _, x := range []float64{-5, -2, 0, 1, 4} {
-		want := math.Log(NormCDF(x))
-		if got := NormLogCDF(x); math.Abs(got-want) > 1e-10 {
-			t.Fatalf("NormLogCDF(%v) = %v, want %v", x, got, want)
-		}
-	}
-	// Deep tail: direct log underflows to -Inf, expansion must stay finite
-	// and monotone.
-	a, b := NormLogCDF(-40), NormLogCDF(-41)
-	if math.IsInf(a, 0) || math.IsInf(b, 0) || b >= a {
-		t.Fatalf("tail log-CDF not finite/monotone: %v, %v", a, b)
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if math.Abs(got-math.Log(6)) > 1e-12 {
-		t.Fatalf("LogSumExp = %v, want log 6", got)
-	}
-	// Stability against overflow.
-	got = LogSumExp([]float64{1000, 1000})
-	if math.Abs(got-(1000+math.Log(2))) > 1e-9 {
-		t.Fatalf("LogSumExp big = %v", got)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("LogSumExp(nil) should be -Inf")
 	}
 }
 
