@@ -3,7 +3,8 @@
 // EXPERIMENTS.md for the experiment index). Each BenchmarkTable*/Figure*
 // runs a shape-preserving, reduced-scale version of the corresponding
 // experiment and reports the headline quantities via b.ReportMetric; the
-// full-scale runs are driven by cmd/tables and cmd/figures.
+// full-scale runs are driven by cmd/tables and cmd/figures. Component
+// microbenchmarks live in internal/bench.
 package repro_test
 
 import (
@@ -17,7 +18,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gp"
 	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/mfgp"
 	"repro/internal/optimize"
 	"repro/internal/problem"
@@ -427,120 +427,6 @@ func BenchmarkAblationPropagation(b *testing.B) {
 			}
 			b.ReportMetric(rmse, "rmse")
 		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Component microbenchmarks
-// ---------------------------------------------------------------------------
-
-func BenchmarkCholesky64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 64
-	m := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			v := rng.NormFloat64()
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-		m.Add(i, i, float64(n))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.NewCholesky(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGPFit100(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 100
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		y[i] = X[i][0]*math.Sin(5*X[i][1]) + X[i][2]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gp.Fit(X, y, gp.Config{Kernel: kernel.NewSEARD(3), Restarts: 1, MaxIter: 40}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGPPredict(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 100
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		X[i] = []float64{rng.Float64(), rng.Float64()}
-		y[i] = math.Sin(5 * X[i][0] * X[i][1])
-	}
-	m, err := gp.Fit(X, y, gp.Config{Kernel: kernel.NewSEARD(2), Restarts: 1}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := []float64{0.3, 0.7}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictLatent(x)
-	}
-}
-
-func BenchmarkMFGPPredict(b *testing.B) {
-	Xl, yl, Xh, yh := pedagogicalData()
-	noise := 1e-6
-	rng := rand.New(rand.NewSource(1))
-	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{Restarts: 1, FixedNoise: &noise, NumSamples: 30}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := []float64{0.42}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(x)
-	}
-}
-
-func BenchmarkPowerAmpHighFidelity(b *testing.B) {
-	pa := testbench.NewPowerAmp()
-	x := []float64{12.94, 0.77, 0.42, 1.66, 1.5}
-	for i := 0; i < b.N; i++ {
-		pa.Simulate(x, problem.High)
-	}
-}
-
-func BenchmarkPowerAmpLowFidelity(b *testing.B) {
-	pa := testbench.NewPowerAmp()
-	x := []float64{12.94, 0.77, 0.42, 1.66, 1.5}
-	for i := 0; i < b.N; i++ {
-		pa.Simulate(x, problem.Low)
-	}
-}
-
-func BenchmarkChargePumpHighFidelity(b *testing.B) {
-	cp := testbench.NewChargePump()
-	x := make([]float64, cp.Dim())
-	for k := 0; k < cp.Dim()/2; k++ {
-		x[2*k], x[2*k+1] = 10, 0.2
-	}
-	for i := 0; i < b.N; i++ {
-		cp.Simulate(x, problem.High)
-	}
-}
-
-func BenchmarkChargePumpLowFidelity(b *testing.B) {
-	cp := testbench.NewChargePump()
-	x := make([]float64, cp.Dim())
-	for k := 0; k < cp.Dim()/2; k++ {
-		x[2*k], x[2*k+1] = 10, 0.2
-	}
-	for i := 0; i < b.N; i++ {
-		cp.Simulate(x, problem.Low)
 	}
 }
 

@@ -84,7 +84,46 @@ func recordBaseline(res *core.Result) baselineGolden {
 // TestBaselinesGolden replays every frozen WEIBO and GASPAD run and requires
 // each simulated point and the reported best to match bit for bit.
 func TestBaselinesGolden(t *testing.T) {
-	raw, err := os.ReadFile(goldenPath)
+	replayGolden(t, goldenPath, baselineGoldenCases())
+}
+
+// deGoldenPath holds frozen DE baseline trajectories, recorded once before
+// optimize.DE lost its test-only parallel, callback and seeding paths. Never
+// regenerate it.
+const deGoldenPath = "testdata/de_golden.json"
+
+func deGoldenCases() []baselineCase {
+	problems := []struct {
+		name string
+		mk   func() problem.Problem
+	}{
+		{"constrained", func() problem.Problem { return testfunc.ConstrainedSynthetic() }},
+		{"forrester", func() problem.Problem { return testfunc.Forrester() }},
+	}
+	var cases []baselineCase
+	for _, pr := range problems {
+		for seed := int64(1); seed <= 2; seed++ {
+			pr, seed := pr, seed
+			cases = append(cases, baselineCase{
+				name: fmt.Sprintf("de/%s/seed%d", pr.name, seed),
+				run: func() (*core.Result, error) {
+					return DE(pr.mk(), DEConfig{Budget: 60}, rand.New(rand.NewSource(seed)))
+				},
+			})
+		}
+	}
+	return cases
+}
+
+// TestDEGolden replays every frozen DE baseline run bit for bit.
+func TestDEGolden(t *testing.T) {
+	replayGolden(t, deGoldenPath, deGoldenCases())
+}
+
+// replayGolden requires every case to reproduce its frozen run in path: each
+// simulated point and the reported best, bit for bit.
+func replayGolden(t *testing.T, path string, cases []baselineCase) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +131,6 @@ func TestBaselinesGolden(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	cases := baselineGoldenCases()
 	if len(want) != len(cases) {
 		t.Fatalf("fixture holds %d runs, want %d", len(want), len(cases))
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
@@ -17,24 +16,6 @@ type DEConfig struct {
 	// MaxEvals, when positive, stops evolution once the total number of
 	// objective evaluations (including the initial population) reaches it.
 	MaxEvals int
-	// Callback, when non-nil, is invoked after every objective evaluation
-	// with the evaluated point and value. The experiment harness uses it to
-	// track convergence versus simulation count.
-	Callback func(x []float64, f float64)
-	// Init, when non-nil, seeds part of the initial population.
-	Init [][]float64
-	// ParallelEval switches to the synchronous-generation DE variant: every
-	// generation's trial vectors are produced serially from the
-	// start-of-generation population (fixed rng order), the whole batch is
-	// evaluated concurrently, and selection runs serially in population
-	// order. Results are bit-identical for any Workers value, but differ
-	// from the default sequential variant (which lets trial i see the
-	// already-selected survivors 0..i−1 of the same generation). f must be
-	// safe for concurrent calls; Callback stays serialized in index order.
-	ParallelEval bool
-	// Workers bounds the evaluation goroutines when ParallelEval is set
-	// (0 = default, 1 = serial).
-	Workers int
 }
 
 func (c *DEConfig) defaults(d int) {
@@ -56,35 +37,18 @@ func (c *DEConfig) defaults(d int) {
 }
 
 // DE minimizes f over the box with DE/rand/1/bin and returns the best point
-// and value found. It is both the paper's DE baseline and the proposal
-// engine inside GASPAD.
+// and value found. It is the engine of the paper's DE baseline.
 func DE(rng *rand.Rand, f func([]float64) float64, box Box, cfg DEConfig) ([]float64, float64) {
 	d := box.Dim()
 	cfg.defaults(d)
-	if cfg.ParallelEval {
-		return deSync(rng, f, box, cfg)
-	}
 	evals := 0
 	eval := func(x []float64) float64 {
 		evals++
-		v := f(x)
-		if cfg.Callback != nil {
-			cfg.Callback(x, v)
-		}
-		return v
+		return f(x)
 	}
 	budgetLeft := func() bool { return cfg.MaxEvals <= 0 || evals < cfg.MaxEvals }
 
-	pop := make([][]float64, 0, cfg.PopSize)
-	for _, x := range cfg.Init {
-		if len(pop) == cfg.PopSize {
-			break
-		}
-		pop = append(pop, box.Clip(x))
-	}
-	if need := cfg.PopSize - len(pop); need > 0 {
-		pop = append(pop, stats.LatinHypercube(rng, box.Lo, box.Hi, need)...)
-	}
+	pop := stats.LatinHypercube(rng, box.Lo, box.Hi, cfg.PopSize)
 	fit := make([]float64, cfg.PopSize)
 	bestX, bestF := pop[0], math.Inf(1)
 	for i, x := range pop {
@@ -123,104 +87,6 @@ func DE(rng *rand.Rand, f func([]float64) float64, box Box, cfg DEConfig) ([]flo
 				if ft < bestF {
 					bestF = ft
 					bestX = append([]float64(nil), trial...)
-				}
-			}
-		}
-	}
-	return append([]float64(nil), bestX...), bestF
-}
-
-// deSync is the synchronous-generation DE variant behind
-// DEConfig.ParallelEval: trial generation and selection stay serial (so the
-// rng stream and the evolution are a pure function of the seed), while each
-// generation's objective evaluations fan out across workers.
-func deSync(rng *rand.Rand, f func([]float64) float64, box Box, cfg DEConfig) ([]float64, float64) {
-	d := box.Dim()
-	workers := parallel.Workers(cfg.Workers)
-	evals := 0
-	remaining := func() int {
-		if cfg.MaxEvals <= 0 {
-			return int(^uint(0) >> 1) // effectively unbounded
-		}
-		r := cfg.MaxEvals - evals
-		if r < 0 {
-			r = 0
-		}
-		return r
-	}
-	// evalBatch evaluates xs[0:k] concurrently (k capped by the remaining
-	// budget), fills the unevaluated tail with +Inf so it loses every
-	// selection, and replays callbacks serially in index order.
-	evalBatch := func(xs [][]float64, out []float64) {
-		k := len(xs)
-		if r := remaining(); k > r {
-			k = r
-		}
-		parallel.ForEach(workers, k, func(i int) { out[i] = f(xs[i]) })
-		evals += k
-		if cfg.Callback != nil {
-			for i := 0; i < k; i++ {
-				cfg.Callback(xs[i], out[i])
-			}
-		}
-		for i := k; i < len(xs); i++ {
-			out[i] = math.Inf(1)
-		}
-	}
-
-	pop := make([][]float64, 0, cfg.PopSize)
-	for _, x := range cfg.Init {
-		if len(pop) == cfg.PopSize {
-			break
-		}
-		pop = append(pop, box.Clip(x))
-	}
-	if need := cfg.PopSize - len(pop); need > 0 {
-		pop = append(pop, stats.LatinHypercube(rng, box.Lo, box.Hi, need)...)
-	}
-	fit := make([]float64, cfg.PopSize)
-	evalBatch(pop, fit)
-	bestX, bestF := pop[0], math.Inf(1)
-	for i, ft := range fit {
-		if ft < bestF {
-			bestX, bestF = pop[i], ft
-		}
-	}
-
-	trials := make([][]float64, cfg.PopSize)
-	tfit := make([]float64, cfg.PopSize)
-	for i := range trials {
-		trials[i] = make([]float64, d)
-	}
-	for gen := 0; gen < cfg.MaxGen && remaining() > 0; gen++ {
-		// Serial trial generation against the frozen generation-start
-		// population.
-		for i := 0; i < cfg.PopSize; i++ {
-			a, b, c := distinctThree(rng, cfg.PopSize, i)
-			jRand := rng.Intn(d)
-			trial := trials[i]
-			for j := 0; j < d; j++ {
-				if j == jRand || rng.Float64() < cfg.CR {
-					trial[j] = pop[a][j] + cfg.F*(pop[b][j]-pop[c][j])
-					if trial[j] < box.Lo[j] {
-						trial[j] = box.Lo[j] + rng.Float64()*(pop[i][j]-box.Lo[j])
-					} else if trial[j] > box.Hi[j] {
-						trial[j] = box.Hi[j] - rng.Float64()*(box.Hi[j]-pop[i][j])
-					}
-				} else {
-					trial[j] = pop[i][j]
-				}
-			}
-		}
-		evalBatch(trials, tfit)
-		// Serial selection in population order.
-		for i := 0; i < cfg.PopSize; i++ {
-			if tfit[i] <= fit[i] && !math.IsInf(tfit[i], 1) {
-				copy(pop[i], trials[i])
-				fit[i] = tfit[i]
-				if tfit[i] < bestF {
-					bestF = tfit[i]
-					bestX = append([]float64(nil), trials[i]...)
 				}
 			}
 		}

@@ -223,36 +223,3 @@ func TestDERespectsEvalBudget(t *testing.T) {
 		t.Fatalf("evals = %d, want exactly 50", count)
 	}
 }
-
-func TestDECallbackSeesEveryEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	b := NewBox([]float64{0}, []float64{1})
-	direct, viaCB := 0, 0
-	f := func(x []float64) float64 {
-		direct++
-		return x[0] * x[0]
-	}
-	DE(rng, f, b, DEConfig{PopSize: 8, MaxGen: 5, Callback: func(x []float64, v float64) {
-		viaCB++
-		if v != x[0]*x[0] {
-			t.Fatalf("callback value mismatch")
-		}
-	}})
-	if direct != viaCB {
-		t.Fatalf("callback count %d != eval count %d", viaCB, direct)
-	}
-}
-
-func TestDEInitSeeding(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	b := NewBox([]float64{0, 0}, []float64{1, 1})
-	// Seed the exact optimum; DE must return something at least as good.
-	opt := []float64{0.25, 0.75}
-	f := func(x []float64) float64 {
-		return (x[0]-0.25)*(x[0]-0.25) + (x[1]-0.75)*(x[1]-0.75)
-	}
-	_, v := DE(rng, f, b, DEConfig{PopSize: 8, MaxGen: 3, Init: [][]float64{opt}})
-	if v > 1e-12 {
-		t.Fatalf("seeded optimum lost: f=%v", v)
-	}
-}

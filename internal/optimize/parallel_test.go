@@ -56,60 +56,3 @@ func TestMaximizeMSPAllDivergedFallsBack(t *testing.T) {
 		}
 	}
 }
-
-// TestDEParallelEvalDeterminism pins the synchronous-generation DE variant:
-// for a fixed seed, the evolved optimum is bit-identical for every worker
-// count (the variant freezes the generation-start population so trial
-// generation, evaluation order, and selection do not depend on scheduling).
-func TestDEParallelEvalDeterminism(t *testing.T) {
-	box := NewBox([]float64{-3, -3, -3}, []float64{3, 3, 3})
-	sphere := func(x []float64) float64 {
-		s := 0.0
-		for _, v := range x {
-			s += v * v
-		}
-		return s
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		run := func(workers int) ([]float64, float64) {
-			rng := rand.New(rand.NewSource(seed))
-			return DE(rng, sphere, box, DEConfig{
-				PopSize: 16, MaxGen: 25, ParallelEval: true, Workers: workers,
-			})
-		}
-		x1, f1 := run(1)
-		x8, f8 := run(8)
-		if math.Float64bits(f1) != math.Float64bits(f8) {
-			t.Fatalf("seed %d: best value differs: %v vs %v", seed, f1, f8)
-		}
-		for j := range x1 {
-			if math.Float64bits(x1[j]) != math.Float64bits(x8[j]) {
-				t.Fatalf("seed %d: best x[%d] differs: %v vs %v", seed, j, x1[j], x8[j])
-			}
-		}
-		if f1 > 0.5 {
-			t.Fatalf("seed %d: synchronous DE failed to optimize sphere: %v", seed, f1)
-		}
-	}
-}
-
-// TestDEParallelEvalRespectsBudget checks the batched evaluator against
-// MaxEvals: the callback (serialized in index order) must fire at most
-// MaxEvals times, and the unevaluated tail must never win selection.
-func TestDEParallelEvalRespectsBudget(t *testing.T) {
-	box := NewBox([]float64{-1, -1}, []float64{1, 1})
-	f := func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] }
-	count := 0
-	const maxEvals = 37
-	x, best := DE(rand.New(rand.NewSource(4)), f, box, DEConfig{
-		PopSize: 10, MaxGen: 50, MaxEvals: maxEvals,
-		ParallelEval: true, Workers: 4,
-		Callback: func([]float64, float64) { count++ },
-	})
-	if count != maxEvals {
-		t.Fatalf("callback fired %d times; want exactly %d", count, maxEvals)
-	}
-	if math.IsInf(best, 1) || len(x) != 2 {
-		t.Fatalf("budgeted run returned unusable best: %v at %v", best, x)
-	}
-}

@@ -46,7 +46,7 @@ func fastCfg(budget float64) core.Config {
 
 // newTestServer boots a server over an httptest listener and returns a client
 // for it.
-func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, *client.Client) {
+func newTestServer(t testing.TB, cfg server.Config) (*server.Server, *httptest.Server, *client.Client) {
 	t.Helper()
 	srv, err := server.New(cfg)
 	if err != nil {
