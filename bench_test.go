@@ -275,8 +275,8 @@ func BenchmarkHeadlineSimReduction(b *testing.B) {
 			}
 			oursCost = append(oursCost, costToTarget(ours, target))
 			rng = rand.New(rand.NewSource(100 + seed))
-			weibo, err := baselines.WEIBO(prob, baselines.WEIBOConfig{
-				Budget: 25, Init: 10, MSP: optimize.MSPConfig{Starts: 6, LocalIter: 25},
+			weibo, err := baselines.WEIBO(prob, core.Config{
+				Budget: 25, InitHigh: 10, MSP: optimize.MSPConfig{Starts: 6, LocalIter: 25},
 			}, rng)
 			if err != nil {
 				b.Fatal(err)

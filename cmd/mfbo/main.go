@@ -59,7 +59,7 @@ func main() {
 	initHigh := flag.Int("init-high", 0, "high-fidelity initialization size (mfbo; 0 = default)")
 	gamma := flag.Float64("gamma", 0.01, "fidelity-selection threshold γ (mfbo)")
 	initMid := flag.Int("init-mid", 0, "initialization size per intermediate rung of a K>2 ladder (mfbo; 0 = default)")
-	rungCosts := flag.String("fidelity-rungs", "", "comma-separated per-rung relative costs γ_0,…,γ_{K-1} overriding the problem's ladder (last must be 1; count must match the problem's rung count)")
+	rungCosts := flag.String("fidelity-rungs", "", "comma-separated per-rung relative costs γ_0,…,γ_{K-1} overriding the problem's ladder (last must be 1; count must match the problem's rung count, or be 1 to optimize the target fidelity alone)")
 	list := flag.Bool("list", false, "list the built-in problems with their fidelity ladders and exit")
 	useRobust := flag.Bool("robust", false, "wrap the problem in the safe evaluation runtime")
 	retries := flag.Int("retries", 2, "max retries per evaluation (with -robust)")
@@ -186,8 +186,8 @@ func main() {
 			res, err = core.OptimizeCtx(ctx, p, cfg, rng)
 		}
 	case "weibo":
-		res, err = baselines.WEIBO(p, baselines.WEIBOConfig{
-			Budget: int(*budget), Init: max(4, int(*budget)/4), MSP: msp, Callback: cb,
+		res, err = baselines.WEIBO(p, core.Config{
+			Budget: float64(int(*budget)), InitHigh: max(4, int(*budget)/4), MSP: msp, Callback: cb,
 			Workers: *procs,
 		}, rng)
 	case "gaspad":

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/optimize"
 	"repro/internal/problem"
 	"repro/internal/testfunc"
@@ -16,18 +17,18 @@ func fastMSP() optimize.MSPConfig {
 
 func TestWEIBOValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := WEIBO(testfunc.Pedagogical(), WEIBOConfig{}, rng); err == nil {
+	if _, err := WEIBO(testfunc.Pedagogical(), core.Config{}, rng); err == nil {
 		t.Fatal("expected error for zero budget")
 	}
-	if _, err := WEIBO(testfunc.Pedagogical(), WEIBOConfig{Budget: 10, Init: 10}, rng); err == nil {
-		t.Fatal("expected error for Init >= Budget")
+	if _, err := WEIBO(testfunc.Pedagogical(), core.Config{Budget: 10, InitHigh: 10}, rng); err == nil {
+		t.Fatal("expected error for InitHigh >= Budget")
 	}
 }
 
 func TestWEIBOUnconstrained(t *testing.T) {
 	p := testfunc.Forrester()
 	rng := rand.New(rand.NewSource(2))
-	res, err := WEIBO(p, WEIBOConfig{Budget: 25, Init: 10, MSP: fastMSP()}, rng)
+	res, err := WEIBO(p, core.Config{Budget: 25, InitHigh: 10, MSP: fastMSP()}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestWEIBOUnconstrained(t *testing.T) {
 func TestWEIBOConstrained(t *testing.T) {
 	p := testfunc.ConstrainedSynthetic()
 	rng := rand.New(rand.NewSource(3))
-	res, err := WEIBO(p, WEIBOConfig{Budget: 30, Init: 12, MSP: fastMSP()}, rng)
+	res, err := WEIBO(p, core.Config{Budget: 30, InitHigh: 12, MSP: fastMSP()}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestWEIBOConstrained(t *testing.T) {
 func TestWEIBOHistoryMonotoneCost(t *testing.T) {
 	p := testfunc.Pedagogical()
 	rng := rand.New(rand.NewSource(4))
-	res, err := WEIBO(p, WEIBOConfig{Budget: 15, Init: 8, MSP: fastMSP()}, rng)
+	res, err := WEIBO(p, core.Config{Budget: 15, InitHigh: 8, MSP: fastMSP()}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +83,8 @@ func TestWEIBOHistoryMonotoneCost(t *testing.T) {
 // basin.
 func TestBaselinesIncrementalSchedule(t *testing.T) {
 	t.Run("WEIBO", func(t *testing.T) {
-		res, err := WEIBO(testfunc.Forrester(), WEIBOConfig{
-			Budget: 24, Init: 10, MSP: fastMSP(), RefitEvery: 3,
+		res, err := WEIBO(testfunc.Forrester(), core.Config{
+			Budget: 24, InitHigh: 10, MSP: fastMSP(), RefitEvery: 3,
 		}, rand.New(rand.NewSource(43)))
 		if err != nil {
 			t.Fatal(err)
@@ -109,6 +110,57 @@ func TestBaselinesIncrementalSchedule(t *testing.T) {
 			t.Fatalf("GASPAD best %.4f, want < -4.5", res.Best.Objective)
 		}
 	})
+}
+
+// nanEvery wraps a problem so that every n-th Evaluate returns NaN outputs,
+// like a simulator that fails to converge.
+type nanEvery struct {
+	problem.Problem
+	n, calls int
+}
+
+func (p *nanEvery) Evaluate(x []float64, f problem.Fidelity) problem.Evaluation {
+	p.calls++
+	if p.calls%p.n == 0 {
+		return problem.Evaluation{Objective: math.NaN()}
+	}
+	return p.Problem.Evaluate(x, f)
+}
+
+// TestBaselinesSurviveFailedEvaluations checks that a NaN evaluation is
+// charged and recorded as failed but kept out of surrogate training, so the
+// run finishes with a finite best instead of aborting.
+func TestBaselinesSurviveFailedEvaluations(t *testing.T) {
+	for name, run := range map[string]func(problem.Problem, *rand.Rand) (*core.Result, error){
+		"WEIBO": func(p problem.Problem, rng *rand.Rand) (*core.Result, error) {
+			return WEIBO(p, core.Config{Budget: 20, InitHigh: 8, MSP: fastMSP()}, rng)
+		},
+		"GASPAD": func(p problem.Problem, rng *rand.Rand) (*core.Result, error) {
+			return GASPAD(p, GASPADConfig{Budget: 20, Init: 8}, rng)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			res, err := run(&nanEvery{Problem: testfunc.Forrester(), n: 7}, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumHigh != 20 || res.NumFailed == 0 {
+				t.Fatalf("NumHigh %d NumFailed %d, want 20 simulations with failures", res.NumHigh, res.NumFailed)
+			}
+			failed := 0
+			for _, ob := range res.History {
+				if ob.Eval.Failed {
+					failed++
+				}
+			}
+			if failed != res.NumFailed {
+				t.Fatalf("%d failed observations in History, NumFailed %d", failed, res.NumFailed)
+			}
+			if math.IsNaN(res.Best.Objective) || math.IsInf(res.Best.Objective, 0) || res.Best.Failed {
+				t.Fatalf("best %+v, want a finite successful evaluation", res.Best)
+			}
+		})
+	}
 }
 
 func TestGASPADValidation(t *testing.T) {
@@ -201,7 +253,7 @@ func TestBOBeatsDEAtEqualBudget(t *testing.T) {
 	p := testfunc.ConstrainedSynthetic()
 	_, fOpt := testfunc.ConstrainedSyntheticOptimum()
 	rngW := rand.New(rand.NewSource(12))
-	w, err := WEIBO(p, WEIBOConfig{Budget: 30, Init: 12, MSP: fastMSP()}, rngW)
+	w, err := WEIBO(p, core.Config{Budget: 30, InitHigh: 12, MSP: fastMSP()}, rngW)
 	if err != nil {
 		t.Fatal(err)
 	}

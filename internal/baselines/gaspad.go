@@ -9,6 +9,7 @@ import (
 	"repro/internal/acq"
 	"repro/internal/core"
 	"repro/internal/gp"
+	"repro/internal/mfgp"
 	"repro/internal/problem"
 	"repro/internal/stats"
 )
@@ -84,7 +85,11 @@ func (c *GASPADConfig) defaults() error {
 // GASPAD runs the surrogate-model-assisted evolutionary algorithm: each
 // iteration breeds a pool of DE children from the best evaluated points,
 // ranks them by a constrained lower-confidence-bound criterion on GP
-// surrogates, and simulates only the top-ranked child.
+// surrogates, and simulates only the top-ranked child. Each output's
+// surrogate is the engine's rung-0 SE-ARD GP (mfgp.FitBase), warm-started
+// from the previous fit and re-factorized under frozen hyperparameters
+// between RefitEvery refits. Failed or non-finite evaluations are charged
+// and recorded in History with Eval.Failed set, but never trained on.
 func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -98,9 +103,14 @@ func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, 
 	var X [][]float64
 	var Y [][]float64
 	record := func(iter int, x []float64) {
-		e := p.Evaluate(x, problem.High)
-		X = append(X, append([]float64(nil), x...))
-		Y = append(Y, e.Outputs())
+		e, err := problem.EvaluateRich(p, x, problem.High)
+		if err != nil || e.Failed || !e.IsFinite() {
+			e.Failed = true
+			res.NumFailed++
+		} else {
+			X = append(X, append([]float64(nil), x...))
+			Y = append(Y, e.Outputs())
+		}
 		res.NumHigh++
 		ob := core.Observation{Iter: iter, X: append([]float64(nil), x...),
 			Fid: problem.High, Eval: e, CumCost: float64(res.NumHigh)}
@@ -113,13 +123,24 @@ func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, 
 		record(-1, x)
 	}
 
-	surr := newSurrogates(d, nOut, cfg.GPRestarts, cfg.GPMaxIter, cfg.FixedNoise, cfg.Workers)
-
+	warm := make([][]float64, nOut)
 	for iter := 0; res.NumHigh < cfg.Budget; iter++ {
-		fullRefit := iter%cfg.RefitEvery == 0
-		models, err := surr.models(X, Y, fullRefit, rng)
-		if err != nil {
-			return nil, fmt.Errorf("baselines: GASPAD iter %d %w", iter, err)
+		models := make([]*gp.Model, nOut)
+		for k := range models {
+			y := make([]float64, len(Y))
+			for i, row := range Y {
+				y[i] = row[k]
+			}
+			m, err := mfgp.FitBase(X, y, d, mfgp.MultiLevelConfig{
+				Restarts: cfg.GPRestarts, MaxIter: cfg.GPMaxIter, FixedNoise: cfg.FixedNoise,
+				WarmStarts: [][]float64{warm[k]}, SkipTraining: iter%cfg.RefitEvery != 0,
+				Workers: cfg.Workers,
+			}, rng)
+			if err != nil {
+				return nil, fmt.Errorf("baselines: GASPAD iter %d output %d: %w", iter, k, err)
+			}
+			warm[k] = m.Hyper()
+			models[k] = m
 		}
 
 		parents := topParents(X, Y, cfg.ParentPool)
@@ -243,4 +264,34 @@ func betterScored(aFeas bool, aObj, aViol float64, bFeas bool, bObj, bViol float
 	default:
 		return aViol < bViol
 	}
+}
+
+// bestObservation returns the best row under the constrained ordering.
+func bestObservation(X [][]float64, Y [][]float64) ([]float64, problem.Evaluation, bool) {
+	if len(X) == 0 {
+		return nil, problem.Evaluation{}, false
+	}
+	bi := 0
+	be := problem.Evaluation{Objective: Y[0][0], Constraints: Y[0][1:]}
+	for i := 1; i < len(X); i++ {
+		e := problem.Evaluation{Objective: Y[i][0], Constraints: Y[i][1:]}
+		if problem.Better(e, be) {
+			bi, be = i, e
+		}
+	}
+	return X[bi], be, be.Feasible()
+}
+
+func duplicateIn(X [][]float64, xt []float64) bool {
+	for _, x := range X {
+		d2 := 0.0
+		for j := range x {
+			dd := x[j] - xt[j]
+			d2 += dd * dd
+		}
+		if d2 < 1e-16 {
+			return true
+		}
+	}
+	return false
 }

@@ -51,7 +51,7 @@ func baselineGoldenCases() []baselineCase {
 					baselineCase{
 						name: fmt.Sprintf("weibo/%s/refit%d/seed%d", pr.name, refit, seed),
 						run: func() (*core.Result, error) {
-							return WEIBO(pr.mk(), WEIBOConfig{Budget: 18, Init: 10, MSP: fastMSP(),
+							return WEIBO(pr.mk(), core.Config{Budget: 18, InitHigh: 10, MSP: fastMSP(),
 								RefitEvery: refit}, rand.New(rand.NewSource(seed)))
 						},
 					},

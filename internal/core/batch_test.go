@@ -181,7 +181,7 @@ func TestAskBatchFantasyRetraction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nLow, nHigh := len(eng.st.low.X), len(eng.st.high.X)
+	nLow, nHigh := len(eng.st.ds(0).X), len(eng.st.ds(1).X)
 	hist := len(eng.st.res.History)
 
 	sugs, err := eng.AskBatch(context.Background(), 3)
@@ -193,9 +193,9 @@ func TestAskBatchFantasyRetraction(t *testing.T) {
 	}
 	// Three proposals are outstanding, each fantasized for the next — but the
 	// real datasets must not have grown.
-	if len(eng.st.low.X) != nLow || len(eng.st.high.X) != nHigh {
+	if len(eng.st.ds(0).X) != nLow || len(eng.st.ds(1).X) != nHigh {
 		t.Fatalf("fantasy rows leaked into training data: low %d→%d, high %d→%d",
-			nLow, len(eng.st.low.X), nHigh, len(eng.st.high.X))
+			nLow, len(eng.st.ds(0).X), nHigh, len(eng.st.ds(1).X))
 	}
 	if len(eng.st.res.History) != hist {
 		t.Fatalf("fantasy rows leaked into history: %d→%d", hist, len(eng.st.res.History))

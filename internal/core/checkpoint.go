@@ -57,12 +57,15 @@ type Checkpoint struct {
 	// snapshotted at the usual post-Tell boundary.
 	Pending []PendingSuggestion `json:",omitempty"`
 
-	// Fidelity-ladder state (K>2 runs only — all fields absent on classic
+	// Fidelity-ladder state (K != 2 runs only — all fields absent on classic
 	// two-fidelity snapshots, which therefore stay byte-identical to earlier
 	// releases; a snapshot with Rungs == 0 decodes as a two-rung run).
-	// Rungs/RungCosts/InitMid are RNG-visible config validated on Resume;
-	// MidX/MidY hold the intermediate-rung training sets (index = rung-1);
-	// WarmChain carries the per-output per-level chain hyperparameters.
+	// Rungs is validated against the engine's ladder on Resume. A one-rung
+	// snapshot records only Rungs: its single rung's training set travels in
+	// HighX/HighY and its hyperparameters in WarmLow. K>2 snapshots also
+	// carry RungCosts/InitMid; MidX/MidY hold the intermediate-rung training
+	// sets (index = rung-1); WarmChain carries the per-output per-level chain
+	// hyperparameters.
 	Rungs     int           `json:",omitempty"`
 	RungCosts []float64     `json:",omitempty"`
 	InitMid   int           `json:",omitempty"`
@@ -94,6 +97,22 @@ func cloneMatrix(m [][]float64) [][]float64 {
 	return out
 }
 
+// rungData returns the training set a snapshot holds for rung r of a ladder
+// whose target rung is target: HighX at the target, LowX at rung 0, MidX in
+// between. Legacy (pre-ladder) snapshots carry no MidX, so those rungs start
+// empty and refill through the redrawn initialization design.
+func (ck *Checkpoint) rungData(r, target int) (X, Y [][]float64) {
+	switch {
+	case r == target:
+		return ck.HighX, ck.HighY
+	case r == 0:
+		return ck.LowX, ck.LowY
+	case r-1 < len(ck.MidX):
+		return ck.MidX[r-1], ck.MidY[r-1]
+	}
+	return nil, nil
+}
+
 // snapshot deep-copies the live state into a Checkpoint.
 func (st *state) snapshot() *Checkpoint {
 	hist := make([]Observation, len(st.res.History))
@@ -116,15 +135,16 @@ func (st *state) snapshot() *Checkpoint {
 		NumLow:         st.res.NumLow,
 		NumHigh:        st.res.NumHigh,
 		NumFailed:      st.res.NumFailed,
-		LowX:           cloneMatrix(st.low.X),
-		LowY:           cloneMatrix(st.low.Y),
-		HighX:          cloneMatrix(st.high.X),
-		HighY:          cloneMatrix(st.high.Y),
+		HighX:          cloneMatrix(st.targetData().X),
+		HighY:          cloneMatrix(st.targetData().Y),
 		WarmLow:        make([][]float64, st.nOut),
 		WarmHigh:       make([][]float64, st.nOut),
 		SinceRefit:     st.sinceRefit,
 		History:        hist,
 		Degradations:   append([]Degradation(nil), st.res.Degradations...),
+	}
+	if st.ladder.Target() > 0 {
+		ck.LowX, ck.LowY = cloneMatrix(st.ds(0).X), cloneMatrix(st.ds(0).Y)
 	}
 	// The rung-0 hyperparameters always travel in WarmLow; the target level's
 	// travel in WarmHigh on two-rung runs and inside WarmChain on longer
@@ -135,16 +155,16 @@ func (st *state) snapshot() *Checkpoint {
 			ck.WarmHigh[k] = append([]float64(nil), levels[1]...)
 		}
 	}
+	if k := st.ladder.Rungs(); k != 2 {
+		ck.Rungs = k
+	}
 	if st.ladder.Rungs() > 2 {
-		ck.Rungs = st.ladder.Rungs()
 		ck.RungCosts = st.ladder.Costs()
 		ck.InitMid = st.cfg.InitMid
 		ck.NumByRung = append([]int(nil), st.res.NumByRung...)
-		ck.MidX = make([][][]float64, len(st.mid))
-		ck.MidY = make([][][]float64, len(st.mid))
-		for i, d := range st.mid {
-			ck.MidX[i] = cloneMatrix(d.X)
-			ck.MidY[i] = cloneMatrix(d.Y)
+		for _, d := range st.data[1:st.ladder.Target()] {
+			ck.MidX = append(ck.MidX, cloneMatrix(d.X))
+			ck.MidY = append(ck.MidY, cloneMatrix(d.Y))
 		}
 		for _, levels := range st.warm {
 			if levels[0] == nil && levels[len(levels)-1] == nil {
@@ -248,14 +268,19 @@ func validateResume(p problem.Problem, cfg *Config, ck *Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint gamma %v != config gamma %v", ErrResumeMismatch, ck.Gamma, cfg.Gamma)
 	}
 	// Rung count: a snapshot with Rungs == 0 is a legacy (or current
-	// two-fidelity) checkpoint and resumes onto any 2-rung problem; a K>2
-	// snapshot requires the same ladder shape.
+	// two-fidelity) checkpoint and resumes onto any 2-rung ladder; any other
+	// snapshot requires the same rung count as the engine's ladder
+	// (Config.Ladder when set, else the problem's).
 	rungs := ck.Rungs
 	if rungs == 0 {
 		rungs = 2
 	}
-	if k := problem.NumFidelities(p); k != rungs {
-		return fmt.Errorf("%w: checkpoint has %d fidelity rungs, problem %q has %d",
+	k := problem.NumFidelities(p)
+	if cfg.Ladder != nil {
+		k = cfg.Ladder.Rungs()
+	}
+	if k != rungs {
+		return fmt.Errorf("%w: checkpoint has %d fidelity rungs, the %q run's ladder has %d",
 			ErrResumeMismatch, rungs, p.Name(), k)
 	}
 	// Data shapes: RestoreEngine and the first proposal index these sets

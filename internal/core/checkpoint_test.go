@@ -8,9 +8,22 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fidelity"
+	"repro/internal/problem"
 	"repro/internal/storage"
 	"repro/internal/testfunc"
 )
+
+// oneRungLadder is the single-fidelity ladder: the engine simulates only the
+// problem's target fidelity.
+func oneRungLadder(t *testing.T) *fidelity.Ladder {
+	t.Helper()
+	l, err := fidelity.FromCosts([]float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &l
+}
 
 // captureCheckpoints runs an optimization collecting every snapshot.
 func captureCheckpoints(t *testing.T, budget float64, seed int64) (*Result, []*Checkpoint) {
@@ -110,12 +123,19 @@ func TestCheckpointerErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// killAndResume cancels a run after nIter adaptive iterations, then resumes
-// from the last snapshot.
+// TestKillMidFlightAndResume cancels a run after 3 adaptive iterations, then
+// resumes from the last snapshot, on the problem's own two-rung ladder and on
+// a one-rung ladder (WEIBO), whose every simulation is at problem.High.
 func TestKillMidFlightAndResume(t *testing.T) {
+	t.Run("two-rung", func(t *testing.T) { killAndResume(t, nil) })
+	t.Run("one-rung", func(t *testing.T) { killAndResume(t, oneRungLadder(t)) })
+}
+
+func killAndResume(t *testing.T, ladder *fidelity.Ladder) {
 	p := testfunc.ConstrainedSynthetic()
 	const budget = 8.0
 	cfg := fastCfg(budget)
+	cfg.Ladder = ladder
 
 	// Reference: uninterrupted run (same seed) for sanity.
 	refRng := rand.New(rand.NewSource(31))
@@ -201,6 +221,13 @@ func TestKillMidFlightAndResume(t *testing.T) {
 	if resumed.Feasible != ref.Feasible && !resumed.Feasible {
 		t.Fatalf("resumed run lost feasibility (ref %v)", ref.Feasible)
 	}
+	if ladder != nil {
+		for i, ob := range resumed.History {
+			if ob.Fid != problem.High {
+				t.Fatalf("one-rung observation %d at fidelity %v, want high", i, ob.Fid)
+			}
+		}
+	}
 }
 
 func TestResumeValidation(t *testing.T) {
@@ -215,6 +242,19 @@ func TestResumeValidation(t *testing.T) {
 	// Wrong budget.
 	if _, err := Resume(context.Background(), testfunc.ConstrainedSynthetic(), fastCfg(99), rng, ck); !errors.Is(err, ErrResumeMismatch) {
 		t.Fatalf("resume must reject a mismatched budget with ErrResumeMismatch, got %v", err)
+	}
+	// A two-rung snapshot into a one-rung ladder, and the reverse.
+	oneCfg := fastCfg(6)
+	oneCfg.Ladder = oneRungLadder(t)
+	if _, err := RestoreEngine(testfunc.ConstrainedSynthetic(), oneCfg, rng, ck); !errors.Is(err, ErrResumeMismatch) {
+		t.Fatalf("restore must reject a two-rung snapshot into a one-rung ladder, got %v", err)
+	}
+	eng, err := NewEngine(testfunc.ConstrainedSynthetic(), oneCfg, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreEngine(testfunc.ConstrainedSynthetic(), fastCfg(6), rng, eng.Snapshot()); !errors.Is(err, ErrResumeMismatch) {
+		t.Fatalf("restore must reject a one-rung snapshot into a two-rung ladder, got %v", err)
 	}
 	// Wrong version.
 	bad := *ck

@@ -70,10 +70,13 @@ type Config struct {
 	// problems.
 	InitMid int
 	// Ladder, when non-nil, overrides the fidelity ladder derived from the
-	// problem's Cost schedule (fidelity.OfProblem). The rung count must match
-	// the problem's. Nil (the default) derives it from the problem; for
-	// classic two-fidelity problems that reproduces the historical
-	// low/high-cost-ratio engine exactly.
+	// problem's Cost schedule (fidelity.OfProblem). Its rung count K >= 1
+	// must match the problem's, except that a one-rung ladder fits any
+	// problem: the engine then simulates only the problem's target fidelity
+	// (problem.High on classic problems) — single-fidelity wEI Bayesian
+	// optimization, the WEIBO baseline. Nil (the default) derives it from
+	// the problem; for classic two-fidelity problems that reproduces the
+	// historical low/high-cost-ratio engine exactly.
 	Ladder *fidelity.Ladder
 	// MSP configures acquisition maximization (§4.1).
 	MSP optimize.MSPConfig
@@ -400,18 +403,16 @@ type state struct {
 	lo, hi      []float64
 	box         optimize.Box
 
-	res       *Result
-	low, high *dataset
-	cost      float64
-	costLow   float64
-	iter      int // next adaptive iteration
+	res  *Result
+	cost float64
+	iter int // next adaptive iteration
 
-	// Fidelity ladder (always set; two rungs for classic problems). mid
-	// holds the intermediate-rung training sets (len = Rungs()-2, empty for
-	// K=2); warm carries per-output per-level warm hyperparameters of the
-	// surrogate chain (warm[k][l], nil until level l was first fitted).
+	// Fidelity ladder (always set; two rungs for classic problems). data
+	// holds the training set of every rung (index = rung); warm carries
+	// per-output per-level warm hyperparameters of the surrogate chain
+	// (warm[k][l], nil until level l was first fitted).
 	ladder fidelity.Ladder
-	mid    []*dataset
+	data   []*dataset
 	warm   [][][]float64
 
 	// Incremental-surrogate state (Config.Incremental): the cached models
@@ -441,9 +442,9 @@ func newState(p problem.Problem, cfg Config, rng *rand.Rand) (*state, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	if cfg.Ladder != nil {
-		if cfg.Ladder.Rungs() != ladder.Rungs() {
+		if k := cfg.Ladder.Rungs(); k != 1 && k != ladder.Rungs() {
 			return nil, fmt.Errorf("core: Config.Ladder has %d rungs, problem %q has %d",
-				cfg.Ladder.Rungs(), p.Name(), ladder.Rungs())
+				k, p.Name(), ladder.Rungs())
 		}
 		ladder = *cfg.Ladder
 	}
@@ -451,22 +452,17 @@ func newState(p problem.Problem, cfg Config, rng *rand.Rand) (*state, error) {
 		p: p, cfg: cfg, rng: rng,
 		d: d, nc: nc, nOut: 1 + nc,
 		lo: lo, hi: hi,
-		box:     optimize.NewBox(lo, hi),
-		res:     &Result{},
-		low:     &dataset{},
-		high:    &dataset{},
-		ladder:  ladder,
-		costLow: ladder.Cost(0),
-		warm:    make([][][]float64, 1+nc),
+		box:    optimize.NewBox(lo, hi),
+		res:    &Result{},
+		ladder: ladder,
+		data:   make([]*dataset, ladder.Rungs()),
+		warm:   make([][][]float64, 1+nc),
+	}
+	for r := range st.data {
+		st.data[r] = &dataset{}
 	}
 	for k := range st.warm {
 		st.warm[k] = make([][]float64, ladder.Rungs())
-	}
-	if k := ladder.Rungs(); k > 2 {
-		st.mid = make([]*dataset, k-2)
-		for i := range st.mid {
-			st.mid[i] = &dataset{}
-		}
 	}
 	if cfg.Telemetry != nil {
 		st.telem = cfg.Telemetry
@@ -475,8 +471,19 @@ func newState(p problem.Problem, cfg Config, rng *rand.Rand) (*state, error) {
 	return st, nil
 }
 
-// rungOf clamps a fidelity value into the ladder's rung range. For classic
-// two-fidelity problems this is the identity on {Low, High}.
+// fidOf maps ladder rung r to the problem fidelity it simulates: rung r is
+// fidelity r, except that the single rung of a one-rung ladder is the
+// problem's target fidelity (problem.High on classic problems).
+func (st *state) fidOf(r int) problem.Fidelity {
+	if st.ladder.Rungs() == 1 {
+		return problem.Fidelity(problem.NumFidelities(st.p) - 1)
+	}
+	return problem.Fidelity(r)
+}
+
+// rungOf, the inverse of fidOf, clamps a fidelity value into the ladder's
+// rung range. For classic two-fidelity problems this is the identity on
+// {Low, High}; on a one-rung ladder every fidelity is rung 0.
 func (st *state) rungOf(fid problem.Fidelity) int {
 	k := int(fid)
 	if k < 0 {
@@ -489,16 +496,11 @@ func (st *state) rungOf(fid problem.Fidelity) int {
 }
 
 // ds returns the training set of rung k.
-func (st *state) ds(k int) *dataset {
-	switch {
-	case k == 0:
-		return st.low
-	case k == st.ladder.Target():
-		return st.high
-	default:
-		return st.mid[k-1]
-	}
-}
+func (st *state) ds(k int) *dataset { return st.data[k] }
+
+// targetData returns the training set of the target rung, which holds the
+// incumbent the run reports.
+func (st *state) targetData() *dataset { return st.data[st.ladder.Target()] }
 
 // datasetSizes snapshots every rung's training-set length, rung order.
 func (st *state) datasetSizes() []int {
@@ -610,7 +612,7 @@ func (st *state) observeTelemetry(ob *Observation, failed bool) {
 		m.cost.Add(st.ladder.Cost(rung))
 	}
 	if rung == target && !failed {
-		if _, be, feas := bestOf(st.high); feas {
+		if _, be, feas := bestOf(st.targetData()); feas {
 			m.best.Set(be.Objective)
 		}
 	}
@@ -691,7 +693,7 @@ func (st *state) noteFit(iter int, m *gp.Model, fusedHigh bool) {
 // finish assembles the terminal Result fields from the current state.
 func (st *state) finish(context.Context) *Result {
 	res := st.res
-	if bx, be, feas := bestOf(st.high); bx != nil {
+	if bx, be, feas := bestOf(st.targetData()); bx != nil {
 		res.BestX = bx
 		res.Best = be
 		res.Feasible = feas

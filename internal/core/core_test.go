@@ -333,8 +333,8 @@ func TestIsDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &state{low: &dataset{}, high: &dataset{}, ladder: ladder}
-	st.low.add([]float64{0.5, 0.5}, problem.Evaluation{})
+	st := &state{data: []*dataset{{}, {}}, ladder: ladder}
+	st.ds(0).add([]float64{0.5, 0.5}, problem.Evaluation{})
 	if !st.isDuplicateAtRung([]float64{0.5, 0.5}, 0) {
 		t.Fatal("exact duplicate not detected")
 	}

@@ -142,13 +142,13 @@ func (st *state) initSizes() []int {
 
 // initID names rung r's idx-th initialization design point. The two-fidelity
 // vocabulary is preserved at the ladder extremes so restored engines replay
-// historical suggestion IDs verbatim.
+// historical suggestion IDs verbatim; a one-rung design is "init-high".
 func (st *state) initID(r, idx int) string {
 	switch {
-	case r == 0:
-		return fmt.Sprintf("init-low-%d", idx)
 	case r == st.ladder.Target():
 		return fmt.Sprintf("init-high-%d", idx)
+	case r == 0:
+		return fmt.Sprintf("init-low-%d", idx)
 	default:
 		return fmt.Sprintf("init-mid%d-%d", r, idx)
 	}
@@ -208,14 +208,9 @@ func RestoreEngine(p problem.Problem, cfg Config, rng *rand.Rand, ck *Checkpoint
 	}
 	st.iter = ck.Iter
 	st.cost = ck.Cost
-	st.low = &dataset{X: cloneMatrix(ck.LowX), Y: cloneMatrix(ck.LowY)}
-	st.high = &dataset{X: cloneMatrix(ck.HighX), Y: cloneMatrix(ck.HighY)}
-	for i := range st.mid {
-		// Legacy (pre-ladder) snapshots carry no MidX/MidY — the rungs start
-		// empty and refill through the redrawn initialization design below.
-		if i < len(ck.MidX) {
-			st.mid[i] = &dataset{X: cloneMatrix(ck.MidX[i]), Y: cloneMatrix(ck.MidY[i])}
-		}
+	for r := range st.data {
+		X, Y := ck.rungData(r, st.ladder.Target())
+		st.data[r] = &dataset{X: cloneMatrix(X), Y: cloneMatrix(Y)}
 	}
 	st.restoreWarm(ck)
 	st.sinceRefit = ck.SinceRefit
@@ -528,7 +523,7 @@ func (e *Engine) pushInit(r int) {
 	id := e.st.initID(r, e.initNext[r])
 	e.initNext[r]++
 	e.pending = append(e.pending, &pendingSug{
-		sug: Suggestion{ID: id, X: append([]float64(nil), x...), Fid: problem.Fidelity(r), Iter: -1},
+		sug: Suggestion{ID: id, X: append([]float64(nil), x...), Fid: e.st.fidOf(r), Iter: -1},
 	})
 }
 
@@ -778,7 +773,7 @@ func (e *Engine) Progress() Progress {
 	default:
 		p.Phase = "running"
 	}
-	if bx, be, feas := bestOf(e.st.high); bx != nil {
+	if bx, be, feas := bestOf(e.st.targetData()); bx != nil {
 		p.HasBest = true
 		p.BestX = append([]float64(nil), bx...)
 		p.Best = be

@@ -155,7 +155,7 @@ func TestEngineNonFiniteTellSanitized(t *testing.T) {
 	if pr.NumFailed != 1 {
 		t.Fatalf("failed Tell not counted: %+v", pr)
 	}
-	if n := len(eng.st.low.X) + len(eng.st.high.X); n != 0 {
+	if n := len(eng.st.ds(0).X) + len(eng.st.ds(1).X); n != 0 {
 		t.Fatalf("failed observation reached surrogate training sets (%d points)", n)
 	}
 	if len(eng.History()) != 1 || !eng.History()[0].Eval.Failed {

@@ -37,8 +37,8 @@ var errCacheUnusable = errors.New("core: surrogate cache unusable")
 // fitLadder and rebuild the cache. skipped reports which path ran.
 func (st *state) incrementalLadder(iter int, span *telemetry.Span) (chains []*mfgp.MultiLevel, low []*gp.Model, ok, skipped bool) {
 	cfg := &st.cfg
-	lowX, _ := st.low.window(cfg.MaxLowData)
-	start := len(st.low.X) - len(lowX)
+	lowX, _ := st.ds(0).window(cfg.MaxLowData)
+	start := len(st.ds(0).X) - len(lowX)
 	if c := st.lcache; c != nil && st.sinceRefit+1 < cfg.RefitEvery && c.lowStart == start && !st.ladderNLMLDegraded(c) {
 		if err := st.extendLadderCache(c); err == nil {
 			st.sinceRefit++
@@ -118,7 +118,7 @@ func (st *state) extendLadderCache(c *ladderCache) error {
 	cfg := &st.cfg
 	target := st.ladder.Target()
 	updates := 0
-	lowX, lowView := st.low.window(cfg.MaxLowData)
+	lowX, lowView := st.ds(0).window(cfg.MaxLowData)
 	for i := c.counts[0]; i < len(lowX); i++ {
 		for k := 0; k < st.nOut; k++ {
 			if err := c.low[k].AppendObservation(lowX[i], lowView.Y[i][k]); err != nil {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fidelity"
 	"repro/internal/problem"
 	"repro/internal/telemetry"
 	"repro/internal/testfunc"
@@ -17,18 +18,23 @@ import (
 // so Incremental = true must reproduce the Incremental = false trajectory
 // bit-identically (same seed, low-rank off).
 func TestIncrementalRefitEvery1Oracle(t *testing.T) {
-	for _, mk := range []func() problem.Problem{
-		func() problem.Problem { return testfunc.Forrester() },
-		func() problem.Problem { return testfunc.ConstrainedSynthetic() },
+	for _, tc := range []struct {
+		mk     func() problem.Problem
+		ladder *fidelity.Ladder
+	}{
+		{func() problem.Problem { return testfunc.Forrester() }, nil},
+		{func() problem.Problem { return testfunc.ConstrainedSynthetic() }, nil},
+		{func() problem.Problem { return testfunc.ConstrainedSynthetic() }, oneRungLadder(t)},
 	} {
-		exact, err := Optimize(mk(), fastCfg(8), rand.New(rand.NewSource(31)))
+		cfg := fastCfg(8)
+		cfg.Ladder = tc.ladder
+		exact, err := Optimize(tc.mk(), cfg, rand.New(rand.NewSource(31)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := fastCfg(8)
 		cfg.Incremental = true
 		cfg.RefitEvery = 1
-		incr, err := Optimize(mk(), cfg, rand.New(rand.NewSource(31)))
+		incr, err := Optimize(tc.mk(), cfg, rand.New(rand.NewSource(31)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,8 +134,8 @@ func TestIncrementalSkipsUntouchedModels(t *testing.T) {
 	// A new LOW observation arrives; the next proposal must extend the low
 	// models in place and leave the fused level's factorization alone.
 	x := []float64{0.375}
-	st.low.X = append(st.low.X, x)
-	st.low.Y = append(st.low.Y, []float64{p.Evaluate(x, problem.Low).Objective})
+	st.ds(0).X = append(st.ds(0).X, x)
+	st.ds(0).Y = append(st.ds(0).Y, []float64{p.Evaluate(x, problem.Low).Objective})
 	chains, low, ok, skipped := st.incrementalLadder(st.iter+1, nil)
 	if !ok || !skipped {
 		t.Fatalf("expected a skipped fit, got ok=%v skipped=%v", ok, skipped)

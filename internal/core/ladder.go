@@ -1,4 +1,4 @@
-// Fidelity-ladder proposals: Algorithm 1 over an ordered ladder of K ≥ 2
+// Fidelity-ladder proposals: Algorithm 1 over an ordered ladder of K ≥ 1
 // simulation accuracies. Per output the surrogate is the recursive K-level
 // NARGP chain (mfgp.MultiLevel); the §3.4 fidelity switch generalizes to a
 // cost-weighted rung selector that evaluates at the cheapest rung still
@@ -6,7 +6,8 @@
 // rung when every cheaper posterior is already resolved. The paper's
 // two-fidelity algorithm is the K = 2 case: a two-level chain and the
 // original "HIGH iff σ²_l,max < (1+Nc)·γ" rule (testdata/k2_golden.json pins
-// its trajectories).
+// its trajectories). K = 1 is the WEIBO baseline: one SE-ARD GP per output
+// and a single wEI maximization at the target fidelity.
 package core
 
 import (
@@ -82,10 +83,12 @@ func chooseRung(vars, costs []float64, nc int, gamma float64) rungDecision {
 // (DegradeRandom). The fused chain is then stacked on that GP, retried frozen
 // the same way, and on failure the output runs on its rung-0 GP alone
 // (DegradeLowOnly): low[k] is always set, chains[k] is nil for such outputs.
+// On a one-rung ladder the rung-0 GP is the target surrogate and no chain is
+// stacked: chains[k] is nil for every output.
 func (st *state) fitLadder(iter int, fullRefit bool, span *telemetry.Span) (chains []*mfgp.MultiLevel, low []*gp.Model, ok bool) {
 	cfg := &st.cfg
 	target := st.ladder.Target()
-	lowX, lowView := st.low.window(cfg.MaxLowData)
+	lowX, lowView := st.ds(0).window(cfg.MaxLowData)
 	upX := make([][][]float64, target)
 	for r := 1; r <= target; r++ {
 		upX[r-1] = st.ds(r).X
@@ -123,7 +126,10 @@ func (st *state) fitLadder(iter int, fullRefit bool, span *telemetry.Span) (chai
 		}
 		warm[0] = lm.Hyper()
 		low[k] = lm
-		st.noteFit(iter, lm, false)
+		st.noteFit(iter, lm, target == 0)
+		if target == 0 {
+			continue
+		}
 
 		upY := make([][]float64, target)
 		for r := 1; r <= target; r++ {
@@ -302,93 +308,74 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 			}
 			ev.ForcedHigh = cfg.ForceHighFidelity
 		}
-		return xt, problem.Fidelity(rung), nil
+		return xt, st.fidOf(rung), nil
+	}
+
+	// Posterior adapters (objective, constraints): the rung-0 GP for the
+	// cheap acquisition, the fused target level for the expensive one. A nil
+	// chain (low-only degradation, or a one-rung ladder) aliases the rung-0
+	// GP for both.
+	rungPost := func(level int) (acq.Posterior, []acq.Posterior) {
+		post := make([]acq.Posterior, st.nOut)
+		for k := range post {
+			if m := chains[k]; level > 0 && m != nil {
+				post[k] = func(x []float64) (float64, float64) { return m.PredictLevel(x, level) }
+			} else {
+				m := low[k]
+				post[k] = func(x []float64) (float64, float64) { return m.PredictLatent(x) }
+			}
+		}
+		return post[0], post[1:]
 	}
 
 	// Incumbents: the cheapest and the target rung seed the §4.1 starts.
-	tauLowX, tauLowEval, hasLowFeasible := bestOf(st.low)
-	tauHighX, tauHighEval, hasHighFeasible := bestOf(st.high)
-	if ev != nil {
-		if hasLowFeasible {
-			ev.HasTauLow = true
-			ev.TauLow = tauLowEval.Objective
-		}
-		if hasHighFeasible {
-			ev.HasTauHigh = true
-			ev.TauHigh = tauHighEval.Objective
-		}
+	tauHighX, tauHighEval, hasHighFeasible := bestOf(st.ds(target))
+	if ev != nil && hasHighFeasible {
+		ev.HasTauHigh = true
+		ev.TauHigh = tauHighEval.Objective
 	}
-
-	// Posterior adapters: the rung-0 GP for the cheap acquisition, the fused
-	// target level for the expensive one. A nil chain (low-only degradation)
-	// aliases the rung-0 GP for both.
-	nc := st.nc
-	levelPost := func(k, level int) acq.Posterior {
-		if m := chains[k]; level > 0 && m != nil {
-			return func(x []float64) (float64, float64) { return m.PredictLevel(x, level) }
-		}
-		m := low[k]
-		return func(x []float64) (float64, float64) { return m.PredictLatent(x) }
-	}
-	lowObj := levelPost(0, 0)
-	lowCons := make([]acq.Posterior, nc)
-	for i := 0; i < nc; i++ {
-		lowCons[i] = levelPost(1+i, 0)
-	}
-	fusedObj := levelPost(0, target)
-	fusedCons := make([]acq.Posterior, nc)
-	for i := 0; i < nc; i++ {
-		fusedCons[i] = levelPost(1+i, target)
-	}
-
 	mspCfg := cfg.MSP
 	var incHigh, incLow []float64
-	if !cfg.DisableIncumbentSeeding {
-		if hasHighFeasible {
-			incHigh = tauHighX
-		}
-		if hasLowFeasible {
-			incLow = tauLowX
-		}
-	}
-
-	// Rung-0 acquisition → x*_l.
-	var acqLow func([]float64) float64
-	bootstrapLow := false
-	switch {
-	case hasLowFeasible:
-		acqLow = acq.WEI(lowObj, lowCons, tauLowEval.Objective)
-	case nc > 0:
-		fo := acq.FeasibilityObjective(lowCons)
-		acqLow = func(x []float64) float64 { return -fo(x) }
-		bootstrapLow = true
-	default:
-		acqLow = acq.WEI(lowObj, nil, math.Inf(1))
+	if !cfg.DisableIncumbentSeeding && hasHighFeasible {
+		incHigh = tauHighX
 	}
 	var tAcq time.Time
 	var mspLow, mspHigh optimize.MSPStats
 	if ev != nil {
 		tAcq = time.Now()
-		mspCfg.Stats = &mspLow
 		mspCfg.Span = span
 	}
-	xStarLow, acqLowVal := optimize.MaximizeMSP(st.rng, acqLow, st.box, incHigh, incLow, mspCfg)
 
-	// Target-rung acquisition seeded with x*_l.
-	var acqHigh func([]float64) float64
-	bootstrap := false
-	switch {
-	case hasHighFeasible:
-		acqHigh = acq.WEI(fusedObj, fusedCons, tauHighEval.Objective)
-	case nc > 0:
-		// §4.2: no feasible target point yet — chase predicted feasibility.
-		fo := acq.FeasibilityObjective(fusedCons)
-		acqHigh = func(x []float64) float64 { return -fo(x) }
-		bootstrap = true
-	default:
-		acqHigh = acq.WEI(fusedObj, nil, math.Inf(1))
+	// Rung-0 acquisition → x*_l, which seeds the target-rung acquisition. A
+	// one-rung ladder has no cheaper rung: its single MSP runs on the target.
+	if target > 0 {
+		tauLowX, tauLowEval, hasLowFeasible := bestOf(st.ds(0))
+		if !cfg.DisableIncumbentSeeding && hasLowFeasible {
+			incLow = tauLowX
+		}
+		lowObj, lowCons := rungPost(0)
+		acqLow, bootstrapLow := acquisition(lowObj, lowCons, tauLowEval, hasLowFeasible)
+		if ev != nil {
+			mspCfg.Stats = &mspLow
+		}
+		xStarLow, acqLowVal := optimize.MaximizeMSP(st.rng, acqLow, st.box, incHigh, incLow, mspCfg)
+		mspCfg.Extra = append(append([][]float64(nil), cfg.MSP.Extra...), xStarLow)
+		if ev != nil {
+			ev.HasTauLow = hasLowFeasible
+			if hasLowFeasible {
+				ev.TauLow = tauLowEval.Objective
+			}
+			ev.AcqLow = acqLowVal
+			ev.BootstrapLow = bootstrapLow
+			ev.MSPStartsLow = mspLow.Starts
+			ev.MSPDivergedLow = mspLow.Diverged
+		}
 	}
-	mspCfg.Extra = append(append([][]float64(nil), cfg.MSP.Extra...), xStarLow)
+
+	// Target-rung acquisition; §4.2: with no feasible target point yet it
+	// chases predicted feasibility.
+	fusedObj, fusedCons := rungPost(target)
+	acqHigh, bootstrap := acquisition(fusedObj, fusedCons, tauHighEval, hasHighFeasible)
 	if ev != nil {
 		mspCfg.Stats = &mspHigh
 	}
@@ -399,12 +386,8 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		if st.met != nil {
 			st.met.acqSeconds.Observe(d.Seconds())
 		}
-		ev.AcqLow = acqLowVal
 		ev.AcqHigh = acqHighVal
 		ev.Bootstrap = bootstrap
-		ev.BootstrapLow = bootstrapLow
-		ev.MSPStartsLow = mspLow.Starts
-		ev.MSPDivergedLow = mspLow.Diverged
 		ev.MSPStartsHigh = mspHigh.Starts
 		ev.MSPDivergedHigh = mspHigh.Diverged
 	}
@@ -435,5 +418,21 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 	if wantFantasy {
 		fantasy = st.fantasizeLadder(chains, low, xt, dec.rung)
 	}
-	return xt, problem.Fidelity(dec.rung), fantasy
+	return xt, st.fidOf(dec.rung), fantasy
+}
+
+// acquisition builds one rung's acquisition: wEI (eq. 6) against the rung's
+// feasible incumbent tau, or, while the rung has no feasible point on a
+// constrained problem, the eq. 13 feasibility objective (bootstrap reports
+// which). An unconstrained rung with no data to beat maximizes plain EI.
+func acquisition(obj acq.Posterior, cons []acq.Posterior, tau problem.Evaluation, hasFeasible bool) (a func([]float64) float64, bootstrap bool) {
+	switch {
+	case hasFeasible:
+		return acq.WEI(obj, cons, tau.Objective), false
+	case len(cons) > 0:
+		fo := acq.FeasibilityObjective(cons)
+		return func(x []float64) float64 { return -fo(x) }, true
+	default:
+		return acq.WEI(obj, nil, math.Inf(1)), false
+	}
 }

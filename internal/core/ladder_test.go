@@ -162,6 +162,40 @@ func TestLadderOptimizeForrester3(t *testing.T) {
 	}
 }
 
+// TestOneRungLadderSimulatesOnlyTheTarget runs a one-rung ladder on a K=3
+// problem: the design is named init-high, every simulation is at the
+// problem's target fidelity and counted as high, and no per-rung breakdown
+// or degradation appears.
+func TestOneRungLadderSimulatesOnlyTheTarget(t *testing.T) {
+	p := testfunc.Forrester3()
+	cfg := fastCfg(10)
+	cfg.Ladder = oneRungLadder(t)
+	eng, err := NewEngine(p, cfg, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := eng.Ask(context.Background()); err != nil || s.ID != "init-high-0" || s.Fid != problem.Fidelity(2) {
+		t.Fatalf("first suggestion %q at fidelity %v (err %v), want init-high-0 at fidelity 2", s.ID, s.Fid, err)
+	}
+	res, err := Optimize(p, cfg, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ob := range res.History {
+		if ob.Fid != problem.Fidelity(2) {
+			t.Fatalf("observation %d at fidelity %v, want 2", i, ob.Fid)
+		}
+	}
+	if res.NumHigh != len(res.History) || res.NumLow != 0 || res.NumByRung != nil {
+		t.Fatalf("NumHigh %d NumLow %d NumByRung %v over %d observations",
+			res.NumHigh, res.NumLow, res.NumByRung, len(res.History))
+	}
+	if res.EquivalentSims != float64(len(res.History)) || len(res.Degradations) != 0 {
+		t.Fatalf("EquivalentSims %v over %d observations, degradations %v",
+			res.EquivalentSims, len(res.History), res.Degradations)
+	}
+}
+
 // TestLadderCheckpointRoundTripK3 kills a 3-rung run mid-flight and resumes
 // it from the serialized snapshot: the resumed history must extend the
 // snapshot's exactly and the mid-rung dataset must survive the round trip.

@@ -117,8 +117,8 @@ func runAllProblem(prob problem.Problem, sc Scale, baseSeed int64) (map[string]*
 			}, rng)
 		},
 		"WEIBO": func(rng *rand.Rand) (*core.Result, error) {
-			return baselines.WEIBO(prob, baselines.WEIBOConfig{
-				Budget: sc.WEIBOBudget, Init: sc.WEIBOInit, MSP: msp,
+			return baselines.WEIBO(prob, core.Config{
+				Budget: float64(sc.WEIBOBudget), InitHigh: sc.WEIBOInit, MSP: msp,
 				GPRestarts: sc.GPRestarts, GPMaxIter: sc.GPMaxIter,
 				RefitEvery: sc.RefitEvery,
 			}, rng)

@@ -1,12 +1,14 @@
 // Package fidelity models the simulation accuracy axis as a first-class
 // ladder of rungs rather than a low/high bool.
 //
-// A Ladder is an ordered list of K >= 2 rungs. Rung 0 is the cheapest
+// A Ladder is an ordered list of K >= 1 rungs. Rung 0 is the cheapest
 // simulation configuration (shortest transient, fewest corners), rung K-1 is
 // the full-accuracy target whose cost defines the unit of equivalent
 // simulations. Every other rung carries a relative cost gamma_k in (0, 1).
 // The two-fidelity engine of the source paper is the K=2 special case: rung 0
-// is "low" with cost gamma, rung 1 is "high" with cost 1.
+// is "low" with cost gamma, rung 1 is "high" with cost 1. A one-rung ladder
+// is just the target ("high"): single-fidelity optimization, the WEIBO
+// baseline.
 //
 // The package is deliberately tiny and dependency-light: the core engine, the
 // catalog, the wire API and the CLI all consume the same Ladder value, so the
@@ -36,11 +38,11 @@ type Ladder struct {
 }
 
 // New builds a ladder from explicit rungs. It returns an error unless there
-// are at least two rungs, costs are strictly increasing and positive, and the
+// is at least one rung, costs are strictly increasing and positive, and the
 // final rung costs exactly 1.
 func New(rungs []Rung) (Ladder, error) {
-	if len(rungs) < 2 {
-		return Ladder{}, fmt.Errorf("fidelity: ladder needs at least 2 rungs, got %d", len(rungs))
+	if len(rungs) == 0 {
+		return Ladder{}, fmt.Errorf("fidelity: ladder needs at least 1 rung")
 	}
 	prev := 0.0
 	for k, r := range rungs {
@@ -74,13 +76,14 @@ func TwoLevel(gamma float64) (Ladder, error) {
 }
 
 // rungName matches the legacy two-fidelity vocabulary at the extremes so that
-// telemetry strings are unchanged for K=2.
+// telemetry strings are unchanged for K=2; the single rung of a one-rung
+// ladder is the target, "high".
 func rungName(k, total int) string {
 	switch {
-	case k == 0:
-		return "low"
 	case k == total-1:
 		return "high"
+	case k == 0:
+		return "low"
 	default:
 		return fmt.Sprintf("mid%d", k)
 	}

@@ -15,7 +15,8 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"two-level", []float64{0.1, 1}, true},
 		{"three-level", []float64{0.05, 0.3, 1}, true},
-		{"one rung", []float64{1}, false},
+		{"one rung", []float64{1}, true},
+		{"one rung not unit", []float64{0.5}, false},
 		{"empty", nil, false},
 		{"non-increasing", []float64{0.5, 0.5, 1}, false},
 		{"decreasing", []float64{0.5, 0.1, 1}, false},
@@ -28,6 +29,10 @@ func TestNewValidation(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: FromCosts(%v) err=%v, want ok=%v", tc.name, tc.costs, err, tc.ok)
 		}
+	}
+	// The single rung of a one-rung ladder is the target.
+	if l, _ := FromCosts([]float64{1}); l.Target() != 0 || l.Name(0) != "high" {
+		t.Errorf("one rung: Target=%d Name(0)=%q, want 0/high", l.Target(), l.Name(0))
 	}
 }
 
