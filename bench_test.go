@@ -391,8 +391,8 @@ func BenchmarkAblationFusionModel(b *testing.B) {
 	b.ReportMetric(ar1RMSE, "ar1-rmse")
 }
 
-// BenchmarkAblationPropagation compares Monte-Carlo, Gauss–Hermite and
-// plug-in posterior propagation through the fused model.
+// BenchmarkAblationPropagation compares Monte-Carlo and Gauss–Hermite
+// posterior propagation through the fused model.
 func BenchmarkAblationPropagation(b *testing.B) {
 	Xl, yl, Xh, yh := pedagogicalData()
 	noise := 1e-6
@@ -402,7 +402,6 @@ func BenchmarkAblationPropagation(b *testing.B) {
 	}{
 		{"MonteCarlo", mfgp.MonteCarlo},
 		{"GaussHermite", mfgp.GaussHermite},
-		{"PlugIn", mfgp.PlugIn},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))

@@ -213,10 +213,10 @@ func main() {
 	fmt.Printf("best x:    %v\n", fmtSlice(res.BestX))
 	if len(res.NumByRung) > 0 {
 		fmt.Printf("cost:      %v sims per rung = %.1f equivalent (found best at %.1f)\n",
-			res.NumByRung, res.EquivalentSims, experiments.SimsToBest(res))
+			res.NumByRung, res.EquivalentSims, experiments.SimsToBest(p, res))
 	} else {
 		fmt.Printf("cost:      %d low + %d high sims = %.1f equivalent (found best at %.1f)\n",
-			res.NumLow, res.NumHigh, res.EquivalentSims, experiments.SimsToBest(res))
+			res.NumLow, res.NumHigh, res.EquivalentSims, experiments.SimsToBest(p, res))
 	}
 	fmt.Printf("elapsed:   %s\n", time.Since(start).Round(time.Millisecond))
 	if res.Interrupted {

@@ -133,7 +133,6 @@ func main() {
 
 	srv, err := server.New(server.Config{
 		Store:             store,
-		CheckpointDir:     *ckptDir, // Store wins; kept so healthz reports the directory
 		IdleTimeout:       *idle,
 		MaxConcurrentFits: *maxFits,
 		MaxSessions:       *maxSessions,

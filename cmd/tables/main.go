@@ -140,7 +140,7 @@ func printTraces(stats map[string]*experiments.AlgoStats) {
 	for _, g := range grid {
 		fmt.Printf("%.0f", g)
 		for _, n := range experiments.AlgoOrder {
-			med := experiments.MedianTraceAt(stats[n].Results, []float64{g})
+			med := stats[n].MedianTraceAt([]float64{g})
 			fmt.Printf("\t%.3f", med[0])
 		}
 		fmt.Println()

@@ -76,10 +76,12 @@ type CreateSessionRequest struct {
 	// simulations (required, > 0).
 	Budget float64 `json:"budget"`
 
-	InitLow  int `json:"init_low,omitempty"`
-	InitHigh int `json:"init_high,omitempty"`
-	// InitMid is the initialization design size per intermediate rung of a
-	// K>2 fidelity-ladder problem (ignored for two-fidelity problems).
+	// InitLow / InitMid / InitHigh are the initialization design sizes of
+	// the cheapest rung, each intermediate rung of a K>2 fidelity-ladder
+	// problem (InitMid is ignored for two-fidelity problems) and the target
+	// rung. The server refuses sizes above 10000 per rung.
+	InitLow       int     `json:"init_low,omitempty"`
+	InitHigh      int     `json:"init_high,omitempty"`
 	InitMid       int     `json:"init_mid,omitempty"`
 	Gamma         float64 `json:"gamma,omitempty"`
 	MSPStarts     int     `json:"msp_starts,omitempty"`
@@ -237,11 +239,11 @@ type HealthReply struct {
 	// Version is the server build (module version plus VCS revision, see
 	// internal/buildinfo) so operators can tell what a fleet is running.
 	Version string `json:"version,omitempty"`
-	// CheckpointDir echoes the configured persistence directory ("" when
-	// sessions are volatile); CheckpointWritable reports the result of a
-	// write probe against the storage backend and is omitted when sessions
-	// are volatile. Storage names the durability backend ("fs", "mem",
-	// "chaos") when one is configured.
+	// CheckpointDir is the directory of the filesystem storage backend
+	// ("" for other backends and for volatile sessions); CheckpointWritable
+	// reports the result of a write probe against the storage backend and
+	// is omitted when sessions are volatile. Storage names the durability
+	// backend ("fs", "mem", "chaos") when one is configured.
 	CheckpointDir      string `json:"checkpoint_dir,omitempty"`
 	Storage            string `json:"storage,omitempty"`
 	CheckpointWritable *bool  `json:"checkpoint_writable,omitempty"`
@@ -252,12 +254,9 @@ type HealthReply struct {
 	FitSlots        int `json:"fit_slots"`
 	// ReplicaID identifies this replica in a sharded deployment ("" when the
 	// server runs unsharded). OwnedSessions counts the sessions whose
-	// ownership lease this replica currently holds in memory, and Ring is the
-	// replica-membership view derived from the shared store's heartbeat
-	// records — what this replica believes the deployment looks like.
-	ReplicaID     string   `json:"replica_id,omitempty"`
-	OwnedSessions int      `json:"owned_sessions,omitempty"`
-	Ring          []string `json:"ring,omitempty"`
+	// ownership lease this replica currently holds in memory.
+	ReplicaID     string `json:"replica_id,omitempty"`
+	OwnedSessions int    `json:"owned_sessions,omitempty"`
 }
 
 // GatewayReplica is one backend replica as the gateway sees it.

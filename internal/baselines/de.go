@@ -9,14 +9,11 @@ import (
 	"repro/internal/problem"
 )
 
-// DEConfig tunes the plain differential-evolution baseline.
+// DEConfig tunes the plain differential-evolution baseline. The population
+// is 10·d capped at 100 (min 8); F and CR are optimize.DE's 0.7 / 0.9.
 type DEConfig struct {
-	// Budget is the total number of high-fidelity simulations (> 0).
+	// Budget is the total number of target-fidelity simulations (> 0).
 	Budget int
-	// PopSize is the DE population (default 10·d capped at 100, min 8).
-	PopSize int
-	// F / CR are the DE parameters (defaults 0.7 / 0.9).
-	F, CR float64
 	// Callback observes every simulation.
 	Callback func(core.Observation)
 }
@@ -27,21 +24,13 @@ type DEConfig struct {
 const penaltyWeight = 1e6
 
 // DE runs the evolutionary baseline: DE/rand/1/bin on a penalized scalar
-// fitness, evaluating every candidate at high fidelity.
+// fitness, evaluating every candidate at the problem's target fidelity.
 func DE(p problem.Problem, cfg DEConfig, rng *rand.Rand) (*core.Result, error) {
 	if cfg.Budget <= 0 {
 		return nil, errors.New("baselines: DE Budget must be positive")
 	}
-	d := p.Dim()
-	if cfg.PopSize <= 0 {
-		cfg.PopSize = 10 * d
-		if cfg.PopSize > 100 {
-			cfg.PopSize = 100
-		}
-		if cfg.PopSize < 8 {
-			cfg.PopSize = 8
-		}
-	}
+	pop := min(max(10*p.Dim(), 8), 100)
+	target := problem.TargetFidelity(p)
 	lo, hi := p.Bounds()
 	box := optimize.NewBox(lo, hi)
 
@@ -51,10 +40,10 @@ func DE(p problem.Problem, cfg DEConfig, rng *rand.Rand) (*core.Result, error) {
 	haveBest := false
 	iter := 0
 	fitness := func(x []float64) float64 {
-		e := p.Evaluate(x, problem.High)
+		e := p.Evaluate(x, target)
 		res.NumHigh++
 		ob := core.Observation{Iter: iter, X: append([]float64(nil), x...),
-			Fid: problem.High, Eval: e, CumCost: float64(res.NumHigh)}
+			Fid: target, Eval: e, CumCost: float64(res.NumHigh)}
 		res.History = append(res.History, ob)
 		if cfg.Callback != nil {
 			cfg.Callback(ob)
@@ -68,9 +57,7 @@ func DE(p problem.Problem, cfg DEConfig, rng *rand.Rand) (*core.Result, error) {
 		return e.Objective + penaltyWeight*e.Violation()
 	}
 	optimize.DE(rng, fitness, box, optimize.DEConfig{
-		PopSize:  cfg.PopSize,
-		F:        cfg.F,
-		CR:       cfg.CR,
+		PopSize:  pop,
 		MaxGen:   1 << 30, // budget-bound, not generation-bound
 		MaxEvals: cfg.Budget,
 	})

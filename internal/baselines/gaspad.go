@@ -14,21 +14,24 @@ import (
 	"repro/internal/stats"
 )
 
+// GASPAD constants: each iteration prescreens gaspadPool DE children bred
+// from the gaspadParents best evaluated points, ranking them by the lower
+// confidence bound µ − gaspadBeta·σ; gaspadF / gaspadCR are the DE mutation
+// weight and crossover rate.
+const (
+	gaspadPool    = 50
+	gaspadParents = 20
+	gaspadBeta    = 2.0
+	gaspadF       = 0.8
+	gaspadCR      = 0.8
+)
+
 // GASPADConfig tunes the surrogate-assisted evolutionary optimizer.
 type GASPADConfig struct {
-	// Budget is the total number of high-fidelity simulations (> 0).
+	// Budget is the total number of target-fidelity simulations (> 0).
 	Budget int
 	// Init is the Latin-hypercube initialization size (default 40).
 	Init int
-	// PoolSize is the number of evolutionary children prescreened per
-	// iteration (default 50).
-	PoolSize int
-	// ParentPool is how many of the best current points breed (default 20).
-	ParentPool int
-	// Beta is the LCB exploration weight µ − β·σ (default 2).
-	Beta float64
-	// F / CR are the DE mutation weight and crossover rate (defaults 0.8 / 0.8).
-	F, CR float64
 	// GPRestarts / GPMaxIter / RefitEvery tune surrogate training.
 	GPRestarts, GPMaxIter, RefitEvery int
 	// FixedNoise pins GP observation noise.
@@ -51,21 +54,6 @@ func (c *GASPADConfig) defaults() error {
 	if c.Init >= c.Budget {
 		return fmt.Errorf("baselines: GASPAD Init %d must be below Budget %d", c.Init, c.Budget)
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 50
-	}
-	if c.ParentPool <= 1 {
-		c.ParentPool = 20
-	}
-	if c.Beta <= 0 {
-		c.Beta = 2
-	}
-	if c.F <= 0 {
-		c.F = 0.8
-	}
-	if c.CR <= 0 {
-		c.CR = 0.8
-	}
 	if c.GPRestarts <= 0 {
 		c.GPRestarts = 1
 	}
@@ -85,7 +73,8 @@ func (c *GASPADConfig) defaults() error {
 // GASPAD runs the surrogate-model-assisted evolutionary algorithm: each
 // iteration breeds a pool of DE children from the best evaluated points,
 // ranks them by a constrained lower-confidence-bound criterion on GP
-// surrogates, and simulates only the top-ranked child. Each output's
+// surrogates, and simulates only the top-ranked child at the problem's
+// target fidelity (problem.TargetFidelity). Each output's
 // surrogate is the engine's rung-0 SE-ARD GP (mfgp.FitBase), warm-started
 // from the previous fit and re-factorized under frozen hyperparameters
 // between RefitEvery refits. Failed or non-finite evaluations are charged
@@ -98,12 +87,13 @@ func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, 
 	nc := p.NumConstraints()
 	nOut := 1 + nc
 	lo, hi := p.Bounds()
+	target := problem.TargetFidelity(p)
 
 	res := &core.Result{}
 	var X [][]float64
 	var Y [][]float64
 	record := func(iter int, x []float64) {
-		e, err := problem.EvaluateRich(p, x, problem.High)
+		e, err := problem.EvaluateRich(p, x, target)
 		if err != nil || e.Failed || !e.IsFinite() {
 			e.Failed = true
 			res.NumFailed++
@@ -113,7 +103,7 @@ func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, 
 		}
 		res.NumHigh++
 		ob := core.Observation{Iter: iter, X: append([]float64(nil), x...),
-			Fid: problem.High, Eval: e, CumCost: float64(res.NumHigh)}
+			Fid: target, Eval: e, CumCost: float64(res.NumHigh)}
 		res.History = append(res.History, ob)
 		if cfg.Callback != nil {
 			cfg.Callback(ob)
@@ -143,9 +133,9 @@ func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, 
 			models[k] = m
 		}
 
-		parents := topParents(X, Y, cfg.ParentPool)
-		children := breed(rng, parents, lo, hi, cfg)
-		best := pickByConstrainedLCB(models, children, cfg.Beta, nc, cfg.Workers)
+		parents := topParents(X, Y, gaspadParents)
+		children := breed(rng, parents, lo, hi)
+		best := pickByConstrainedLCB(models, children, nc, cfg.Workers)
 		if duplicateIn(X, best) {
 			best = stats.UniformInBox(rng, lo, hi, 1)[0]
 		}
@@ -160,8 +150,8 @@ func GASPAD(p problem.Problem, cfg GASPADConfig, rng *rand.Rand) (*core.Result, 
 	return res, nil
 }
 
-// topParents returns the ParentPool best evaluated points under the
-// constrained ordering.
+// topParents returns the n best evaluated points under the constrained
+// ordering.
 func topParents(X [][]float64, Y [][]float64, n int) [][]float64 {
 	idx := make([]int, len(X))
 	for i := range idx {
@@ -181,12 +171,12 @@ func topParents(X [][]float64, Y [][]float64, n int) [][]float64 {
 	return out
 }
 
-// breed produces PoolSize children by DE/rand/1/bin over the parent pool,
+// breed produces gaspadPool children by DE/rand/1/bin over the parent pool,
 // reflected into the box.
-func breed(rng *rand.Rand, parents [][]float64, lo, hi []float64, cfg GASPADConfig) [][]float64 {
+func breed(rng *rand.Rand, parents [][]float64, lo, hi []float64) [][]float64 {
 	d := len(lo)
 	np := len(parents)
-	children := make([][]float64, cfg.PoolSize)
+	children := make([][]float64, gaspadPool)
 	for c := range children {
 		child := make([]float64, d)
 		base := parents[rng.Intn(np)]
@@ -194,8 +184,8 @@ func breed(rng *rand.Rand, parents [][]float64, lo, hi []float64, cfg GASPADConf
 		b := parents[rng.Intn(np)]
 		jRand := rng.Intn(d)
 		for j := 0; j < d; j++ {
-			if j == jRand || rng.Float64() < cfg.CR {
-				child[j] = base[j] + cfg.F*(a[j]-b[j])
+			if j == jRand || rng.Float64() < gaspadCR {
+				child[j] = base[j] + gaspadF*(a[j]-b[j])
 			} else {
 				child[j] = base[j]
 			}
@@ -216,17 +206,17 @@ func breed(rng *rand.Rand, parents [][]float64, lo, hi []float64, cfg GASPADConf
 // objective LCB, then on predicted violation. The posterior evaluations fan
 // across workers via acq.EvalBatch; the selection itself walks children in
 // order, so the winner is independent of the worker count.
-func pickByConstrainedLCB(models []*gp.Model, children [][]float64, beta float64, nc, workers int) []float64 {
+func pickByConstrainedLCB(models []*gp.Model, children [][]float64, nc, workers int) []float64 {
 	objLCB := acq.EvalBatch(workers, func(x []float64) float64 {
 		mu, va := models[0].PredictLatent(x)
-		return acq.LCB(mu, va, beta)
+		return acq.LCB(mu, va, gaspadBeta)
 	}, children)
 	consLCB := make([][]float64, nc)
 	for i := 0; i < nc; i++ {
 		m := models[1+i]
 		consLCB[i] = acq.EvalBatch(workers, func(x []float64) float64 {
 			cm, cv := m.PredictLatent(x)
-			return acq.LCB(cm, cv, beta)
+			return acq.LCB(cm, cv, gaspadBeta)
 		}, children)
 	}
 	type scored struct {

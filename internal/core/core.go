@@ -40,7 +40,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -168,7 +167,7 @@ type Config struct {
 
 func (c *Config) defaults() error {
 	if c.Budget <= 0 {
-		return errors.New("core: Config.Budget must be positive")
+		return fmt.Errorf("%w: Budget must be positive", ErrInvalidConfig)
 	}
 	if c.InitLow <= 0 {
 		c.InitLow = 10
@@ -195,7 +194,7 @@ func (c *Config) defaults() error {
 		c.NLMLTrigger = 0.5
 	}
 	if c.LowRankAfter < 0 {
-		return fmt.Errorf("core: negative LowRankAfter %d", c.LowRankAfter)
+		return fmt.Errorf("%w: negative LowRankAfter %d", ErrInvalidConfig, c.LowRankAfter)
 	}
 	if c.NumSamples <= 0 {
 		c.NumSamples = 30
@@ -212,7 +211,7 @@ func (c *Config) defaults() error {
 		c.Fantasy = FantasyKrigingBeliever
 	case FantasyKrigingBeliever, FantasyConstantLiar:
 	default:
-		return fmt.Errorf("core: unknown Config.Fantasy %q", c.Fantasy)
+		return fmt.Errorf("%w: unknown Fantasy %q", ErrInvalidConfig, c.Fantasy)
 	}
 	return nil
 }
@@ -476,7 +475,7 @@ func newState(p problem.Problem, cfg Config, rng *rand.Rand) (*state, error) {
 // problem's target fidelity (problem.High on classic problems).
 func (st *state) fidOf(r int) problem.Fidelity {
 	if st.ladder.Rungs() == 1 {
-		return problem.Fidelity(problem.NumFidelities(st.p) - 1)
+		return problem.TargetFidelity(st.p)
 	}
 	return problem.Fidelity(r)
 }

@@ -228,7 +228,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 
 func TestPropagationVariants(t *testing.T) {
 	p := testfunc.Pedagogical()
-	for _, prop := range []mfgp.Propagation{mfgp.MonteCarlo, mfgp.GaussHermite, mfgp.PlugIn} {
+	for _, prop := range []mfgp.Propagation{mfgp.MonteCarlo, mfgp.GaussHermite} {
 		rng := rand.New(rand.NewSource(12))
 		cfg := fastCfg(8)
 		cfg.Propagation = prop

@@ -43,4 +43,9 @@ var (
 	// evaluation). The dispatch layer treats it as "result already ingested
 	// elsewhere" and discards the report.
 	ErrUnknownSuggestion = errors.New("core: unknown or already-observed suggestion id")
+
+	// ErrInvalidConfig marks a Config the engine refuses outright: a
+	// non-positive Budget, a negative LowRankAfter or an unknown Fantasy.
+	// The service answers it with 400, since the request carried it.
+	ErrInvalidConfig = errors.New("core: invalid config")
 )

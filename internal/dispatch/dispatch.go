@@ -63,6 +63,9 @@ var (
 	ErrLeaseExpired = errors.New("dispatch: lease expired or unknown")
 )
 
+// maxLeaseTTL caps the lease duration a worker may request.
+const maxLeaseTTL = 10 * time.Minute
+
 // Config tunes a Queue. The zero value of every field selects a sensible
 // default; Resolve is required.
 type Config struct {
@@ -75,9 +78,8 @@ type Config struct {
 	// how many workers one session feeds (default 4).
 	MaxInFlight int
 	// LeaseTTL is the default lease duration (default 30s); a worker may
-	// request a different TTL per lease, capped at MaxTTL (default 10m).
+	// request a different TTL per lease, capped at maxLeaseTTL.
 	LeaseTTL time.Duration
-	MaxTTL   time.Duration
 	// MaxAttempts is the number of lease expiries after which a suggestion
 	// is abandoned and told to the engine as a Failed evaluation (charged,
 	// excluded from training) instead of being requeued forever (default 3).
@@ -103,9 +105,6 @@ func (c *Config) defaults() error {
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 30 * time.Second
-	}
-	if c.MaxTTL <= 0 {
-		c.MaxTTL = 10 * time.Minute
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -287,8 +286,8 @@ func (q *Queue) Lease(ctx context.Context, sessionID, worker string, ttl time.Du
 	if ttl <= 0 {
 		ttl = q.cfg.LeaseTTL
 	}
-	if ttl > q.cfg.MaxTTL {
-		ttl = q.cfg.MaxTTL
+	if ttl > maxLeaseTTL {
+		ttl = maxLeaseTTL
 	}
 	if width <= 0 || width > q.cfg.MaxInFlight {
 		width = q.cfg.MaxInFlight

@@ -241,23 +241,23 @@ func TestAbandonAfterMaxAttempts(t *testing.T) {
 }
 
 func TestLeaseTTLClamping(t *testing.T) {
-	q, _, clock := newTestQueue(t, func(c *Config) { c.MaxTTL = 30 * time.Second })
+	q, _, clock := newTestQueue(t, nil)
 
 	// Requested TTL is honored…
-	g, err := q.Lease(context.Background(), "s1", "w1", 20*time.Second, 0)
+	g, err := q.Lease(context.Background(), "s1", "w1", 5*time.Minute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Deadline.Equal(clock.After(20 * time.Second)) {
-		t.Fatalf("deadline %v, want now+20s", g.Deadline)
+	if !g.Deadline.Equal(clock.After(5 * time.Minute)) {
+		t.Fatalf("deadline %v, want now+5m", g.Deadline)
 	}
-	// …and capped at MaxTTL.
+	// …and capped at maxLeaseTTL.
 	g2, err := q.Lease(context.Background(), "s1", "w1", time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g2.Deadline.Equal(clock.After(30 * time.Second)) {
-		t.Fatalf("capped deadline %v, want now+30s", g2.Deadline)
+	if !g2.Deadline.Equal(clock.After(maxLeaseTTL)) {
+		t.Fatalf("capped deadline %v, want now+%v", g2.Deadline, maxLeaseTTL)
 	}
 }
 

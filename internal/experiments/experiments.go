@@ -69,7 +69,11 @@ func RunRepeatedCtx(ctx context.Context, runs int, baseSeed int64, fn RunFnCtx) 
 
 // AlgoStats aggregates the replications of one algorithm on one problem.
 type AlgoStats struct {
-	Name    string
+	Name string
+	// Problem is the problem every replication ran on; its target fidelity
+	// (problem.TargetFidelity) selects the observations the cost metrics
+	// count. nil stands for a classic two-fidelity problem.
+	Problem problem.Problem
 	Results []*core.Result
 }
 
@@ -104,7 +108,7 @@ func (a *AlgoStats) Successes() int {
 func (a *AlgoStats) AvgSims() float64 {
 	s := 0.0
 	for _, r := range a.Results {
-		s += SimsToBest(r)
+		s += SimsToBest(a.Problem, r)
 	}
 	return s / float64(len(a.Results))
 }
@@ -118,23 +122,12 @@ func (a *AlgoStats) AvgTotalSims() float64 {
 	return s / float64(len(a.Results))
 }
 
-// targetFid returns the run's full-accuracy rung: problem.High on classic
-// two-fidelity runs, the ladder's top rung (len(NumByRung)-1) on K>2 runs.
-// Without this, a mid rung (Fid==1 on a 3-rung ladder) would alias the
-// two-fidelity High constant and corrupt the cost-to-best accounting.
-func targetFid(r *core.Result) problem.Fidelity {
-	if len(r.NumByRung) > 0 {
-		return problem.Fidelity(len(r.NumByRung) - 1)
-	}
-	return problem.High
-}
-
 // SimsToBest returns the cumulative equivalent-simulation cost at the last
-// improvement of the best (feasible-first) observation in the run's history —
-// the point where the reported result was reached.
-func SimsToBest(r *core.Result) float64 {
+// improvement of the best (feasible-first) target-fidelity observation in the
+// history of run r on p — the point where the reported result was reached.
+func SimsToBest(p problem.Problem, r *core.Result) float64 {
 	bestCost := r.EquivalentSims
-	target := targetFid(r)
+	target := problem.TargetFidelity(p)
 	var best problem.Evaluation
 	first := true
 	for _, ob := range r.History {
@@ -273,12 +266,12 @@ func (t *Table) Render() string {
 }
 
 // ConvergenceTrace returns the best-feasible-so-far objective as a function
-// of cumulative equivalent simulations for one run, sampled at every
-// high-fidelity evaluation. Points before the first feasible observation
+// of cumulative equivalent simulations for one run on p, sampled at every
+// target-fidelity evaluation. Points before the first feasible observation
 // carry +Inf.
-func ConvergenceTrace(r *core.Result) (cost, best []float64) {
+func ConvergenceTrace(p problem.Problem, r *core.Result) (cost, best []float64) {
 	cur := math.Inf(1)
-	target := targetFid(r)
+	target := problem.TargetFidelity(p)
 	for _, ob := range r.History {
 		if ob.Fid != target {
 			continue
@@ -292,15 +285,16 @@ func ConvergenceTrace(r *core.Result) (cost, best []float64) {
 	return cost, best
 }
 
-// MedianTraceAt samples each run's convergence trace at the given cost grid
-// (step-function interpolation) and returns the per-grid-point median.
-func MedianTraceAt(results []*core.Result, grid []float64) []float64 {
+// MedianTraceAt samples each replication's convergence trace at the given
+// cost grid (step-function interpolation) and returns the per-grid-point
+// median.
+func (a *AlgoStats) MedianTraceAt(grid []float64) []float64 {
 	vals := make([][]float64, len(grid))
 	for i := range vals {
-		vals[i] = make([]float64, 0, len(results))
+		vals[i] = make([]float64, 0, len(a.Results))
 	}
-	for _, r := range results {
-		cost, best := ConvergenceTrace(r)
+	for _, r := range a.Results {
+		cost, best := ConvergenceTrace(a.Problem, r)
 		for i, g := range grid {
 			// Step interpolation: last trace point with cost ≤ g.
 			v := math.Inf(1)

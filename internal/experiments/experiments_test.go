@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/optimize"
 	"repro/internal/problem"
+	"repro/internal/testfunc"
 )
 
 func fakeResult(obj float64, feasible bool, sims float64) *core.Result {
@@ -146,7 +149,7 @@ func TestConvergenceTrace(t *testing.T) {
 		[]problem.Fidelity{problem.High, problem.High, problem.Low, problem.High},
 		[]float64{1, 2, 2.5, 3},
 	)
-	cost, best := ConvergenceTrace(r)
+	cost, best := ConvergenceTrace(testfunc.Forrester(), r)
 	// Low-fidelity points are skipped.
 	if len(cost) != 3 {
 		t.Fatalf("trace length %d, want 3", len(cost))
@@ -175,7 +178,7 @@ func TestMedianTraceAt(t *testing.T) {
 		return historyResult(evals, fids, costs)
 	}
 	results := []*core.Result{mk(5, 4, 3), mk(7, 2, 1), mk(6, 6, 6)}
-	med := MedianTraceAt(results, []float64{1, 2, 3})
+	med := (&AlgoStats{Results: results}).MedianTraceAt([]float64{1, 2, 3})
 	if med[0] != 6 {
 		t.Fatalf("median at cost 1 = %v, want 6", med[0])
 	}
@@ -205,5 +208,55 @@ func TestScalesAreOrdered(t *testing.T) {
 	if pCP.MFBOBudget != 300 || pCP.WEIBOBudget != 800 || pCP.GASPADBudget != 2500 ||
 		pCP.DEBudget != 10100 || pCP.Runs != 10 || pCP.MFBOInitLow != 30 || pCP.MFBOInitHigh != 10 {
 		t.Fatal("paper CP budgets drifted from §5.2")
+	}
+}
+
+// TestBaselinesOnThreeRungLadder: on forrester3 the target fidelity is rung
+// 2, not problem.High (the middle rung). GASPAD and DE must simulate only
+// the target rung, and SimsToBest must count WEIBO's target-rung history.
+func TestBaselinesOnThreeRungLadder(t *testing.T) {
+	p := testfunc.Forrester3()
+	target := problem.TargetFidelity(p)
+	if target != 2 {
+		t.Fatalf("forrester3 target fidelity = %v, want rung 2", target)
+	}
+	gaspad, err := baselines.GASPAD(p, baselines.GASPADConfig{Budget: 10, Init: 6, GPMaxIter: 20}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	de, err := baselines.DE(p, baselines.DEConfig{Budget: 20}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*core.Result{"GASPAD": gaspad, "DE": de} {
+		for i, ob := range r.History {
+			if ob.Fid != target {
+				t.Fatalf("%s history[%d] simulated fidelity %v, want %v", name, i, ob.Fid, target)
+			}
+		}
+	}
+
+	weibo, err := baselines.WEIBO(p, core.Config{
+		Budget: 10, InitHigh: 5, GPMaxIter: 20,
+		MSP: optimize.MSPConfig{Starts: 4, LocalIter: 15},
+	}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var best problem.Evaluation
+	want := math.NaN()
+	for i, ob := range weibo.History {
+		if ob.Fid != target {
+			t.Fatalf("WEIBO history[%d] simulated fidelity %v, want %v", i, ob.Fid, target)
+		}
+		if i == 0 || problem.Better(ob.Eval, best) {
+			best, want = ob.Eval, ob.CumCost
+		}
+	}
+	if !(want < weibo.EquivalentSims) {
+		t.Fatalf("best observation at cost %v is the run's last (%v); pick a seed that tells SimsToBest from the total", want, weibo.EquivalentSims)
+	}
+	if got := SimsToBest(p, weibo); got != want {
+		t.Fatalf("WEIBO SimsToBest = %v, want %v (CumCost of its best target observation)", got, want)
 	}
 }

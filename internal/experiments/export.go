@@ -66,7 +66,7 @@ func WriteTraceCSV(w io.Writer, statsByAlgo map[string]*AlgoStats, grid []float6
 		if !ok {
 			continue
 		}
-		medians[name] = MedianTraceAt(a.Results, grid)
+		medians[name] = a.MedianTraceAt(grid)
 	}
 	for i, g := range grid {
 		row := []string{strconv.FormatFloat(g, 'g', 10, 64)}

@@ -45,10 +45,10 @@ func QuickScaleLadder() LadderScale {
 }
 
 // CostToTarget returns the cumulative equivalent-simulation cost at which the
-// run's best feasible target-rung objective first reached target, or +Inf if
-// it never did.
-func CostToTarget(r *core.Result, target float64) float64 {
-	cost, best := ConvergenceTrace(r)
+// best feasible target-rung objective of run r on p first reached target, or
+// +Inf if it never did.
+func CostToTarget(p problem.Problem, r *core.Result, target float64) float64 {
+	cost, best := ConvergenceTrace(p, r)
 	for i := range cost {
 		if best[i] <= target {
 			return cost[i]
@@ -77,21 +77,17 @@ func RunLadderComparison(prob problem.Problem, sc LadderScale, baseSeed int64) (
 		RefitEvery: sc.RefitEvery,
 		NumSamples: sc.MCSamples,
 	}
-	algos := map[string]RunFn{
-		"Ladder": func(rng *rand.Rand) (*core.Result, error) {
-			return core.Optimize(prob, cfg, rng)
-		},
-		"2-Fid": func(rng *rand.Rand) (*core.Result, error) {
-			return core.Optimize(fidelity.NewTwoFidelityView(prob), cfg, rng)
-		},
-	}
-	out := make(map[string]*AlgoStats, len(algos))
+	probs := map[string]problem.Problem{"Ladder": prob, "2-Fid": fidelity.NewTwoFidelityView(prob)}
+	out := make(map[string]*AlgoStats, len(probs))
 	for _, name := range LadderAlgoOrder {
-		results, err := RunRepeated(sc.Runs, baseSeed, algos[name])
+		p := probs[name]
+		results, err := RunRepeated(sc.Runs, baseSeed, func(rng *rand.Rand) (*core.Result, error) {
+			return core.Optimize(p, cfg, rng)
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		out[name] = &AlgoStats{Name: name, Results: results}
+		out[name] = &AlgoStats{Name: name, Problem: p, Results: results}
 	}
 
 	t := NewTable(fmt.Sprintf("Ladder vs two-fidelity: %s (target %.4g)", prob.Name(), sc.Target), LadderAlgoOrder...)
@@ -117,7 +113,7 @@ func RunLadderComparison(prob problem.Problem, sc LadderScale, baseSeed int64) (
 	row("cost-to-target(med)", "%.1f", func(a *AlgoStats) float64 {
 		costs := make([]float64, 0, len(a.Results))
 		for _, r := range a.Results {
-			costs = append(costs, CostToTarget(r, sc.Target))
+			costs = append(costs, CostToTarget(a.Problem, r, sc.Target))
 		}
 		return stats.Quantile(costs, 0.5)
 	})
@@ -129,7 +125,7 @@ func RunLadderComparison(prob problem.Problem, sc LadderScale, baseSeed int64) (
 		a := out[name]
 		n := 0
 		for _, r := range a.Results {
-			if !math.IsInf(CostToTarget(r, sc.Target), 1) {
+			if !math.IsInf(CostToTarget(a.Problem, r, sc.Target), 1) {
 				n++
 			}
 		}

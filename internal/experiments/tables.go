@@ -140,7 +140,7 @@ func runAllProblem(prob problem.Problem, sc Scale, baseSeed int64) (map[string]*
 		if err != nil {
 			return nil, err
 		}
-		out[name] = &AlgoStats{Name: name, Results: results}
+		out[name] = &AlgoStats{Name: name, Problem: prob, Results: results}
 	}
 	return out, nil
 }

@@ -142,7 +142,7 @@ type TwoFidelityView struct {
 // NewTwoFidelityView wraps p. If p has only two rungs the wrapper is a
 // transparent rename.
 func NewTwoFidelityView(p problem.Problem) *TwoFidelityView {
-	return &TwoFidelityView{inner: p, target: problem.Fidelity(problem.NumFidelities(p) - 1)}
+	return &TwoFidelityView{inner: p, target: problem.TargetFidelity(p)}
 }
 
 func (v *TwoFidelityView) Name() string { return v.inner.Name() + "-2f" }

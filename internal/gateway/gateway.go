@@ -54,10 +54,9 @@ type Config struct {
 	// Ring tunes the consistent-hash ring. Ring.Seed must match across every
 	// gateway of one deployment (replicas don't hash; they fence by lease).
 	Ring shard.RingConfig
-	// HealthEvery is the replica health-check period (default 500ms).
+	// HealthEvery is the replica health-check period (default 500ms). One
+	// probe may take min(HealthEvery, 2s).
 	HealthEvery time.Duration
-	// HealthTimeout bounds one health probe (default HealthEvery, capped 2s).
-	HealthTimeout time.Duration
 	// RetryBudget bounds the total time one request may spend retrying
 	// across dead replicas and ownership movement (default 15s). It should
 	// comfortably exceed the deployment's ownership-lease TTL, or failover
@@ -151,12 +150,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.HealthEvery <= 0 {
 		cfg.HealthEvery = 500 * time.Millisecond
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = cfg.HealthEvery
-		if cfg.HealthTimeout > 2*time.Second {
-			cfg.HealthTimeout = 2 * time.Second
-		}
 	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = 15 * time.Second
@@ -273,7 +266,7 @@ func (g *Gateway) sweep() {
 // probe health-checks one replica; the ID is returned even from degraded
 // (503) replies so the gateway can still name replicas it won't route to.
 func (g *Gateway) probe(url string) (id string, healthy bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(g.cfg.HealthEvery, 2*time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/healthz", nil)
 	if err != nil {

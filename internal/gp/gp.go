@@ -40,9 +40,9 @@ type Config struct {
 	// output units) instead of training it. Use a small value such as 1e-4
 	// for noiseless computer experiments.
 	FixedNoise *float64
-	// NoStandardizeX disables input standardization (set by the low-rank
+	// noStandardizeX disables input standardization (set by the low-rank
 	// subset fit, whose inputs are already standardized).
-	NoStandardizeX bool
+	noStandardizeX bool
 	// WarmStart, when non-nil, is used as the primary training start instead
 	// of the default initialization — pass a previous fit's Hyper() to speed
 	// up incremental refits. Its length must be NumHyper()+1 (kernel hypers
@@ -357,7 +357,7 @@ func (m *Model) standardize(X [][]float64, y []float64) {
 			ss += dv * dv
 		}
 		sd := math.Sqrt(ss / float64(n))
-		if sd < 1e-12 || m.cfg.NoStandardizeX {
+		if sd < 1e-12 || m.cfg.noStandardizeX {
 			mu, sd = 0, 1
 		}
 		m.xMean[j], m.xStd[j] = mu, sd

@@ -84,7 +84,7 @@ func (m *Model) fitLowRank(rng *rand.Rand) error {
 		}
 		sub, err := Fit(subX, subY, Config{
 			Kernel: m.kern.Clone(), Restarts: cfg.Restarts, MaxIter: cfg.MaxIter,
-			FixedNoise: cfg.FixedNoise, NoStandardizeX: true, WarmStart: cfg.WarmStart,
+			FixedNoise: cfg.FixedNoise, noStandardizeX: true, WarmStart: cfg.WarmStart,
 			Workers: cfg.Workers, Span: cfg.Span,
 		}, rng)
 		if err != nil {

@@ -41,8 +41,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/optimize"
 	"repro/internal/problem"
+	"repro/internal/server"
 )
 
 // Config shapes a load run.
@@ -321,18 +321,6 @@ func (c Config) request(i int) api.CreateSessionRequest {
 	}
 }
 
-// coreConfig is the in-process equivalent of request(i) — the pair must stay
-// in lockstep for the bit-identical verification to be meaningful.
-func (c Config) coreConfig() core.Config {
-	return core.Config{
-		Budget:    c.Budget,
-		InitLow:   c.InitLow,
-		InitHigh:  c.InitHigh,
-		MSP:       optimize.MSPConfig{Starts: c.MSPStarts, LocalIter: c.MSPLocalIter},
-		GPMaxIter: c.GPMaxIter,
-	}
-}
-
 // timed runs one request, recording its user-perceived latency (client-side
 // retries included) and whether it terminally failed.
 func (r *runner) timed(f func() error) error {
@@ -477,7 +465,7 @@ func (r *runner) verify(ctx context.Context, res *Result) {
 			res.VerifyMismatches = append(res.VerifyMismatches, fmt.Sprintf("%s: %v", id, err))
 			continue
 		}
-		ref, err := core.Optimize(p, r.cfg.coreConfig(), rand.New(rand.NewSource(r.cfg.Seed+int64(i))))
+		ref, err := core.Optimize(p, server.CoreConfig(r.cfg.request(i)), rand.New(rand.NewSource(r.cfg.Seed+int64(i))))
 		if err != nil {
 			res.VerifyMismatches = append(res.VerifyMismatches, fmt.Sprintf("%s: reference run: %v", id, err))
 			continue

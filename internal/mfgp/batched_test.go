@@ -18,7 +18,7 @@ func perPointPredictLevel(m *MultiLevel, x []float64, l int) (float64, float64) 
 	aug := append(append([]float64(nil), x...), 0)
 	for lev := 1; lev <= l; lev++ {
 		sd := math.Sqrt(math.Max(va, 0))
-		if m.prop == PlugIn || sd == 0 {
+		if sd == 0 {
 			aug[m.dim] = mu
 			mu, va = m.models[lev].PredictLatent(aug)
 			if va < 0 {
@@ -95,7 +95,7 @@ func TestPredictLevelMatchesPerPoint(t *testing.T) {
 	for _, prop := range []struct {
 		name string
 		p    Propagation
-	}{{"monte-carlo", MonteCarlo}, {"gauss-hermite", GaussHermite}, {"plugin", PlugIn}} {
+	}{{"monte-carlo", MonteCarlo}, {"gauss-hermite", GaussHermite}} {
 		for _, sizes := range [][]int{{30, 10}, {30, 14, 8}} {
 			for _, scen := range []string{"fit", "appended", "truncated", "low-rank"} {
 				name := fmt.Sprintf("%s/K=%d/%s", prop.name, len(sizes), scen)

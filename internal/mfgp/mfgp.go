@@ -27,10 +27,6 @@ const (
 	// GaussHermite replaces the random samples with Gauss–Hermite
 	// quadrature nodes — a deterministic variant ablated in EXPERIMENTS.md.
 	GaussHermite
-	// PlugIn ignores the low-fidelity variance and evaluates the
-	// high-fidelity GP at the posterior mean only (cheapest, underestimates
-	// uncertainty; used for diagnostics).
-	PlugIn
 )
 
 // Fit trains the two-fidelity fusion model on a low-fidelity dataset

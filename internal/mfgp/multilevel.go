@@ -27,7 +27,6 @@ type MultiLevel struct {
 	workers int
 	zs      [][]float64 // propagation nodes per fused level
 	weights []float64   // quadrature weights (GaussHermite); nil for MC
-	prop    Propagation
 
 	// scratch recycles the buffers of fused predictions (see levelScratch),
 	// so Predict allocates nothing in steady state even when acquisition
@@ -36,8 +35,9 @@ type MultiLevel struct {
 }
 
 // levelScratch is the buffer set of one fused prediction: the augmented point
-// (x, f̂_{ℓ−1}(x)) of the plug-in step, and the propagation cloud with the
-// per-node posteriors of the sampled step.
+// (x, f̂_{ℓ−1}(x)) of the plug-in step taken when the lower posterior is
+// exact (σ = 0), and the propagation cloud with the per-node posteriors of
+// the sampled step.
 type levelScratch struct {
 	aug          []float64
 	ts, mus, vas []float64
@@ -61,10 +61,10 @@ type MultiLevelConfig struct {
 	Restarts, MaxIter int
 	FixedNoise        *float64
 	// Propagation selects how each level's posterior is pushed through the
-	// next: MonteCarlo (default), GaussHermite or PlugIn.
+	// next: MonteCarlo (default) or GaussHermite.
 	Propagation Propagation
 	// NumSamples is the propagation cloud size per fused level (default 50
-	// for MonteCarlo or 20 nodes for GaussHermite; ignored by PlugIn).
+	// for MonteCarlo or 20 nodes for GaussHermite).
 	NumSamples int
 	// WarmStarts, when non-nil, supplies per-level hyperparameter starts
 	// (WarmStarts[l] forwards to gp.Config.WarmStart for level l; nil
@@ -164,7 +164,7 @@ func FitOnBase(base *gp.Model, X [][][]float64, y [][]float64, cfg MultiLevelCon
 		}
 	}
 	levels := len(X) + 1
-	m := &MultiLevel{models: []*gp.Model{base}, dim: d, workers: cfg.Workers, prop: cfg.Propagation}
+	m := &MultiLevel{models: []*gp.Model{base}, dim: d, workers: cfg.Workers}
 	var ghNodes []float64
 	switch cfg.Propagation {
 	case GaussHermite:
@@ -173,7 +173,7 @@ func FitOnBase(base *gp.Model, X [][][]float64, y [][]float64, cfg MultiLevelCon
 			n = 20
 		}
 		ghNodes, m.weights = stats.GaussHermite(n)
-	case PlugIn, MonteCarlo:
+	case MonteCarlo:
 	default:
 		return nil, fmt.Errorf("mfgp: unknown propagation %d", cfg.Propagation)
 	}
@@ -209,8 +209,6 @@ func FitOnBase(base *gp.Model, X [][][]float64, y [][]float64, cfg MultiLevelCon
 			m.zs = append(m.zs, zs)
 		case GaussHermite:
 			m.zs = append(m.zs, ghNodes)
-		case PlugIn:
-			m.zs = append(m.zs, nil)
 		}
 	}
 	return m, nil
@@ -318,12 +316,14 @@ func (m *MultiLevel) PredictBatch(xs [][]float64) (means, variances []float64) {
 }
 
 // predictLevel propagates the posterior through levels 1..l with common
-// random numbers (MonteCarlo), shared quadrature nodes (GaussHermite) or the
-// plug-in mean, collapsing to (mean, variance) at each step — the sequential
+// random numbers (MonteCarlo) or shared quadrature nodes (GaussHermite),
+// collapsing to (mean, variance) at each step — the sequential
 // approximation used by recursive NARGP implementations (eq. 10 for l = 1;
 // the variance is the law of total variance over the propagation cloud).
 // Every node of a cloud shares x, so each sampled step is one
-// gp.PredictLatentAugmented call over the cloud mu + sd·z.
+// gp.PredictLatentAugmented call over the cloud mu + sd·z. An exact lower
+// posterior (sd = 0) makes every node the mean, so that step is one
+// plug-in prediction at (x, mu).
 func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 	mu, va := m.models[0].PredictLatent(x)
 	if l == 0 {
@@ -334,7 +334,7 @@ func (m *MultiLevel) predictLevel(x []float64, l int) (float64, float64) {
 	copy(aug, x)
 	for lev := 1; lev <= l; lev++ {
 		sd := math.Sqrt(math.Max(va, 0))
-		if m.prop == PlugIn || sd == 0 {
+		if sd == 0 {
 			aug[m.dim] = mu
 			mu, va = m.models[lev].PredictLatent(aug)
 			if va < 0 {

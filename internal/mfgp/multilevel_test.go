@@ -254,32 +254,6 @@ func TestMultiLevelCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMultiLevelPlugIn exercises the plug-in propagation mode.
-func TestMultiLevelPlugIn(t *testing.T) {
-	X, y, f2 := threeLevelData()
-	rng := rand.New(rand.NewSource(15))
-	m, err := FitMultiLevel(X, y, MultiLevelConfig{
-		Restarts: 2, FixedNoise: fixedNoise(1e-6), Propagation: PlugIn,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sq float64
-	const n = 101
-	for i := 0; i < n; i++ {
-		x := float64(i) / (n - 1)
-		mu, va := m.Predict([]float64{x})
-		if va < 0 || math.IsNaN(mu) {
-			t.Fatalf("bad plug-in posterior at %v: %v ± %v", x, mu, va)
-		}
-		d := mu - f2(x)
-		sq += d * d
-	}
-	if rmse := math.Sqrt(sq / n); rmse > 0.2 {
-		t.Fatalf("plug-in 3-level RMSE %v too large", rmse)
-	}
-}
-
 // TestMultiLevelAppendValidation covers the error paths.
 func TestMultiLevelAppendValidation(t *testing.T) {
 	X, y, _ := threeLevelData()
@@ -431,7 +405,7 @@ func TestMultiLevelConstantLowerRung(t *testing.T) {
 		"K=2": {[][][]float64{Xl, Xh}, [][]float64{constant(Xl, 0.7), yh}},
 		"K=3": {[][][]float64{Xl, grid(8), Xh}, [][]float64{constant(Xl, 0.7), constant(grid(8), -0.4), yh}},
 	}
-	props := map[string]Propagation{"monte-carlo": MonteCarlo, "gauss-hermite": GaussHermite, "plug-in": PlugIn}
+	props := map[string]Propagation{"monte-carlo": MonteCarlo, "gauss-hermite": GaussHermite}
 	for cname, c := range chains {
 		for pname, prop := range props {
 			t.Run(cname+"/"+pname, func(t *testing.T) {

@@ -45,7 +45,6 @@ func TestFusedPredictBatchParallelDeterminism(t *testing.T) {
 		name string
 		prop Propagation
 	}{
-		{"plugin", PlugIn},
 		{"gauss-hermite", GaussHermite},
 		{"monte-carlo", MonteCarlo},
 	}
@@ -94,7 +93,7 @@ func TestPredictAllocationLean(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		prop Propagation
-	}{{"plugin", PlugIn}, {"gauss-hermite", GaussHermite}, {"monte-carlo", MonteCarlo}} {
+	}{{"gauss-hermite", GaussHermite}, {"monte-carlo", MonteCarlo}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := MultiLevelConfig{MaxIter: 30, Propagation: tc.prop, NumSamples: 10}
 			m, err := Fit(Xl, yl, Xh, yh, cfg, rand.New(rand.NewSource(32)))

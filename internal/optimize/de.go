@@ -7,12 +7,16 @@ import (
 	"repro/internal/stats"
 )
 
+// DE/rand/1/bin constants: the differential weight and the crossover rate.
+const (
+	deF  = 0.7
+	deCR = 0.9
+)
+
 // DEConfig tunes the differential-evolution engine (DE/rand/1/bin).
 type DEConfig struct {
-	PopSize int     // population size (default 10·d, min 8)
-	F       float64 // differential weight (default 0.7)
-	CR      float64 // crossover rate (default 0.9)
-	MaxGen  int     // maximum generations (default 100)
+	PopSize int // population size (default 10·d, min 8)
+	MaxGen  int // maximum generations (default 100)
 	// MaxEvals, when positive, stops evolution once the total number of
 	// objective evaluations (including the initial population) reaches it.
 	MaxEvals int
@@ -24,12 +28,6 @@ func (c *DEConfig) defaults(d int) {
 		if c.PopSize < 8 {
 			c.PopSize = 8
 		}
-	}
-	if c.F <= 0 {
-		c.F = 0.7
-	}
-	if c.CR <= 0 {
-		c.CR = 0.9
 	}
 	if c.MaxGen <= 0 {
 		c.MaxGen = 100
@@ -68,8 +66,8 @@ func DE(rng *rand.Rand, f func([]float64) float64, box Box, cfg DEConfig) ([]flo
 			a, b, c := distinctThree(rng, cfg.PopSize, i)
 			jRand := rng.Intn(d)
 			for j := 0; j < d; j++ {
-				if j == jRand || rng.Float64() < cfg.CR {
-					trial[j] = pop[a][j] + cfg.F*(pop[b][j]-pop[c][j])
+				if j == jRand || rng.Float64() < deCR {
+					trial[j] = pop[a][j] + deF*(pop[b][j]-pop[c][j])
 					// Reflect out-of-box coordinates back inside.
 					if trial[j] < box.Lo[j] {
 						trial[j] = box.Lo[j] + rng.Float64()*(pop[i][j]-box.Lo[j])

@@ -1,9 +1,8 @@
 // Package optimize provides the numerical optimizers used throughout the
 // library: L-BFGS with a strong-Wolfe line search (hyperparameter training,
-// acquisition maximization), Nelder–Mead (derivative-free fallback), a
-// differential-evolution engine (the DE baseline and GASPAD's proposal pool),
-// and the paper's multiple-starting-point (MSP) driver with incumbent-local
-// seeding (§4.1).
+// acquisition maximization), a differential-evolution engine (the DE
+// baseline), and the paper's multiple-starting-point (MSP) driver with
+// incumbent-local seeding (§4.1).
 package optimize
 
 import (
@@ -16,31 +15,18 @@ import (
 // by the caller and must be fully overwritten.
 type Objective func(x []float64, grad []float64) float64
 
-// LBFGSConfig tunes the quasi-Newton minimizer. Zero values select defaults.
-type LBFGSConfig struct {
-	Memory   int     // history pairs (default 10)
-	MaxIter  int     // maximum iterations (default 200)
-	GradTol  float64 // stop when ‖∇f‖∞ < GradTol (default 1e-6)
-	FuncTol  float64 // stop on relative f decrease below FuncTol (default 1e-10)
-	StepInit float64 // initial line-search step (default 1)
-}
+// L-BFGS constants: history pairs, the gradient and relative-decrease
+// stopping tolerances, and the initial line-search step.
+const (
+	lbfgsMemory   = 10
+	lbfgsGradTol  = 1e-6
+	lbfgsFuncTol  = 1e-10
+	lbfgsStepInit = 1.0
+)
 
-func (c *LBFGSConfig) defaults() {
-	if c.Memory <= 0 {
-		c.Memory = 10
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 200
-	}
-	if c.GradTol <= 0 {
-		c.GradTol = 1e-6
-	}
-	if c.FuncTol <= 0 {
-		c.FuncTol = 1e-10
-	}
-	if c.StepInit <= 0 {
-		c.StepInit = 1
-	}
+// LBFGSConfig tunes the quasi-Newton minimizer.
+type LBFGSConfig struct {
+	MaxIter int // maximum iterations (default 200)
 }
 
 // Result reports the outcome of a minimization.
@@ -56,7 +42,9 @@ type Result struct {
 // LBFGS minimizes f starting from x0 using limited-memory BFGS with a
 // strong-Wolfe cubic line search. x0 is not modified.
 func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
-	cfg.defaults()
+	if cfg.MaxIter <= 0 {
+		cfg.MaxIter = 200
+	}
 	n := len(x0)
 	x := append([]float64(nil), x0...)
 	g := make([]float64, n)
@@ -75,7 +63,7 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 	d := make([]float64, n)
 	res := Result{}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		if maxAbs(g) < cfg.GradTol {
+		if maxAbs(g) < lbfgsGradTol {
 			res.Converged = true
 			res.Iters = iter
 			break
@@ -112,7 +100,7 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 			dg = -linalg.Dot(g, g)
 			hist = hist[:0]
 		}
-		step0 := cfg.StepInit
+		step0 := lbfgsStepInit
 		if iter == 0 {
 			// Conservative first step scaled by gradient magnitude.
 			if gn := linalg.Norm2(g); gn > 1 {
@@ -129,14 +117,14 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 		sy := linalg.Dot(s, y)
 		if sy > 1e-12*linalg.Norm2(s)*linalg.Norm2(y) {
 			hist = append(hist, pair{s: s, y: y, rho: 1 / sy})
-			if len(hist) > cfg.Memory {
+			if len(hist) > lbfgsMemory {
 				hist = hist[1:]
 			}
 		}
 		rel := math.Abs(fx-fNew) / math.Max(1, math.Abs(fx))
 		x, fx = xNew, fNew
 		copy(g, gNew)
-		if rel < cfg.FuncTol {
+		if rel < lbfgsFuncTol {
 			res.Converged = true
 			res.Iters = iter + 1
 			break

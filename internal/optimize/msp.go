@@ -9,18 +9,21 @@ import (
 	"repro/internal/telemetry"
 )
 
+// The §4.1 start-point shares: mspFracHigh of the starting points are
+// scattered in a Gaussian ball around the high-fidelity incumbent,
+// mspFracLow around the low-fidelity incumbent, and the remainder uniformly
+// over the box. Each ball's standard deviation is mspSigmaFrac of the box
+// width per coordinate.
+const (
+	mspFracHigh  = 0.4
+	mspFracLow   = 0.1
+	mspSigmaFrac = 0.02
+)
+
 // MSPConfig configures the multiple-starting-point maximizer of §4.1.
-//
-// A fraction FracHigh of starting points is scattered in a Gaussian ball
-// around the high-fidelity incumbent, FracLow around the low-fidelity
-// incumbent, and the remainder uniformly over the box. The paper uses
-// FracHigh = 0.4 and FracLow = 0.1.
 type MSPConfig struct {
-	Starts    int     // number of starting points (default 20)
-	FracHigh  float64 // fraction seeded near IncumbentHigh (default 0.4)
-	FracLow   float64 // fraction seeded near IncumbentLow (default 0.1)
-	SigmaFrac float64 // ball std as a fraction of each box width (default 0.02)
-	LocalIter int     // local refinement iterations per start (default 60)
+	Starts    int // number of starting points (default 20)
+	LocalIter int // local refinement iterations per start (default 60)
 	// Extra starting points appended verbatim (clipped to the box). The BO
 	// loop passes the low-fidelity acquisition optimum here (Algorithm 1,
 	// line 6: the high-fidelity acquisition is optimized "based on x*_l").
@@ -54,15 +57,6 @@ type MSPStats struct {
 func (c *MSPConfig) defaults() {
 	if c.Starts <= 0 {
 		c.Starts = 20
-	}
-	if c.FracHigh <= 0 {
-		c.FracHigh = 0.4
-	}
-	if c.FracLow <= 0 {
-		c.FracLow = 0.1
-	}
-	if c.SigmaFrac <= 0 {
-		c.SigmaFrac = 0.02
 	}
 	if c.LocalIter <= 0 {
 		c.LocalIter = 60
@@ -128,23 +122,24 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 	return bestX, bestF
 }
 
-// mspStarts builds the §4.1 start-point set: FracHigh near the high-fidelity
-// incumbent, FracLow near the low-fidelity incumbent, remainder uniform.
+// mspStarts builds the §4.1 start-point set: mspFracHigh near the
+// high-fidelity incumbent, mspFracLow near the low-fidelity incumbent,
+// remainder uniform.
 func mspStarts(rng *rand.Rand, box Box, incHigh, incLow []float64, cfg MSPConfig) [][]float64 {
 	nHigh, nLow := 0, 0
 	if incHigh != nil {
-		nHigh = int(cfg.FracHigh * float64(cfg.Starts))
+		nHigh = int(mspFracHigh * float64(cfg.Starts))
 	}
 	if incLow != nil {
-		nLow = int(cfg.FracLow * float64(cfg.Starts))
+		nLow = int(mspFracLow * float64(cfg.Starts))
 	}
 	nUniform := cfg.Starts - nHigh - nLow
 	pts := make([][]float64, 0, cfg.Starts)
 	if nHigh > 0 {
-		pts = append(pts, stats.GaussianBall(rng, incHigh, box.Lo, box.Hi, cfg.SigmaFrac, nHigh)...)
+		pts = append(pts, stats.GaussianBall(rng, incHigh, box.Lo, box.Hi, mspSigmaFrac, nHigh)...)
 	}
 	if nLow > 0 {
-		pts = append(pts, stats.GaussianBall(rng, incLow, box.Lo, box.Hi, cfg.SigmaFrac, nLow)...)
+		pts = append(pts, stats.GaussianBall(rng, incLow, box.Lo, box.Hi, mspSigmaFrac, nLow)...)
 	}
 	if nUniform > 0 {
 		pts = append(pts, stats.LatinHypercube(rng, box.Lo, box.Hi, nUniform)...)

@@ -202,6 +202,12 @@ func NumFidelities(p Problem) int {
 	return 2
 }
 
+// TargetFidelity is the full-accuracy rung of p: High on classic
+// two-fidelity problems, Fidelity(NumFidelities(p)-1) on ladders. Every
+// algorithm that simulates "at high fidelity", and every metric that counts
+// only target-rung observations, asks this helper.
+func TargetFidelity(p Problem) Fidelity { return Fidelity(NumFidelities(p) - 1) }
+
 // EquivalentSims converts raw evaluation counts into the paper's metric:
 // the number of high-fidelity simulations with the same total cost.
 func EquivalentSims(p Problem, nLow, nHigh int) float64 {

@@ -100,38 +100,45 @@ func TestFaultLogConcurrent(t *testing.T) {
 }
 
 // TestWrapFaultEventsAndTelemetry drives scripted failures through the safe
-// wrapper and checks (a) the FaultLog ring honors Policy.FaultEventCap and
-// (b) every retry/failure is mirrored into the telemetry event stream
-// alongside a "robust.evaluate" span.
+// wrapper and checks (a) the FaultLog ring keeps DefaultFaultEventCap
+// events, overwriting and counting the oldest, and (b) every retry/failure
+// is mirrored into the telemetry event stream alongside a "robust.evaluate"
+// span.
 func TestWrapFaultEventsAndTelemetry(t *testing.T) {
 	clock := &fakeClock{}
-	ring := telemetry.NewRing(64)
+	ring := telemetry.NewRing(4 * DefaultFaultEventCap)
 	rec := telemetry.NewRecorder(ring, 1)
-	// Script: eval 1 fails once then succeeds; eval 2 fails terminally
-	// (3 attempts with MaxRetries=2... use MaxRetries=1: 2 attempts each).
-	p := newFlaky("nan", "ok", "nan", "nan")
-	s := Wrap(p, Policy{
-		MaxRetries: 1, Seed: 1, Sleep: clock.sleep,
-		FaultEventCap: 2, Telemetry: rec,
-	})
+	// Script: eval 1 fails once then succeeds (error + retry events); each
+	// of the next fails evaluations fails terminally (MaxRetries=1: error,
+	// retry, error, failure), two events more than the ring holds.
+	fails := DefaultFaultEventCap / 4
+	script := []string{"nan", "ok"}
+	for i := 0; i < fails; i++ {
+		script = append(script, "nan", "nan")
+	}
+	p := newFlaky(script...)
+	s := Wrap(p, Policy{MaxRetries: 1, Seed: 1, Sleep: clock.sleep, Telemetry: rec})
 	x := mid(s)
 	if _, err := s.EvaluateRich(x, problem.Low); err != nil {
 		t.Fatalf("first evaluation should recover: %v", err)
 	}
-	if _, err := s.EvaluateRich(x, problem.Low); err == nil {
-		t.Fatal("second evaluation should fail terminally")
+	for i := 0; i < fails; i++ {
+		if _, err := s.EvaluateRich(x, problem.Low); err == nil {
+			t.Fatalf("evaluation %d should fail terminally", i+2)
+		}
 	}
 
-	// FaultLog ring: cap 2 keeps only the newest two events.
+	// FaultLog ring: full at DefaultFaultEventCap, newest kept, the two
+	// overwritten events counted.
 	evs := s.Faults().Events()
-	if len(evs) != 2 {
-		t.Fatalf("fault ring len = %d, want 2", len(evs))
+	if len(evs) != DefaultFaultEventCap {
+		t.Fatalf("fault ring len = %d, want %d", len(evs), DefaultFaultEventCap)
 	}
-	if evs[1].Kind != FaultFailure {
-		t.Fatalf("newest fault = %+v, want terminal failure", evs[1])
+	if evs[len(evs)-1].Kind != FaultFailure {
+		t.Fatalf("newest fault = %+v, want terminal failure", evs[len(evs)-1])
 	}
-	if s.Faults().Dropped() == 0 {
-		t.Fatal("overwritten fault events must be counted")
+	if d := s.Faults().Dropped(); d != 2 {
+		t.Fatalf("dropped = %d, want the 2 overwritten fault events", d)
 	}
 
 	// Telemetry mirror: retry events for both evaluations, one failure, and
@@ -153,7 +160,7 @@ func TestWrapFaultEventsAndTelemetry(t *testing.T) {
 			spans++
 		}
 	}
-	if retries != 2 || failures != 1 || spans != 2 {
+	if retries != 1+fails || failures != fails || spans != 1+fails {
 		t.Fatalf("telemetry mirror: %d retries, %d failures, %d spans", retries, failures, spans)
 	}
 }

@@ -64,12 +64,6 @@ type Policy struct {
 	// attempts: attempt k sleeps min(BackoffBase·2ᵏ, BackoffMax)
 	// (defaults 10 ms / 1 s).
 	BackoffBase, BackoffMax time.Duration
-	// JitterFrac nudges retried inputs by a uniform perturbation of this
-	// fraction of the per-coordinate box width, clamped to the bounds
-	// (default 1e-3; 0 disables — set exactly 0 via NoJitter).
-	JitterFrac float64
-	// NoJitter disables input jitter on retries.
-	NoJitter bool
 	// Timeout bounds each attempt's wall-clock time (0 = unbounded). When an
 	// attempt times out the evaluation goroutine is abandoned — acceptable
 	// for the in-process simulator, mandatory reading for anyone wrapping an
@@ -80,10 +74,6 @@ type Policy struct {
 	Sleep func(time.Duration)
 	// Seed seeds the jitter RNG (default 1).
 	Seed int64
-	// FaultEventCap bounds the FaultLog's event ring buffer (0 selects
-	// DefaultFaultEventCap; negative disables event recording, counters
-	// still work).
-	FaultEventCap int
 	// Telemetry, when non-nil, receives a "robust.evaluate" trace span per
 	// evaluation (attempts/fidelity/outcome annotated) and a fault event per
 	// retry and terminal failure. nil is a zero-overhead no-op and never
@@ -103,12 +93,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.BackoffMax <= 0 {
 		p.BackoffMax = time.Second
-	}
-	if p.JitterFrac == 0 && !p.NoJitter {
-		p.JitterFrac = 1e-3
-	}
-	if p.NoJitter {
-		p.JitterFrac = 0
 	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
@@ -160,14 +144,10 @@ var (
 func Wrap(p problem.Problem, pol Policy) *SafeProblem {
 	pol = pol.withDefaults()
 	lo, hi := p.Bounds()
-	capEvents := pol.FaultEventCap
-	if capEvents == 0 {
-		capEvents = DefaultFaultEventCap
-	}
 	return &SafeProblem{
 		inner: p,
 		pol:   pol,
-		log:   NewFaultLogCap(capEvents),
+		log:   NewFaultLog(),
 		lo:    lo, hi: hi,
 		rng: rand.New(rand.NewSource(pol.Seed)),
 	}
@@ -329,17 +309,19 @@ func (s *SafeProblem) evalInner(x []float64, f problem.Fidelity) (problem.Evalua
 	return s.inner.Evaluate(x, f), nil
 }
 
-// jitter perturbs each coordinate by U(−j, +j)·width, clamped to the box.
+// jitterFrac scales the uniform perturbation a retried input receives, as a
+// fraction of each coordinate's box width.
+const jitterFrac = 1e-3
+
+// jitter perturbs each coordinate by U(−jitterFrac, +jitterFrac)·width,
+// clamped to the box.
 func (s *SafeProblem) jitter(x []float64) []float64 {
-	if s.pol.JitterFrac <= 0 {
-		return x
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := append([]float64(nil), x...)
 	for i := range out {
 		w := s.hi[i] - s.lo[i]
-		out[i] += (2*s.rng.Float64() - 1) * s.pol.JitterFrac * w
+		out[i] += (2*s.rng.Float64() - 1) * jitterFrac * w
 		if out[i] < s.lo[i] {
 			out[i] = s.lo[i]
 		}

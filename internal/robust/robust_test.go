@@ -171,9 +171,10 @@ func TestNaNSanitization(t *testing.T) {
 func TestJitterStaysInBounds(t *testing.T) {
 	clock := &fakeClock{}
 	f := newFlaky("panic", "panic", "panic", "panic", "panic", "panic")
-	sp := Wrap(f, Policy{MaxRetries: 5, JitterFrac: 0.5, Sleep: clock.sleep, Seed: 7})
+	sp := Wrap(f, Policy{MaxRetries: 5, Sleep: clock.sleep, Seed: 7})
 	lo, hi := f.Bounds()
-	// Start at a corner so jitter would overflow without clamping.
+	// Start at a corner so jitter would overflow without clamping: every
+	// retry pushes each coordinate below lo with probability 1/2.
 	sp.EvaluateRich(lo, problem.Low)
 	f.mu.Lock()
 	x := f.lastX

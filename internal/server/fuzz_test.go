@@ -106,3 +106,59 @@ func FuzzWorkerBodies(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCreateSession posts arbitrary bytes to POST /v1/sessions. Every reply
+// must be 2xx, or 4xx with an api.ErrorReply body; a created session must
+// answer status and delete cleanly. The committed corpus holds the
+// unbounded init_low that allocated a two-billion-point design.
+func FuzzCreateSession(f *testing.F) {
+	for _, body := range []string{
+		`{"problem":"forrester","budget":6,"init_low":8,"init_high":4,"msp_starts":4,"gp_max_iter":20}`,
+		`{"problem":"forrester3","budget":4,"init_low":6,"init_mid":3,"init_high":3}`,
+		`{"id":"fixed","problem":"pedagogical","seed":7,"budget":2,"batch":2,"fantasy":"constant-liar"}`,
+		`{"problem":"forrester","budget":1,"resume":true}`,
+		`{"problem":"forrester","budget":1,"fantasy":"oracle"}`,
+		`{"problem":"forrester","budget":1,"init_high":10001}`,
+		`{"problem":"forrester","budget":1,"low_rank_after":-1}`,
+		`{"problem":"nope","budget":1}`,
+		`{"problem":"forrester","budget":0}`,
+		`{"problem":"forrester","budget":1,"id":"bad id!"}`,
+		`not json`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	_, ts, cl := newTestServer(f, server.Config{})
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch code := resp.StatusCode; {
+		case code >= 200 && code < 300:
+			var info api.SessionInfo
+			if err := json.Unmarshal(raw, &info); err != nil || info.ID == "" {
+				t.Fatalf("create %q: %d reply is not a session: %q", body, code, raw)
+			}
+			if _, err := cl.Status(ctx, info.ID); err != nil {
+				t.Fatalf("status after create %q: %v", body, err)
+			}
+			if err := cl.Delete(ctx, info.ID); err != nil {
+				t.Fatalf("delete after create %q: %v", body, err)
+			}
+		case code >= 400 && code < 500:
+			var e api.ErrorReply
+			if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" || e.Code == "" {
+				t.Fatalf("create %q: %d reply is not an api error: %q", body, code, raw)
+			}
+		default:
+			t.Fatalf("create %q: status %d: %q", body, code, raw)
+		}
+	})
+}

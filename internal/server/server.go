@@ -24,8 +24,7 @@
 // behind a per-session mutex, and a global session.Limiter caps how many
 // sessions may run their surrogate-fit pipeline at once. Every session is
 // persisted through the pluggable storage engine (internal/storage; Config
-// .Store, or a hardened filesystem store over CheckpointDir) after every
-// ingested observation; a server restarted over the same state restores
+// .Store) after every ingested observation; a server restarted over the same state restores
 // sessions lazily on first touch, so a killed deployment resumes exactly
 // where its checkpoints left off — rolling back past torn or corrupt
 // snapshot generations when the store detects them. Idle sessions
@@ -64,18 +63,10 @@ import (
 type Config struct {
 	// Store, when non-nil, is the durability engine every session's state
 	// (checkpoints, manifests, telemetry rings) is persisted through — see
-	// internal/storage for the crash-consistency contract. Takes precedence
-	// over CheckpointDir.
+	// internal/storage for the crash-consistency contract; a storage.FS
+	// store's directory is what healthz reports as checkpoint_dir. nil =
+	// volatile sessions (lost on restart/eviction).
 	Store storage.Store
-	// CheckpointDir persists every session under this directory when Store
-	// is nil, by building a hardened filesystem store (storage.NewFS) over
-	// it: CRC-framed generational records, with the previous flat
-	// <id>.ckpt.json / <id>.session.json layout still readable. Empty with
-	// a nil Store = volatile sessions (lost on restart/eviction).
-	CheckpointDir string
-	// StorageGenerations is the per-record generation depth of the implicit
-	// CheckpointDir store (default 3; ignored when Store is set).
-	StorageGenerations int
 	// IdleTimeout evicts sessions untouched for this long from memory
 	// (after persisting them; durable sessions restore lazily on next
 	// touch). 0 disables eviction.
@@ -105,8 +96,8 @@ type Config struct {
 	// LeaseTTL, MaxAttempts, ScanEvery, ...) default sensibly when zero.
 	Dispatch dispatch.Config
 	// ReplicaID identifies this process as one replica of a horizontally
-	// sharded deployment. Setting it (together with a Store/CheckpointDir
-	// shared by every replica) turns on session-ownership leases: sessions
+	// sharded deployment. Setting it (together with a Store shared by every
+	// replica) turns on session-ownership leases: sessions
 	// are claimed before being served, renewed while resident, fenced on
 	// every checkpoint write, and requests for sessions owned elsewhere
 	// answer wrong_owner (HTTP 421). Empty = unsharded single-node service.
@@ -126,8 +117,8 @@ type Server struct {
 	started time.Time
 	met     *serverMetrics
 	queue   *dispatch.Queue
-	// store is the resolved durability engine (Config.Store, or an FS store
-	// over CheckpointDir); nil for a fully volatile server.
+	// store is the durability engine (Config.Store); nil for a fully
+	// volatile server.
 	store storage.Store
 	// baseCtx scopes engine calls made on behalf of HTTP requests to the
 	// server's lifetime instead of the request's. A session is shared state:
@@ -138,11 +129,9 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// leases/membership are non-nil only in sharded deployments
-	// (Config.ReplicaID set): session-ownership leases and the replica
-	// heartbeat behind the healthz ring view. See shard.go for the glue.
-	leases     *shard.Leases
-	membership *shard.Membership
+	// leases is non-nil only in sharded deployments (Config.ReplicaID
+	// set): the session-ownership leases. See shard.go for the glue.
+	leases *shard.Leases
 
 	mu       sync.RWMutex
 	sessions map[string]*entry
@@ -294,28 +283,15 @@ func (s *Server) engineCtx(r *http.Request) context.Context {
 	return telemetry.ContextWithSpan(s.baseCtx, telemetry.SpanFromContext(r.Context()))
 }
 
-// New builds the server and, when CheckpointDir is set, ensures the
-// directory exists. Sessions persisted by a previous process are NOT loaded
-// eagerly — they restore lazily on first touch.
+// New builds the server. Sessions persisted by a previous process are NOT
+// loaded eagerly — they restore lazily on first touch.
 func New(cfg Config) (*Server, error) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = catalog.Lookup
 	}
-	store := cfg.Store
-	if store == nil && cfg.CheckpointDir != "" {
-		fs, err := storage.NewFS(storage.FSConfig{
-			Dir:         cfg.CheckpointDir,
-			Generations: cfg.StorageGenerations,
-			Telemetry:   cfg.Telemetry,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: checkpoint dir: %w", err)
-		}
-		store = fs
-	}
 	s := &Server{
 		cfg:         cfg,
-		store:       store,
+		store:       cfg.Store,
 		limiter:     session.NewLimiter(cfg.MaxConcurrentFits),
 		started:     time.Now(),
 		sessions:    make(map[string]*entry),
@@ -326,20 +302,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.ReplicaID != "" {
-		if store == nil {
-			return nil, errors.New("server: ReplicaID requires a durable store (Store or CheckpointDir)")
+		if cfg.Store == nil {
+			return nil, errors.New("server: ReplicaID requires a durable Store")
 		}
-		lcfg := shard.LeaseConfig{Store: store, Replica: cfg.ReplicaID, TTL: cfg.OwnershipTTL}
-		leases, err := shard.NewLeases(lcfg)
-		if err != nil {
-			return nil, err
-		}
-		membership, err := shard.StartMembership(lcfg, 0)
+		leases, err := shard.NewLeases(shard.LeaseConfig{Store: cfg.Store, Replica: cfg.ReplicaID, TTL: cfg.OwnershipTTL})
 		if err != nil {
 			return nil, err
 		}
 		s.leases = leases
-		s.membership = membership
 	}
 	s.met = newServerMetrics(cfg.Telemetry.Registry(), s)
 	qcfg := cfg.Dispatch
@@ -426,9 +396,6 @@ func (s *Server) Close() error {
 		// next owner claims it immediately instead of waiting out the TTL.
 		s.releaseOwned(ids[i], e)
 	}
-	if s.membership != nil {
-		s.membership.Close()
-	}
 	return errors.Join(errs...)
 }
 
@@ -452,12 +419,6 @@ func (s *Server) Kill() {
 	close(s.renewStop)
 	<-s.renewDone
 	s.queue.Close()
-	if s.membership != nil {
-		// Abandon, not Close: a killed process writes no goodbye. The leases
-		// and the membership record age out by TTL expiry, exactly as after a
-		// real SIGKILL.
-		s.membership.Abandon()
-	}
 }
 
 // janitor periodically persists and evicts idle sessions.
@@ -574,8 +535,10 @@ func (s *Server) restoreRing(id string, ring *telemetry.Ring) {
 
 // ---- session construction ----
 
-// coreConfig maps wire tuning fields onto the optimizer config.
-func coreConfig(req *api.CreateSessionRequest) core.Config {
+// CoreConfig maps the tuning fields of a creation request onto the engine
+// config the session runs with. In-process reference runs that must match a
+// served session bit for bit build their config here.
+func CoreConfig(req api.CreateSessionRequest) core.Config {
 	return core.Config{
 		Budget:        req.Budget,
 		InitLow:       req.InitLow,
@@ -620,7 +583,7 @@ func (s *Server) buildSession(id string, req *api.CreateSessionRequest, epoch ui
 	}
 	sess, err := session.Open(session.Config{
 		Problem: p,
-		Core:    coreConfig(req),
+		Core:    CoreConfig(*req),
 		Seed:    req.Seed,
 		// Sharded replicas persist through a lease-fenced store so a stale
 		// ex-owner can never clobber the new owner's checkpoints (shard.go).
@@ -715,6 +678,12 @@ func validID(id string) bool {
 
 // ---- handlers ----
 
+// maxInitDesign bounds each rung's initialization design in a creation
+// request. Creating a session draws the whole Latin-hypercube design, so an
+// unbounded size is a memory bomb; 10000 points per rung is far above the
+// largest design this repository runs (80).
+const maxInitDesign = 10000
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -723,6 +692,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Budget <= 0 {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "budget must be positive")
+		return
+	}
+	if max(req.InitLow, req.InitMid, req.InitHigh) > maxInitDesign {
+		writeErr(w, http.StatusBadRequest, api.CodeBadRequest,
+			fmt.Sprintf("init_low, init_mid and init_high must not exceed %d", maxInitDesign))
 		return
 	}
 	id := req.ID
@@ -987,12 +961,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if s.durable() {
-		// Session-scoped kinds only: KindReplica records are replica-scoped
-		// heartbeats, not session state, and must survive session deletion
-		// even if a session ID collides with a replica ID. The lease record
-		// (KindOwner) goes too — it never counts toward existence, since the
-		// Claim above just created one.
-		for _, kind := range []storage.Kind{storage.KindCheckpoint, storage.KindManifest, storage.KindTelemetry, storage.KindOwner} {
+		// Every kind is session state. The lease record (KindOwner) goes
+		// too — it never counts toward existence, since the Claim above just
+		// created one.
+		for _, kind := range storage.Kinds() {
 			if kind != storage.KindOwner {
 				if _, err := s.store.Get(kind, id); err == nil {
 					ok = true
@@ -1176,13 +1148,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Sessions:        n,
 		UptimeSeconds:   time.Since(s.started).Seconds(),
 		Version:         buildinfo.Version(),
-		CheckpointDir:   s.cfg.CheckpointDir,
 		FitSlotsInUse:   s.limiter.InUse(),
 		FitSlotsWaiting: s.limiter.Waiting(),
 		FitSlots:        s.limiter.Cap(),
 	}
 	if s.durable() {
 		reply.Storage = storageName(s.store)
+		if fs, ok := s.store.(*storage.FS); ok {
+			reply.CheckpointDir = fs.Dir()
+		}
 		writable := s.store.Probe() == nil
 		reply.CheckpointWritable = &writable
 		if !writable {
@@ -1192,9 +1166,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.sharded() {
 		reply.ReplicaID = s.leases.Replica()
 		reply.OwnedSessions = n
-		if ring, err := shard.LiveReplicas(s.store, time.Now()); err == nil {
-			reply.Ring = ring
-		}
 	}
 	status := http.StatusOK
 	if !reply.OK {
@@ -1241,7 +1212,7 @@ func (s *Server) writeSessionErr(w http.ResponseWriter, err error) {
 		writeErr(w, http.StatusServiceUnavailable, api.CodeShuttingDown, err.Error())
 	case errors.Is(err, core.ErrResumeMismatch):
 		writeErr(w, http.StatusConflict, api.CodeResumeMismatch, err.Error())
-	case strings.Contains(err.Error(), "unknown problem"):
+	case errors.Is(err, core.ErrInvalidConfig), strings.Contains(err.Error(), "unknown problem"):
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 	default:
 		writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())

@@ -16,6 +16,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/problem"
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/testfunc"
 )
 
@@ -61,6 +62,17 @@ func newTestServer(t testing.TB, cfg server.Config) (*server.Server, *httptest.S
 	})
 	cl := client.New(ts.URL, client.WithBackoff(time.Millisecond, 10*time.Millisecond))
 	return srv, ts, cl
+}
+
+// fsStore opens the filesystem storage backend over dir, as mfbod does for
+// -checkpoint-dir.
+func fsStore(t testing.TB, dir string) *storage.FS {
+	t.Helper()
+	fs, err := storage.NewFS(storage.FSConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 func sameHistory(t *testing.T, hist []api.HistoryObservation, ref []core.Observation) {
@@ -150,7 +162,7 @@ func TestServerKillResume(t *testing.T) {
 	req.ID = "kill-resume"
 
 	// First server: evaluate 6 points, then die without ceremony.
-	srv1, err := server.New(server.Config{CheckpointDir: dir})
+	srv1, err := server.New(server.Config{Store: fsStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +191,7 @@ func TestServerKillResume(t *testing.T) {
 	}
 
 	// Second server over the same directory: resume and run to completion.
-	_, _, cl2 := newTestServer(t, server.Config{CheckpointDir: dir})
+	_, _, cl2 := newTestServer(t, server.Config{Store: fsStore(t, dir)})
 	req.Resume = true
 	info, err := cl2.CreateSession(ctx, req)
 	if err != nil {
@@ -218,7 +230,7 @@ func TestServerLazyRestoreWithoutResumeFlag(t *testing.T) {
 	req := fastReq("forrester", 6, 13)
 	req.ID = "lazy"
 
-	srv1, err := server.New(server.Config{CheckpointDir: dir})
+	srv1, err := server.New(server.Config{Store: fsStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +255,7 @@ func TestServerLazyRestoreWithoutResumeFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, cl2 := newTestServer(t, server.Config{CheckpointDir: dir})
+	_, _, cl2 := newTestServer(t, server.Config{Store: fsStore(t, dir)})
 	st, err := cl2.Status(ctx, req.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +296,28 @@ func TestServerConcurrentSessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestCreateBoundsInitDesign: creation draws every rung's whole
+// Latin-hypercube design, so a design size above the documented 10000 per
+// rung is refused with 400 before anything is allocated, on each rung.
+func TestCreateBoundsInitDesign(t *testing.T) {
+	_, _, cl := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	for name, set := range map[string]func(*api.CreateSessionRequest){
+		"init_low":  func(r *api.CreateSessionRequest) { r.InitLow = 10001 },
+		"init_mid":  func(r *api.CreateSessionRequest) { r.InitMid = 10001 },
+		"init_high": func(r *api.CreateSessionRequest) { r.InitHigh = 10001 },
+	} {
+		req := fastReq("forrester3", 5, 1)
+		set(&req)
+		if _, err := cl.CreateSession(ctx, req); !isStatus(err, 400, api.CodeBadRequest) {
+			t.Fatalf("%s = 10001: %v", name, err)
+		}
+	}
+	if _, err := cl.CreateSession(ctx, fastReq("forrester3", 5, 1)); err != nil {
+		t.Fatalf("in-bound request refused: %v", err)
 	}
 }
 

@@ -229,14 +229,14 @@ func TestServerTelemetryDisabled(t *testing.T) {
 }
 
 // TestHealthzExtended checks the readiness facts: session count, uptime, fit
-// slots, and the checkpoint-directory write probe flipping the endpoint to
-// 503 when the directory disappears.
+// slots, the checkpoint directory taken from the fs store, and its write
+// probe flipping the endpoint to 503 when the directory disappears.
 func TestHealthzExtended(t *testing.T) {
 	dir := t.TempDir() + "/ckpts"
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	_, ts, cl := newTestServer(t, server.Config{CheckpointDir: dir})
+	_, ts, cl := newTestServer(t, server.Config{Store: fsStore(t, dir)})
 	ctx := context.Background()
 
 	if _, err := cl.CreateSession(ctx, fastReq("forrester", 6, 6)); err != nil {

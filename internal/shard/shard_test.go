@@ -245,39 +245,3 @@ func TestLeaseSelfRenewalAfterExpiryBumpsEpoch(t *testing.T) {
 		t.Fatalf("re-claim after lapse kept epoch %d", got.Epoch)
 	}
 }
-
-func TestMembershipView(t *testing.T) {
-	store := storage.NewMem(storage.MemConfig{})
-	clk := &fakeClock{t: time.UnixMilli(1_000_000)}
-	cfg := func(rep string) LeaseConfig {
-		return LeaseConfig{Store: store, Replica: rep, TTL: time.Second, Now: clk.now}
-	}
-	m1, err := StartMembership(cfg("r1"), time.Hour) // heartbeat loop idle; first beat is synchronous
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m1.Close()
-	m2, err := StartMembership(cfg("r2"), time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := LiveReplicas(store, clk.now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live) != 2 || live[0] != "r1" || live[1] != "r2" {
-		t.Fatalf("live = %v", live)
-	}
-	// Graceful close leaves the view immediately…
-	m2.Close()
-	live, _ = LiveReplicas(store, clk.now())
-	if len(live) != 1 || live[0] != "r1" {
-		t.Fatalf("after close live = %v", live)
-	}
-	// …and a crashed replica ages out by expiry.
-	clk.advance(2 * time.Second)
-	live, _ = LiveReplicas(store, clk.now())
-	if len(live) != 0 {
-		t.Fatalf("after expiry live = %v", live)
-	}
-}

@@ -48,13 +48,10 @@ const (
 	// epoch, and until when — the fence that keeps exactly one replica
 	// writing a session's checkpoints at a time.
 	KindOwner Kind = "owner"
-	// KindReplica is a replica-membership heartbeat (internal/shard), the
-	// record behind the ring-membership view /v1/healthz reports.
-	KindReplica Kind = "replica"
 )
 
 // kinds lists every known kind (for Delete-everything sweeps and tests).
-var kinds = []Kind{KindCheckpoint, KindManifest, KindTelemetry, KindOwner, KindReplica}
+var kinds = []Kind{KindCheckpoint, KindManifest, KindTelemetry, KindOwner}
 
 // Kinds returns every record kind the engine knows about.
 func Kinds() []Kind { return append([]Kind(nil), kinds...) }
