@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/dispatch"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
@@ -349,15 +348,7 @@ func runChild(dir string, gens int) {
 	srv, err := server.New(server.Config{
 		Store:     store,
 		Telemetry: rec,
-		Dispatch: dispatch.Config{
-			// Torture-friendly: stranded leases (their workers die with the
-			// parent cycle) must requeue fast enough that every lifetime
-			// makes progress.
-			LeaseTTL:    2 * time.Second,
-			ScanEvery:   50 * time.Millisecond,
-			MaxAttempts: 25,
-			RetryAfter:  20 * time.Millisecond,
-		},
+		Dispatch:  torture.LeaseMachine(),
 	})
 	if err != nil {
 		log.Fatal(err)

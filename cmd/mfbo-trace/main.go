@@ -3,7 +3,7 @@
 // service session) into human-readable reports:
 //
 //	mfbo-trace run.jsonl            per-iteration convergence/fidelity table
-//	mfbo-trace -spans run.jsonl     span timing aggregates
+//	mfbo-trace -spans run.jsonl     per-stage span table (self and total time)
 //	mfbo-trace -faults run.jsonl    robust-layer fault events
 //	mfbo-trace -raw run.jsonl       re-emit events as indented JSON
 //
@@ -39,7 +39,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	spans := flag.Bool("spans", false, "print span timing aggregates instead of the iteration table")
+	spans := flag.Bool("spans", false, "print the per-stage span table (self and total time) instead of the iteration table")
 	faults := flag.Bool("faults", false, "print robust-layer fault events")
 	raw := flag.Bool("raw", false, "re-emit every event as indented JSON")
 	merge := flag.Bool("merge", false, "assemble cross-process traces from one or more span JSONL files")
@@ -95,7 +95,7 @@ func main() {
 			fmt.Println("no fault events")
 		}
 	case *spans:
-		fmt.Print(telemetry.Summarize(events).SpanTable())
+		fmt.Print(telemetry.StageTable(telemetry.AssembleTraces(events)))
 	default:
 		fmt.Print(telemetry.Summarize(events).Table())
 	}

@@ -32,15 +32,13 @@ import (
 // multicore hardware; on a single-CPU machine the pairs should be within
 // scheduling noise of each other, never slower by more than the pool overhead.
 
-func BenchmarkGPFitSerial(b *testing.B)          { GPFit(1)(b) }
-func BenchmarkGPFitWorkers8(b *testing.B)        { GPFit(8)(b) }
-func BenchmarkMSPSerial(b *testing.B)            { MSP(1)(b) }
-func BenchmarkMSPWorkers8(b *testing.B)          { MSP(8)(b) }
-func BenchmarkPredictBatchSerial(b *testing.B)   { PredictBatch(1)(b) }
-func BenchmarkPredictBatchWorkers8(b *testing.B) { PredictBatch(8)(b) }
-func BenchmarkPredictSingle(b *testing.B)        { PredictSingle()(b) }
-func BenchmarkFusedPredict(b *testing.B)         { FusedPredict()(b) }
-func BenchmarkCholesky160(b *testing.B)          { Cholesky(160)(b) }
+func BenchmarkGPFitSerial(b *testing.B)   { GPFit(1)(b) }
+func BenchmarkGPFitWorkers8(b *testing.B) { GPFit(8)(b) }
+func BenchmarkMSPSerial(b *testing.B)     { MSP(1)(b) }
+func BenchmarkMSPWorkers8(b *testing.B)   { MSP(8)(b) }
+func BenchmarkPredictSingle(b *testing.B) { PredictSingle()(b) }
+func BenchmarkFusedPredict(b *testing.B)  { FusedPredict()(b) }
+func BenchmarkCholesky160(b *testing.B)   { Cholesky(160)(b) }
 
 // dataset builds a deterministic smooth regression set on [0,1]^d.
 func dataset(seed int64, n, d int) (X [][]float64, y []float64, lo, hi []float64) {
@@ -108,21 +106,8 @@ func MSP(workers int) func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := rand.New(rand.NewSource(11))
 			optimize.MaximizeMSP(r, a, box, X[0], nil, optimize.MSPConfig{
-				Starts: 24, LocalIter: 40, Workers: workers,
-			})
-		}
-	}
-}
-
-// PredictBatch measures fused-posterior grid evaluation: a 512-point batch
-// through a two-fidelity model, fanned across the given worker count.
-func PredictBatch(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		m, grid := fittedMF(b, workers)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.PredictBatch(grid)
+				Starts: 24, LocalIter: 40,
+			}, workers)
 		}
 	}
 }
@@ -131,7 +116,7 @@ func PredictBatch(workers int) func(*testing.B) {
 // fused model — the allocation-lean path behind every acquisition call.
 func PredictSingle() func(*testing.B) {
 	return func(b *testing.B) {
-		m, grid := fittedMF(b, 1)
+		m, grid := fittedMF(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -141,7 +126,7 @@ func PredictSingle() func(*testing.B) {
 }
 
 // fittedMF builds the shared two-fidelity surrogate and prediction grid.
-func fittedMF(b *testing.B, workers int) (*mfgp.MultiLevel, [][]float64) {
+func fittedMF(b *testing.B) (*mfgp.MultiLevel, [][]float64) {
 	Xl, yl, lo, hi := dataset(3, 60, 3)
 	rng := rand.New(rand.NewSource(13))
 	Xh := stats.LatinHypercube(rng, lo, hi, 16)
@@ -154,7 +139,7 @@ func fittedMF(b *testing.B, workers int) (*mfgp.MultiLevel, [][]float64) {
 		yh[i] = 1.1*s + 0.05
 	}
 	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
-		MaxIter: 30, Workers: workers,
+		MaxIter: 30, Workers: 1,
 	}, rng)
 	if err != nil {
 		b.Fatal(err)

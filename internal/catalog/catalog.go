@@ -37,22 +37,6 @@ var builtins = map[string]func() problem.Problem{
 	"chargepump3": func() problem.Problem { return testbench.NewChargePump3() },
 }
 
-// Register adds a problem constructor under name. It is meant for init-time
-// extension (custom testbenches, site-local simulators) and panics on a
-// duplicate name: silently shadowing a built-in would make the same session
-// request mean different problems on different binaries, which the
-// distributed fleet cannot survive. Register is not synchronized — call it
-// from init or before any concurrent Lookup.
-func Register(name string, mk func() problem.Problem) {
-	if name == "" || mk == nil {
-		panic("catalog: Register requires a name and a constructor")
-	}
-	if _, exists := builtins[name]; exists {
-		panic(fmt.Sprintf("catalog: problem %q already registered", name))
-	}
-	builtins[name] = mk
-}
-
 // Lookup instantiates the named problem. The error lists the valid names.
 func Lookup(name string) (problem.Problem, error) {
 	mk, ok := builtins[name]

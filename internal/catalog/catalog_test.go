@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/problem"
-	"repro/internal/testfunc"
 )
 
 // TestNamesSortedAndStable pins the registry listing: sorted, duplicate-free,
@@ -84,43 +83,4 @@ func TestLookupUnknown(t *testing.T) {
 	if _, err := Lookup("no-such-problem"); err == nil {
 		t.Fatal("Lookup of unknown name succeeded")
 	}
-}
-
-// TestRegister covers the extension path: a registered constructor is
-// resolvable and listed; duplicate or malformed registrations panic rather
-// than silently shadowing, because shadowed names would make the same
-// session mean different problems on different fleet binaries.
-func TestRegister(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-
-	mk := func() problem.Problem { return testfunc.Forrester() }
-	Register("test-custom", mk)
-	t.Cleanup(func() { delete(builtins, "test-custom") })
-
-	p, err := Lookup("test-custom")
-	if err != nil || p == nil {
-		t.Fatalf("Lookup of registered problem: %v", err)
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "test-custom" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered problem missing from Names()")
-	}
-
-	mustPanic("duplicate Register", func() { Register("test-custom", mk) })
-	mustPanic("shadowing a built-in", func() { Register("forrester", mk) })
-	mustPanic("empty name", func() { Register("", mk) })
-	mustPanic("nil constructor", func() { Register("test-nil", nil) })
 }

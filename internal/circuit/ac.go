@@ -74,25 +74,9 @@ func (d *VSource) StampAC(a *ACAsm) {
 	a.addB(br, d.acValue())
 }
 
-// StampAC implements acStamper for ISource.
-func (d *ISource) StampAC(a *ACAsm) {
-	v := d.acValue()
-	a.addB(d.a, -v)
-	a.addB(d.b, v)
-}
-
-// StampAC implements acStamper for Diode: small-signal conductance at the
-// operating point.
-func (d *Diode) StampAC(a *ACAsm) {
-	v := nodeVoltage(a.OP, d.a) - nodeVoltage(a.OP, d.b)
-	nvt := d.P.N * d.P.VT
-	arg := v / nvt
-	if arg > 40 {
-		arg = 40
-	}
-	g := d.P.IS * math.Exp(arg) / nvt
-	a.stampAdmittance(d.a, d.b, complex(g, 0))
-}
+// StampAC implements acStamper for ISource: current sources carry no AC
+// stimulus, so they are AC opens.
+func (d *ISource) StampAC(*ACAsm) {}
 
 // StampAC implements acStamper for MOSFET: gm/gds linearization at the
 // operating point (quasi-static, no capacitances — add explicit C devices
@@ -130,14 +114,6 @@ func (d *VSource) SetAC(mag, phaseDeg float64) *VSource {
 
 func (d *VSource) acValue() complex128 { return d.ac.value() }
 
-// SetAC marks the current source as an AC stimulus.
-func (d *ISource) SetAC(mag, phaseDeg float64) *ISource {
-	d.ac = acSource{mag: mag, phaseDeg: phaseDeg}
-	return d
-}
-
-func (d *ISource) acValue() complex128 { return d.ac.value() }
-
 // ACResult holds a small-signal frequency sweep: complex node voltages and
 // branch currents per frequency point.
 type ACResult struct {
@@ -156,11 +132,6 @@ func (r *ACResult) V(node string, k int) complex128 {
 		return 0
 	}
 	return r.Data[k][idx]
-}
-
-// MagDB returns 20·log10|V(node)| at sweep index k.
-func (r *ACResult) MagDB(node string, k int) float64 {
-	return 20 * math.Log10(cmplx.Abs(r.V(node, k)))
 }
 
 // PhaseDeg returns the phase of V(node) at sweep index k in degrees.

@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Asm is the MNA assembly workspace for one Newton iteration. Unknowns are
 // ordered [node voltages (N), branch currents (M)]; ground is index −1 and
@@ -244,7 +241,6 @@ type ISource struct {
 	name string
 	a, b int
 	W    Waveform
-	ac   acSource
 }
 
 // DeviceName implements Device.
@@ -257,74 +253,6 @@ func (d *ISource) Describe(c *Circuit) string {
 
 // Stamp implements Device.
 func (d *ISource) Stamp(a *Asm) { a.stampCurrent(d.a, d.b, d.W.At(a.Time)) }
-
-// DiodeParams are junction-diode model parameters.
-type DiodeParams struct {
-	IS float64 // saturation current (default 1e-14 A)
-	N  float64 // emission coefficient (default 1)
-	VT float64 // thermal voltage (default 0.02585 V)
-}
-
-func (p *DiodeParams) defaults() {
-	if p.IS <= 0 {
-		p.IS = 1e-14
-	}
-	if p.N <= 0 {
-		p.N = 1
-	}
-	if p.VT <= 0 {
-		p.VT = 0.02585
-	}
-}
-
-// Diode is an exponential junction diode (anode a, cathode b).
-type Diode struct {
-	name string
-	a, b int
-	P    DiodeParams
-}
-
-// DeviceName implements Device.
-func (d *Diode) DeviceName() string { return d.name }
-
-// Describe implements Device.
-func (d *Diode) Describe(c *Circuit) string {
-	return fmt.Sprintf("D %-8s %-6s %-6s IS=%.3g N=%.3g", d.name, c.nodeName(d.a), c.nodeName(d.b), d.P.IS, d.P.N)
-}
-
-// Stamp implements Device.
-func (d *Diode) Stamp(a *Asm) {
-	v := a.v(d.a) - a.v(d.b)
-	nvt := d.P.N * d.P.VT
-	// Clamp the exponent so Newton overshoots cannot overflow.
-	arg := v / nvt
-	if arg > 40 {
-		arg = 40
-	}
-	e := math.Exp(arg)
-	i := d.P.IS * (e - 1)
-	g := d.P.IS * e / nvt
-	if arg >= 40 {
-		// Linearize beyond the clamp to keep the Jacobian consistent.
-		g = d.P.IS * e / nvt
-		i += g * (v - 40*nvt)
-	}
-	g += a.Gmin
-	i += a.Gmin * v
-	ieq := i - g*v
-	a.stampConductance(d.a, d.b, g)
-	a.stampCurrent(d.a, d.b, ieq)
-}
-
-// Current returns the diode current anode→cathode at solution x.
-func (d *Diode) Current(x []float64) float64 {
-	v := nodeVoltage(x, d.a) - nodeVoltage(x, d.b)
-	arg := v / (d.P.N * d.P.VT)
-	if arg > 40 {
-		arg = 40
-	}
-	return d.P.IS * (math.Exp(arg) - 1)
-}
 
 // nodeVoltage reads a node voltage from a solution vector (0 for ground).
 func nodeVoltage(x []float64, node int) float64 {

@@ -1,43 +1,9 @@
 package circuit
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
-
-// FFT computes the in-place radix-2 decimation-in-time fast Fourier
-// transform of x, whose length must be a power of two.
-func FFT(x []complex128) {
-	n := len(x)
-	if n == 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("circuit: FFT length %d is not a power of two", n))
-	}
-	// Bit-reversal permutation.
-	for i, j := 0, 0; i < n; i++ {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-		mask := n >> 1
-		for ; j&mask != 0; mask >>= 1 {
-			j &^= mask
-		}
-		j |= mask
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := -2 * math.Pi / float64(size)
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := cmplx.Exp(complex(0, step*float64(k)))
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
-		}
-	}
-}
 
 // Goertzel returns the complex DFT coefficient of samples at frequency f0,
 // assuming uniform sampling with timestep dt over an integer number of
@@ -105,33 +71,6 @@ func Mean(samples []float64) float64 {
 		s += v
 	}
 	return s / float64(len(samples))
-}
-
-// RMS returns the root-mean-square of the samples.
-func RMS(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range samples {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(samples)))
-}
-
-// AveragePower returns mean(v·i) over paired waveforms.
-func AveragePower(v, i []float64) float64 {
-	if len(v) != len(i) {
-		panic(fmt.Sprintf("circuit: power waveform lengths %d vs %d", len(v), len(i)))
-	}
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for k := range v {
-		s += v[k] * i[k]
-	}
-	return s / float64(len(v))
 }
 
 // MinMax returns the extrema of the samples.

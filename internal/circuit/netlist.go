@@ -1,11 +1,11 @@
 // Package circuit implements a compact SPICE-like analog circuit simulator:
-// netlists of resistors, capacitors, inductors, diodes, square-law (level-1)
-// MOSFETs and independent sources; DC operating-point analysis by
-// Newton–Raphson iteration on the modified nodal analysis (MNA) equations
-// with gmin stepping; and fixed-step trapezoidal transient analysis with
-// companion models. A small measurement toolkit (RMS, average power, DFT
-// harmonics, THD) turns waveforms into the circuit metrics the testbenches
-// report.
+// netlists of resistors, capacitors, inductors, square-law (level-1) MOSFETs
+// and independent sources; DC operating-point analysis by Newton–Raphson
+// iteration on the modified nodal analysis (MNA) equations with gmin
+// stepping; fixed-step trapezoidal transient analysis with companion models;
+// and small-signal AC sweeps. A small measurement toolkit (Goertzel
+// harmonics, THD, mean, extrema) turns waveforms into the circuit metrics the
+// testbenches report.
 //
 // The simulator exists to stand in for the commercial transistor-level
 // simulator used in the paper's experiments: the optimizer only ever sees
@@ -52,9 +52,6 @@ func (c *Circuit) node(name string) int {
 
 // NumNodes returns the number of non-ground nodes.
 func (c *Circuit) NumNodes() int { return len(c.names) }
-
-// NodeNames returns the non-ground node names in index order.
-func (c *Circuit) NodeNames() []string { return append([]string(nil), c.names...) }
 
 // Devices returns the devices in insertion order.
 func (c *Circuit) Devices() []Device { return c.devices }
@@ -120,14 +117,6 @@ func (c *Circuit) AddISource(name, a, b string, w Waveform) *ISource {
 		panic(fmt.Sprintf("circuit: current source %s needs a waveform", name))
 	}
 	d := &ISource{name: name, a: c.node(a), b: c.node(b), W: w}
-	c.addDevice(d)
-	return d
-}
-
-// AddDiode adds a junction diode from anode to cathode.
-func (c *Circuit) AddDiode(name, anode, cathode string, p DiodeParams) *Diode {
-	p.defaults()
-	d := &Diode{name: name, a: c.node(anode), b: c.node(cathode), P: p}
 	c.addDevice(d)
 	return d
 }

@@ -121,7 +121,11 @@ func TestACTransientConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	start, end := wf.Window(10*period, 14*period)
-	gotMag := HarmonicAmplitude(wf.Node("out")[start:end], dt, f, 1)
+	out, err := wf.NodeVoltages("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotMag := HarmonicAmplitude(out[start:end], dt, f, 1)
 	if math.Abs(gotMag-wantMag) > 0.01*wantMag {
 		t.Fatalf("transient amplitude %v vs AC %v", gotMag, wantMag)
 	}

@@ -68,16 +68,6 @@ func (sol *Solution) Voltage(node string) (float64, error) {
 	return nodeVoltage(sol.X, idx), nil
 }
 
-// V returns the voltage of a named node, panicking on an unknown node. Thin
-// wrapper over Voltage for internal callers whose node names are static.
-func (sol *Solution) V(node string) float64 {
-	v, err := sol.Voltage(node)
-	if err != nil {
-		panic(err.Error())
-	}
-	return v
-}
-
 // DC computes the DC operating point (sources evaluated at t = 0), using
 // Newton iteration with gmin stepping as a fallback.
 func (s *Sim) DC() (*Solution, error) {
@@ -223,17 +213,6 @@ func (w *Waveforms) NodeVoltages(name string) ([]float64, error) {
 	return out, nil
 }
 
-// Node returns the voltage waveform of a named node, panicking on an unknown
-// node. Thin wrapper over NodeVoltages for internal callers with static
-// names.
-func (w *Waveforms) Node(name string) []float64 {
-	out, err := w.NodeVoltages(name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
 // BranchCurrent returns the branch-current waveform of a named voltage
 // source or inductor, or an error for a missing or non-branch device.
 func (w *Waveforms) BranchCurrent(name string) ([]float64, error) {
@@ -255,64 +234,6 @@ func (w *Waveforms) BranchCurrent(name string) ([]float64, error) {
 		return nil, fmt.Errorf("circuit: %q is not a branch-current device", name)
 	}
 	return out, nil
-}
-
-// SourceCurrent returns the branch-current waveform of a named voltage
-// source or inductor, panicking on a missing or unsuitable device. Thin
-// wrapper over BranchCurrent for internal callers with static names.
-func (w *Waveforms) SourceCurrent(name string) []float64 {
-	out, err := w.BranchCurrent(name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// TerminalCurrent returns the current waveform of a named resistor, diode or
-// MOSFET (computed from terminal voltages), or an error for a missing or
-// unsuitable device.
-func (w *Waveforms) TerminalCurrent(name string) ([]float64, error) {
-	d := w.sim.ckt.Device(name)
-	if d == nil {
-		return nil, fmt.Errorf("circuit: unknown device %q", name)
-	}
-	out := make([]float64, len(w.Data))
-	switch dev := d.(type) {
-	case *Resistor:
-		for k, x := range w.Data {
-			out[k] = dev.Current(x)
-		}
-	case *Diode:
-		for k, x := range w.Data {
-			out[k] = dev.Current(x)
-		}
-	case *MOSFET:
-		for k, x := range w.Data {
-			out[k] = dev.Current(x)
-		}
-	default:
-		return nil, fmt.Errorf("circuit: %q has no terminal-current accessor", name)
-	}
-	return out, nil
-}
-
-// DeviceCurrent returns the current waveform of a named resistor, diode or
-// MOSFET, panicking on a missing or unsuitable device. Thin wrapper over
-// TerminalCurrent for internal callers with static names.
-func (w *Waveforms) DeviceCurrent(name string) []float64 {
-	out, err := w.TerminalCurrent(name)
-	if err != nil {
-		panic(err.Error())
-	}
-	return out
-}
-
-// Dt returns the (fixed) timestep of the waveform set.
-func (w *Waveforms) Dt() float64 {
-	if len(w.Times) < 2 {
-		return 0
-	}
-	return w.Times[1] - w.Times[0]
 }
 
 // Window returns the sample range with Times in [t0, t1] as (start, end)

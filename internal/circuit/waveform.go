@@ -65,31 +65,3 @@ func (p Pulse) At(t float64) float64 {
 		return p.V1
 	}
 }
-
-// PWL is a piecewise-linear waveform defined by (time, value) breakpoints in
-// ascending time order; it holds the boundary values outside the range.
-type PWL struct {
-	Times, Values []float64
-}
-
-// At implements Waveform.
-func (p PWL) At(t float64) float64 {
-	n := len(p.Times)
-	if n == 0 {
-		return 0
-	}
-	if t <= p.Times[0] {
-		return p.Values[0]
-	}
-	if t >= p.Times[n-1] {
-		return p.Values[n-1]
-	}
-	// Linear scan is fine: sources have few breakpoints.
-	for i := 1; i < n; i++ {
-		if t <= p.Times[i] {
-			f := (t - p.Times[i-1]) / (p.Times[i] - p.Times[i-1])
-			return p.Values[i-1] + f*(p.Values[i]-p.Values[i-1])
-		}
-	}
-	return p.Values[n-1]
-}

@@ -81,15 +81,6 @@ func IsLeaseExpired(err error) bool {
 	return errors.As(err, &ae) && ae.Code == api.CodeLeaseExpired
 }
 
-// IsWrongOwner reports whether err is a sharded replica rejecting the request
-// because another replica holds the session's ownership lease. The client
-// retries these internally (the session is mid-migration); it only escapes
-// when the retry budget ran out before ownership settled.
-func IsWrongOwner(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Code == api.CodeWrongOwner
-}
-
 // Option customizes a Client.
 type Option func(*Client)
 
@@ -280,20 +271,6 @@ func (c *Client) History(ctx context.Context, id string) (api.HistoryReply, erro
 // Delete evicts and forgets the session (including its persisted files).
 func (c *Client) Delete(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), nil, nil)
-}
-
-// Sessions lists live session IDs.
-func (c *Client) Sessions(ctx context.Context) ([]string, error) {
-	var rep api.SessionsReply
-	err := c.do(ctx, http.MethodGet, "/v1/sessions", nil, &rep)
-	return rep.Sessions, err
-}
-
-// Problems lists the server's problem catalog.
-func (c *Client) Problems(ctx context.Context) ([]string, error) {
-	var rep api.ProblemsReply
-	err := c.do(ctx, http.MethodGet, "/v1/problems", nil, &rep)
-	return rep.Problems, err
 }
 
 // Health checks server liveness.

@@ -224,11 +224,11 @@ func TestClientRetriesWrongOwner(t *testing.T) {
 	// Exhausted budget: the wrong_owner escapes with its routing hints intact.
 	calls.Store(-100)
 	_, err = fastClient(ts.URL, 1).Health(context.Background())
-	if !IsWrongOwner(err) {
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Code != api.CodeWrongOwner {
 		t.Fatalf("want wrong_owner, got %v", err)
 	}
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Owner != "rb" || ae.RetryAfterSeconds != 0.001 {
+	if ae.Owner != "rb" || ae.RetryAfterSeconds != 0.001 {
 		t.Fatalf("routing hints lost: %+v", ae)
 	}
 }

@@ -145,13 +145,12 @@ type Config struct {
 	// trajectories.
 	Fantasy FantasyStrategy
 	// Workers bounds the goroutines used by every hot path — GP training
-	// restarts, acquisition maximization, batched posterior prediction:
+	// restarts and acquisition maximization:
 	// 0 selects parallel.DefaultWorkers() (runtime.NumCPU() unless the
 	// MFBO_WORKERS environment variable overrides it), 1 forces the serial
 	// path, n > 1 uses up to n goroutines. The optimization trajectory is
 	// bit-identical for every setting, so checkpoints taken under one worker
-	// count resume correctly under any other. When MSP.Workers is unset it
-	// inherits this value.
+	// count resume correctly under any other.
 	Workers int
 	// Telemetry, when non-nil, wires full-loop observability into the run:
 	// a structured event per iteration (the §3.4 σ²_l-vs-(1+Nc)γ fidelity
@@ -202,9 +201,6 @@ func (c *Config) defaults() error {
 	if c.FixedNoise == nil {
 		v := 1e-4
 		c.FixedNoise = &v
-	}
-	if c.MSP.Workers == 0 {
-		c.MSP.Workers = c.Workers
 	}
 	switch c.Fantasy {
 	case "":

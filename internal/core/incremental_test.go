@@ -128,7 +128,7 @@ func TestIncrementalSkipsUntouchedModels(t *testing.T) {
 		t.Fatal("cache holds no fused chain")
 	}
 	highNLML := chainBefore.Level(1).NLML()
-	highSize := chainBefore.LevelSize(1)
+	highSize := chainBefore.Level(1).TrainingSize()
 	lowSize := c.low[0].TrainingSize()
 
 	// A new LOW observation arrives; the next proposal must extend the low
@@ -146,7 +146,7 @@ func TestIncrementalSkipsUntouchedModels(t *testing.T) {
 	if got := chains[0].Level(1).NLML(); got != highNLML {
 		t.Fatalf("high factorization changed: NLML %v vs %v", got, highNLML)
 	}
-	if got := chains[0].LevelSize(1); got != highSize {
+	if got := chains[0].Level(1).TrainingSize(); got != highSize {
 		t.Fatalf("high training size changed: %d vs %d", got, highSize)
 	}
 	if got := low[0].TrainingSize(); got != lowSize+1 {

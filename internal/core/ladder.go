@@ -358,7 +358,7 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 		if ev != nil {
 			mspCfg.Stats = &mspLow
 		}
-		xStarLow, acqLowVal := optimize.MaximizeMSP(st.rng, acqLow, st.box, incHigh, incLow, mspCfg)
+		xStarLow, acqLowVal := optimize.MaximizeMSP(st.rng, acqLow, st.box, incHigh, incLow, mspCfg, cfg.Workers)
 		mspCfg.Extra = append(append([][]float64(nil), cfg.MSP.Extra...), xStarLow)
 		if ev != nil {
 			ev.HasTauLow = hasLowFeasible
@@ -379,7 +379,7 @@ func (st *state) proposeLadder(iter int, span *telemetry.Span, wantFantasy bool)
 	if ev != nil {
 		mspCfg.Stats = &mspHigh
 	}
-	xt, acqHighVal := optimize.MaximizeMSP(st.rng, acqHigh, st.box, incHigh, incLow, mspCfg)
+	xt, acqHighVal := optimize.MaximizeMSP(st.rng, acqHigh, st.box, incHigh, incLow, mspCfg, cfg.Workers)
 	if ev != nil {
 		d := time.Since(tAcq)
 		ev.AcqMs = float64(d.Nanoseconds()) / 1e6

@@ -188,6 +188,12 @@ type Queue struct {
 	// server-side stays retriable.
 	acked      map[string]bool
 	ackedOrder []string
+	// Told suggestions (session/suggestion key → true), FIFO-bounded like
+	// acked. Lease reads the outstanding batch before it takes mu, so that
+	// read can still list a suggestion whose report was told meanwhile; the
+	// grant skips every key in this set.
+	told      map[string]bool
+	toldOrder []string
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -206,6 +212,7 @@ func New(cfg Config) (*Queue, error) {
 		attempts: make(map[string]int),
 		depth:    make(map[string]int),
 		acked:    make(map[string]bool),
+		told:     make(map[string]bool),
 		stop:     make(chan struct{}),
 	}
 	if cfg.Telemetry != nil && cfg.Telemetry.Metrics != nil {
@@ -306,7 +313,7 @@ func (q *Queue) Lease(ctx context.Context, sessionID, worker string, ttl time.Du
 	q.depth[sessionID] = len(sugs)
 	for i := range sugs {
 		key := sugKey(sessionID, sugs[i].ID)
-		if _, taken := q.bySug[key]; taken {
+		if _, taken := q.bySug[key]; taken || q.told[key] {
 			continue
 		}
 		q.seq++
@@ -356,21 +363,16 @@ func (q *Queue) Heartbeat(leaseID string) (time.Time, error) {
 // beyond any plausible retry window.
 const maxAckedKeys = 4096
 
-// Report ingests the outcome of a leased evaluation into the session (via
+// ReportCtx ingests the outcome of a leased evaluation into the session (via
 // TellByID, so reports may arrive in any order within the batch) and releases
 // the lease. A report whose lease already expired is still accepted while the
 // suggestion is outstanding — the work is real even if the heartbeat died —
 // and acknowledged as a Duplicate when another worker's result arrived first.
 // A non-empty idemKey identifies the evaluation attempt: a retry of an
-// already-acked report short-circuits to a Duplicate ack.
-func (q *Queue) Report(sessionID, leaseID, sugID, idemKey string, ev problem.Evaluation) (*Ack, error) {
-	return q.ReportCtx(context.Background(), sessionID, leaseID, sugID, idemKey, ev)
-}
-
-// ReportCtx is Report with a context: a request span carried by ctx
-// attributes the Tell-side engine work (surrogate ingestion, checkpoint
-// fsync) to the reporting worker's trace. Cancellation is not forwarded —
-// an accepted report is always fully ingested.
+// already-acked report short-circuits to a Duplicate ack. A request span
+// carried by ctx attributes the Tell-side engine work (surrogate ingestion,
+// checkpoint fsync) to the reporting worker's trace. Cancellation is not
+// forwarded — an accepted report is always fully ingested.
 func (q *Queue) ReportCtx(ctx context.Context, sessionID, leaseID, sugID, idemKey string, ev problem.Evaluation) (*Ack, error) {
 	sess, err := q.cfg.Resolve(sessionID)
 	if err != nil {
@@ -392,14 +394,26 @@ func (q *Queue) ReportCtx(ctx context.Context, sessionID, leaseID, sugID, idemKe
 		return nil, fmt.Errorf("%w: lease %s does not cover suggestion %s", ErrLeaseExpired, leaseID, sugID)
 	}
 	if live {
+		// The suggestion stays taken in bySug until the tell below settles,
+		// so no Lease offers it while its report is being ingested.
 		delete(q.leases, leaseID)
-		if q.bySug[key] == leaseID {
-			delete(q.bySug, key)
-		}
 	}
 	q.mu.Unlock()
 
-	if err := sess.TellByIDCtx(ctx, sugID, ev); err != nil {
+	err = sess.TellByIDCtx(ctx, sugID, ev)
+	q.mu.Lock()
+	if live && q.bySug[key] == leaseID {
+		delete(q.bySug, key)
+	}
+	if err == nil {
+		remember(q.told, &q.toldOrder, key)
+		delete(q.attempts, key)
+		if d := q.depth[sessionID]; d > 0 {
+			q.depth[sessionID] = d - 1
+		}
+	}
+	q.mu.Unlock()
+	if err != nil {
 		if errors.Is(err, core.ErrUnknownSuggestion) || errors.Is(err, core.ErrNoPendingAsk) {
 			// The requeued evaluation already reported from elsewhere (or
 			// the suggestion was abandoned as failed): discard.
@@ -411,12 +425,6 @@ func (q *Queue) ReportCtx(ctx context.Context, sessionID, leaseID, sugID, idemKe
 		}
 		return nil, err
 	}
-	q.mu.Lock()
-	delete(q.attempts, key)
-	if d := q.depth[sessionID]; d > 0 {
-		q.depth[sessionID] = d - 1
-	}
-	q.mu.Unlock()
 	q.recordAck(sessionID, idemKey)
 	if q.met != nil {
 		if live {
@@ -436,17 +444,22 @@ func (q *Queue) recordAck(sessionID, idemKey string) {
 	if idemKey == "" {
 		return
 	}
-	k := sugKey(sessionID, idemKey)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.acked[k] {
+	remember(q.acked, &q.ackedOrder, sugKey(sessionID, idemKey))
+}
+
+// remember adds k to set and appends it to order, the set's insertion order,
+// evicting the oldest key beyond maxAckedKeys entries.
+func remember(set map[string]bool, order *[]string, k string) {
+	if set[k] {
 		return
 	}
-	q.acked[k] = true
-	q.ackedOrder = append(q.ackedOrder, k)
-	if len(q.ackedOrder) > maxAckedKeys {
-		delete(q.acked, q.ackedOrder[0])
-		q.ackedOrder = q.ackedOrder[1:]
+	set[k] = true
+	*order = append(*order, k)
+	if len(*order) > maxAckedKeys {
+		delete(set, (*order)[0])
+		*order = (*order)[1:]
 	}
 }
 
@@ -494,9 +507,13 @@ func (q *Queue) Scan(now time.Time) int {
 		}
 		nc := sess.Problem().NumConstraints()
 		// ErrUnknownSuggestion here means a late report won the race — fine.
-		_ = sess.TellByID(a.sugID, problem.PenaltyEvaluation(nc))
+		err = sess.TellByID(a.sugID, problem.PenaltyEvaluation(nc))
+		key := sugKey(a.sessionID, a.sugID)
 		q.mu.Lock()
-		delete(q.attempts, sugKey(a.sessionID, a.sugID))
+		if err == nil {
+			remember(q.told, &q.toldOrder, key)
+		}
+		delete(q.attempts, key)
 		if d := q.depth[a.sessionID]; d > 0 {
 			q.depth[a.sessionID] = d - 1
 		}
@@ -507,10 +524,3 @@ func (q *Queue) Scan(now time.Time) int {
 
 // RetryAfter is the poll-again hint for ErrNoWork replies.
 func (q *Queue) RetryAfter() time.Duration { return q.cfg.RetryAfter }
-
-// Active returns the number of currently held leases.
-func (q *Queue) Active() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.leases)
-}

@@ -93,12 +93,15 @@ func TestLeaseGrantReportTopUp(t *testing.T) {
 	if _, err := q.Lease(context.Background(), "s1", "w4", 0, 0); !errors.Is(err, ErrNoWork) {
 		t.Fatalf("4th lease: got %v, want ErrNoWork", err)
 	}
-	if q.Active() != 3 {
-		t.Fatalf("Active = %d, want 3", q.Active())
+	q.mu.Lock()
+	held := len(q.leases)
+	q.mu.Unlock()
+	if held != 3 {
+		t.Fatalf("%d leases held, want 3", held)
 	}
 
 	// Reporting frees capacity: the next lease tops the batch back up.
-	ack, err := q.Report("s1", g2.LeaseID, g2.Suggestion.ID, "", p.Evaluate(g2.Suggestion.X, g2.Suggestion.Fid))
+	ack, err := q.ReportCtx(context.Background(), "s1", g2.LeaseID, g2.Suggestion.ID, "", p.Evaluate(g2.Suggestion.X, g2.Suggestion.Fid))
 	if err != nil || ack.Duplicate {
 		t.Fatalf("Report: ack=%+v err=%v", ack, err)
 	}
@@ -168,7 +171,7 @@ func TestLateReportThenDuplicate(t *testing.T) {
 
 	// w1 finishes anyway: the late report is real work and is ingested.
 	ev := p.Evaluate(g1.Suggestion.X, g1.Suggestion.Fid)
-	ack, err := q.Report("s1", g1.LeaseID, g1.Suggestion.ID, "", ev)
+	ack, err := q.ReportCtx(context.Background(), "s1", g1.LeaseID, g1.Suggestion.ID, "", ev)
 	if err != nil {
 		t.Fatalf("late report: %v", err)
 	}
@@ -180,7 +183,7 @@ func TestLateReportThenDuplicate(t *testing.T) {
 	}
 
 	// w2's result now loses the race: acknowledged as a duplicate, dropped.
-	ack, err = q.Report("s1", g2.LeaseID, g2.Suggestion.ID, "", ev)
+	ack, err = q.ReportCtx(context.Background(), "s1", g2.LeaseID, g2.Suggestion.ID, "", ev)
 	if err != nil {
 		t.Fatalf("duplicate report: %v", err)
 	}
@@ -192,10 +195,44 @@ func TestLateReportThenDuplicate(t *testing.T) {
 	}
 }
 
+// TestLeaseNeverGrantsToldSuggestion: Lease reads the outstanding batch
+// before it takes the queue lock, so a report that lands in between must not
+// let that stale read offer the suggestion it just told — its report was
+// already acked. The report is injected through the clock, which Lease reads
+// between the two.
+func TestLeaseNeverGrantsToldSuggestion(t *testing.T) {
+	var report func()
+	q, sess, _ := newTestQueue(t, func(c *Config) {
+		now := c.Now
+		c.Now = func() time.Time {
+			if r := report; r != nil {
+				report = nil
+				r()
+			}
+			return now()
+		}
+	})
+	p := sess.Problem()
+	g1 := mustLease(t, q, "w1")
+	report = func() {
+		ev := p.Evaluate(g1.Suggestion.X, g1.Suggestion.Fid)
+		if ack, err := q.ReportCtx(context.Background(), "s1", g1.LeaseID, g1.Suggestion.ID, "", ev); err != nil || ack.Duplicate {
+			t.Errorf("report: ack=%+v err=%v", ack, err)
+		}
+	}
+	g2 := mustLease(t, q, "w2")
+	if report != nil {
+		t.Fatal("the report did not run inside Lease")
+	}
+	if g2.Suggestion.ID == g1.Suggestion.ID {
+		t.Fatalf("Lease granted %q again after its report was acked", g2.Suggestion.ID)
+	}
+}
+
 func TestReportLeaseSuggestionMismatch(t *testing.T) {
 	q, _, _ := newTestQueue(t, nil)
 	g1, g2 := mustLease(t, q, "w1"), mustLease(t, q, "w2")
-	_, err := q.Report("s1", g1.LeaseID, g2.Suggestion.ID, "", testfunc.ConstrainedSynthetic().Evaluate(g2.Suggestion.X, g2.Suggestion.Fid))
+	_, err := q.ReportCtx(context.Background(), "s1", g1.LeaseID, g2.Suggestion.ID, "", testfunc.ConstrainedSynthetic().Evaluate(g2.Suggestion.X, g2.Suggestion.Fid))
 	if !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("cross-lease report: got %v, want ErrLeaseExpired", err)
 	}
@@ -228,10 +265,8 @@ func TestAbandonAfterMaxAttempts(t *testing.T) {
 	if !hist[0].Eval.Failed {
 		t.Fatal("abandoned suggestion not recorded as Failed")
 	}
-	for _, s := range sess.Pending() {
-		if s.ID == g.Suggestion.ID {
-			t.Fatalf("abandoned suggestion %q still outstanding", s.ID)
-		}
+	if err := sess.TellByIDCtx(context.Background(), g.Suggestion.ID, problem.Evaluation{}); !errors.Is(err, core.ErrUnknownSuggestion) {
+		t.Fatalf("abandoned suggestion %q still outstanding: tell gave %v", g.Suggestion.ID, err)
 	}
 	// The queue moves on to fresh work.
 	g3 := mustLease(t, q, "w3")
@@ -266,7 +301,7 @@ func TestResolveErrorPropagates(t *testing.T) {
 	if _, err := q.Lease(context.Background(), "nope", "w1", 0, 0); err == nil {
 		t.Fatal("lease for unknown session succeeded")
 	}
-	if _, err := q.Report("nope", "lease-x", "sug-x", "", problem.Evaluation{}); err == nil {
+	if _, err := q.ReportCtx(context.Background(), "nope", "lease-x", "sug-x", "", problem.Evaluation{}); err == nil {
 		t.Fatal("report for unknown session succeeded")
 	}
 }
@@ -278,14 +313,14 @@ func TestIdempotentReportRetry(t *testing.T) {
 	ev := p.Evaluate(g.Suggestion.X, g.Suggestion.Fid)
 	key := g.Suggestion.ID + "/0"
 
-	ack, err := q.Report("s1", g.LeaseID, g.Suggestion.ID, key, ev)
+	ack, err := q.ReportCtx(context.Background(), "s1", g.LeaseID, g.Suggestion.ID, key, ev)
 	if err != nil || ack.Duplicate {
 		t.Fatalf("first report: ack=%+v err=%v", ack, err)
 	}
 	// The worker's ack was lost in transit; it retries the identical report.
 	// The key short-circuits to a duplicate ack even though the lease is long
 	// gone — no lease error, no double Tell.
-	ack, err = q.Report("s1", g.LeaseID, g.Suggestion.ID, key, ev)
+	ack, err = q.ReportCtx(context.Background(), "s1", g.LeaseID, g.Suggestion.ID, key, ev)
 	if err != nil {
 		t.Fatalf("retried report: %v", err)
 	}
@@ -335,7 +370,7 @@ func TestJanitorRaceLateReport(t *testing.T) {
 			reported = 1 // w1's report below
 		)
 		report := func(leaseID, key string) {
-			ack, err := q.Report("s1", leaseID, g.Suggestion.ID, key, ev)
+			ack, err := q.ReportCtx(context.Background(), "s1", leaseID, g.Suggestion.ID, key, ev)
 			if err != nil {
 				t.Errorf("iter %d: report: %v", iter, err)
 				return

@@ -1,8 +1,8 @@
 // Package experiments is the harness that regenerates the paper's evaluation
 // (§5): it runs each optimizer repeatedly with independent seeds, aggregates
 // the per-run outcomes into the row structure of Tables 1 and 2, and renders
-// ASCII tables matching the paper's layout. It also exports best-so-far
-// convergence traces for the figures.
+// ASCII tables matching the paper's layout. It also computes best-so-far
+// convergence traces.
 package experiments
 
 import (
@@ -89,6 +89,14 @@ func (a *AlgoStats) Objectives() []float64 {
 		}
 	}
 	return out
+}
+
+// CompareSignificance runs the Wilcoxon rank-sum test between two
+// algorithms' best-objective distributions across replications (infeasible
+// runs enter as +Inf, i.e. worst rank) and returns the two-sided p-value.
+func CompareSignificance(a, b *AlgoStats) float64 {
+	_, p := stats.RankSum(a.Objectives(), b.Objectives())
+	return p
 }
 
 // Successes counts the replications that found a feasible design.

@@ -576,71 +576,6 @@ func (m *Model) predictSplit(x, ts, means, variances []float64, sp splitProfile,
 	}
 }
 
-// PredictBatch evaluates PredictLatent over many points, fanning the grid
-// across the model's configured worker count. Each point's result depends
-// only on that point and the immutable trained model, so the output is
-// bit-identical to the serial loop for any worker count.
-func (m *Model) PredictBatch(xs [][]float64) (means, variances []float64) {
-	means = make([]float64, len(xs))
-	variances = make([]float64, len(xs))
-	parallel.ForEach(parallel.Workers(m.cfg.Workers), len(xs), func(i int) {
-		means[i], variances[i] = m.PredictLatent(xs[i])
-	})
-	return means, variances
-}
-
-// SampleJoint draws one realization of the latent function at the given
-// points from the joint posterior — the primitive behind Thompson-sampling
-// acquisition (§2.4 lists it among the alternatives to wEI). The joint
-// covariance is Σ = K** − K*ᵀ(K+σ²I)⁻¹K*, factorized with jitter.
-func (m *Model) SampleJoint(xs [][]float64, rng *rand.Rand) ([]float64, error) {
-	if m.lowRank != nil {
-		return nil, errors.New("gp: SampleJoint is not supported on low-rank models")
-	}
-	q := len(xs)
-	std := make([][]float64, q)
-	for i, x := range xs {
-		std[i] = m.toStdX(x)
-	}
-	n := len(m.xs)
-	// Cross-covariances and posterior mean.
-	mean := make([]float64, q)
-	vcols := make([][]float64, q) // L⁻¹ k*_i
-	for i := 0; i < q; i++ {
-		ks := make([]float64, n)
-		for j := 0; j < n; j++ {
-			ks[j] = m.kern.Eval(std[i], m.xs[j])
-		}
-		mean[i] = m.yMean + m.yStd*linalg.Dot(ks, m.alpha)
-		vcols[i] = m.chol.ForwardSolve(ks)
-	}
-	cov := linalg.NewMatrix(q, q)
-	for i := 0; i < q; i++ {
-		for j := i; j < q; j++ {
-			v := m.kern.Eval(std[i], std[j]) - linalg.Dot(vcols[i], vcols[j])
-			cov.Set(i, j, v)
-			cov.Set(j, i, v)
-		}
-	}
-	cv, err := linalg.NewCholesky(cov)
-	if err != nil {
-		return nil, fmt.Errorf("gp: joint posterior covariance: %w", err)
-	}
-	z := make([]float64, q)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	sample := make([]float64, q)
-	for i := 0; i < q; i++ {
-		s := 0.0
-		for j := 0; j <= i; j++ {
-			s += cv.L.At(i, j) * z[j]
-		}
-		sample[i] = mean[i] + m.yStd*s
-	}
-	return sample, nil
-}
-
 // NLML returns the trained model's negative log marginal likelihood.
 func (m *Model) NLML() float64 { return m.nlml }
 
@@ -649,35 +584,6 @@ func (m *Model) NLML() float64 { return m.nlml }
 // which the paper's fidelity-selection threshold γ = 0.01 is meaningful
 // across problems.
 func (m *Model) OutputStd() float64 { return m.yStd }
-
-// LOO computes analytic leave-one-out residuals from the trained model
-// (Rasmussen & Williams eq. 5.10-5.12): for each training point i, the
-// prediction error y_i − µ_{−i}(x_i) and the LOO predictive variance, both
-// in original output units, without refitting n models:
-//
-//	µ_i − y_i = α_i / [K⁻¹]_ii,   σ²_i = 1 / [K⁻¹]_ii.
-//
-// Large standardized residuals flag model misspecification; the experiment
-// harness uses them as a surrogate-health diagnostic.
-func (m *Model) LOO() (residuals, variances []float64) {
-	if m.lowRank != nil {
-		return nil, nil // no exact Gram inverse on the low-rank path
-	}
-	n := len(m.xs)
-	Kinv := m.chol.Inverse()
-	residuals = make([]float64, n)
-	variances = make([]float64, n)
-	for i := 0; i < n; i++ {
-		kii := Kinv.At(i, i)
-		residuals[i] = -m.alpha[i] / kii * m.yStd
-		variances[i] = 1 / kii * m.yStd * m.yStd
-	}
-	return residuals, variances
-}
-
-// Noise returns the trained observation-noise standard deviation in original
-// output units.
-func (m *Model) Noise() float64 { return math.Exp(m.logNoise) * m.yStd }
 
 // Kernel exposes the trained kernel (owned by the model; treat as read-only).
 func (m *Model) Kernel() kernel.Kernel { return m.kern }

@@ -119,8 +119,11 @@ func TestNoiseRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Noise() < trueNoise/3 || m.Noise() > trueNoise*3 {
-		t.Fatalf("trained noise %v far from true %v", m.Noise(), trueNoise)
+	// Predict adds the trained observation-noise variance to the latent one.
+	_, vLatent := m.PredictLatent([]float64{0.5})
+	_, vNoisy := m.Predict([]float64{0.5})
+	if noise := math.Sqrt(vNoisy - vLatent); noise < trueNoise/3 || noise > trueNoise*3 {
+		t.Fatalf("trained noise %v far from true %v", noise, trueNoise)
 	}
 }
 
@@ -283,24 +286,6 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestPredictBatchAgreesWithSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	X := [][]float64{{0}, {0.5}, {1}}
-	y := []float64{1, 0, 1}
-	m, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(1)}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := [][]float64{{0.2}, {0.4}, {0.9}}
-	mus, vas := m.PredictBatch(pts)
-	for i, p := range pts {
-		mu, va := m.PredictLatent(p)
-		if mu != mus[i] || va != vas[i] {
-			t.Fatal("batch prediction disagrees with single")
-		}
-	}
-}
-
 func TestHyperPackedLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	k := kernel.NewSEARD(3)
@@ -313,130 +298,6 @@ func TestHyperPackedLength(t *testing.T) {
 	}
 	if m.TrainingSize() != 2 {
 		t.Fatalf("TrainingSize = %d", m.TrainingSize())
-	}
-}
-
-func TestSampleJointStatistics(t *testing.T) {
-	// Sample statistics across many joint draws must match the marginal
-	// posterior mean and variance.
-	rng := rand.New(rand.NewSource(18))
-	X := [][]float64{{0}, {0.5}, {1}}
-	y := []float64{0, 1, 0}
-	m, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(1), FixedNoise: fixedNoise(1e-4)}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := [][]float64{{0.25}, {0.75}, {1.5}}
-	const draws = 3000
-	sums := make([]float64, len(pts))
-	sqs := make([]float64, len(pts))
-	for d := 0; d < draws; d++ {
-		s, err := m.SampleJoint(pts, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range s {
-			sums[i] += v
-			sqs[i] += v * v
-		}
-	}
-	for i, p := range pts {
-		mu, va := m.PredictLatent(p)
-		sampleMean := sums[i] / draws
-		sampleVar := sqs[i]/draws - sampleMean*sampleMean
-		if math.Abs(sampleMean-mu) > 0.1*(1+math.Abs(mu)) {
-			t.Fatalf("point %v: sample mean %v vs posterior %v", p, sampleMean, mu)
-		}
-		if va > 1e-6 && (sampleVar < va/2 || sampleVar > va*2) {
-			t.Fatalf("point %v: sample var %v vs posterior %v", p, sampleVar, va)
-		}
-	}
-}
-
-func TestSampleJointInterpolatesAtData(t *testing.T) {
-	// At training points with tiny noise, every sample must pass close to
-	// the observations.
-	rng := rand.New(rand.NewSource(19))
-	X := [][]float64{{0}, {1}}
-	y := []float64{2, -1}
-	m, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(1), FixedNoise: fixedNoise(1e-6)}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < 20; d++ {
-		s, err := m.SampleJoint(X, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(s[0]-2) > 0.05 || math.Abs(s[1]+1) > 0.05 {
-			t.Fatalf("sample %v strays from data", s)
-		}
-	}
-}
-
-func TestLOOResiduals(t *testing.T) {
-	// Compare analytic LOO against brute-force refitting with one point
-	// held out, using fixed hyperparameters so the comparison is exact.
-	rng := rand.New(rand.NewSource(16))
-	n := 10
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		x := float64(i) / float64(n-1)
-		X[i] = []float64{x}
-		y[i] = math.Sin(4 * x)
-	}
-	cfg := Config{Kernel: kernel.NewSEARD(1), FixedNoise: fixedNoise(1e-3)}
-	m, err := Fit(X, y, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid, vars := m.LOO()
-	if len(resid) != n || len(vars) != n {
-		t.Fatalf("LOO lengths %d/%d", len(resid), len(vars))
-	}
-	for _, v := range vars {
-		if v <= 0 {
-			t.Fatalf("non-positive LOO variance %v", v)
-		}
-	}
-	// The analytic identity guarantees: residual = µ_{−i}(x_i) − y_i with
-	// variance 1/[K⁻¹]_ii; on smooth noise-free data every residual must be
-	// consistent with its own LOO uncertainty.
-	for i := range resid {
-		if math.Abs(resid[i]) > 6*math.Sqrt(vars[i]) {
-			t.Fatalf("LOO residual %d inconsistent with its variance: %v vs sd %v",
-				i, resid[i], math.Sqrt(vars[i]))
-		}
-	}
-}
-
-func TestLOOFlagsOutlier(t *testing.T) {
-	// A corrupted observation should carry a much larger LOO residual than
-	// its neighbours.
-	rng := rand.New(rand.NewSource(17))
-	n := 12
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range X {
-		x := float64(i) / float64(n-1)
-		X[i] = []float64{x}
-		y[i] = x // smooth linear data
-	}
-	y[5] += 3 // outlier
-	m, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(1), FixedNoise: fixedNoise(1e-2)}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resid, _ := m.LOO()
-	maxAbs, maxIdx := 0.0, -1
-	for i, r := range resid {
-		if a := math.Abs(r); a > maxAbs {
-			maxAbs, maxIdx = a, i
-		}
-	}
-	if maxIdx != 5 {
-		t.Fatalf("largest LOO residual at %d, want the outlier at 5 (resid %v)", maxIdx, resid)
 	}
 }
 

@@ -251,11 +251,3 @@ func (lr *lowRankState) truncate(m *Model, n int) error {
 
 // IsLowRank reports whether the model uses the inducing-point approximation.
 func (m *Model) IsLowRank() bool { return m.lowRank != nil }
-
-// InducingCount returns the number of inducing points (0 for exact models).
-func (m *Model) InducingCount() int {
-	if m.lowRank == nil {
-		return 0
-	}
-	return len(m.lowRank.zs)
-}

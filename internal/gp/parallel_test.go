@@ -83,39 +83,6 @@ func TestFitParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPredictBatchParallelDeterminism pins the prediction fan-out: a model
-// trained once must produce bit-identical batch outputs under any worker
-// count, and those must match the single-point path.
-func TestPredictBatchParallelDeterminism(t *testing.T) {
-	X, y, lo, hi := trainSet(7, 28, 3)
-	grid := stats.LatinHypercube(rand.New(rand.NewSource(8)), lo, hi, 64)
-	fit := func(workers int) *Model {
-		m, err := Fit(X, y, Config{
-			Kernel: kernel.NewSEARD(3), MaxIter: 30, Workers: workers,
-		}, rand.New(rand.NewSource(9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	m1 := fit(1)
-	m8 := fit(8)
-	mu1, v1 := m1.PredictBatch(grid)
-	mu8, v8 := m8.PredictBatch(grid)
-	for i := range grid {
-		if math.Float64bits(mu1[i]) != math.Float64bits(mu8[i]) ||
-			math.Float64bits(v1[i]) != math.Float64bits(v8[i]) {
-			t.Fatalf("batch %d: (%v,%v) vs (%v,%v)", i, mu1[i], v1[i], mu8[i], v8[i])
-		}
-		sm, sv := m8.PredictLatent(grid[i])
-		bm, bv := m8.PredictBatch(grid[i : i+1])
-		if math.Float64bits(sm) != math.Float64bits(bm[0]) ||
-			math.Float64bits(sv) != math.Float64bits(bv[0]) {
-			t.Fatalf("single/batch mismatch at %d", i)
-		}
-	}
-}
-
 // TestPredictLatentAllocationLean asserts the pooled scratch path: after
 // warmup, a posterior evaluation must not allocate per call.
 func TestPredictLatentAllocationLean(t *testing.T) {

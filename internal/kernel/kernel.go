@@ -14,8 +14,6 @@
 // provides a PairProfile, the form package gp evaluates it in.
 package kernel
 
-import "fmt"
-
 // Kernel is a positive-definite covariance function with trainable
 // log-hyperparameters.
 type Kernel interface {
@@ -45,15 +43,6 @@ type Kernel interface {
 // HyperVector returns the kernel's log-hyperparameters as a fresh slice.
 func HyperVector(k Kernel) []float64 {
 	return k.Hyper(make([]float64, 0, k.NumHyper()))
-}
-
-// SetHyperVector installs a full hyperparameter vector, panicking if the
-// length does not match.
-func SetHyperVector(k Kernel, v []float64) {
-	if len(v) != k.NumHyper() {
-		panic(fmt.Sprintf("kernel: hyper length %d != %d", len(v), k.NumHyper()))
-	}
-	k.SetHyper(v)
 }
 
 // BoundsVectors returns fresh lo/hi slices of log-space training bounds.

@@ -25,13 +25,13 @@ func checkGradFD(t *testing.T, k kernel.Kernel, x1, x2 []float64, tol float64) {
 	for j := 0; j < n; j++ {
 		save := theta[j]
 		theta[j] = save + h
-		kernel.SetHyperVector(k, theta)
+		k.SetHyper(theta)
 		up := k.Eval(x1, x2)
 		theta[j] = save - h
-		kernel.SetHyperVector(k, theta)
+		k.SetHyper(theta)
 		dn := k.Eval(x1, x2)
 		theta[j] = save
-		kernel.SetHyperVector(k, theta)
+		k.SetHyper(theta)
 		fd := (up - dn) / (2 * h)
 		if math.Abs(fd-grad[j]) > tol*(1+math.Abs(fd)) {
 			t.Fatalf("hyper %d: analytic %v vs fd %v", j, grad[j], fd)
@@ -52,7 +52,7 @@ func randHyper(rng *rand.Rand, k kernel.Kernel) {
 	for i := range h {
 		h[i] = rng.Float64()*2 - 1
 	}
-	kernel.SetHyperVector(k, h)
+	k.SetHyper(h)
 }
 
 func TestSEARDValue(t *testing.T) {
@@ -68,9 +68,9 @@ func TestSEARDValue(t *testing.T) {
 
 func TestSEARDLengthScaleEffect(t *testing.T) {
 	k := kernel.NewSEARD(1)
-	kernel.SetHyperVector(k, []float64{0, math.Log(10)}) // long length scale
+	k.SetHyper([]float64{0, math.Log(10)}) // long length scale
 	far := k.Eval([]float64{0}, []float64{1})
-	kernel.SetHyperVector(k, []float64{0, math.Log(0.1)}) // short length scale
+	k.SetHyper([]float64{0, math.Log(0.1)}) // short length scale
 	near := k.Eval([]float64{0}, []float64{1})
 	if far <= near {
 		t.Fatalf("longer length scale should increase correlation: %v vs %v", far, near)
@@ -91,13 +91,13 @@ func TestSEARDGradient(t *testing.T) {
 		for j := range theta {
 			save := theta[j]
 			theta[j] = save + h
-			kernel.SetHyperVector(k, theta)
+			k.SetHyper(theta)
 			up := k.Eval(x1, x2)
 			theta[j] = save - h
-			kernel.SetHyperVector(k, theta)
+			k.SetHyper(theta)
 			dn := k.Eval(x1, x2)
 			theta[j] = save
-			kernel.SetHyperVector(k, theta)
+			k.SetHyper(theta)
 			fd := (up - dn) / (2 * h)
 			if math.Abs(fd-grad[j]) > 1e-5*(1+math.Abs(fd)) {
 				return false
@@ -139,7 +139,7 @@ func TestHyperRoundTrip(t *testing.T) {
 	k := kernel.NewNARGP(3)
 	randHyper(rng, k)
 	h1 := kernel.HyperVector(k)
-	kernel.SetHyperVector(k, h1)
+	k.SetHyper(h1)
 	h2 := kernel.HyperVector(k)
 	for i := range h1 {
 		if h1[i] != h2[i] {
@@ -197,7 +197,7 @@ func TestNARGPIgnoresFWhenK1Flat(t *testing.T) {
 	k := kernel.NewNARGP(d)
 	h := make([]float64, k.NumHyper())
 	h[1] = 5 // log l_f large → k1 ≈ constant
-	kernel.SetHyperVector(k, h)
+	k.SetHyper(h)
 	z1 := []float64{0.1, 0.2, -3}
 	z2 := []float64{0.1, 0.2, +3}
 	v1 := k.Eval(z1, z1)
@@ -255,7 +255,7 @@ func TestCloneIndependence(t *testing.T) {
 	for i := range h {
 		h[i] = 1
 	}
-	kernel.SetHyperVector(c, h)
+	c.SetHyper(h)
 	for _, v := range kernel.HyperVector(k) {
 		if v != 0 {
 			t.Fatal("Clone shares hyperparameter storage")

@@ -48,8 +48,8 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 			for j := range h {
 				h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 			}
-			kernel.SetHyperVector(k, h)
-			kernel.SetHyperVector(ref, h)
+			k.SetHyper(h)
+			ref.SetHyper(h)
 			for j, v := range kernel.HyperVector(k) {
 				if v != h[j] {
 					t.Fatalf("d=%d: hyper layout moved entry %d", d, j)

@@ -32,7 +32,7 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 				for j := range h {
 					h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
 				}
-				kernel.SetHyperVector(k, h)
+				k.SetHyper(h)
 				p := k.Profile()
 				if p.NumHyper() != nh {
 					t.Fatalf("%s: profile NumHyper %d != %d", name, p.NumHyper(), nh)
@@ -72,13 +72,13 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 
 func TestProfileSnapshotsHyperparameters(t *testing.T) {
 	k := kernel.NewSEARD(2)
-	kernel.SetHyperVector(k, []float64{0.3, -0.2, 0.1})
+	k.SetHyper([]float64{0.3, -0.2, 0.1})
 	p := k.Profile()
 	x1 := []float64{0.5, -1.2}
 	x2 := []float64{-0.3, 0.7}
 	diff := []float64{x1[0] - x2[0], x1[1] - x2[1]}
 	before := p.Eval(diff)
-	kernel.SetHyperVector(k, []float64{1.1, 0.4, -0.9})
+	k.SetHyper([]float64{1.1, 0.4, -0.9})
 	if got := p.Eval(diff); got != before {
 		t.Fatalf("profile tracked SetHyper: %v != snapshot %v", got, before)
 	}

@@ -353,13 +353,6 @@ func (c *Cholesky) SolveVecInto(b, x []float64) {
 	c.BackwardSolveInto(x, x)
 }
 
-// ForwardSolve solves L·y = b.
-func (c *Cholesky) ForwardSolve(b []float64) []float64 {
-	y := make([]float64, c.N)
-	c.ForwardSolveInto(b, y)
-	return y
-}
-
 // ForwardSolveInto solves L·y = b into y (len N). y may alias b: element i
 // is read before it is written and only already-final elements are consumed.
 func (c *Cholesky) ForwardSolveInto(b, y []float64) {
@@ -378,13 +371,6 @@ func (c *Cholesky) ForwardSolveInto(b, y []float64) {
 	}
 }
 
-// BackwardSolve solves Lᵀ·x = y.
-func (c *Cholesky) BackwardSolve(y []float64) []float64 {
-	x := make([]float64, c.N)
-	c.BackwardSolveInto(y, x)
-	return x
-}
-
 // BackwardSolveInto solves Lᵀ·x = y into x (len N). x may alias y.
 func (c *Cholesky) BackwardSolveInto(y, x []float64) {
 	n := c.N
@@ -399,32 +385,6 @@ func (c *Cholesky) BackwardSolveInto(y, x []float64) {
 		}
 		x[i] = sum / c.L.Data[i*s+i]
 	}
-}
-
-// SolveMat solves A·X = B column by column, returning X.
-func (c *Cholesky) SolveMat(b *Matrix) *Matrix {
-	if b.Rows != c.N {
-		panic(fmt.Sprintf("linalg: solve mat rows %d != %d", b.Rows, c.N))
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		c.SolveVecInto(col, col)
-		for i := 0; i < b.Rows; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out
-}
-
-// Inverse returns A⁻¹ as a new matrix.
-func (c *Cholesky) Inverse() *Matrix {
-	out := NewMatrix(c.N, c.N)
-	c.InverseInto(out, make([]float64, c.N))
-	return out
 }
 
 // InverseInto writes A⁻¹ into dst (N×N) using scratch (len N), allocating

@@ -90,12 +90,13 @@ func TestCholeskyInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := c.Inverse()
+	inv := NewMatrix(5, 5)
+	c.InverseInto(inv, make([]float64, 5))
 	prod := a.Mul(inv)
 	id := Identity(5)
 	for i := range prod.Data {
 		if !almostEq(prod.Data[i], id.Data[i], 1e-8) {
-			t.Fatalf("A·A⁻¹ != I:\n%v", prod)
+			t.Fatalf("A·A⁻¹ != I: %v", prod.Data)
 		}
 	}
 }
@@ -145,29 +146,14 @@ func TestForwardBackwardConsistency(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	// SolveVec must equal BackwardSolve(ForwardSolve(b)).
+	// SolveVec must equal BackwardSolveInto(ForwardSolveInto(b)).
 	x1 := c.SolveVec(b)
-	x2 := c.BackwardSolve(c.ForwardSolve(b))
+	x2 := make([]float64, len(b))
+	c.ForwardSolveInto(b, x2)
+	c.BackwardSolveInto(x2, x2)
 	for i := range x1 {
 		if x1[i] != x2[i] {
 			t.Fatal("SolveVec disagrees with composed solves")
-		}
-	}
-}
-
-func TestSolveMatColumns(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randomSPD(rng, 4)
-	B := randomMatrix(rng, 4, 3)
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	X := c.SolveMat(B)
-	AX := a.Mul(X)
-	for i := range B.Data {
-		if !almostEq(AX.Data[i], B.Data[i], 1e-8) {
-			t.Fatal("A·SolveMat(B) != B")
 		}
 	}
 }
@@ -285,15 +271,6 @@ func TestSolveIntoVariantsMatchAllocating(t *testing.T) {
 	for i := range want {
 		if inPlace[i] != want[i] {
 			t.Fatal("aliased SolveVecInto disagrees with SolveVec")
-		}
-	}
-	// InverseInto against Inverse.
-	inv := c.Inverse()
-	dst := NewMatrix(n, n)
-	c.InverseInto(dst, make([]float64, n))
-	for i := range inv.Data {
-		if dst.Data[i] != inv.Data[i] {
-			t.Fatal("InverseInto disagrees with Inverse")
 		}
 	}
 }

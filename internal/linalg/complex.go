@@ -37,23 +37,6 @@ func (m *CMatrix) Clone() *CMatrix {
 	return &CMatrix{Rows: m.Rows, Cols: m.Cols, Data: d}
 }
 
-// MulVec returns m·v as a new vector.
-func (m *CMatrix) MulVec(v []complex128) []complex128 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: cmulvec shape mismatch %d×%d · %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]complex128, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s complex128
-		for j, r := range row {
-			s += r * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // CLU is a row-pivoted LU factorization of a complex square matrix.
 type CLU struct {
 	lu    *CMatrix

@@ -28,7 +28,12 @@ func TestCLUSolveRandom(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		b := a.MulVec(x)
+		b := make([]complex128, n)
+		for i := range b {
+			for j, xj := range x {
+				b[i] += a.At(i, j) * xj
+			}
+		}
 		got, err := SolveComplex(a, b)
 		if err != nil {
 			return false
@@ -101,13 +106,4 @@ func TestCLUDoesNotModifyInput(t *testing.T) {
 			t.Fatal("NewCLU modified its input")
 		}
 	}
-}
-
-func TestCMatrixMulVecShapePanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCMatrix(2, 2).MulVec(make([]complex128, 3))
 }

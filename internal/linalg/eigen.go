@@ -8,8 +8,9 @@ import (
 
 // SymEigen computes all eigenvalues (ascending) and the corresponding
 // orthonormal eigenvectors of the symmetric matrix a using the cyclic Jacobi
-// method. It is used for conditioning diagnostics of GP covariance matrices,
-// not on hot paths. Eigenvectors are returned as the columns of V.
+// method. It is a reference implementation: tests check the factorizations
+// against it, and no production path calls it. Eigenvectors are returned as
+// the columns of V.
 func SymEigen(a *Matrix) (vals []float64, V *Matrix, err error) {
 	if a.Rows != a.Cols {
 		return nil, nil, fmt.Errorf("linalg: eigen of non-square %d×%d matrix", a.Rows, a.Cols)
@@ -83,28 +84,4 @@ func rotate(A, V *Matrix, p, q int, c, s float64) {
 		V.Set(k, p, c*vkp-s*vkq)
 		V.Set(k, q, s*vkp+c*vkq)
 	}
-}
-
-// ConditionNumber estimates the 2-norm condition number of the symmetric
-// matrix a via its extreme eigenvalues. Returns +Inf for singular matrices.
-func ConditionNumber(a *Matrix) (float64, error) {
-	vals, _, err := SymEigen(a)
-	if err != nil {
-		return 0, err
-	}
-	if len(vals) == 0 {
-		return 1, nil
-	}
-	lo, hi := math.Abs(vals[0]), math.Abs(vals[len(vals)-1])
-	for _, v := range vals {
-		if av := math.Abs(v); av < lo {
-			lo = av
-		} else if av > hi {
-			hi = av
-		}
-	}
-	if lo == 0 {
-		return math.Inf(1), nil
-	}
-	return hi / lo, nil
 }

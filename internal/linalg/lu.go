@@ -16,17 +16,6 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  int
-}
-
-// NewLU factorizes the square matrix a with partial pivoting. a is not
-// modified.
-func NewLU(a *Matrix) (*LU, error) {
-	f := &LU{}
-	if err := f.Factorize(a); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Factorize makes f the factorization of the square matrix a, reusing f's
@@ -45,7 +34,6 @@ func (f *LU) Factorize(a *Matrix) error {
 	}
 	lu, pivot := f.lu, f.pivot
 	copy(lu.Data, a.Data)
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -65,7 +53,6 @@ func (f *LU) Factorize(a *Matrix) error {
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			sign = -sign
 		}
 		inv := 1 / lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -81,15 +68,7 @@ func (f *LU) Factorize(a *Matrix) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
-}
-
-// SolveVec solves A·x = b, returning x as a new vector.
-func (f *LU) SolveVec(b []float64) []float64 {
-	x := make([]float64, f.lu.Rows)
-	f.SolveVecInto(b, x)
-	return x
 }
 
 // SolveVecInto solves A·x = b into x, which must have length n and may be b
@@ -124,23 +103,4 @@ func (f *LU) SolveVecInto(b, x []float64) {
 		}
 		x[i] = s / row[i]
 	}
-}
-
-// Det returns the determinant of A.
-func (f *LU) Det() float64 {
-	n := f.lu.Rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// SolveLinear is a convenience wrapper: factorize a and solve a·x = b.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b), nil
 }

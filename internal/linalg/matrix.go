@@ -1,7 +1,8 @@
 // Package linalg provides the dense linear-algebra kernel used by the
 // Gaussian-process and circuit-simulation layers: column-major-free dense
-// matrices, Cholesky and LU factorizations, triangular solves, and a Jacobi
-// symmetric eigensolver for diagnostics.
+// matrices, Cholesky and LU factorizations, triangular solves, complex LU for
+// small-signal circuit analysis, and a Jacobi symmetric eigensolver that the
+// tests use as a reference.
 //
 // The package is deliberately small and allocation-conscious rather than
 // general: matrices are dense float64 in row-major order, and every routine
@@ -11,7 +12,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix.
@@ -76,40 +76,6 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Matrix) AddMat(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// SubMat returns m − b as a new matrix.
-func (m *Matrix) SubMat(b *Matrix) *Matrix {
-	checkSameShape(m, b)
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
-	return out
-}
-
-func checkSameShape(a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %d×%d vs %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-}
-
 // Mul returns the matrix product m·b as a new matrix.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	if m.Cols != b.Rows {
@@ -147,44 +113,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic("linalg: trace of non-square matrix")
-	}
-	t := 0.0
-	for i := 0; i < m.Rows; i++ {
-		t += m.Data[i*m.Cols+i]
-	}
-	return t
-}
-
-// MaxAbs returns the largest absolute element value (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			fmt.Fprintf(&b, "% .6g", m.At(i, j))
-			if j != m.Cols-1 {
-				b.WriteByte('\t')
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Dot returns the inner product of two equal-length vectors.
@@ -229,15 +157,6 @@ func AXPY(alpha float64, x, y []float64) {
 	}
 }
 
-// ScaleVec returns alpha·x as a new vector.
-func ScaleVec(alpha float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, xv := range x {
-		out[i] = alpha * xv
-	}
-	return out
-}
-
 // SubVec returns a−b as a new vector.
 func SubVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -246,18 +165,6 @@ func SubVec(a, b []float64) []float64 {
 	out := make([]float64, len(a))
 	for i := range a {
 		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a+b as a new vector.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: addvec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
 	}
 	return out
 }

@@ -150,39 +150,6 @@ func TestMulVecMatchesMul(t *testing.T) {
 	}
 }
 
-func TestAddSubScale(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewMatrixFrom(2, 2, []float64{4, 3, 2, 1})
-	sum := a.AddMat(b)
-	for _, v := range sum.Data {
-		if v != 5 {
-			t.Fatalf("AddMat = %v", sum.Data)
-		}
-	}
-	diff := sum.SubMat(b)
-	for i := range a.Data {
-		if diff.Data[i] != a.Data[i] {
-			t.Fatalf("SubMat = %v, want %v", diff.Data, a.Data)
-		}
-	}
-	sc := a.Clone().Scale(2)
-	for i := range a.Data {
-		if sc.Data[i] != 2*a.Data[i] {
-			t.Fatalf("Scale = %v", sc.Data)
-		}
-	}
-}
-
-func TestTraceAndMaxAbs(t *testing.T) {
-	m := NewMatrixFrom(2, 2, []float64{1, -9, 3, 4})
-	if m.Trace() != 5 {
-		t.Fatalf("Trace = %v, want 5", m.Trace())
-	}
-	if m.MaxAbs() != 9 {
-		t.Fatalf("MaxAbs = %v, want 9", m.MaxAbs())
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := NewMatrixFrom(1, 2, []float64{1, 2})
 	b := a.Clone()
@@ -212,14 +179,8 @@ func TestDotAndNorms(t *testing.T) {
 func TestVectorHelpers(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
-	if got := AddVec(a, b); got[0] != 4 || got[1] != 7 {
-		t.Fatalf("AddVec = %v", got)
-	}
 	if got := SubVec(b, a); got[0] != 2 || got[1] != 3 {
 		t.Fatalf("SubVec = %v", got)
-	}
-	if got := ScaleVec(2, a); got[0] != 2 || got[1] != 4 {
-		t.Fatalf("ScaleVec = %v", got)
 	}
 	y := []float64{1, 1}
 	AXPY(3, a, y)

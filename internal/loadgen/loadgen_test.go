@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
+	"repro/internal/api"
 	"repro/internal/gateway"
 	"repro/internal/loadgen"
 	"repro/internal/server"
@@ -173,11 +173,16 @@ func TestLoadgenDeleteCleansUp(t *testing.T) {
 	if res.Completed != 4 {
 		t.Fatalf("completed %d: %v", res.Completed, res.SessionErrors)
 	}
-	left, err := client.New(gts.URL).Sessions(context.Background())
+	resp, err := gts.Client().Get(gts.URL + "/v1/sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(left) != 0 {
+	defer resp.Body.Close()
+	var list api.SessionsReply
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if left := list.Sessions; len(left) != 0 {
 		t.Fatalf("sessions left after delete run: %v", left)
 	}
 }

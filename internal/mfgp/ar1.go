@@ -18,7 +18,8 @@ import (
 // with a scalar regression coefficient ρ and an independent GP discrepancy
 // δ(x). The paper's §3.1 motivates the nonlinear NARGP model by the
 // limitations of this linear form; this implementation exists so the
-// comparison can be made quantitatively (see BenchmarkAblationFusionModel).
+// comparison can be made quantitatively (see TestNARGPBeatsAR1OnNonlinearMap
+// and BenchmarkAblationFusionModel).
 type AR1 struct {
 	low   *gp.Model
 	delta *gp.Model

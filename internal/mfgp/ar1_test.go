@@ -3,7 +3,10 @@ package mfgp
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // linearPair builds data where f_h = 2·f_l + x (exactly the AR1 form).
@@ -57,36 +60,73 @@ func TestAR1RecoversLinearRelation(t *testing.T) {
 }
 
 // The paper's core claim (§3.1): on a NONLINEAR cross-fidelity map the
-// linear AR1 model underfits where NARGP succeeds.
+// linear AR1 model underfits where NARGP succeeds. Seeds 1–10 are fixed in
+// advance; each draws one random Latin-hypercube training design (50 cheap,
+// 14 expensive points of the pedagogical pair) that both models fit, so the
+// RMSEs are paired by design. NARGP's median RMSE must be below AR1's, and a
+// one-sided Wilcoxon rank-sum test must put NARGP lower at p < 0.01. This
+// test is why the AR1 reference model stays in the package.
 func TestNARGPBeatsAR1OnNonlinearMap(t *testing.T) {
-	Xl, yl, Xh, yh := pedagogicalData()
-	rngA := rand.New(rand.NewSource(3))
-	nargp, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
-		Restarts: 3, FixedNoise: fixedNoise(1e-6), Propagation: MonteCarlo, NumSamples: 40,
-	}, rngA)
-	if err != nil {
-		t.Fatal(err)
+	const seeds = 10
+	rmse := func(predict func([]float64) (float64, float64)) float64 {
+		var sq float64
+		const n = 101
+		for i := 0; i < n; i++ {
+			x := float64(i) / (n - 1)
+			mu, _ := predict([]float64{x})
+			d := mu - pedagogicalHigh(x)
+			sq += d * d
+		}
+		return math.Sqrt(sq / n)
 	}
-	rngB := rand.New(rand.NewSource(3))
-	ar1, err := FitAR1(Xl, yl, Xh, yh, AR1Config{Restarts: 3, FixedNoise: fixedNoise(1e-6)}, rngB)
-	if err != nil {
-		t.Fatal(err)
+	nargpErr := make([]float64, seeds)
+	ar1Err := make([]float64, seeds)
+	for k := range nargpErr {
+		seed := int64(k + 1)
+		design := rand.New(rand.NewSource(seed))
+		Xl := stats.LatinHypercube(design, []float64{0}, []float64{1}, 50)
+		Xh := stats.LatinHypercube(design, []float64{0}, []float64{1}, 14)
+		yl := make([]float64, len(Xl))
+		for i, x := range Xl {
+			yl[i] = pedagogicalLow(x[0])
+		}
+		yh := make([]float64, len(Xh))
+		for i, x := range Xh {
+			yh[i] = pedagogicalHigh(x[0])
+		}
+		nargp, err := Fit(Xl, yl, Xh, yh, MultiLevelConfig{
+			Restarts: 3, FixedNoise: fixedNoise(1e-6), Propagation: MonteCarlo, NumSamples: 40,
+		}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar1, err := FitAR1(Xl, yl, Xh, yh, AR1Config{Restarts: 3, FixedNoise: fixedNoise(1e-6)}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nargpErr[k], ar1Err[k] = rmse(nargp.Predict), rmse(ar1.Predict)
+		t.Logf("seed %2d: RMSE NARGP %.4f vs AR1 %.4f", seed, nargpErr[k], ar1Err[k])
 	}
-	var nErr, aErr float64
-	const n = 101
-	for i := 0; i < n; i++ {
-		x := float64(i) / (n - 1)
-		want := pedagogicalHigh(x)
-		mu, _ := nargp.Predict([]float64{x})
-		nErr += (mu - want) * (mu - want)
-		mu, _ = ar1.Predict([]float64{x})
-		aErr += (mu - want) * (mu - want)
+	median := func(xs []float64) float64 {
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		return stats.Quantile(s, 0.5)
 	}
-	nErr = math.Sqrt(nErr / n)
-	aErr = math.Sqrt(aErr / n)
-	t.Logf("RMSE NARGP %.4f vs AR1 %.4f", nErr, aErr)
-	if nErr >= aErr {
-		t.Fatalf("NARGP (%.4f) should beat AR1 (%.4f) on the quadratic map", nErr, aErr)
+	mN, mA := median(nargpErr), median(ar1Err)
+	// RankSum is two-sided; halve its p-value when NARGP is the lower arm
+	// (U below its null mean seeds·seeds/2).
+	u, p := stats.RankSum(nargpErr, ar1Err)
+	if u < seeds*seeds/2 {
+		p /= 2
+	} else {
+		p = 1 - p/2
+	}
+	t.Logf("median RMSE NARGP %.4f vs AR1 %.4f, one-sided rank-sum p = %.2g", mN, mA, p)
+	if mN >= mA {
+		t.Fatalf("median NARGP RMSE %.4f is not below AR1's %.4f on the quadratic map", mN, mA)
+	}
+	if p >= 0.01 {
+		t.Fatalf("one-sided rank-sum p = %.3g; want NARGP below AR1 at p < 0.01", p)
 	}
 }
 
@@ -130,7 +170,7 @@ func TestMultiLevelTwoLevelsMatchesPairModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Levels() != 2 || m.Dim() != 1 {
+	if len(m.models) != 2 || m.Dim() != 1 {
 		t.Fatal("multi-level metadata wrong")
 	}
 	var sq float64
@@ -173,8 +213,8 @@ func TestMultiLevelThreeLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Levels() != 3 {
-		t.Fatalf("levels = %d", m.Levels())
+	if len(m.models) != 3 {
+		t.Fatalf("levels = %d", len(m.models))
 	}
 	var sq float64
 	const n = 101

@@ -80,7 +80,7 @@ func chainSet(seed int64, sizes []int, d int) (X [][][]float64, y [][]float64) {
 func checkChain(t *testing.T, m *MultiLevel, pts [][]float64) {
 	t.Helper()
 	for _, x := range pts {
-		for l := 0; l < m.Levels(); l++ {
+		for l := 0; l < len(m.models); l++ {
 			mu, va := m.PredictLevel(x, l)
 			rm, rv := perPointPredictLevel(m, x, l)
 			if math.Float64bits(mu) != math.Float64bits(rm) || math.Float64bits(va) != math.Float64bits(rv) {
@@ -125,7 +125,7 @@ func TestPredictLevelMatchesPerPoint(t *testing.T) {
 						return
 					}
 					top := len(X) - 1
-					before := m.LevelSize(top)
+					before := m.Level(top).TrainingSize()
 					// Grow every fused level past the rows its pooled
 					// scratch was sized for, then predict again.
 					for k := 1; k <= top; k++ {

@@ -117,7 +117,7 @@ func TestLowFidelityAccessors(t *testing.T) {
 	if va < 0 {
 		t.Fatalf("negative low variance %v", va)
 	}
-	if m.Levels() != 2 || m.Level(0) == nil || m.Level(1) == nil {
+	if len(m.models) != 2 || m.Level(0) == nil || m.Level(1) == nil {
 		t.Fatal("accessors returned nil")
 	}
 }
@@ -189,18 +189,6 @@ func TestUncertaintyPropagationWidensVariance(t *testing.T) {
 	}
 	if sumFull < sumPlug {
 		t.Fatalf("propagated variance (%v) should not be below plug-in (%v) on average", sumFull, sumPlug)
-	}
-}
-
-func TestPredictBatch(t *testing.T) {
-	m := fitPedagogical(t, GaussHermite, 9)
-	pts := [][]float64{{0.2}, {0.5}, {0.8}}
-	mus, vas := m.PredictBatch(pts)
-	for i, p := range pts {
-		mu, va := m.Predict(p)
-		if mu != mus[i] || va != vas[i] {
-			t.Fatal("batch disagrees with single prediction")
-		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/gp"
 	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -24,7 +23,6 @@ import (
 type MultiLevel struct {
 	models  []*gp.Model // models[0] over x, models[ℓ>0] over (x, prev)
 	dim     int
-	workers int
 	zs      [][]float64 // propagation nodes per fused level
 	weights []float64   // quadrature weights (GaussHermite); nil for MC
 
@@ -80,9 +78,8 @@ type MultiLevelConfig struct {
 	TrainTarget bool
 	// Inducing forwards to gp.Config.Inducing at every level.
 	Inducing int
-	// Workers forwards to gp.Config.Workers at every level and bounds the
-	// goroutines of PredictBatch (0 = default, 1 = serial); results are
-	// bit-identical for every setting.
+	// Workers forwards to gp.Config.Workers at every level (0 = default,
+	// 1 = serial); results are bit-identical for every setting.
 	Workers int
 	// Span, when non-nil, parents the per-level gp.fit trace spans.
 	Span *telemetry.Span
@@ -164,7 +161,7 @@ func FitOnBase(base *gp.Model, X [][][]float64, y [][]float64, cfg MultiLevelCon
 		}
 	}
 	levels := len(X) + 1
-	m := &MultiLevel{models: []*gp.Model{base}, dim: d, workers: cfg.Workers}
+	m := &MultiLevel{models: []*gp.Model{base}, dim: d}
 	var ghNodes []float64
 	switch cfg.Propagation {
 	case GaussHermite:
@@ -225,9 +222,6 @@ func checkLevel(X [][]float64, y []float64, l int) error {
 	return nil
 }
 
-// Levels returns the number of fidelity levels.
-func (m *MultiLevel) Levels() int { return len(m.models) }
-
 // Dim returns the design-space dimensionality.
 func (m *MultiLevel) Dim() int { return m.dim }
 
@@ -239,19 +233,6 @@ func (m *MultiLevel) Level(l int) *gp.Model {
 		panic(fmt.Sprintf("mfgp: level %d out of range [0, %d)", l, len(m.models)))
 	}
 	return m.models[l]
-}
-
-// LevelSize returns the training-set size of level l.
-func (m *MultiLevel) LevelSize(l int) int { return m.Level(l).TrainingSize() }
-
-// Hyper returns the per-level hyperparameter vectors, suitable for warm
-// starting a later FitMultiLevel via MultiLevelConfig.WarmStarts.
-func (m *MultiLevel) Hyper() [][]float64 {
-	out := make([][]float64, len(m.models))
-	for l, g := range m.models {
-		out[l] = g.Hyper()
-	}
-	return out
 }
 
 // AppendLevel folds one observation (x, y) at level l into the chain with a
@@ -300,19 +281,6 @@ func (m *MultiLevel) PredictLevel(x []float64, l int) (mean, variance float64) {
 		panic(fmt.Sprintf("mfgp: level %d out of range [0, %d)", l, len(m.models)))
 	}
 	return m.predictLevel(x, l)
-}
-
-// PredictBatch evaluates Predict over many points, fanning the grid across
-// the configured worker count. Every point is an independent pure function
-// of the trained chain, so the output is bit-identical to the serial loop for
-// any worker count.
-func (m *MultiLevel) PredictBatch(xs [][]float64) (means, variances []float64) {
-	means = make([]float64, len(xs))
-	variances = make([]float64, len(xs))
-	parallel.ForEach(parallel.Workers(m.workers), len(xs), func(i int) {
-		means[i], variances[i] = m.Predict(xs[i])
-	})
-	return means, variances
 }
 
 // predictLevel propagates the posterior through levels 1..l with common

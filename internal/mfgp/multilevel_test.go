@@ -109,7 +109,7 @@ func TestMultiLevelMatchesNARGP(t *testing.T) {
 	ml, err := FitMultiLevel([][][]float64{Xl, Xh}, [][]float64{yl, yh}, MultiLevelConfig{
 		FixedNoise:  fixedNoise(1e-6),
 		Propagation: GaussHermite, NumSamples: 20,
-		WarmStarts:   pair.Hyper(),
+		WarmStarts:   [][]float64{pair.Level(0).Hyper(), pair.Level(1).Hyper()},
 		SkipTraining: true,
 	}, rng)
 	if err != nil {
@@ -146,28 +146,28 @@ func TestMultiLevelAppendTruncateRoundTrip(t *testing.T) {
 	}
 	probe := [][]float64{{0.05}, {0.33}, {0.71}, {0.98}}
 	type post struct{ mu, va float64 }
-	before := make([][]post, m.Levels())
-	for l := 0; l < m.Levels(); l++ {
+	before := make([][]post, len(m.models))
+	for l := 0; l < len(m.models); l++ {
 		for _, x := range probe {
 			mu, va := m.PredictLevel(x, l)
 			before[l] = append(before[l], post{mu, va})
 		}
 	}
-	for l := 0; l < m.Levels(); l++ {
-		n := m.LevelSize(l)
+	for l := 0; l < len(m.models); l++ {
+		n := m.Level(l).TrainingSize()
 		if err := m.AppendLevel(l, []float64{0.5}, 0.1); err != nil {
 			t.Fatalf("append level %d: %v", l, err)
 		}
 		if err := m.AppendLevel(l, []float64{0.6}, -0.2); err != nil {
 			t.Fatalf("append level %d: %v", l, err)
 		}
-		if m.LevelSize(l) != n+2 {
-			t.Fatalf("level %d size %d after append, want %d", l, m.LevelSize(l), n+2)
+		if m.Level(l).TrainingSize() != n+2 {
+			t.Fatalf("level %d size %d after append, want %d", l, m.Level(l).TrainingSize(), n+2)
 		}
 		if err := m.TruncateLevel(l, n); err != nil {
 			t.Fatalf("truncate level %d: %v", l, err)
 		}
-		for lv := 0; lv < m.Levels(); lv++ {
+		for lv := 0; lv < len(m.models); lv++ {
 			for i, x := range probe {
 				mu, va := m.PredictLevel(x, lv)
 				if math.Float64bits(mu) != math.Float64bits(before[lv][i].mu) ||
@@ -234,7 +234,10 @@ func TestMultiLevelCheckpointRoundTrip(t *testing.T) {
 	}
 	// "Restore": same datasets + saved hypers, no training.
 	cfg2 := cfg
-	cfg2.WarmStarts = m.Hyper()
+	cfg2.WarmStarts = make([][]float64, len(m.models))
+	for l, g := range m.models {
+		cfg2.WarmStarts[l] = g.Hyper()
+	}
 	cfg2.SkipTraining = true
 	m2, err := FitMultiLevel(X, y, cfg2, rand.New(rand.NewSource(999)))
 	if err != nil {
@@ -242,7 +245,7 @@ func TestMultiLevelCheckpointRoundTrip(t *testing.T) {
 	}
 	for i := 0; i <= 50; i++ {
 		x := []float64{float64(i) / 50}
-		for l := 0; l < m.Levels(); l++ {
+		for l := 0; l < len(m.models); l++ {
 			mu1, va1 := m.PredictLevel(x, l)
 			mu2, va2 := m2.PredictLevel(x, l)
 			if math.Float64bits(mu1) != math.Float64bits(mu2) ||
@@ -319,7 +322,7 @@ func TestFitOnBaseErrorWording(t *testing.T) {
 // back leaves fused predictions bit-identical.
 func TestAppendHighTruncateRoundTrip(t *testing.T) {
 	m := fitPedagogical(t, GaussHermite, 3)
-	n0 := m.LevelSize(1)
+	n0 := m.Level(1).TrainingSize()
 	probes := [][]float64{{0.11}, {0.42}, {0.87}}
 	muBefore := make([]float64, len(probes))
 	vaBefore := make([]float64, len(probes))
@@ -331,8 +334,8 @@ func TestAppendHighTruncateRoundTrip(t *testing.T) {
 			t.Fatalf("append high: %v", err)
 		}
 	}
-	if m.LevelSize(1) != n0+2 {
-		t.Fatalf("high size %d, want %d", m.LevelSize(1), n0+2)
+	if m.Level(1).TrainingSize() != n0+2 {
+		t.Fatalf("high size %d, want %d", m.Level(1).TrainingSize(), n0+2)
 	}
 	// The appended points must actually influence the posterior.
 	changed := false
@@ -418,7 +421,7 @@ func TestMultiLevelConstantLowerRung(t *testing.T) {
 				}
 				for i := 0; i <= 50; i++ {
 					x := []float64{float64(i) / 50}
-					for l := 0; l < m.Levels(); l++ {
+					for l := 0; l < len(m.models); l++ {
 						mu, va := m.PredictLevel(x, l)
 						if math.IsNaN(mu) || math.IsInf(mu, 0) || math.IsNaN(va) || math.IsInf(va, 0) || va < 0 {
 							t.Fatalf("level %d at x=%v: posterior (%v, %v)", l, x[0], mu, va)

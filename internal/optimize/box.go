@@ -84,17 +84,6 @@ func (b Box) FromUnconstrained(t []float64) []float64 {
 	return x
 }
 
-// UnconstrainedJacobian returns dx_i/dt_i for the sigmoid reparameterization
-// at unconstrained point t.
-func (b Box) UnconstrainedJacobian(t []float64) []float64 {
-	j := make([]float64, len(t))
-	for i := range t {
-		u := sigmoid(t[i])
-		j[i] = u * (1 - u) * (b.Hi[i] - b.Lo[i])
-	}
-	return j
-}
-
 func sigmoid(t float64) float64 {
 	if t >= 0 {
 		return 1 / (1 + math.Exp(-t))

@@ -28,12 +28,6 @@ type MSPConfig struct {
 	// loop passes the low-fidelity acquisition optimum here (Algorithm 1,
 	// line 6: the high-fidelity acquisition is optimized "based on x*_l").
 	Extra [][]float64
-	// Workers bounds the goroutines running local searches (0 = default,
-	// 1 = serial). f must be safe for concurrent calls when Workers != 1;
-	// every surrogate posterior in this library is. The selected optimum is
-	// bit-identical for every worker count: start points are drawn serially
-	// before the fan-out and the argmax reduction runs in start order.
-	Workers int
 	// Stats, when non-nil, is filled with start/convergence bookkeeping of
 	// this maximization. nil (the default) is a zero-allocation no-op.
 	Stats *MSPStats
@@ -68,15 +62,18 @@ func (c *MSPConfig) defaults() {
 // known yet (their start-point shares then fall back to uniform sampling).
 // It returns the best point found and its objective value.
 //
-// Local searches from all starts run concurrently (see MSPConfig.Workers);
-// each start's refinement is a pure function of its starting point, and the
+// Local searches from all starts run on up to workers goroutines (0 =
+// default, 1 = serial; see parallel.Workers), so f must be safe for
+// concurrent calls when workers != 1 — every surrogate posterior in this
+// library is. Start points are drawn serially before the fan-out, each
+// start's refinement is a pure function of its starting point, and the
 // argmax reduction walks results in start order with a strict comparison, so
 // ties break toward the lowest start index and the outcome is independent of
 // the worker count. Non-finite local-search results (a diverged L-BFGS run)
 // are discarded so they can never win the argmax; if every start diverges,
 // the raw objective at the first start is returned as a safe fallback.
 func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
-	incumbentHigh, incumbentLow []float64, cfg MSPConfig) ([]float64, float64) {
+	incumbentHigh, incumbentLow []float64, cfg MSPConfig, workers int) ([]float64, float64) {
 	cfg.defaults()
 	span := cfg.Span.Child("optimize.msp")
 	defer span.End()
@@ -88,7 +85,7 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 		f float64 // maximized objective value
 	}
 	results := make([]local, len(starts))
-	parallel.ForEach(parallel.Workers(cfg.Workers), len(starts), func(i int) {
+	parallel.ForEach(parallel.Workers(workers), len(starts), func(i int) {
 		r := MinimizeInBox(neg, box, starts[i], LBFGSConfig{MaxIter: cfg.LocalIter})
 		results[i] = local{x: r.X, f: -r.F}
 	})

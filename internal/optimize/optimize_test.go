@@ -156,7 +156,7 @@ func TestMaximizeMSPFindsGlobalAmongLocals(t *testing.T) {
 	}
 	b := NewBox([]float64{0}, []float64{1})
 	rng := rand.New(rand.NewSource(1))
-	x, v := MaximizeMSP(rng, f, b, nil, nil, MSPConfig{Starts: 15})
+	x, v := MaximizeMSP(rng, f, b, nil, nil, MSPConfig{Starts: 15}, 0)
 	if math.Abs(x[0]-0.8) > 0.02 {
 		t.Fatalf("MSP found %v (f=%v), want ≈0.8", x, v)
 	}
@@ -173,10 +173,10 @@ func TestMaximizeMSPSeedsNearIncumbent(t *testing.T) {
 	b := NewBox([]float64{0}, []float64{1})
 	uniformMisses := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		if _, v := MaximizeMSP(rand.New(rand.NewSource(seed)), f, b, peak, nil, MSPConfig{Starts: 10}); v < 0.5 {
+		if _, v := MaximizeMSP(rand.New(rand.NewSource(seed)), f, b, peak, nil, MSPConfig{Starts: 10}, 0); v < 0.5 {
 			t.Fatalf("seed %d: incumbent seeding failed to find the narrow peak: f=%v", seed, v)
 		}
-		if _, v := MaximizeMSP(rand.New(rand.NewSource(seed)), f, b, nil, nil, MSPConfig{Starts: 10}); v < 0.5 {
+		if _, v := MaximizeMSP(rand.New(rand.NewSource(seed)), f, b, nil, nil, MSPConfig{Starts: 10}, 0); v < 0.5 {
 			uniformMisses++
 		}
 	}

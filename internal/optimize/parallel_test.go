@@ -21,7 +21,7 @@ func TestMaximizeMSPParallelDeterminism(t *testing.T) {
 		run := func(workers int) ([]float64, float64) {
 			rng := rand.New(rand.NewSource(seed))
 			return MaximizeMSP(rng, multimodal, box, []float64{0.3, -0.2}, nil,
-				MSPConfig{Starts: 12, LocalIter: 30, Workers: workers})
+				MSPConfig{Starts: 12, LocalIter: 30}, workers)
 		}
 		x1, f1 := run(1)
 		x8, f8 := run(8)
@@ -45,7 +45,7 @@ func TestMaximizeMSPAllDivergedFallsBack(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(6))
 		x, _ := MaximizeMSP(rng, nan, box, nil, nil,
-			MSPConfig{Starts: 5, LocalIter: 10, Workers: workers})
+			MSPConfig{Starts: 5, LocalIter: 10}, workers)
 		if len(x) != 2 || !box.Contains(x) {
 			t.Fatalf("workers=%d: fallback point out of box: %v", workers, x)
 		}

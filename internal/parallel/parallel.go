@@ -1,6 +1,6 @@
 // Package parallel provides the deterministic worker-pool primitives used by
-// every hot path of the library (GP training restarts, acquisition
-// maximization, batched posterior prediction).
+// every hot path of the library (GP training restarts and acquisition
+// maximization).
 //
 // # Determinism contract
 //
@@ -12,10 +12,9 @@
 // state that can influence a task's output, and reductions are performed by
 // the caller in task-index order.
 //
-// Randomness inside tasks must come from per-task streams derived with
-// SeedFor (a SplitMix64 hash of a base seed and the task index), never from a
-// shared *rand.Rand: that keeps random draws a pure function of (base seed,
-// task index), independent of both GOMAXPROCS and scheduling order.
+// Randomness must be drawn serially before the fan-out (as the GP restarts
+// and MSP start points are), never from a *rand.Rand shared by tasks: that
+// keeps random draws independent of both GOMAXPROCS and scheduling order.
 package parallel
 
 import (
@@ -112,27 +111,4 @@ func ForEachWorker(workers, n int, fn func(w, i int)) {
 	if pval != nil {
 		panic(pval)
 	}
-}
-
-// splitMix64Gamma is the Weyl-sequence increment of Steele, Lea & Flood's
-// SplitMix64 generator.
-const splitMix64Gamma = 0x9E3779B97F4A7C15
-
-// SplitMix64 is one step of the SplitMix64 mix function: a high-quality
-// 64-bit finalizer used to derive statistically independent seed streams
-// from (base, stream-index) pairs.
-func SplitMix64(x uint64) uint64 {
-	x += splitMix64Gamma
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// SeedFor derives the seed of per-task stream `stream` from a base seed.
-// The mapping is a pure function — the same (base, stream) always yields the
-// same seed, so task-local RNGs are reproducible for any worker count.
-func SeedFor(base int64, stream uint64) int64 {
-	z := SplitMix64(uint64(base) ^ splitMix64Gamma*(stream+1))
-	// Keep seeds positive for APIs that treat negative seeds specially.
-	return int64(z &^ (1 << 63))
 }

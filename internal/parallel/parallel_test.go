@@ -45,14 +45,14 @@ func TestForEachWorkerSlotBounds(t *testing.T) {
 }
 
 func TestForEachDeterministicOutputs(t *testing.T) {
-	// The canonical usage pattern: task i writes slot i from a derived
+	// The canonical usage pattern: task i writes slot i from its own
 	// stream. Any worker count must produce identical output.
 	run := func(workers int) []float64 {
 		const n = 50
 		out := make([]float64, n)
 		base := int64(12345)
 		ForEach(workers, n, func(i int) {
-			rng := rand.New(rand.NewSource(SeedFor(base, uint64(i))))
+			rng := rand.New(rand.NewSource(base + int64(i)))
 			out[i] = rng.NormFloat64() + rng.Float64()
 		})
 		return out
@@ -82,40 +82,6 @@ func TestForEachPanicPropagates(t *testing.T) {
 				}
 			})
 		}()
-	}
-}
-
-func TestSplitMix64ReferenceVectors(t *testing.T) {
-	// First three outputs of the reference SplitMix64 sequence with seed 0
-	// (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
-	// Generators", OOPSLA 2014; also the Java SplittableRandom stream).
-	want := []uint64{0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F}
-	x := uint64(0) // generator state; SplitMix64 adds the gamma internally
-	for i, w := range want {
-		if got := SplitMix64(x); got != w {
-			t.Fatalf("output %d: got %#x, want %#x", i, got, w)
-		}
-		x += splitMix64Gamma
-	}
-}
-
-func TestSeedForStableAndDistinct(t *testing.T) {
-	seen := map[int64]uint64{}
-	for s := uint64(0); s < 1000; s++ {
-		v := SeedFor(42, s)
-		if v < 0 {
-			t.Fatalf("stream %d: negative seed %d", s, v)
-		}
-		if v2 := SeedFor(42, s); v2 != v {
-			t.Fatalf("stream %d: unstable seed %d vs %d", s, v, v2)
-		}
-		if prev, dup := seen[v]; dup {
-			t.Fatalf("streams %d and %d collide on seed %d", prev, s, v)
-		}
-		seen[v] = s
-	}
-	if SeedFor(42, 0) == SeedFor(43, 0) {
-		t.Fatal("different base seeds produced the same stream-0 seed")
 	}
 }
 

@@ -1,11 +1,7 @@
 package robust
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/problem"
 )
@@ -27,107 +23,18 @@ type FaultCounts struct {
 	LastError string
 }
 
-// FaultEventKind classifies one FaultLog event.
-type FaultEventKind string
-
-const (
-	// FaultRetry: a failed attempt is about to be retried after backoff.
-	FaultRetry FaultEventKind = "retry"
-	// FaultError: one attempt failed (not necessarily terminally).
-	FaultError FaultEventKind = "error"
-	// FaultFailure: an evaluation exhausted its retry budget.
-	FaultFailure FaultEventKind = "failure"
-)
-
-// FaultEvent is one retry/backoff/failure event recorded by the FaultLog.
-type FaultEvent struct {
-	// Seq numbers events monotonically across the log's lifetime, so gaps
-	// caused by ring overwrites are detectable.
-	Seq      uint64           `json:"seq"`
-	Time     time.Time        `json:"time"`
-	Fidelity problem.Fidelity `json:"fidelity"`
-	Kind     FaultEventKind   `json:"kind"`
-	// Attempt is the 0-based attempt index the event belongs to.
-	Attempt int `json:"attempt"`
-	// Err carries the (truncated) error string for error/failure events.
-	Err string `json:"err,omitempty"`
-}
-
-// DefaultFaultEventCap is the default ring-buffer capacity of a FaultLog's
-// event list.
-const DefaultFaultEventCap = 256
-
-// FaultLog records per-fidelity failure statistics for one SafeProblem,
-// plus a bounded ring buffer of individual retry/error/failure events. The
-// ring keeps the newest events; once full, each new event overwrites the
-// oldest and increments Dropped — nothing is ever silently discarded without
-// being counted. It is safe for concurrent use; the experiment runner
+// FaultLog records per-fidelity failure statistics for one SafeProblem. The
+// individual retry and failure events go to the telemetry event stream (see
+// Policy.Telemetry). It is safe for concurrent use; the experiment runner
 // evaluates replications in parallel.
 type FaultLog struct {
 	mu  sync.Mutex
 	per map[problem.Fidelity]*FaultCounts
-
-	events  []FaultEvent // ring storage
-	next    int
-	full    bool
-	seq     uint64
-	dropped uint64
 }
 
-// NewFaultLog returns an empty log with the default event-ring capacity.
-func NewFaultLog() *FaultLog { return NewFaultLogCap(DefaultFaultEventCap) }
-
-// NewFaultLogCap returns an empty log whose event ring keeps the newest
-// capacity events (capacity < 1 disables event recording entirely; counters
-// still work).
-func NewFaultLogCap(capacity int) *FaultLog {
-	l := &FaultLog{per: make(map[problem.Fidelity]*FaultCounts)}
-	if capacity >= 1 {
-		l.events = make([]FaultEvent, capacity)
-	}
-	return l
-}
-
-// record appends one event to the ring; callers hold l.mu.
-func (l *FaultLog) record(f problem.Fidelity, kind FaultEventKind, attempt int, errStr string) {
-	l.seq++
-	if len(l.events) == 0 {
-		l.dropped++
-		return
-	}
-	if l.full {
-		l.dropped++
-	}
-	l.events[l.next] = FaultEvent{
-		Seq: l.seq, Time: time.Now(), Fidelity: f, Kind: kind,
-		Attempt: attempt, Err: errStr,
-	}
-	l.next++
-	if l.next == len(l.events) {
-		l.next = 0
-		l.full = true
-	}
-}
-
-// Events returns the buffered fault events, oldest first.
-func (l *FaultLog) Events() []FaultEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.full {
-		return append([]FaultEvent(nil), l.events[:l.next]...)
-	}
-	out := make([]FaultEvent, 0, len(l.events))
-	out = append(out, l.events[l.next:]...)
-	out = append(out, l.events[:l.next]...)
-	return out
-}
-
-// Dropped reports how many events were overwritten (or discarded outright
-// when the ring is disabled) since the log was created.
-func (l *FaultLog) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
+// NewFaultLog returns an empty log.
+func NewFaultLog() *FaultLog {
+	return &FaultLog{per: make(map[problem.Fidelity]*FaultCounts)}
 }
 
 func (l *FaultLog) counts(f problem.Fidelity) *FaultCounts {
@@ -160,15 +67,14 @@ func (l *FaultLog) recordSuccess(f problem.Fidelity) {
 	l.counts(f).Successes++
 }
 
-func (l *FaultLog) recordRetry(f problem.Fidelity, attempt int) {
+func (l *FaultLog) recordRetry(f problem.Fidelity) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.counts(f).Retries++
-	l.record(f, FaultRetry, attempt, "")
 }
 
 // recordError classifies one failed attempt (not necessarily terminal).
-func (l *FaultLog) recordError(f problem.Fidelity, err error, attempt int) {
+func (l *FaultLog) recordError(f problem.Fidelity, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	c := l.counts(f)
@@ -182,18 +88,12 @@ func (l *FaultLog) recordError(f problem.Fidelity, err error, attempt int) {
 	}
 	c.Causes[cause(err)]++
 	c.LastError = err.Error()
-	l.record(f, FaultError, attempt, cause(err))
 }
 
-func (l *FaultLog) recordFailure(f problem.Fidelity, attempt int, err error) {
+func (l *FaultLog) recordFailure(f problem.Fidelity) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.counts(f).Failures++
-	msg := ""
-	if err != nil {
-		msg = cause(err)
-	}
-	l.record(f, FaultFailure, attempt, msg)
 }
 
 // Snapshot returns a deep copy of the per-fidelity counters, keyed by the
@@ -234,28 +134,4 @@ func (l *FaultLog) TotalRetries() int {
 		n += c.Retries
 	}
 	return n
-}
-
-// String renders a compact human-readable summary, fidelities in a stable
-// order.
-func (l *FaultLog) String() string {
-	snap := l.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		c := snap[k]
-		fmt.Fprintf(&b, "%s: %d attempts, %d ok, %d failed (%d panics, %d timeouts, %d non-finite), %d retries\n",
-			k, c.Attempts, c.Successes, c.Failures, c.Panics, c.Timeouts, c.NonFinite, c.Retries)
-		if c.LastError != "" {
-			fmt.Fprintf(&b, "  last error: %s\n", c.LastError)
-		}
-	}
-	if b.Len() == 0 {
-		return "no faults recorded\n"
-	}
-	return b.String()
 }

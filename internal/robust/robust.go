@@ -197,9 +197,9 @@ func (s *SafeProblem) EvaluateCtx(ctx context.Context, x []float64, f problem.Fi
 	span.Attr("fidelity", float64(f))
 	span.Attr("rung", float64(f))
 	if err := problem.CheckPoint(s.inner, x); err != nil {
-		s.log.recordError(f, err, 0)
-		s.log.recordFailure(f, 0, err)
-		s.emitFault(f, FaultFailure, 0, err)
+		s.log.recordError(f, err)
+		s.log.recordFailure(f)
+		s.emitFault(f, faultFailure, 0, err)
 		span.Attr("failed", 1)
 		span.End()
 		return problem.PenaltyEvaluation(s.NumConstraints()), err
@@ -219,27 +219,34 @@ func (s *SafeProblem) EvaluateCtx(ctx context.Context, x []float64, f problem.Fi
 			span.End()
 			return ev, nil
 		}
-		s.log.recordError(f, err, attempt)
+		s.log.recordError(f, err)
 		lastErr = err
 		// Context cancellation is not transient: give up immediately.
 		if ctx.Err() != nil || attempt >= s.pol.MaxRetries {
 			break
 		}
-		s.log.recordRetry(f, attempt)
-		s.emitFault(f, FaultRetry, attempt, err)
+		s.log.recordRetry(f)
+		s.emitFault(f, faultRetry, attempt, err)
 		s.pol.Sleep(Backoff(attempt, s.pol))
 		xTry = s.jitter(xTry)
 	}
-	s.log.recordFailure(f, attempt, lastErr)
-	s.emitFault(f, FaultFailure, attempt, lastErr)
+	s.log.recordFailure(f)
+	s.emitFault(f, faultFailure, attempt, lastErr)
 	span.Attr("attempts", float64(attempt+1))
 	span.Attr("failed", 1)
 	span.End()
 	return problem.PenaltyEvaluation(s.NumConstraints()), lastErr
 }
 
-// emitFault mirrors one fault-log event into the telemetry event stream.
-func (s *SafeProblem) emitFault(f problem.Fidelity, kind FaultEventKind, attempt int, err error) {
+// The kinds of telemetry fault event a SafeProblem emits.
+const (
+	faultRetry   = "retry"   // a failed attempt is about to be retried after backoff
+	faultFailure = "failure" // an evaluation exhausted its retry budget
+)
+
+// emitFault reports one retry or terminal failure on the telemetry event
+// stream.
+func (s *SafeProblem) emitFault(f problem.Fidelity, kind string, attempt int, err error) {
 	if s.pol.Telemetry == nil {
 		return
 	}
@@ -250,7 +257,7 @@ func (s *SafeProblem) emitFault(f problem.Fidelity, kind FaultEventKind, attempt
 	s.pol.Telemetry.Emit(telemetry.Event{
 		Type: telemetry.EventFault,
 		Fault: &telemetry.FaultEvent{
-			Fidelity: f.String(), Kind: string(kind), Attempt: attempt, Err: msg,
+			Fidelity: f.String(), Kind: kind, Attempt: attempt, Err: msg,
 		},
 	})
 }

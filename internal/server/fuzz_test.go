@@ -119,6 +119,7 @@ func FuzzCreateSession(f *testing.F) {
 		`{"problem":"forrester","budget":1,"resume":true}`,
 		`{"problem":"forrester","budget":1,"fantasy":"oracle"}`,
 		`{"problem":"forrester","budget":1,"init_high":10001}`,
+		`{"problem":"forrester","budget":1,"msp_starts":2000000000,"gp_max_iter":2000000000,"batch":2000000000,"workers":2000000000}`,
 		`{"problem":"forrester","budget":1,"low_rank_after":-1}`,
 		`{"problem":"nope","budget":1}`,
 		`{"problem":"forrester","budget":0}`,

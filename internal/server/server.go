@@ -684,6 +684,23 @@ func validID(id string) bool {
 // largest design this repository runs (80).
 const maxInitDesign = 10000
 
+// Upper bounds on the search-effort fields of a creation request. Each field
+// sizes work done at every suggest or lease — MSP starts and their local
+// L-BFGS iterations, GP restarts and their iterations, outstanding batch
+// suggestions with their fantasies, hot-path goroutines — so an unbounded
+// value lets one request allocate or spin without limit long after creation
+// answered 201. Each bound is far above the largest value this repository
+// runs: the engine defaults (MSP 20 starts × 60 iterations, one GP restart of
+// 60 iterations), batch 3 and 2 workers.
+const (
+	maxMSPStarts    = 1000
+	maxMSPLocalIter = 10000
+	maxGPRestarts   = 100
+	maxGPMaxIter    = 10000
+	maxBatch        = 1000
+	maxWorkers      = 256
+)
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.CreateSessionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -698,6 +715,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest,
 			fmt.Sprintf("init_low, init_mid and init_high must not exceed %d", maxInitDesign))
 		return
+	}
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"msp_starts", req.MSPStarts, maxMSPStarts},
+		{"msp_local_iter", req.MSPLocalIter, maxMSPLocalIter},
+		{"gp_restarts", req.GPRestarts, maxGPRestarts},
+		{"gp_max_iter", req.GPMaxIter, maxGPMaxIter},
+		{"batch", req.Batch, maxBatch},
+		{"workers", req.Workers, maxWorkers},
+	} {
+		if f.val > f.max {
+			writeErr(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("%s must not exceed %d", f.name, f.max))
+			return
+		}
 	}
 	id := req.ID
 	if id == "" {

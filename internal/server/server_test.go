@@ -301,19 +301,27 @@ func TestServerConcurrentSessions(t *testing.T) {
 
 // TestCreateBoundsInitDesign: creation draws every rung's whole
 // Latin-hypercube design, so a design size above the documented 10000 per
-// rung is refused with 400 before anything is allocated, on each rung.
+// rung is refused with 400 before anything is allocated, on each rung. The
+// search-effort fields, which size work at every suggest or lease, are
+// refused one past their documented bounds too.
 func TestCreateBoundsInitDesign(t *testing.T) {
 	_, _, cl := newTestServer(t, server.Config{})
 	ctx := context.Background()
 	for name, set := range map[string]func(*api.CreateSessionRequest){
-		"init_low":  func(r *api.CreateSessionRequest) { r.InitLow = 10001 },
-		"init_mid":  func(r *api.CreateSessionRequest) { r.InitMid = 10001 },
-		"init_high": func(r *api.CreateSessionRequest) { r.InitHigh = 10001 },
+		"init_low = 10001":       func(r *api.CreateSessionRequest) { r.InitLow = 10001 },
+		"init_mid = 10001":       func(r *api.CreateSessionRequest) { r.InitMid = 10001 },
+		"init_high = 10001":      func(r *api.CreateSessionRequest) { r.InitHigh = 10001 },
+		"msp_starts = 1001":      func(r *api.CreateSessionRequest) { r.MSPStarts = 1001 },
+		"msp_local_iter = 10001": func(r *api.CreateSessionRequest) { r.MSPLocalIter = 10001 },
+		"gp_restarts = 101":      func(r *api.CreateSessionRequest) { r.GPRestarts = 101 },
+		"gp_max_iter = 10001":    func(r *api.CreateSessionRequest) { r.GPMaxIter = 10001 },
+		"batch = 1001":           func(r *api.CreateSessionRequest) { r.Batch = 1001 },
+		"workers = 257":          func(r *api.CreateSessionRequest) { r.Workers = 257 },
 	} {
 		req := fastReq("forrester3", 5, 1)
 		set(&req)
 		if _, err := cl.CreateSession(ctx, req); !isStatus(err, 400, api.CodeBadRequest) {
-			t.Fatalf("%s = 10001: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	if _, err := cl.CreateSession(ctx, fastReq("forrester3", 5, 1)); err != nil {
@@ -324,7 +332,7 @@ func TestCreateBoundsInitDesign(t *testing.T) {
 // TestServerAPIValidation covers the error surface of the HTTP API and the
 // errors.Is mapping of wire codes back onto core sentinels.
 func TestServerAPIValidation(t *testing.T) {
-	_, _, cl := newTestServer(t, server.Config{})
+	_, ts, cl := newTestServer(t, server.Config{})
 	ctx := context.Background()
 
 	// Unknown session → 404.
@@ -381,12 +389,10 @@ func TestServerAPIValidation(t *testing.T) {
 	}
 
 	// Catalog + liveness + listing.
-	probs, err := cl.Problems(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var probs api.ProblemsReply
+	getJSON(t, ts, "/v1/problems", &probs)
 	found := false
-	for _, p := range probs {
+	for _, p := range probs.Problems {
 		if p == "forrester" {
 			found = true
 		}
@@ -398,9 +404,9 @@ func TestServerAPIValidation(t *testing.T) {
 	if err != nil || !h.OK || h.Sessions != 1 {
 		t.Fatalf("health: %+v err=%v", h, err)
 	}
-	ids, err := cl.Sessions(ctx)
-	if err != nil || len(ids) != 1 || ids[0] != "alpha" {
-		t.Fatalf("sessions: %v err=%v", ids, err)
+	var ids api.SessionsReply
+	if getJSON(t, ts, "/v1/sessions", &ids); len(ids.Sessions) != 1 || ids.Sessions[0] != "alpha" {
+		t.Fatalf("sessions: %v", ids.Sessions)
 	}
 
 	// Delete → gone.

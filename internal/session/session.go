@@ -261,14 +261,6 @@ func (s *Session) AskBatch(ctx context.Context, q int) ([]core.Suggestion, error
 	return s.eng.AskBatch(telemetry.Detach(ctx), q)
 }
 
-// Pending returns copies of the outstanding (asked-but-untold) suggestions,
-// oldest first, without computing anything.
-func (s *Session) Pending() []core.Suggestion {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Pending()
-}
-
 // TellByID ingests the outcome of the outstanding suggestion with the given
 // ID — the out-of-order observation path of a distributed batch run (see
 // core.Engine.TellByID).
@@ -286,14 +278,10 @@ func (s *Session) TellByIDCtx(ctx context.Context, id string, ev problem.Evaluat
 	return s.eng.TellByIDCtx(telemetry.Detach(ctx), id, ev)
 }
 
-// Tell ingests the outcome of the pending suggestion (see core.Engine.Tell
-// for the validation and sanitation contract) and persists a checkpoint when
-// the session is durable.
-func (s *Session) Tell(x []float64, fid problem.Fidelity, ev problem.Evaluation) error {
-	return s.TellCtx(context.Background(), x, fid, ev)
-}
-
-// TellCtx is Tell with a context, for trace attribution like TellByIDCtx.
+// TellCtx ingests the outcome of the pending suggestion (see
+// core.Engine.Tell for the validation and sanitation contract) and persists a
+// checkpoint when the session is durable. A request span carried by ctx joins
+// the trace, as for TellByIDCtx.
 func (s *Session) TellCtx(ctx context.Context, x []float64, fid problem.Fidelity, ev problem.Evaluation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,27 +306,6 @@ func (s *Session) History() []core.Observation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]core.Observation(nil), s.eng.History()...)
-}
-
-// Done reports whether the session reached a terminal state.
-func (s *Session) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Done()
-}
-
-// Result assembles the run outcome (see core.Engine.Result).
-func (s *Session) Result() (*core.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Result()
-}
-
-// Snapshot returns a deep-copied checkpoint of the current state.
-func (s *Session) Snapshot() *core.Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Snapshot()
 }
 
 // Persist force-writes the current snapshot to the session's store (a no-op

@@ -255,8 +255,3 @@ func (l *Leases) Release(sessionID string, epoch uint64) error {
 	cur.ExpiresUnixMs = 0
 	return l.store(sessionID, cur)
 }
-
-// Peek reports the session's current ownership without touching it.
-func (l *Leases) Peek(sessionID string) (OwnerInfo, bool, error) {
-	return l.load(sessionID)
-}

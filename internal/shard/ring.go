@@ -138,15 +138,6 @@ func (r *Ring) Size() int {
 	return len(r.replicas)
 }
 
-// Owner returns the replica the key hashes to (false on an empty ring).
-func (r *Ring) Owner(key string) (string, bool) {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
-		return "", false
-	}
-	return owners[0], true
-}
-
 // Owners returns up to n distinct replicas in ring order starting at the
 // key's position — the preference list for failover routing: Owners(k, n)[0]
 // is the primary placement, the rest are the successors a gateway tries when

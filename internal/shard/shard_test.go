@@ -17,9 +17,8 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	b.SetReplicas([]string{"r3", "r1", "r2", "r1"}) // order and duplicates must not matter
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("s%d", i)
-		ao, aok := a.Owner(key)
-		bo, bok := b.Owner(key)
-		if !aok || !bok || ao != bo {
+		ao, bo := a.Owners(key, 1), b.Owners(key, 1)
+		if len(ao) != 1 || len(bo) != 1 || ao[0] != bo[0] {
 			t.Fatalf("placement differs for %s: %q vs %q", key, ao, bo)
 		}
 	}
@@ -33,9 +32,7 @@ func TestRingSeedChangesPlacement(t *testing.T) {
 	moved := 0
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("s%d", i)
-		ao, _ := a.Owner(key)
-		bo, _ := b.Owner(key)
-		if ao != bo {
+		if a.Owners(key, 1)[0] != b.Owners(key, 1)[0] {
 			moved++
 		}
 	}
@@ -52,11 +49,11 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {
-		o, ok := r.Owner(fmt.Sprintf("session-%d", i))
-		if !ok {
+		o := r.Owners(fmt.Sprintf("session-%d", i), 1)
+		if len(o) != 1 {
 			t.Fatal("empty ring")
 		}
-		counts[o]++
+		counts[o[0]]++
 	}
 	fair := float64(n) / 3
 	for rep, c := range counts {
@@ -77,8 +74,7 @@ func TestRingSequentialKeysSpread(t *testing.T) {
 		r.SetReplicas([]string{"ra", "rb", "rc"})
 		counts := map[string]int{}
 		for i := 0; i < 60; i++ {
-			o, _ := r.Owner(fmt.Sprintf("lg-%05d", i))
-			counts[o]++
+			counts[r.Owners(fmt.Sprintf("lg-%05d", i), 1)[0]]++
 		}
 		if len(counts) != 3 {
 			t.Fatalf("seed %d: 60 sequential keys landed on only %d replica(s): %v", seed, len(counts), counts)
@@ -94,11 +90,11 @@ func TestRingMinimalMovement(t *testing.T) {
 	before := map[string]string{}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("s%d", i)
-		before[key], _ = r.Owner(key)
+		before[key] = r.Owners(key, 1)[0]
 	}
 	r.SetReplicas([]string{"r1", "r2"})
 	for key, was := range before {
-		now, _ := r.Owner(key)
+		now := r.Owners(key, 1)[0]
 		if was != "r3" && now != was {
 			t.Fatalf("session %s moved %s→%s although its owner survived", key, was, now)
 		}
@@ -122,8 +118,8 @@ func TestRingOwnersPreferenceList(t *testing.T) {
 		}
 		seen[o] = true
 	}
-	if first, _ := r.Owner("some-session"); first != owners[0] {
-		t.Fatalf("Owner %q != Owners[0] %q", first, owners[0])
+	if first := r.Owners("some-session", 1); first[0] != owners[0] {
+		t.Fatalf("Owners(k, 1) %q != Owners(k, 3)[0] %q", first, owners[0])
 	}
 }
 
@@ -223,7 +219,7 @@ func TestLeaseReleaseHandsOverImmediately(t *testing.T) {
 	if err := a.Release("s1", info.Epoch); err != nil {
 		t.Fatal(err)
 	}
-	if cur, ok, _ := b.Peek("s1"); !ok || cur.Owner != "rb" {
+	if cur, ok, _ := b.load("s1"); !ok || cur.Owner != "rb" {
 		t.Fatalf("stale release damaged the live lease: %+v ok=%v", cur, ok)
 	}
 }

@@ -72,18 +72,3 @@ func GaussianBall(rng *rand.Rand, center, lo, hi []float64, sigmaFrac float64, n
 	}
 	return pts
 }
-
-// Clip returns x clamped to [lo, hi] element-wise, in a new slice.
-func Clip(x, lo, hi []float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		v := x[i]
-		if v < lo[i] {
-			v = lo[i]
-		} else if v > hi[i] {
-			v = hi[i]
-		}
-		out[i] = v
-	}
-	return out
-}

@@ -67,19 +67,6 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
-func TestMeanVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(xs) != 5 {
-		t.Fatalf("Mean = %v", Mean(xs))
-	}
-	if got, want := Variance(xs), 32.0/7.0; math.Abs(got-want) > 1e-14 {
-		t.Fatalf("Variance = %v, want %v", got, want)
-	}
-	if Variance([]float64{1}) != 0 || Mean(nil) != 0 {
-		t.Fatal("degenerate cases")
-	}
-}
-
 func TestUniformInBoxBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	lo, hi := []float64{-1, 5}, []float64{1, 6}
@@ -136,16 +123,6 @@ func TestGaussianBallClipping(t *testing.T) {
 	}
 	if clipped == 0 {
 		t.Fatal("expected some clipped points")
-	}
-}
-
-func TestClip(t *testing.T) {
-	got := Clip([]float64{-2, 0.5, 9}, []float64{0, 0, 0}, []float64{1, 1, 1})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Clip = %v, want %v", got, want)
-		}
 	}
 }
 

@@ -49,6 +49,11 @@ type Chaos struct {
 	inner Store
 	cfg   ChaosConfig
 
+	// fence is held shared by every operation for its whole duration and
+	// exclusively by Crash, so no write of a crashed decorator reaches the
+	// backend after Crash returns.
+	fence sync.RWMutex
+
 	mu       sync.Mutex
 	rng      *rand.Rand
 	counts   ChaosCounts
@@ -83,12 +88,15 @@ func (c *Chaos) Counts() ChaosCounts {
 	return c.counts
 }
 
-// Crash simulates the wrapped process dying mid-flight: fsync-lied writes
-// are truncated in the backend (they were never durable) and every
-// subsequent operation on this decorator fails with ErrCrashed. The
-// underlying backend stays valid — a "restarted" process opens a fresh
-// store over the same state.
+// Crash simulates the wrapped process dying mid-flight: operations already
+// in flight finish first (a write reached the disk before the kill or never
+// does), fsync-lied writes are truncated in the backend (they were never
+// durable) and every subsequent operation on this decorator fails with
+// ErrCrashed. The underlying backend stays valid — a "restarted" process
+// opens a fresh store over the same state.
 func (c *Chaos) Crash() {
+	c.fence.Lock()
+	defer c.fence.Unlock()
 	c.mu.Lock()
 	if c.crashed {
 		c.mu.Unlock()
@@ -177,6 +185,8 @@ func (c *Chaos) dead() bool {
 
 // Put implements Store with write-fault injection.
 func (c *Chaos) Put(kind Kind, id string, data []byte) error {
+	c.fence.RLock()
+	defer c.fence.RUnlock()
 	if c.dead() {
 		return ErrCrashed
 	}
@@ -230,6 +240,8 @@ func (c *Chaos) tornOffset(payloadLen int) int {
 
 // Get implements Store with read-fault injection.
 func (c *Chaos) Get(kind Kind, id string) ([]byte, error) {
+	c.fence.RLock()
+	defer c.fence.RUnlock()
 	if c.dead() {
 		return nil, ErrCrashed
 	}
@@ -244,6 +256,8 @@ func (c *Chaos) Get(kind Kind, id string) ([]byte, error) {
 
 // Delete implements Store (no injection: deletes are control-plane).
 func (c *Chaos) Delete(kind Kind, id string) error {
+	c.fence.RLock()
+	defer c.fence.RUnlock()
 	if c.dead() {
 		return ErrCrashed
 	}
@@ -252,6 +266,8 @@ func (c *Chaos) Delete(kind Kind, id string) error {
 
 // List implements Store.
 func (c *Chaos) List(kind Kind) ([]string, error) {
+	c.fence.RLock()
+	defer c.fence.RUnlock()
 	if c.dead() {
 		return nil, ErrCrashed
 	}
@@ -260,6 +276,8 @@ func (c *Chaos) List(kind Kind) ([]string, error) {
 
 // Probe implements Store.
 func (c *Chaos) Probe() error {
+	c.fence.RLock()
+	defer c.fence.RUnlock()
 	if c.dead() {
 		return ErrCrashed
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 )
 
 func TestChaosDeterministicSequence(t *testing.T) {
@@ -106,6 +107,28 @@ func TestChaosFsyncLieLostOnCrash(t *testing.T) {
 	got, err := inner.Get(KindCheckpoint, "run")
 	if err != nil || !bytes.Equal(got, []byte("durable")) {
 		t.Fatalf("backend Get after crash = %q, %v; want rollback to durable", got, err)
+	}
+}
+
+// TestChaosCrashFencesInFlightWrites: a write that began before Crash lands
+// before Crash returns, or not at all — as with a process killed mid-write.
+// Unfenced, a write stalled in the dead lifetime landed after its
+// successor's newer record and rolled the record back: the crash/restart
+// torture then re-offered suggestions whose reports had been acked.
+func TestChaosCrashFencesInFlightWrites(t *testing.T) {
+	inner := NewMem(MemConfig{})
+	dying := NewChaos(inner, ChaosConfig{LatencyRate: 1, Latency: 50 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() { done <- dying.Put(KindCheckpoint, "run", []byte("old")) }()
+	time.Sleep(10 * time.Millisecond) // the write is stalled in its latency fault
+	dying.Crash()
+	if err := NewChaos(inner, ChaosConfig{}).Put(KindCheckpoint, "run", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	got, err := inner.Get(KindCheckpoint, "run")
+	if err != nil || !bytes.Equal(got, []byte("new")) {
+		t.Fatalf("backend Get = %q, %v; want the successor's record, not a write of the crashed lifetime", got, err)
 	}
 }
 

@@ -155,10 +155,10 @@ type SpanEvent struct {
 	Attrs       map[string]float64 `json:"attrs,omitempty"`
 }
 
-// FaultEvent mirrors one robust-layer fault-log entry.
+// FaultEvent is one robust-layer retry or terminal evaluation failure.
 type FaultEvent struct {
 	Fidelity string `json:"fidelity"`
-	Kind     string `json:"kind"` // "retry" | "error" | "failure"
+	Kind     string `json:"kind"` // "retry" | "failure"
 	Attempt  int    `json:"attempt,omitempty"`
 	Err      string `json:"err,omitempty"`
 }

@@ -365,9 +365,6 @@ func TestSummarizeAndTable(t *testing.T) {
 	if s.NumFailed != 1 || s.Degraded != 1 || s.Bootstrap != 1 || s.Duplicates != 1 {
 		t.Fatalf("flag accounting: %+v", s)
 	}
-	if st := s.Spans["gp.fit"]; st.Count != 2 || st.TotalNs != 6e6 || st.MaxNs != 4e6 {
-		t.Fatalf("span stats: %+v", st)
-	}
 
 	table := s.Table()
 	for _, want := range []string{
@@ -385,17 +382,5 @@ func TestSummarizeAndTable(t *testing.T) {
 		if strings.Contains(line, "FAILED") && !strings.Contains(line, "-1.25") {
 			t.Fatalf("failed row affected the running best:\n%s", table)
 		}
-	}
-
-	spans := s.SpanTable()
-	if !strings.Contains(spans, "engine.ask") || !strings.Contains(spans, "gp.fit") {
-		t.Fatalf("span table:\n%s", spans)
-	}
-	// Sorted by total time: engine.ask (9ms) first.
-	if strings.Index(spans, "engine.ask") > strings.Index(spans, "gp.fit") {
-		t.Fatalf("span table not sorted by total:\n%s", spans)
-	}
-	if (&Summary{Spans: map[string]SpanStats{}}).SpanTable() != "no spans recorded\n" {
-		t.Fatal("empty span table")
 	}
 }

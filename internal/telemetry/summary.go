@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -22,18 +21,11 @@ type Summary struct {
 	FitSkipped int // proposals served from the cached surrogates (incremental mode)
 	Rank1      int // rank-1 factor extensions applied across the run
 	LowRank    int // iterations served by the low-rank inducing-point surrogate
-	Spans      map[string]SpanStats
-}
-
-// SpanStats aggregates the spans sharing one name.
-type SpanStats struct {
-	Count          int
-	TotalNs, MaxNs int64
 }
 
 // Summarize folds an event stream into a Summary.
 func Summarize(events []Event) *Summary {
-	s := &Summary{Spans: make(map[string]SpanStats)}
+	s := &Summary{}
 	for _, ev := range events {
 		switch {
 		case ev.Run != nil:
@@ -76,14 +68,6 @@ func Summarize(events []Event) *Summary {
 			if it.LowRank {
 				s.LowRank++
 			}
-		case ev.Span != nil:
-			st := s.Spans[ev.Span.Name]
-			st.Count++
-			st.TotalNs += ev.Span.DurNs
-			if ev.Span.DurNs > st.MaxNs {
-				st.MaxNs = ev.Span.DurNs
-			}
-			s.Spans[ev.Span.Name] = st
 		}
 	}
 	return s
@@ -167,27 +151,4 @@ func feasibleRow(it *IterationEvent) bool {
 		}
 	}
 	return true
-}
-
-// SpanTable renders per-name span aggregates sorted by total time.
-func (s *Summary) SpanTable() string {
-	if len(s.Spans) == 0 {
-		return "no spans recorded\n"
-	}
-	names := make([]string, 0, len(s.Spans))
-	for n := range s.Spans {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return s.Spans[names[i]].TotalNs > s.Spans[names[j]].TotalNs
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %8s %12s %12s %12s\n", "span", "count", "total_ms", "mean_ms", "max_ms")
-	for _, n := range names {
-		st := s.Spans[n]
-		mean := float64(st.TotalNs) / float64(st.Count) / 1e6
-		fmt.Fprintf(&b, "%-24s %8d %12.2f %12.3f %12.3f\n",
-			n, st.Count, float64(st.TotalNs)/1e6, mean, float64(st.MaxNs)/1e6)
-	}
-	return b.String()
 }

@@ -123,7 +123,11 @@ func TestPowerAmpHasFeasibleRegion(t *testing.T) {
 }
 
 func corr(a, b []float64) float64 {
-	ma, mb := stats.Mean(a), stats.Mean(b)
+	var ma, mb float64
+	for i := range a {
+		ma += a[i] / float64(len(a))
+		mb += b[i] / float64(len(b))
+	}
 	var sab, saa, sbb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb

@@ -8,18 +8,17 @@ import (
 
 // Proxy is a TCP chaos proxy for injecting network faults between workers
 // and the daemon: it forwards byte streams to a target address and can, on
-// command, sever every live connection (CutAll) or refuse new ones
-// (SetDropNew) — the wire-level signature of a partition or a crashed load
-// balancer. Client-side retry plus report idempotency keys must absorb both.
+// command, sever every live connection (CutAll) — the wire-level signature of
+// a partition or a crashed load balancer. Client-side retry plus report
+// idempotency keys must absorb it.
 type Proxy struct {
 	ln net.Listener
 
-	mu      sync.Mutex
-	target  string
-	conns   map[net.Conn]bool
-	dropNew bool
-	closed  bool
-	cuts    int
+	mu     sync.Mutex
+	target string
+	conns  map[net.Conn]bool
+	closed bool
+	cuts   int
 }
 
 // NewProxy starts a proxy on a fresh loopback port forwarding to target
@@ -45,14 +44,6 @@ func (p *Proxy) URL() string { return "http://" + p.Addr() }
 func (p *Proxy) SetTarget(target string) {
 	p.mu.Lock()
 	p.target = target
-	p.mu.Unlock()
-}
-
-// SetDropNew makes the proxy immediately close (true) or accept (false) new
-// connections.
-func (p *Proxy) SetDropNew(drop bool) {
-	p.mu.Lock()
-	p.dropNew = drop
 	p.mu.Unlock()
 }
 
@@ -97,12 +88,12 @@ func (p *Proxy) accept() {
 			return // listener closed
 		}
 		p.mu.Lock()
-		drop, closed, target := p.dropNew, p.closed, p.target
-		if !drop && !closed {
+		closed, target := p.closed, p.target
+		if !closed {
 			p.conns[conn] = true
 		}
 		p.mu.Unlock()
-		if drop || closed {
+		if closed {
 			conn.Close()
 			continue
 		}

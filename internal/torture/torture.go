@@ -444,6 +444,20 @@ type InProc struct {
 	url       string
 }
 
+// LeaseMachine is the dispatch configuration of every torture daemon, in
+// process (InProc) or as a child process (cmd/mfbo-chaos): abandoned leases
+// (killed workers, severed connections) requeue within ~2s instead of 30, so
+// every crash lifetime makes progress, and a point is only written off as
+// poisoned after many lost leases.
+func LeaseMachine() dispatch.Config {
+	return dispatch.Config{
+		LeaseTTL:    2 * time.Second,
+		ScanEvery:   50 * time.Millisecond,
+		MaxAttempts: 25,
+		RetryAfter:  20 * time.Millisecond,
+	}
+}
+
 // Start boots a daemon lifetime (idempotent: a running lifetime is reused).
 func (p *InProc) Start() (string, error) {
 	p.mu.Lock()
@@ -463,15 +477,7 @@ func (p *InProc) Start() (string, error) {
 		Store:     st,
 		Telemetry: p.Telemetry,
 		Logf:      p.Logf,
-		// Torture-friendly lease machine: abandoned leases (killed workers,
-		// severed connections) requeue within ~2s instead of 30, and a point
-		// is only written off as poisoned after many lost leases.
-		Dispatch: dispatch.Config{
-			LeaseTTL:    2 * time.Second,
-			ScanEvery:   50 * time.Millisecond,
-			MaxAttempts: 25,
-			RetryAfter:  20 * time.Millisecond,
-		},
+		Dispatch:  LeaseMachine(),
 	})
 	if err != nil {
 		return "", err

@@ -299,35 +299,3 @@ func (p *proxied) Start() (string, error) {
 }
 
 func (p *proxied) Kill() { p.ctl.Kill() }
-
-// TestProxyDropNew covers the partition mode: with new connections refused,
-// requests fail; re-enabling heals without restarting anything.
-func TestProxyDropNew(t *testing.T) {
-	rec := telemetry.NewRecorder(nil, 0)
-	ctl := &InProc{Inner: storage.NewMem(storage.MemConfig{}), Telemetry: rec}
-	defer ctl.Stop()
-	url, err := ctl.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy, err := NewProxy(url[len("http://"):])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	ctx := context.Background()
-	cli := client.New(proxy.URL(), client.WithRetries(0))
-
-	if _, err := cli.Health(ctx); err != nil {
-		t.Fatalf("health through proxy: %v", err)
-	}
-	proxy.SetDropNew(true)
-	proxy.CutAll() // keep-alive would otherwise reuse the pooled connection
-	if _, err := cli.Health(ctx); err == nil {
-		t.Fatal("health succeeded through a partitioned proxy")
-	}
-	proxy.SetDropNew(false)
-	if _, err := cli.Health(ctx); err != nil {
-		t.Fatalf("health after healing the partition: %v", err)
-	}
-}
