@@ -8,8 +8,10 @@
 // Every session is persisted to -checkpoint-dir after each iteration; a
 // daemon restarted over the same directory restores its sessions lazily on
 // first touch, so crashed deployments resume exactly where their checkpoints
-// left off. SIGINT/SIGTERM trigger a graceful shutdown: in-flight requests
-// (surrogate fits included) drain, then every live session is persisted.
+// left off. Without -checkpoint-dir sessions persist in memory: they survive
+// idle eviction but not a restart. SIGINT/SIGTERM trigger a graceful
+// shutdown: in-flight requests (surrogate fits included) drain, then every
+// live session is persisted.
 //
 // The daemon is live-introspectable (see DESIGN.md "Observability"):
 //
@@ -46,8 +48,7 @@ func main() {
 	log.SetPrefix("mfbod: ")
 
 	addr := flag.String("addr", ":8932", "listen address")
-	ckptDir := flag.String("checkpoint-dir", "", "persist sessions under this directory (empty = volatile)")
-	storageKind := flag.String("storage", "fs", "storage backend: fs (hardened filesystem under -checkpoint-dir) or mem (in-memory, survives eviction but not restarts)")
+	ckptDir := flag.String("checkpoint-dir", "", "persist sessions under this directory (empty = in memory: sessions survive idle eviction but not a restart)")
 	storageGens := flag.Int("storage-generations", 0, "checkpoint generations kept per record for rollback (0 = default 3)")
 	idle := flag.Duration("idle-timeout", 30*time.Minute, "persist+evict sessions idle for this long (0 = never)")
 	maxFits := flag.Int("max-fits", 0, "max concurrently fitting sessions (0 = number of CPUs)")
@@ -102,31 +103,27 @@ func main() {
 		}
 	}
 
-	// Resolve the storage engine. The MFBO_STORAGE_CHAOS=seed:rate knob
-	// wraps whichever backend was chosen with deterministic fault injection
-	// (see internal/storage) so torture runs can vary backends without code
-	// changes. Never set it on a deployment you care about.
+	if *replicaID != "" && *ckptDir == "" {
+		log.Fatal("-replica-id requires a -checkpoint-dir shared by every replica")
+	}
+	// Resolve the storage engine: the fs backend under -checkpoint-dir, else
+	// the mem backend. The MFBO_STORAGE_CHAOS=seed:rate knob wraps either
+	// with deterministic fault injection (see internal/storage) so torture
+	// runs can vary backends without code changes. Never set it on a
+	// deployment you care about.
 	var store storage.Store
-	switch *storageKind {
-	case "fs":
-		if *ckptDir != "" {
-			fs, err := storage.NewFS(storage.FSConfig{Dir: *ckptDir, Generations: *storageGens, Telemetry: rec})
-			if err != nil {
-				log.Fatal(err)
-			}
-			store = fs
+	if *ckptDir != "" {
+		fs, err := storage.NewFS(storage.FSConfig{Dir: *ckptDir, Generations: *storageGens, Telemetry: rec})
+		if err != nil {
+			log.Fatal(err)
 		}
-	case "mem":
+		store = fs
+	} else {
 		store = storage.NewMem(storage.MemConfig{Generations: *storageGens})
-	default:
-		log.Fatalf("-storage %q: want fs or mem", *storageKind)
 	}
 	if cfg, ok, err := storage.ParseChaosEnv(os.Getenv(storage.ChaosEnv)); err != nil {
 		log.Fatal(err)
 	} else if ok {
-		if store == nil {
-			log.Fatalf("%s set but the server is volatile (no -checkpoint-dir); nothing to fault-inject", storage.ChaosEnv)
-		}
 		store = storage.NewChaos(store, cfg)
 		log.Printf("storage fault injection ON (%s=%s) — torture use only", storage.ChaosEnv, os.Getenv(storage.ChaosEnv))
 	}

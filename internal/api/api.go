@@ -240,10 +240,9 @@ type HealthReply struct {
 	// internal/buildinfo) so operators can tell what a fleet is running.
 	Version string `json:"version,omitempty"`
 	// CheckpointDir is the directory of the filesystem storage backend
-	// ("" for other backends and for volatile sessions); CheckpointWritable
-	// reports the result of a write probe against the storage backend and
-	// is omitted when sessions are volatile. Storage names the durability
-	// backend ("fs", "mem", "chaos") when one is configured.
+	// ("" for other backends); CheckpointWritable reports the result of a
+	// write probe against the storage backend. Storage names the durability
+	// backend every session persists through ("fs", "mem", "chaos").
 	CheckpointDir      string `json:"checkpoint_dir,omitempty"`
 	Storage            string `json:"storage,omitempty"`
 	CheckpointWritable *bool  `json:"checkpoint_writable,omitempty"`

@@ -1,7 +1,5 @@
 // Package client is the typed Go consumer of the optimization service
-// (internal/server): a thin HTTP wrapper over the JSON API of internal/api
-// plus a Drive loop that runs a complete remote optimization with a local
-// evaluator.
+// (internal/server): a thin HTTP wrapper over the JSON API of internal/api.
 //
 // Transient transport failures (connection refused, 429/502/503/504) are
 // retried with the capped exponential backoff of internal/robust, so a client
@@ -26,7 +24,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/problem"
 	"repro/internal/robust"
 	"repro/internal/telemetry"
 )
@@ -302,48 +299,4 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID string) (api.HeartbeatRe
 	var rep api.HeartbeatReply
 	err := c.do(ctx, http.MethodPost, "/v1/leases/"+url.PathEscape(leaseID)+"/heartbeat", api.HeartbeatRequest{}, &rep)
 	return rep, err
-}
-
-// Drive runs the session to completion with p as the local evaluator: it
-// polls Suggest, evaluates each query through problem.EvaluateRich (failures
-// become Failed observations, exactly like the in-process sanitation path),
-// and posts the outcome back. A lost Observe acknowledgment is healed by the
-// idempotent Suggest: no_pending_ask / tell_mismatch conflicts re-poll
-// instead of failing. Returns the final status.
-func (c *Client) Drive(ctx context.Context, id string, p problem.Problem) (api.StatusReply, error) {
-	for {
-		sug, err := c.Suggest(ctx, id)
-		if err != nil {
-			return api.StatusReply{}, fmt.Errorf("client: suggest: %w", err)
-		}
-		if sug.Done {
-			break
-		}
-		ev, everr := problem.EvaluateRich(p, sug.X, problem.Fidelity(sug.Fidelity))
-		if everr != nil {
-			ev.Failed = true
-		}
-		_, err = c.Observe(ctx, id, api.Observation{
-			X:           sug.X,
-			Fidelity:    sug.Fidelity,
-			Objective:   ev.Objective,
-			Constraints: ev.Constraints,
-			Failed:      ev.Failed,
-		})
-		switch {
-		case err == nil:
-		case errors.Is(err, core.ErrNoPendingAsk), errors.Is(err, core.ErrTellMismatch):
-			// The suggestion was consumed concurrently or the ack was lost
-			// after ingestion: re-sync off the idempotent Suggest.
-		case errors.Is(err, core.ErrBudgetExhausted):
-			// Terminal race between Suggest and Observe: the run completed.
-		default:
-			return api.StatusReply{}, fmt.Errorf("client: observe: %w", err)
-		}
-	}
-	st, err := c.Status(ctx, id)
-	if err != nil {
-		return api.StatusReply{}, fmt.Errorf("client: status: %w", err)
-	}
-	return st, nil
 }

@@ -99,18 +99,15 @@ func cloneMatrix(m [][]float64) [][]float64 {
 
 // rungData returns the training set a snapshot holds for rung r of a ladder
 // whose target rung is target: HighX at the target, LowX at rung 0, MidX in
-// between. Legacy (pre-ladder) snapshots carry no MidX, so those rungs start
-// empty and refill through the redrawn initialization design.
+// between (validateResume guarantees one MidX set per intermediate rung).
 func (ck *Checkpoint) rungData(r, target int) (X, Y [][]float64) {
-	switch {
-	case r == target:
+	switch r {
+	case target:
 		return ck.HighX, ck.HighY
-	case r == 0:
+	case 0:
 		return ck.LowX, ck.LowY
-	case r-1 < len(ck.MidX):
-		return ck.MidX[r-1], ck.MidY[r-1]
 	}
-	return nil, nil
+	return ck.MidX[r-1], ck.MidY[r-1]
 }
 
 // snapshot deep-copies the live state into a Checkpoint.
@@ -282,6 +279,17 @@ func validateResume(p problem.Problem, cfg *Config, ck *Checkpoint) error {
 	if k != rungs {
 		return fmt.Errorf("%w: checkpoint has %d fidelity rungs, the %q run's ladder has %d",
 			ErrResumeMismatch, rungs, p.Name(), k)
+	}
+	// Ladder state: a K>2 snapshot carries one training set per
+	// intermediate rung and, once anything was simulated, a per-rung count.
+	// Without them a restore would silently drop acknowledged observations.
+	if k > 2 && (len(ck.MidX) != k-2 || len(ck.MidY) != k-2) {
+		return fmt.Errorf("%w: %d-rung checkpoint has %d mid-rung input sets and %d output sets, want %d",
+			ErrResumeMismatch, k, len(ck.MidX), len(ck.MidY), k-2)
+	}
+	if k > 2 && len(ck.History) > 0 && len(ck.NumByRung) != k {
+		return fmt.Errorf("%w: %d-rung checkpoint has %d per-rung counts, want %d",
+			ErrResumeMismatch, k, len(ck.NumByRung), k)
 	}
 	// Data shapes: RestoreEngine and the first proposal index these sets
 	// row by row, so a ragged snapshot must be refused here.

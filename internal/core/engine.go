@@ -217,7 +217,7 @@ func RestoreEngine(p problem.Problem, cfg Config, rng *rand.Rand, ck *Checkpoint
 	st.res.NumLow = ck.NumLow
 	st.res.NumHigh = ck.NumHigh
 	st.res.NumFailed = ck.NumFailed
-	if len(ck.NumByRung) == st.ladder.Rungs() && st.ladder.Rungs() > 2 {
+	if st.ladder.Rungs() > 2 {
 		st.res.NumByRung = append([]int(nil), ck.NumByRung...)
 	}
 	st.res.History = make([]Observation, len(ck.History))
@@ -692,10 +692,6 @@ func (e *Engine) tellAt(ctx context.Context, i int, ev problem.Evaluation) error
 	return e.checkpointDurableIn(span)
 }
 
-// Done reports whether the engine reached a terminal state (budget spent,
-// interrupted, or faulted) and will produce no further suggestions.
-func (e *Engine) Done() bool { return e.termErr != nil }
-
 // Snapshot returns a deep-copied checkpoint of the current state, including
 // the full pending set: a restored engine replays every outstanding
 // suggestion (IDs, points, fidelities, fantasies) instead of recomputing.
@@ -711,17 +707,6 @@ func (e *Engine) Snapshot() *Checkpoint {
 		})
 	}
 	return ck
-}
-
-// Pending returns copies of the outstanding suggestions, oldest first,
-// without computing anything — the dispatch layer's view of work that can
-// be (re)leased.
-func (e *Engine) Pending() []Suggestion {
-	out := make([]Suggestion, len(e.pending))
-	for i, p := range e.pending {
-		out[i] = cloneSuggestion(p.sug)
-	}
-	return out
 }
 
 // History returns the live observation log (shared storage — callers must

@@ -172,7 +172,7 @@ func TestEngineTerminalBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := driveManually(t, eng, p)
-	if !eng.Done() {
+	if eng.Progress().Phase != "done" {
 		t.Fatal("engine must be terminal after exhausting the budget")
 	}
 	for i := 0; i < 2; i++ {

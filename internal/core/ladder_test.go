@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -263,6 +264,68 @@ func TestLadderCheckpointRoundTripK3(t *testing.T) {
 	// rather than silently mangle the mid-rung data.
 	if _, err := Resume(context.Background(), testfunc.Forrester(), cfg, rand.New(rand.NewSource(1)), snap); err == nil {
 		t.Fatal("resume onto a 2-rung problem must fail")
+	}
+}
+
+// TestLadderResumeRefusesMissingRungState: a K=3 snapshot stripped of its
+// mid-rung training sets or of its per-rung counts is refused with
+// ErrResumeMismatch, instead of restoring an engine that silently lost
+// acknowledged mid-rung observations. A snapshot taken before the first
+// observation legitimately has no per-rung counts and still restores.
+func TestLadderResumeRefusesMissingRungState(t *testing.T) {
+	p := testfunc.Forrester3()
+	cfg := ladderCfg(8)
+	var last *Checkpoint
+	kcfg := cfg
+	kcfg.Checkpointer = func(ck *Checkpoint) error {
+		last = ck
+		return nil
+	}
+	if _, err := Optimize(p, kcfg, rand.New(rand.NewSource(3))); err != nil {
+		t.Fatal(err)
+	}
+	if len(last.MidX) != 1 || len(last.MidX[0]) == 0 || len(last.NumByRung) != 3 {
+		t.Fatalf("K=3 snapshot lacks mid-rung state: %d mid sets, counts %v", len(last.MidX), last.NumByRung)
+	}
+	restore := func(ck *Checkpoint) error {
+		data, err := ck.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RestoreEngine(p, cfg, rand.New(rand.NewSource(3)), snap)
+		return err
+	}
+	if err := restore(last); err != nil {
+		t.Fatalf("intact snapshot refused: %v", err)
+	}
+	for name, strip := range map[string]func(*Checkpoint){
+		"all mid-rung state": func(ck *Checkpoint) { ck.MidX, ck.MidY, ck.NumByRung = nil, nil, nil },
+		"mid-rung sets":      func(ck *Checkpoint) { ck.MidX, ck.MidY = nil, nil },
+		"mid-rung outputs":   func(ck *Checkpoint) { ck.MidY = nil },
+		"per-rung counts":    func(ck *Checkpoint) { ck.NumByRung = nil },
+		"short counts":       func(ck *Checkpoint) { ck.NumByRung = ck.NumByRung[:2] },
+	} {
+		ck := *last
+		strip(&ck)
+		if err := restore(&ck); !errors.Is(err, ErrResumeMismatch) {
+			t.Fatalf("snapshot without %s: want ErrResumeMismatch, got %v", name, err)
+		}
+	}
+
+	eng, err := NewEngine(p, cfg, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := eng.Snapshot()
+	if len(fresh.History) != 0 || fresh.NumByRung != nil {
+		t.Fatalf("fresh snapshot has %d observations, counts %v", len(fresh.History), fresh.NumByRung)
+	}
+	if err := restore(fresh); err != nil {
+		t.Fatalf("pre-observation snapshot refused: %v", err)
 	}
 }
 

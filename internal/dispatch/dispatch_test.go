@@ -12,6 +12,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/problem"
 	"repro/internal/session"
+	"repro/internal/storage"
 	"repro/internal/testfunc"
 )
 
@@ -29,7 +30,7 @@ func (c *fakeClock) After(d time.Duration) time.Time { return c.now.Add(d) }
 // every lease in these tests is a cheap design point — no GP fits.
 func newTestQueue(t *testing.T, mut func(*Config)) (*Queue, *session.Session, *fakeClock) {
 	t.Helper()
-	sess, err := session.New(session.Config{
+	sess, err := session.Open(session.Config{
 		Problem: testfunc.ConstrainedSynthetic(),
 		Core: core.Config{
 			Budget:    8,
@@ -38,7 +39,10 @@ func newTestQueue(t *testing.T, mut func(*Config)) (*Queue, *session.Session, *f
 			MSP:       optimize.MSPConfig{Starts: 4, LocalIter: 15},
 			GPMaxIter: 30,
 		},
-		Seed: 17,
+		Seed:    17,
+		Store:   storage.NewMem(storage.MemConfig{}),
+		StoreID: "s1",
+		Limiter: session.NewLimiter(0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,13 +23,14 @@
 // The registry is concurrency-bounded: sessions serialize their own engine
 // behind a per-session mutex, and a global session.Limiter caps how many
 // sessions may run their surrogate-fit pipeline at once. Every session is
-// persisted through the pluggable storage engine (internal/storage; Config
-// .Store) after every ingested observation; a server restarted over the same state restores
-// sessions lazily on first touch, so a killed deployment resumes exactly
-// where its checkpoints left off — rolling back past torn or corrupt
-// snapshot generations when the store detects them. Idle sessions
-// are persisted and evicted from memory by a janitor, and Close drains the
-// registry through one final persistence pass.
+// persisted through the pluggable storage engine (internal/storage;
+// Config.Store, in memory when unset) after every ingested observation; a
+// server restarted over the same state restores sessions lazily on first
+// touch, so a killed deployment resumes exactly where its checkpoints left
+// off — rolling back past torn or corrupt snapshot generations when the
+// store detects them. Idle sessions are persisted and evicted from memory by
+// a janitor and restore the same way, and Close drains the registry through
+// one final persistence pass.
 package server
 
 import (
@@ -61,15 +62,15 @@ import (
 
 // Config tunes the service.
 type Config struct {
-	// Store, when non-nil, is the durability engine every session's state
-	// (checkpoints, manifests, telemetry rings) is persisted through — see
-	// internal/storage for the crash-consistency contract; a storage.FS
-	// store's directory is what healthz reports as checkpoint_dir. nil =
-	// volatile sessions (lost on restart/eviction).
+	// Store is the durability engine every session's state (checkpoints,
+	// manifests, telemetry rings) is persisted through — see internal/storage
+	// for the crash-consistency contract; a storage.FS store's directory is
+	// what healthz reports as checkpoint_dir. nil selects a fresh
+	// storage.NewMem: sessions survive eviction but not a restart.
 	Store storage.Store
 	// IdleTimeout evicts sessions untouched for this long from memory
-	// (after persisting them; durable sessions restore lazily on next
-	// touch). 0 disables eviction.
+	// (after persisting them; they restore lazily on next touch). 0 disables
+	// eviction.
 	IdleTimeout time.Duration
 	// MaxConcurrentFits bounds sessions running their surrogate-fit
 	// pipeline simultaneously; 0 selects parallel.DefaultWorkers().
@@ -117,8 +118,7 @@ type Server struct {
 	started time.Time
 	met     *serverMetrics
 	queue   *dispatch.Queue
-	// store is the durability engine (Config.Store); nil for a fully
-	// volatile server.
+	// store is the durability engine: Config.Store, or an in-memory one.
 	store storage.Store
 	// baseCtx scopes engine calls made on behalf of HTTP requests to the
 	// server's lifetime instead of the request's. A session is shared state:
@@ -289,9 +289,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = catalog.Lookup
 	}
+	store := cfg.Store
+	if store == nil {
+		if cfg.ReplicaID != "" {
+			return nil, errors.New("server: ReplicaID requires a Store shared by every replica")
+		}
+		store = storage.NewMem(storage.MemConfig{})
+	}
 	s := &Server{
 		cfg:         cfg,
-		store:       cfg.Store,
+		store:       store,
 		limiter:     session.NewLimiter(cfg.MaxConcurrentFits),
 		started:     time.Now(),
 		sessions:    make(map[string]*entry),
@@ -302,10 +309,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.ReplicaID != "" {
-		if cfg.Store == nil {
-			return nil, errors.New("server: ReplicaID requires a durable Store")
-		}
-		leases, err := shard.NewLeases(shard.LeaseConfig{Store: cfg.Store, Replica: cfg.ReplicaID, TTL: cfg.OwnershipTTL})
+		leases, err := shard.NewLeases(shard.LeaseConfig{Store: store, Replica: cfg.ReplicaID, TTL: cfg.OwnershipTTL})
 		if err != nil {
 			return nil, err
 		}
@@ -466,16 +470,10 @@ func (s *Server) evictIdle(deadline time.Time) {
 
 // ---- persistence layout ----
 
-// durable reports whether sessions survive restart/eviction.
-func (s *Server) durable() bool { return s.store != nil }
-
 // saveManifest durably records the creation request so a restarted server
 // can rebuild the session config. A create is acknowledged only after this
 // succeeds — an acked session ID must survive a crash.
 func (s *Server) saveManifest(id string, req *api.CreateSessionRequest) error {
-	if !s.durable() {
-		return nil
-	}
 	data, err := json.MarshalIndent(req, "", " ")
 	if err != nil {
 		return err
@@ -498,7 +496,7 @@ func (s *Server) loadManifest(id string) (*api.CreateSessionRequest, error) {
 // persistRing saves the session's buffered telemetry events (best-effort:
 // introspection should survive a restart, but never block one).
 func (s *Server) persistRing(id string, e *entry) {
-	if !s.durable() || e.ring == nil {
+	if e.ring == nil {
 		return
 	}
 	events := e.ring.Snapshot()
@@ -517,9 +515,6 @@ func (s *Server) persistRing(id string, e *entry) {
 // restoreRing refills a fresh ring with the events persisted before the
 // last eviction/shutdown, so /telemetry keeps its history across restarts.
 func (s *Server) restoreRing(id string, ring *telemetry.Ring) {
-	if !s.durable() || ring == nil {
-		return
-	}
 	data, err := s.store.Get(storage.KindTelemetry, id)
 	if err != nil {
 		return
@@ -577,20 +572,19 @@ func (s *Server) buildSession(id string, req *api.CreateSessionRequest, epoch ui
 		ring = telemetry.NewRing(size)
 		s.restoreRing(id, ring)
 	}
-	var rec *telemetry.Recorder
+	cc := CoreConfig(*req)
 	if ring != nil || s.cfg.Telemetry != nil {
-		rec = s.cfg.Telemetry.Child(ring)
+		cc.Telemetry = s.cfg.Telemetry.Child(ring)
 	}
 	sess, err := session.Open(session.Config{
 		Problem: p,
-		Core:    CoreConfig(*req),
+		Core:    cc,
 		Seed:    req.Seed,
 		// Sharded replicas persist through a lease-fenced store so a stale
 		// ex-owner can never clobber the new owner's checkpoints (shard.go).
-		Store:     s.sessionStore(id, epoch),
-		StoreID:   id,
-		Limiter:   s.limiter,
-		Telemetry: rec,
+		Store:   s.sessionStore(id, epoch),
+		StoreID: id,
+		Limiter: s.limiter,
 	})
 	if err != nil {
 		return nil, err
@@ -610,9 +604,6 @@ func (s *Server) getSession(id string) (*entry, error) {
 	}
 	if closed {
 		return nil, errShuttingDown
-	}
-	if !s.durable() {
-		return nil, errNotFound
 	}
 	req, err := s.loadManifest(id)
 	if err != nil {
@@ -775,13 +766,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			s.writeSessionErr(w, err)
 			return
 		}
-	} else if s.durable() {
+	} else if _, err := s.store.Get(storage.KindManifest, id); err == nil {
 		// Fresh create must not silently adopt stale persisted state.
-		if _, err := s.store.Get(storage.KindManifest, id); err == nil {
-			writeErr(w, http.StatusConflict, api.CodeConflict,
-				"session "+id+" exists in storage; pass resume or delete it first")
-			return
-		}
+		writeErr(w, http.StatusConflict, api.CodeConflict,
+			"session "+id+" exists in storage; pass resume or delete it first")
+		return
 	}
 	createdFresh := false
 	if e == nil {
@@ -993,19 +982,16 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	_, ok := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
-	if s.durable() {
-		// Every kind is session state. The lease record (KindOwner) goes
-		// too — it never counts toward existence, since the Claim above just
-		// created one.
-		for _, kind := range storage.Kinds() {
-			if kind != storage.KindOwner {
-				if _, err := s.store.Get(kind, id); err == nil {
-					ok = true
-				}
+	// Every kind is session state. The lease record (KindOwner) goes too — it
+	// never counts toward existence, since the Claim above just created one.
+	for _, kind := range storage.Kinds() {
+		if kind != storage.KindOwner {
+			if _, err := s.store.Get(kind, id); err == nil {
+				ok = true
 			}
-			if err := s.store.Delete(kind, id); err != nil {
-				s.logf("server: delete %s %s: %v", kind, id, err)
-			}
+		}
+		if err := s.store.Delete(kind, id); err != nil {
+			s.logf("server: delete %s %s: %v", kind, id, err)
 		}
 	}
 	if !ok {
@@ -1169,32 +1155,27 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth reports liveness plus the readiness facts an operator needs:
-// uptime, live-session count, fit-limiter queue state, and — when sessions
-// are durable — an actual write probe of the checkpoint directory, so a full
-// disk flips OK to false before it eats a checkpoint.
+// uptime, live-session count, fit-limiter queue state, the storage backend
+// and an actual write probe of it, so a full disk flips OK to false before
+// it eats a checkpoint.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	n := len(s.sessions)
 	s.mu.RUnlock()
+	writable := s.store.Probe() == nil
 	reply := api.HealthReply{
-		OK:              true,
-		Sessions:        n,
-		UptimeSeconds:   time.Since(s.started).Seconds(),
-		Version:         buildinfo.Version(),
-		FitSlotsInUse:   s.limiter.InUse(),
-		FitSlotsWaiting: s.limiter.Waiting(),
-		FitSlots:        s.limiter.Cap(),
+		OK:                 writable,
+		Sessions:           n,
+		UptimeSeconds:      time.Since(s.started).Seconds(),
+		Version:            buildinfo.Version(),
+		FitSlotsInUse:      s.limiter.InUse(),
+		FitSlotsWaiting:    s.limiter.Waiting(),
+		FitSlots:           s.limiter.Cap(),
+		Storage:            storageName(s.store),
+		CheckpointWritable: &writable,
 	}
-	if s.durable() {
-		reply.Storage = storageName(s.store)
-		if fs, ok := s.store.(*storage.FS); ok {
-			reply.CheckpointDir = fs.Dir()
-		}
-		writable := s.store.Probe() == nil
-		reply.CheckpointWritable = &writable
-		if !writable {
-			reply.OK = false
-		}
+	if fs, ok := s.store.(*storage.FS); ok {
+		reply.CheckpointDir = fs.Dir()
 	}
 	if s.sharded() {
 		reply.ReplicaID = s.leases.Replica()

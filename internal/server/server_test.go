@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -75,6 +76,50 @@ func fsStore(t testing.TB, dir string) *storage.FS {
 	return fs
 }
 
+// driveToDone runs the session to completion with p as the local evaluator: it
+// polls Suggest, evaluates each query through problem.EvaluateRich (failures
+// become Failed observations, exactly like the in-process sanitation path),
+// and posts the outcome back. A lost Observe acknowledgment is healed by the
+// idempotent Suggest: no_pending_ask / tell_mismatch conflicts re-poll
+// instead of failing. Returns the final status.
+func driveToDone(ctx context.Context, c *client.Client, id string, p problem.Problem) (api.StatusReply, error) {
+	for {
+		sug, err := c.Suggest(ctx, id)
+		if err != nil {
+			return api.StatusReply{}, fmt.Errorf("suggest: %w", err)
+		}
+		if sug.Done {
+			break
+		}
+		ev, everr := problem.EvaluateRich(p, sug.X, problem.Fidelity(sug.Fidelity))
+		if everr != nil {
+			ev.Failed = true
+		}
+		_, err = c.Observe(ctx, id, api.Observation{
+			X:           sug.X,
+			Fidelity:    sug.Fidelity,
+			Objective:   ev.Objective,
+			Constraints: ev.Constraints,
+			Failed:      ev.Failed,
+		})
+		switch {
+		case err == nil:
+		case errors.Is(err, core.ErrNoPendingAsk), errors.Is(err, core.ErrTellMismatch):
+			// The suggestion was consumed concurrently or the ack was lost
+			// after ingestion: re-sync off the idempotent Suggest.
+		case errors.Is(err, core.ErrBudgetExhausted):
+			// Terminal race between Suggest and Observe: the run completed.
+		default:
+			return api.StatusReply{}, fmt.Errorf("observe: %w", err)
+		}
+	}
+	st, err := c.Status(ctx, id)
+	if err != nil {
+		return api.StatusReply{}, fmt.Errorf("status: %w", err)
+	}
+	return st, nil
+}
+
 func sameHistory(t *testing.T, hist []api.HistoryObservation, ref []core.Observation) {
 	t.Helper()
 	if len(hist) != len(ref) {
@@ -128,7 +173,7 @@ func TestRemoteTrajectoryMatchesInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := cl.Drive(ctx, info.ID, tc.mk())
+			st, err := driveToDone(ctx, cl, info.ID, tc.mk())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +252,7 @@ func TestServerKillResume(t *testing.T) {
 	if len(pre.Observations) != 6 {
 		t.Fatalf("restored session has %d observations, want 6", len(pre.Observations))
 	}
-	st, err := cl2.Drive(ctx, req.ID, testfunc.Forrester())
+	st, err := driveToDone(ctx, cl2, req.ID, testfunc.Forrester())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +310,63 @@ func TestServerLazyRestoreWithoutResumeFlag(t *testing.T) {
 	}
 }
 
+// TestServerWithoutStoreRestoresEvicted: a server built without a Store
+// persists into an in-memory one. healthz reports it as writable "mem"
+// storage, an idle session the janitor evicted restores on its next touch
+// with every observation, and only DELETE forgets it.
+func TestServerWithoutStoreRestoresEvicted(t *testing.T) {
+	_, ts, cl := newTestServer(t, server.Config{IdleTimeout: 40 * time.Millisecond})
+	ctx := context.Background()
+	h, err := cl.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.OK || h.Storage != "mem" || h.CheckpointWritable == nil || !*h.CheckpointWritable || h.CheckpointDir != "" {
+		t.Fatalf("health = %+v", h)
+	}
+
+	req := fastReq("forrester", 6, 13)
+	req.ID = "idle"
+	if _, err := cl.CreateSession(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	sug, err := cl.Suggest(ctx, req.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := testfunc.Forrester().Evaluate(sug.X, problem.Fidelity(sug.Fidelity))
+	if _, err := cl.Observe(ctx, req.ID, api.Observation{X: sug.X, Fidelity: sug.Fidelity, Objective: ev.Objective}); err != nil {
+		t.Fatal(err)
+	}
+	var ids api.SessionsReply
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if getJSON(t, ts, "/v1/sessions", &ids); len(ids.Sessions) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("idle session never evicted: %v", ids.Sessions)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	st, err := cl.Status(ctx, req.ID)
+	if err != nil {
+		t.Fatalf("evicted session did not restore: %v", err)
+	}
+	if st.Observations != 1 {
+		t.Fatalf("restored session has %d observations, want 1", st.Observations)
+	}
+	if _, err := cl.CreateSession(ctx, req); !isStatus(err, 409, api.CodeConflict) {
+		t.Fatalf("fresh create over a persisted session: %v", err)
+	}
+
+	if err := cl.Delete(ctx, req.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Status(ctx, req.ID); !isStatus(err, 404, api.CodeNotFound) {
+		t.Fatalf("deleted session still answers: %v", err)
+	}
+}
+
 // TestServerConcurrentSessions drives four sessions in parallel through one
 // server — the race-detector workout for the registry, the per-session
 // mutexes and the shared fit limiter.
@@ -282,7 +384,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 				errs <- err
 				return
 			}
-			st, err := cl.Drive(ctx, info.ID, testfunc.Forrester())
+			st, err := driveToDone(ctx, cl, info.ID, testfunc.Forrester())
 			if err != nil {
 				errs <- err
 				return
@@ -430,7 +532,7 @@ func TestServerSuggestAfterDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Drive(ctx, info.ID, testfunc.Forrester()); err != nil {
+	if _, err := driveToDone(ctx, cl, info.ID, testfunc.Forrester()); err != nil {
 		t.Fatal(err)
 	}
 	sug, err := cl.Suggest(ctx, info.ID)

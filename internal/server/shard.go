@@ -66,7 +66,7 @@ func (f *fencedStore) Put(kind storage.Kind, id string, data []byte) error {
 // sessionStore returns the store a session persists through: the shared
 // engine directly when unsharded, lease-fenced when sharded.
 func (s *Server) sessionStore(id string, epoch uint64) storage.Store {
-	if !s.sharded() || s.store == nil {
+	if !s.sharded() {
 		return s.store
 	}
 	return &fencedStore{Store: s.store, leases: s.leases, id: id, epoch: epoch}

@@ -27,7 +27,7 @@ func TestServerTelemetryEndpointAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Drive(ctx, info.ID, testfunc.Pedagogical()); err != nil {
+	if _, err := driveToDone(ctx, cl, info.ID, testfunc.Pedagogical()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,11 +9,11 @@
 // Tell. The underlying engine guarantees that a session-driven trajectory is
 // bit-identical to the in-process core.Optimize under the same seed.
 //
-// Sessions are durable: when Config.Store (pluggable storage engine) is set,
-// every ingested observation is persisted atomically and durably, and Open restores a previously persisted
-// session transparently — a process killed mid-run resumes exactly where its
-// last checkpoint left off, rolling back past torn or corrupt snapshot
-// generations when the store detects them.
+// Sessions are durable: every ingested observation is persisted atomically
+// through Config.Store (the pluggable storage engine), and Open restores a
+// previously persisted session transparently — a process killed mid-run
+// resumes exactly where its last checkpoint left off, rolling back past torn
+// or corrupt snapshot generations when the store detects them.
 //
 // Surrogate fitting is the expensive step of Ask. Sessions sharing one
 // *Limiter bound the number of concurrently fitting sessions process-wide,
@@ -39,10 +39,9 @@ import (
 )
 
 // Limiter is a counting semaphore bounding how many sessions may run their
-// surrogate-fit/acquisition pipeline at once. A nil *Limiter imposes no
-// bound. InUse/Waiting expose the live queue state for observability (the
-// server publishes them as gauges), at the cost of two atomic ops per
-// Acquire.
+// surrogate-fit/acquisition pipeline at once. InUse/Waiting expose the live
+// queue state for observability (the server publishes them as gauges), at
+// the cost of two atomic ops per Acquire.
 type Limiter struct {
 	sem     chan struct{}
 	inUse   atomic.Int64
@@ -60,9 +59,6 @@ func NewLimiter(n int) *Limiter {
 
 // Acquire blocks until a fit slot is free or ctx is done.
 func (l *Limiter) Acquire(ctx context.Context) error {
-	if l == nil {
-		return nil
-	}
 	l.waiting.Add(1)
 	defer l.waiting.Add(-1)
 	select {
@@ -76,36 +72,18 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 
 // Release returns a slot taken by Acquire.
 func (l *Limiter) Release() {
-	if l == nil {
-		return
-	}
 	l.inUse.Add(-1)
 	<-l.sem
 }
 
-// Cap returns the number of concurrent fit slots (0 for a nil limiter).
-func (l *Limiter) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return cap(l.sem)
-}
+// Cap returns the number of concurrent fit slots.
+func (l *Limiter) Cap() int { return cap(l.sem) }
 
 // InUse returns the number of slots currently held.
-func (l *Limiter) InUse() int {
-	if l == nil {
-		return 0
-	}
-	return int(l.inUse.Load())
-}
+func (l *Limiter) InUse() int { return int(l.inUse.Load()) }
 
 // Waiting returns the number of goroutines blocked in (or entering) Acquire.
-func (l *Limiter) Waiting() int {
-	if l == nil {
-		return 0
-	}
-	return int(l.waiting.Load())
-}
+func (l *Limiter) Waiting() int { return int(l.waiting.Load()) }
 
 // Config describes one session.
 type Config struct {
@@ -114,28 +92,23 @@ type Config struct {
 	// twin of whatever the evaluator runs; only its identity/shape and cost
 	// model are consulted — evaluations arrive through Tell.
 	Problem problem.Problem
-	// Core tunes the optimizer. Core.Checkpointer is overridden when Store is
-	// set.
+	// Core tunes the optimizer. Core.Checkpointer is overridden to persist
+	// through Store.
 	Core core.Config
 	// Seed seeds the session RNG; the whole trajectory is a deterministic
 	// function of (Problem, Core, Seed).
 	Seed int64
-	// Store, when non-nil, persists a snapshot into the storage engine under
-	// StoreID after every ingested observation and enables Open to restore
-	// the session, with crash consistency, corruption detection and
-	// generational rollback handled by the backend.
+	// Store persists a snapshot into the storage engine under StoreID after
+	// every ingested observation and lets Open restore the session, with
+	// crash consistency, corruption detection and generational rollback
+	// handled by the backend (required).
 	Store storage.Store
-	// StoreID is the record ID snapshots are stored under (required when
-	// Store is set; typically the server-side session ID).
+	// StoreID is the record ID snapshots are stored under (required;
+	// typically the server-side session ID).
 	StoreID string
-	// Limiter, when non-nil, bounds concurrent surrogate fits across all
-	// sessions sharing it.
+	// Limiter bounds concurrent surrogate fits across all sessions sharing
+	// it (required).
 	Limiter *Limiter
-	// Telemetry, when non-nil, wires full-loop observability into the
-	// session's engine (see core.Config.Telemetry). It takes effect only when
-	// Core.Telemetry is unset, so callers that pre-wired the core keep their
-	// recorder.
-	Telemetry *telemetry.Recorder
 }
 
 // Session is a thread-safe, persistent ask/tell optimization run.
@@ -156,67 +129,41 @@ type Status struct {
 	LastUsed     time.Time
 }
 
-func (c *Config) prepare() error {
-	if c.Problem == nil {
-		return errors.New("session: Config.Problem is required")
-	}
-	if c.Store != nil {
-		if c.StoreID == "" {
-			return errors.New("session: Config.StoreID is required with Config.Store")
-		}
-		c.Core.Checkpointer = core.StoreCheckpointer(c.Store, c.StoreID)
-	}
-	if c.Core.Telemetry == nil {
-		c.Core.Telemetry = c.Telemetry
-	}
-	return nil
-}
-
-// New starts a fresh session.
-func New(cfg Config) (*Session, error) {
-	if err := cfg.prepare(); err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(cfg.Problem, cfg.Core, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
-	now := time.Now()
-	return &Session{eng: eng, cfg: cfg, created: now, lastUsed: now}, nil
-}
-
-// Restore rebuilds a session from a snapshot (validated against cfg;
-// mismatches return core.ErrResumeMismatch).
-func Restore(cfg Config, ck *core.Checkpoint) (*Session, error) {
-	if err := cfg.prepare(); err != nil {
-		return nil, err
-	}
-	eng, err := core.RestoreEngine(cfg.Problem, cfg.Core, rand.New(rand.NewSource(cfg.Seed)), ck)
-	if err != nil {
-		return nil, err
-	}
-	now := time.Now()
-	return &Session{eng: eng, cfg: cfg, created: now, lastUsed: now}, nil
-}
-
-// Open restores the session persisted in cfg.Store when a snapshot exists, and starts a fresh session
-// otherwise — the idempotent entry point for servers recovering their
-// session inventory after a restart. A store whose every generation of the
-// snapshot is corrupt reports storage.ErrNotFound (after quarantining the
-// evidence), which also starts fresh: no acknowledged observation can be in
-// a snapshot that never verified.
+// Open restores the session persisted in cfg.Store when a snapshot exists
+// (validated against cfg; mismatches return core.ErrResumeMismatch), and
+// starts a fresh session otherwise — the idempotent entry point for servers
+// recovering their session inventory after a restart. A store whose every
+// generation of the snapshot is corrupt reports storage.ErrNotFound (after
+// quarantining the evidence), which also starts fresh: no acknowledged
+// observation can be in a snapshot that never verified.
 func Open(cfg Config) (*Session, error) {
-	if cfg.Store != nil {
-		switch ck, err := core.LoadCheckpointFromStore(cfg.Store, cfg.StoreID); {
-		case err == nil:
-			return Restore(cfg, ck)
-		case errors.Is(err, storage.ErrNotFound):
-			// No snapshot yet: fresh session.
-		default:
-			return nil, fmt.Errorf("session: open %s from store: %w", cfg.StoreID, err)
-		}
+	switch {
+	case cfg.Problem == nil:
+		return nil, errors.New("session: Config.Problem is required")
+	case cfg.Store == nil || cfg.StoreID == "":
+		return nil, errors.New("session: Config.Store and Config.StoreID are required")
+	case cfg.Limiter == nil:
+		return nil, errors.New("session: Config.Limiter is required")
 	}
-	return New(cfg)
+	cfg.Core.Checkpointer = core.StoreCheckpointer(cfg.Store, cfg.StoreID)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var eng *core.Engine
+	switch ck, err := core.LoadCheckpointFromStore(cfg.Store, cfg.StoreID); {
+	case err == nil:
+		eng, err = core.RestoreEngine(cfg.Problem, cfg.Core, rng, ck)
+		if err != nil {
+			return nil, err
+		}
+	case errors.Is(err, storage.ErrNotFound):
+		// No snapshot yet: fresh session.
+		if eng, err = core.NewEngine(cfg.Problem, cfg.Core, rng); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("session: open %s from store: %w", cfg.StoreID, err)
+	}
+	now := time.Now()
+	return &Session{eng: eng, cfg: cfg, created: now, lastUsed: now}, nil
 }
 
 // touch records activity; callers hold s.mu.
@@ -280,7 +227,7 @@ func (s *Session) TellByIDCtx(ctx context.Context, id string, ev problem.Evaluat
 
 // TellCtx ingests the outcome of the pending suggestion (see
 // core.Engine.Tell for the validation and sanitation contract) and persists a
-// checkpoint when the session is durable. A request span carried by ctx joins
+// checkpoint. A request span carried by ctx joins
 // the trace, as for TellByIDCtx.
 func (s *Session) TellCtx(ctx context.Context, x []float64, fid problem.Fidelity, ev problem.Evaluation) error {
 	s.mu.Lock()
@@ -308,15 +255,11 @@ func (s *Session) History() []core.Observation {
 	return append([]core.Observation(nil), s.eng.History()...)
 }
 
-// Persist force-writes the current snapshot to the session's store (a no-op
-// for non-durable sessions). Servers call it before
-// evicting idle sessions and during graceful shutdown.
+// Persist force-writes the current snapshot to the session's store. Servers
+// call it before evicting idle sessions and during graceful shutdown.
 func (s *Session) Persist() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Store == nil {
-		return nil
-	}
 	return core.StoreCheckpointer(s.cfg.Store, s.cfg.StoreID)(s.eng.Snapshot())
 }
 

@@ -25,6 +25,12 @@ func fastCore(budget float64) core.Config {
 	}
 }
 
+// memConfig configures a session persisted into a fresh in-memory store.
+func memConfig(p problem.Problem, c core.Config, seed int64) Config {
+	return Config{Problem: p, Core: c, Seed: seed,
+		Store: storage.NewMem(storage.MemConfig{}), StoreID: "sess", Limiter: NewLimiter(1)}
+}
+
 // drive runs the full ask/tell protocol against a session with a local
 // evaluator and returns its history.
 func drive(t *testing.T, s *Session, p problem.Problem) []core.Observation {
@@ -56,7 +62,7 @@ func TestSessionMatchesOptimize(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testfunc.Forrester()
-	s, err := New(Config{Problem: p, Core: fastCore(8), Seed: 11})
+	s, err := Open(memConfig(p, fastCore(8), 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +102,7 @@ func TestSessionOpenPersistRoundTrip(t *testing.T) {
 		}
 		return st
 	}
-	cfg := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, Store: openStore(), StoreID: "sess"}
+	cfg := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, Store: openStore(), StoreID: "sess", Limiter: NewLimiter(1)}
 
 	s, err := Open(cfg)
 	if err != nil {
@@ -118,7 +124,7 @@ func TestSessionOpenPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg2 := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, Store: openStore(), StoreID: "sess"}
+	cfg2 := Config{Problem: testfunc.Forrester(), Core: fastCore(6), Seed: 5, Store: openStore(), StoreID: "sess", Limiter: NewLimiter(1)}
 	restored, err := Open(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -139,22 +145,26 @@ func TestSessionOpenPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSessionConfigValidation: a Problem is mandatory.
+// TestSessionConfigValidation: a Problem, a Store with a StoreID and a
+// Limiter are mandatory.
 func TestSessionConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("New without a problem must fail")
+	for name, mut := range map[string]func(*Config){
+		"problem": func(c *Config) { c.Problem = nil },
+		"store":   func(c *Config) { c.Store = nil },
+		"storeID": func(c *Config) { c.StoreID = "" },
+		"limiter": func(c *Config) { c.Limiter = nil },
+	} {
+		cfg := memConfig(testfunc.Forrester(), fastCore(6), 1)
+		mut(&cfg)
+		if _, err := Open(cfg); err == nil {
+			t.Fatalf("Open without a %s must fail", name)
+		}
 	}
 }
 
-// TestLimiter: nil limiters are no-ops; a full limiter blocks Acquire until
-// Release or context cancellation.
+// TestLimiter: a full limiter blocks Acquire until Release or context
+// cancellation.
 func TestLimiter(t *testing.T) {
-	var nilL *Limiter
-	if err := nilL.Acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	nilL.Release()
-
 	l := NewLimiter(1)
 	if err := l.Acquire(context.Background()); err != nil {
 		t.Fatal(err)

@@ -261,7 +261,9 @@ func OpenJSONL(path string) (*JSONL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: open event log: %w", err)
 	}
-	return &JSONL{w: bufio.NewWriter(f), c: f}, nil
+	j := NewJSONL(f)
+	j.c = f
+	return j, nil
 }
 
 // Emit implements Sink. JSON has no NaN or ±Inf — a low-fidelity-only

@@ -219,7 +219,7 @@ func (s *Span) End() time.Duration {
 	if s.tr != nil && s.tr.sink != nil {
 		var trace string
 		if s.traceHi|s.traceLo != 0 {
-			trace = fmt.Sprintf("%016x%016x", s.traceHi, s.traceLo)
+			trace = s.Context().TraceID()
 		}
 		s.tr.sink.Emit(Event{
 			Type:       EventSpan,
