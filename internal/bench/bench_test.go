@@ -25,6 +25,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/problem"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/testbench"
 )
 
@@ -38,6 +39,7 @@ func BenchmarkMSPSerial(b *testing.B)     { MSP(1)(b) }
 func BenchmarkMSPWorkers8(b *testing.B)   { MSP(8)(b) }
 func BenchmarkPredictSingle(b *testing.B) { PredictSingle()(b) }
 func BenchmarkFusedPredict(b *testing.B)  { FusedPredict()(b) }
+func BenchmarkMSPFused(b *testing.B)      { MSPFused()(b) }
 func BenchmarkCholesky160(b *testing.B)   { Cholesky(160)(b) }
 
 // dataset builds a deterministic smooth regression set on [0,1]^d.
@@ -155,24 +157,7 @@ func fittedMF(b *testing.B) (*mfgp.MultiLevel, [][]float64) {
 // workload behind optimize.msp's self time.
 func FusedPredict() func(*testing.B) {
 	return func(b *testing.B) {
-		const d = 5
-		Xl, yl, lo, hi := dataset(23, 40, d)
-		rng := rand.New(rand.NewSource(29))
-		Xh := stats.LatinHypercube(rng, lo, hi, 20)
-		yh := make([]float64, len(Xh))
-		for i, x := range Xh {
-			s := 0.0
-			for j, v := range x {
-				s += math.Sin(3*v + float64(j))
-			}
-			yh[i] = 1.1*s + 0.2*s*s
-		}
-		m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
-			MaxIter: 30, NumSamples: 30, Workers: 1,
-		}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m, _, lo, hi := powerampChain(b)
 		grid := stats.LatinHypercube(rand.New(rand.NewSource(31)), lo, hi, 256)
 		m.Predict(grid[0]) // warm the scratch pools
 		b.ReportAllocs()
@@ -180,6 +165,68 @@ func FusedPredict() func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.Predict(grid[i%len(grid)])
 		}
+	}
+}
+
+// powerampChain fits the poweramp-shaped fused chain of FusedPredict and
+// MSPFused and returns it with its high-fidelity targets and the box.
+func powerampChain(b *testing.B) (m *mfgp.MultiLevel, yh, lo, hi []float64) {
+	const d = 5
+	Xl, yl, lo, hi := dataset(23, 40, d)
+	rng := rand.New(rand.NewSource(29))
+	Xh := stats.LatinHypercube(rng, lo, hi, 20)
+	yh = make([]float64, len(Xh))
+	for i, x := range Xh {
+		s := 0.0
+		for j, v := range x {
+			s += math.Sin(3*v + float64(j))
+		}
+		yh[i] = 1.1*s + 0.2*s*s
+	}
+	m, err := mfgp.Fit(Xl, yl, Xh, yh, mfgp.MultiLevelConfig{
+		MaxIter: 30, NumSamples: 30, Workers: 1,
+	}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m, yh, lo, hi
+}
+
+// MSPFused measures one target-rung acquisition maximization as the
+// engine-poweramp workload runs it: wEI over the fused posterior of the
+// poweramp-shaped chain, 8 starts of 30 L-BFGS iterations, serial. From the
+// optimize.msp span it reports the L-BFGS objective calls per maximization:
+// grad_evals/op, each 2d central-difference fused predictions, and
+// value_evals/op, one fused prediction each.
+func MSPFused() func(*testing.B) {
+	return func(b *testing.B) {
+		m, yh, lo, hi := powerampChain(b)
+		best := math.Inf(1)
+		for _, v := range yh {
+			best = math.Min(best, v)
+		}
+		a := acq.WEI(func(x []float64) (float64, float64) { return m.PredictLevel(x, 1) }, nil, best)
+		box := optimize.NewBox(lo, hi)
+		ring := telemetry.NewRing(4)
+		tr := telemetry.NewTracer(ring, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			root := tr.Start("bench")
+			optimize.MaximizeMSP(rand.New(rand.NewSource(37)), a, box, nil, nil, optimize.MSPConfig{
+				Starts: 8, LocalIter: 30, Span: root,
+			}, 1)
+			root.End()
+		}
+		b.StopTimer()
+		for _, ev := range ring.Snapshot() {
+			if ev.Span != nil && ev.Span.Name == "optimize.msp" {
+				b.ReportMetric(ev.Span.Attrs["grad_evals"], "grad_evals/op")
+				b.ReportMetric(ev.Span.Attrs["value_evals"], "value_evals/op")
+				return
+			}
+		}
+		b.Fatal("no optimize.msp span recorded")
 	}
 }
 

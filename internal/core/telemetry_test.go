@@ -175,6 +175,15 @@ func TestTelemetryEventStream(t *testing.T) {
 			iters = append(iters, ev.Iteration)
 		case ev.Span != nil:
 			spans[ev.Span.Name]++
+			// Every L-BFGS run asks the gradient at its start, so a
+			// maximization or a trained fit has at least one per start.
+			a := ev.Span.Attrs
+			starts := a["starts"] + a["restarts"]
+			_, hasValues := a["value_evals"]
+			if (ev.Span.Name == "optimize.msp" || ev.Span.Name == "gp.fit") && starts > 0 &&
+				(!hasValues || a["grad_evals"] < starts) {
+				t.Fatalf("%s span counts L-BFGS calls wrongly: %v", ev.Span.Name, a)
+			}
 		}
 	}
 	if runEv == nil {

@@ -256,8 +256,9 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	// below runs in restart order, so the selected optimum is identical to
 	// the serial schedule for any worker count.
 	type fitResult struct {
-		f float64
-		x []float64
+		f                     float64
+		x                     []float64
+		valueEvals, gradEvals int
 	}
 	results := make([]fitResult, len(starts))
 	workers := parallel.Workers(cfg.Workers)
@@ -279,6 +280,13 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 			} else {
 				ws.logNoise = fixedLogNoise
 			}
+			if grad == nil {
+				v, err := ws.nlmlValue()
+				if err != nil {
+					return math.Inf(1)
+				}
+				return v
+			}
 			v, g, err := ws.nlmlGrad()
 			if err != nil {
 				for i := range grad {
@@ -290,12 +298,15 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 			return v
 		}
 		r := optimize.LBFGS(obj, starts[idx], optimize.LBFGSConfig{MaxIter: cfg.MaxIter})
-		results[idx] = fitResult{f: r.F, x: r.X}
+		results[idx] = fitResult{f: r.F, x: r.X, valueEvals: r.ValueEvals, gradEvals: r.GradEvals}
 	})
 	bestTheta := make([]float64, nTotal)
 	bestNLML := math.Inf(1)
 	info := FitInfo{Restarts: len(starts)}
+	valueEvals, gradEvals := 0, 0
 	for i, r := range results {
+		valueEvals += r.valueEvals
+		gradEvals += r.gradEvals
 		if math.IsNaN(r.f) || math.IsInf(r.f, 1) {
 			info.Diverged++
 		}
@@ -307,6 +318,8 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 			copy(bestTheta, r.x)
 		}
 	}
+	span.Attr("value_evals", float64(valueEvals))
+	span.Attr("grad_evals", float64(gradEvals))
 	if math.IsInf(bestNLML, 1) {
 		span.Attr("failed", 1)
 		return nil, errors.New("gp: training failed from every restart")

@@ -20,6 +20,13 @@ import (
 // its terms in full-matrix row-major (i, j) order — exactly the order the
 // reference tr(W·dK_h) loop used — so the optimizer walks the same
 // trajectory to the last ulp.
+//
+// nlmlValue keeps its factorization as a same-point memo: the L-BFGS line
+// search asks for the value at a trial point first and for the gradient at
+// that point only once the value is accepted, and nlmlGrad then starts from
+// the kept Cholesky factor, α, NLML and kernel profile. The memo is keyed
+// bitwise by the kernel's log-hyperparameters and the log-noise, so any
+// SetHyper or noise change that alters a bit refactorizes.
 type fitWorkspace struct {
 	kern     kernel.Kernel // private clone, mutated by SetHyper per objective call
 	logNoise float64
@@ -36,21 +43,31 @@ type fitWorkspace struct {
 	scratch []float64
 	gbuf    []float64 // one kernel gradient, length nk
 	out     []float64 // NLML gradient accumulators, length nk+1
+
+	// Same-point memo of the last successful nlmlValue.
+	memoOK    bool
+	hyper     []float64 // scratch: the kernel's current log-hyperparameters
+	memoHyper []float64 // key: log-hyperparameters
+	memoNoise float64   // key: log-noise
+	prof      kernel.PairProfile
+	nlml      float64
 }
 
 func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, ys []float64) *fitWorkspace {
 	n := len(ys)
 	nk := kern.NumHyper()
 	return &fitWorkspace{
-		kern:    kern.Clone(),
-		geo:     geo,
-		ys:      ys,
-		K:       linalg.NewMatrix(n, n),
-		alpha:   make([]float64, n),
-		Kinv:    linalg.NewMatrix(n, n),
-		scratch: make([]float64, n),
-		gbuf:    make([]float64, nk),
-		out:     make([]float64, nk+1),
+		kern:      kern.Clone(),
+		geo:       geo,
+		ys:        ys,
+		K:         linalg.NewMatrix(n, n),
+		alpha:     make([]float64, n),
+		Kinv:      linalg.NewMatrix(n, n),
+		scratch:   make([]float64, n),
+		gbuf:      make([]float64, nk),
+		out:       make([]float64, nk+1),
+		hyper:     make([]float64, 0, nk),
+		memoHyper: make([]float64, 0, nk),
 	}
 }
 
@@ -68,25 +85,51 @@ func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, geo *pairGeo, n
 	}
 }
 
+// nlmlValue returns the negative log marginal likelihood for the
+// workspace's current kernel state: covariance fill, Cholesky, α and NLML.
+// A call at the bitwise-same hyperparameters and log-noise as the last
+// successful one returns the memoized value without refactorizing.
+func (w *fitWorkspace) nlmlValue() (float64, error) {
+	w.hyper = w.kern.Hyper(w.hyper[:0])
+	if w.memoOK && math.Float64bits(w.memoNoise) == math.Float64bits(w.logNoise) &&
+		linalg.SameBits(w.memoHyper, w.hyper) {
+		return w.nlml, nil
+	}
+	w.memoOK = false
+	n := len(w.ys)
+	prof := w.kern.Profile()
+	noise2 := math.Exp(2 * w.logNoise)
+	fillCovariance(w.K, prof, w.geo, noise2)
+	chol, err := linalg.NewCholeskyReuse(w.K, w.chol)
+	if err != nil {
+		return 0, err
+	}
+	w.chol = chol
+	chol.SolveVecInto(w.ys, w.alpha)
+	w.nlml = 0.5*linalg.Dot(w.ys, w.alpha) + 0.5*chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
+	w.prof = prof
+	w.memoHyper = append(w.memoHyper[:0], w.hyper...)
+	w.memoNoise = w.logNoise
+	w.memoOK = true
+	return w.nlml, nil
+}
+
 // nlmlGrad returns the negative log marginal likelihood and its gradient with
 // respect to the packed hyper vector [kernel hypers..., logNoise] for the
 // workspace's current kernel state. The returned slice is w.out, valid until
 // the next call.
 func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
-	n := len(w.ys)
-	nk := w.kern.NumHyper()
-	prof := w.kern.Profile()
-	noise2 := math.Exp(2 * w.logNoise)
-
-	// Pass 1: covariance fill and factorization.
-	fillCovariance(w.K, prof, w.geo, noise2)
-	chol, err := linalg.NewCholeskyReuse(w.K, w.chol)
+	// Pass 1: covariance fill and factorization, or the memo of the
+	// value-only call at this point.
+	nlml, err := w.nlmlValue()
 	if err != nil {
 		return 0, nil, err
 	}
-	w.chol = chol
-	chol.SolveVecInto(w.ys, w.alpha)
-	nlml := 0.5*linalg.Dot(w.ys, w.alpha) + 0.5*chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
+	n := len(w.ys)
+	nk := w.kern.NumHyper()
+	prof := w.prof
+	chol := w.chol
+	noise2 := math.Exp(2 * w.logNoise)
 
 	// Pass 2: precision matrix (reused storage, no allocation).
 	chol.InverseInto(w.Kinv, w.scratch)

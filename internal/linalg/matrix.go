@@ -168,3 +168,18 @@ func SubVec(a, b []float64) []float64 {
 	}
 	return out
 }
+
+// SameBits reports whether a and b have equal length and bit-identical
+// entries (math.Float64bits), the key comparison of a same-point memo: NaNs
+// with equal payloads match, and 0 and −0 differ.
+func SameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -77,11 +77,16 @@ func (b Box) ToUnconstrained(x []float64) []float64 {
 // FromUnconstrained maps t ∈ ℝ^d back into the open box via the sigmoid.
 func (b Box) FromUnconstrained(t []float64) []float64 {
 	x := make([]float64, len(t))
+	b.fromUnconstrainedInto(x, t)
+	return x
+}
+
+// fromUnconstrainedInto is FromUnconstrained writing into x.
+func (b Box) fromUnconstrainedInto(x, t []float64) {
 	for i := range t {
 		u := sigmoid(t[i])
 		x[i] = b.Lo[i] + u*(b.Hi[i]-b.Lo[i])
 	}
-	return x
 }
 
 func sigmoid(t float64) float64 {
@@ -94,10 +99,13 @@ func sigmoid(t float64) float64 {
 
 // MinimizeInBox minimizes a gradient-free objective inside the box starting
 // from x0 by running L-BFGS in the logit-reparameterized space with numeric
-// gradients. It returns the best point in original coordinates.
+// gradients. It returns the best point in original coordinates. Every call
+// of f receives the same buffer, so f must not retain its argument.
 func MinimizeInBox(f func([]float64) float64, b Box, x0 []float64, cfg LBFGSConfig) Result {
+	x := make([]float64, len(x0))
 	inner := NumericalGradient(func(t []float64) float64 {
-		return f(b.FromUnconstrained(t))
+		b.fromUnconstrainedInto(x, t)
+		return f(x)
 	}, 1e-6)
 	r := LBFGS(inner, b.ToUnconstrained(x0), cfg)
 	if r.X != nil {

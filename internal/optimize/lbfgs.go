@@ -11,17 +11,28 @@ import (
 	"repro/internal/linalg"
 )
 
-// Objective is a scalar function with gradient. The gradient slice is owned
-// by the caller and must be fully overwritten.
+// Objective is a scalar function with an optional gradient. A nil grad asks
+// for the value only; otherwise grad is owned by the caller and must be fully
+// overwritten.
+//
+// LBFGS asks for the gradient only at its start point and at line-search
+// trial points whose value it has accepted, and there always right after a
+// value-only call at the same point. An objective may therefore keep what
+// its last value-only call computed, keyed bitwise by the point, and answer
+// the gradient call without recomputing the value (NumericalGradient and
+// gp.Fit's NLML both do).
 type Objective func(x []float64, grad []float64) float64
 
 // L-BFGS constants: history pairs, the gradient and relative-decrease
-// stopping tolerances, and the initial line-search step.
+// stopping tolerances, the initial line-search step, and the strong-Wolfe
+// sufficient-decrease (c1) and curvature (c2) parameters.
 const (
 	lbfgsMemory   = 10
 	lbfgsGradTol  = 1e-6
 	lbfgsFuncTol  = 1e-10
 	lbfgsStepInit = 1.0
+	wolfeC1       = 1e-4
+	wolfeC2       = 0.9
 )
 
 // LBFGSConfig tunes the quasi-Newton minimizer.
@@ -31,12 +42,37 @@ type LBFGSConfig struct {
 
 // Result reports the outcome of a minimization.
 type Result struct {
-	X         []float64
-	F         float64
-	Gradient  []float64
-	Iters     int
-	Evals     int
-	Converged bool
+	X          []float64
+	F          float64
+	Gradient   []float64
+	Iters      int
+	ValueEvals int // objective calls with grad == nil
+	GradEvals  int // objective calls that asked for the gradient
+	Converged  bool
+}
+
+// counted evaluates an Objective and counts its value-only and gradient
+// calls for Result.
+type counted struct {
+	f             Objective
+	values, grads int
+}
+
+func (c *counted) value(p []float64) float64 {
+	c.values++
+	return c.f(p, nil)
+}
+
+func (c *counted) grad(p, grad []float64) float64 {
+	c.grads++
+	return c.f(p, grad)
+}
+
+// slope evaluates the gradient at p into grad and returns the directional
+// derivative along d.
+func (c *counted) slope(p, grad, d []float64) float64 {
+	c.grad(p, grad)
+	return linalg.Dot(grad, d)
 }
 
 // LBFGS minimizes f starting from x0 using limited-memory BFGS with a
@@ -48,12 +84,8 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 	n := len(x0)
 	x := append([]float64(nil), x0...)
 	g := make([]float64, n)
-	evals := 0
-	eval := func(p []float64, grad []float64) float64 {
-		evals++
-		return f(p, grad)
-	}
-	fx := eval(x, g)
+	ev := &counted{f: f}
+	fx := ev.grad(x, g)
 
 	type pair struct {
 		s, y []float64
@@ -107,7 +139,7 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 				step0 = 1 / gn
 			}
 		}
-		xNew, fNew, gNew, ok := wolfeSearch(eval, x, fx, g, d, dg, step0)
+		xNew, fNew, gNew, ok := wolfeSearch(ev, x, fx, g, d, dg, step0)
 		if !ok {
 			res.Iters = iter
 			break
@@ -134,52 +166,54 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 	res.X = x
 	res.F = fx
 	res.Gradient = g
-	res.Evals = evals
+	res.ValueEvals = ev.values
+	res.GradEvals = ev.grads
 	return res
+}
+
+// stepPoint returns x + a·d as a new slice.
+func stepPoint(x, d []float64, a float64) []float64 {
+	p := make([]float64, len(x))
+	for i := range p {
+		p[i] = x[i] + a*d[i]
+	}
+	return p
 }
 
 // wolfeSearch performs a strong-Wolfe line search along d from x. It returns
 // the accepted point, value and gradient, or ok=false when no acceptable step
-// was found.
-func wolfeSearch(eval func([]float64, []float64) float64,
+// was found. Each trial point is evaluated value-only; its gradient is asked
+// for only once the value passes the sufficient-decrease and fPrev tests,
+// the only branches that read the slope.
+func wolfeSearch(ev *counted,
 	x []float64, fx float64, g, d []float64, dg float64, step0 float64) (xn []float64, fn float64, gn []float64, ok bool) {
 	const (
-		c1      = 1e-4
-		c2      = 0.9
 		maxTry  = 30
 		stepMax = 1e10
 	)
-	n := len(x)
-	phi := func(a float64, grad []float64) (float64, float64, []float64) {
-		p := make([]float64, n)
-		for i := range p {
-			p[i] = x[i] + a*d[i]
-		}
-		f := eval(p, grad)
-		return f, linalg.Dot(grad, d), p
-	}
-	aPrev, fPrev, dgPrev := 0.0, fx, dg
+	aPrev, fPrev := 0.0, fx
+	gPrev := append([]float64(nil), g...) // gradient at aPrev
+	gA := make([]float64, len(x))
 	a := step0
-	gTmp := make([]float64, n)
-	var fA, dgA float64
-	var pA []float64
 	for try := 0; try < maxTry; try++ {
-		fA, dgA, pA = phi(a, gTmp)
+		pA := stepPoint(x, d, a)
+		fA := ev.value(pA)
 		if math.IsNaN(fA) || math.IsInf(fA, 0) {
 			a = 0.5 * (aPrev + a)
 			continue
 		}
-		if fA > fx+c1*a*dg || (try > 0 && fA >= fPrev) {
-			return zoom(eval, x, fx, dg, d, aPrev, a, fPrev, dgPrev, c1, c2)
+		if fA > fx+wolfeC1*a*dg || (try > 0 && fA >= fPrev) {
+			return zoom(ev, x, fx, dg, d, aPrev, a, fPrev, gPrev, gA)
 		}
-		if math.Abs(dgA) <= -c2*dg {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
+		dgA := ev.slope(pA, gA, d)
+		if math.Abs(dgA) <= -wolfeC2*dg {
+			return pA, fA, gA, true
 		}
 		if dgA >= 0 {
-			return zoom(eval, x, fx, dg, d, a, aPrev, fA, dgA, c1, c2)
+			return zoom(ev, x, fx, dg, d, a, aPrev, fA, gA, gPrev)
 		}
-		aPrev, fPrev, dgPrev = a, fA, dgA
+		aPrev, fPrev = a, fA
+		gPrev, gA = gA, gPrev
 		a *= 2
 		if a > stepMax {
 			break
@@ -188,47 +222,38 @@ func wolfeSearch(eval func([]float64, []float64) float64,
 	return nil, 0, nil, false
 }
 
-// zoom brackets a Wolfe point in [aLo, aHi] by bisection/interpolation.
-func zoom(eval func([]float64, []float64) float64,
+// zoom brackets a Wolfe point in [aLo, aHi] by bisection. gLo holds the
+// gradient at aLo and gA is scratch; zoom owns both. Like wolfeSearch it
+// evaluates each trial value-only and asks for the gradient only past the
+// sufficient-decrease and fLo tests.
+func zoom(ev *counted,
 	x []float64, fx, dg0 float64, d []float64,
-	aLo, aHi, fLo, dgLo, c1, c2 float64) (xn []float64, fn float64, gn []float64, ok bool) {
-	n := len(x)
-	gTmp := make([]float64, n)
-	phi := func(a float64) (float64, float64, []float64) {
-		p := make([]float64, n)
-		for i := range p {
-			p[i] = x[i] + a*d[i]
-		}
-		f := eval(p, gTmp)
-		return f, linalg.Dot(gTmp, d), p
-	}
+	aLo, aHi, fLo float64, gLo, gA []float64) (xn []float64, fn float64, gn []float64, ok bool) {
 	for try := 0; try < 30; try++ {
 		a := 0.5 * (aLo + aHi)
-		fA, dgA, pA := phi(a)
-		if math.IsNaN(fA) || fA > fx+c1*a*dg0 || fA >= fLo {
+		pA := stepPoint(x, d, a)
+		fA := ev.value(pA)
+		if math.IsNaN(fA) || fA > fx+wolfeC1*a*dg0 || fA >= fLo {
 			aHi = a
 			continue
 		}
-		if math.Abs(dgA) <= -c2*dg0 {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
+		dgA := ev.slope(pA, gA, d)
+		if math.Abs(dgA) <= -wolfeC2*dg0 {
+			return pA, fA, gA, true
 		}
 		if dgA*(aHi-aLo) >= 0 {
 			aHi = aLo
 		}
 		aLo, fLo = a, fA
+		gLo, gA = gA, gLo
 		if math.Abs(aHi-aLo) < 1e-14*(1+math.Abs(aLo)) {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
+			return pA, fA, gLo, true
 		}
 	}
-	// Accept the best sufficient-decrease point found, if any.
-	if aLo > 0 {
-		fA, _, pA := phi(aLo)
-		if fA < fx {
-			gOut := append([]float64(nil), gTmp...)
-			return pA, fA, gOut, true
-		}
+	// Accept the best sufficient-decrease point found, if any, with the
+	// value and gradient kept when it was accepted.
+	if aLo > 0 && fLo < fx {
+		return stepPoint(x, d, aLo), fLo, gLo, true
 	}
 	return nil, 0, nil, false
 }
@@ -244,14 +269,34 @@ func maxAbs(v []float64) float64 {
 }
 
 // NumericalGradient wraps a gradient-free function into an Objective using
-// central finite differences with step h (default 1e-6 when h <= 0).
+// central finite differences with step h (default 1e-6 when h <= 0). A
+// value-only call keeps its point and value, so the gradient call LBFGS makes
+// next at the bitwise-same point costs exactly the 2d probes. The probes
+// share one buffer, so f must not retain its argument; the returned
+// Objective is not safe for concurrent use.
 func NumericalGradient(f func([]float64) float64, h float64) Objective {
 	if h <= 0 {
 		h = 1e-6
 	}
+	var (
+		last  []float64 // point of the last value-only call (nil before one)
+		lastF float64   // its value
+		p     []float64 // probe buffer
+	)
 	return func(x, grad []float64) float64 {
-		fx := f(x)
-		p := append([]float64(nil), x...)
+		if grad == nil {
+			fx := f(x)
+			last = append(last[:0], x...)
+			lastF = fx
+			return fx
+		}
+		var fx float64
+		if last != nil && linalg.SameBits(last, x) {
+			fx = lastF
+		} else {
+			fx = f(x)
+		}
+		p = append(p[:0], x...)
 		for i := range x {
 			save := p[i]
 			p[i] = save + h

@@ -65,11 +65,12 @@ func (c *MSPConfig) defaults() {
 // Local searches from all starts run on up to workers goroutines (0 =
 // default, 1 = serial; see parallel.Workers), so f must be safe for
 // concurrent calls when workers != 1 — every surrogate posterior in this
-// library is. Start points are drawn serially before the fan-out, each
-// start's refinement is a pure function of its starting point, and the
-// argmax reduction walks results in start order with a strict comparison, so
-// ties break toward the lowest start index and the outcome is independent of
-// the worker count. Non-finite local-search results (a diverged L-BFGS run)
+// library is. Each local search hands f one reused buffer (MinimizeInBox),
+// so f must not retain its argument. Start points are drawn serially before
+// the fan-out, each start's refinement is a pure function of its starting
+// point, and the argmax reduction walks results in start order with a strict
+// comparison, so ties break toward the lowest start index and the outcome is
+// independent of the worker count. Non-finite local-search results (a diverged L-BFGS run)
 // are discarded so they can never win the argmax; if every start diverges,
 // the raw objective at the first start is returned as a safe fallback.
 func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
@@ -81,18 +82,22 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 	span.Attr("starts", float64(len(starts)))
 	neg := func(x []float64) float64 { return -f(x) }
 	type local struct {
-		x []float64
-		f float64 // maximized objective value
+		x                     []float64
+		f                     float64 // maximized objective value
+		valueEvals, gradEvals int
 	}
 	results := make([]local, len(starts))
 	parallel.ForEach(parallel.Workers(workers), len(starts), func(i int) {
 		r := MinimizeInBox(neg, box, starts[i], LBFGSConfig{MaxIter: cfg.LocalIter})
-		results[i] = local{x: r.X, f: -r.F}
+		results[i] = local{x: r.X, f: -r.F, valueEvals: r.ValueEvals, gradEvals: r.GradEvals}
 	})
 	var bestX []float64
 	bestF := math.Inf(-1)
 	bestIdx, diverged := -1, 0
+	valueEvals, gradEvals := 0, 0
 	for i, r := range results {
+		valueEvals += r.valueEvals
+		gradEvals += r.gradEvals
 		if math.IsNaN(r.f) || math.IsInf(r.f, 0) {
 			diverged++
 			continue
@@ -116,6 +121,8 @@ func MaximizeMSP(rng *rand.Rand, f func([]float64) float64, box Box,
 	}
 	span.Attr("diverged", float64(diverged))
 	span.Attr("best_f", bestF)
+	span.Attr("value_evals", float64(valueEvals))
+	span.Attr("grad_evals", float64(gradEvals))
 	return bestX, bestF
 }
 

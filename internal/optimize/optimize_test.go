@@ -14,10 +14,23 @@ func quadratic(center []float64) Objective {
 		for i := range x {
 			d := x[i] - center[i]
 			f += d * d
-			grad[i] = 2 * d
+			if grad != nil {
+				grad[i] = 2 * d
+			}
 		}
 		return f
 	}
+}
+
+// rosen is the 2-D Rosenbrock function with its analytic gradient.
+func rosen(x, grad []float64) float64 {
+	a, b := x[0], x[1]
+	f := (1-a)*(1-a) + 100*(b-a*a)*(b-a*a)
+	if grad != nil {
+		grad[0] = -2*(1-a) - 400*a*(b-a*a)
+		grad[1] = 200 * (b - a*a)
+	}
+	return f
 }
 
 func TestLBFGSQuadratic(t *testing.T) {
@@ -34,13 +47,6 @@ func TestLBFGSQuadratic(t *testing.T) {
 }
 
 func TestLBFGSRosenbrock(t *testing.T) {
-	rosen := func(x, grad []float64) float64 {
-		a, b := x[0], x[1]
-		f := (1-a)*(1-a) + 100*(b-a*a)*(b-a*a)
-		grad[0] = -2*(1-a) - 400*a*(b-a*a)
-		grad[1] = 200 * (b - a*a)
-		return f
-	}
 	r := LBFGS(rosen, []float64{-1.2, 1}, LBFGSConfig{MaxIter: 500})
 	if math.Abs(r.X[0]-1) > 1e-4 || math.Abs(r.X[1]-1) > 1e-4 {
 		t.Fatalf("Rosenbrock solution %v, f=%v", r.X, r.F)
