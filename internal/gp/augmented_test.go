@@ -93,6 +93,10 @@ func TestPredictLatentAugmentedMatchesPerPoint(t *testing.T) {
 				x[0] += 0.05 * rng.NormFloat64()
 				checkAugmented(t, m, x, cloud(rng, 1+rng.Intn(40)))
 			}
+			checkAugmented(t, m, x, nil)
+			// Larger than every cloud of this package's tests, so the
+			// pooled block has to grow after it was sized.
+			checkAugmented(t, m, x, cloud(rng, 100))
 		})
 	}
 }
@@ -153,20 +157,31 @@ func TestPredictLatentAugmentedConcurrent(t *testing.T) {
 	}
 }
 
+// TestPredictLatentAugmentedAllocatesNothing alternates two models of
+// different sizes: they share the pooled cloud block, which once grown
+// serves both without allocating.
 func TestPredictLatentAugmentedAllocatesNothing(t *testing.T) {
 	if parallel.RaceEnabled {
 		t.Skip("race runtime defeats sync.Pool reuse; alloc counts only hold without -race")
 	}
-	X, y := augmentedSet(9, 20, 5)
-	m, err := Fit(X, y, Config{Kernel: kernel.NewNARGP(5), MaxIter: 20}, rand.New(rand.NewSource(10)))
+	X, y := augmentedSet(9, 33, 5)
+	small, err := Fit(X[:20], y[:20], Config{Kernel: kernel.NewNARGP(5), MaxIter: 20}, rand.New(rand.NewSource(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := Fit(X, y, Config{Kernel: kernel.NewNARGP(5), MaxIter: 20}, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := cloud(rand.New(rand.NewSource(11)), 30)
 	means, vars := make([]float64, 30), make([]float64, 30)
 	x := X[3][:5]
-	m.PredictLatentAugmented(x, ts, means, vars)
-	if allocs := testing.AllocsPerRun(100, func() { m.PredictLatentAugmented(x, ts, means, vars) }); allocs != 0 {
-		t.Fatalf("PredictLatentAugmented allocates %.1f objects per call; want 0", allocs)
+	both := func() {
+		small.PredictLatentAugmented(x, ts, means, vars)
+		large.PredictLatentAugmented(x, ts, means, vars)
+	}
+	both()
+	if allocs := testing.AllocsPerRun(100, both); allocs != 0 {
+		t.Fatalf("alternating PredictLatentAugmented allocates %.1f objects per pair of calls; want 0", allocs)
 	}
 }

@@ -115,9 +115,10 @@ type Model struct {
 	// Incremental-maintenance scratch (AppendObservation / Truncate).
 	rowBuf, diffBuf, solveBuf []float64
 
-	// predPool holds *predictScratch buffers so that PredictLatent allocates
-	// nothing in steady state even under concurrent batch prediction.
-	predPool sync.Pool
+	// predScratch holds the predictScratch buffers of finished predictions,
+	// so that PredictLatent allocates nothing in steady state even under
+	// concurrent batch prediction.
+	predScratch parallel.FreeList[*predictScratch]
 }
 
 // predictScratch is the per-goroutine buffer set for one posterior
@@ -133,7 +134,7 @@ type predictScratch struct {
 }
 
 func (m *Model) getPredictScratch() *predictScratch {
-	if sc, ok := m.predPool.Get().(*predictScratch); ok {
+	if sc, ok := m.predScratch.Get(); ok {
 		return sc
 	}
 	n, d := len(m.xs), len(m.xMean)
@@ -464,11 +465,11 @@ func (m *Model) Predict(x []float64) (mean, variance float64) {
 // PredictLatent returns the posterior mean and variance of the latent
 // function value f(x), excluding observation noise. It is safe for
 // concurrent use and allocates nothing in steady state: all buffers (and the
-// kernel's pair profile) come from a per-model sync.Pool.
+// kernel's pair profile) are kept by the model for reuse.
 func (m *Model) PredictLatent(x []float64) (mean, variance float64) {
 	sc := m.getPredictScratch()
 	mean, variance = m.predictLatentInto(x, sc)
-	m.predPool.Put(sc)
+	m.predScratch.Put(sc)
 	return mean, variance
 }
 
@@ -479,9 +480,16 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, varian
 	if m.lowRank != nil {
 		return m.lowRank.predict(m, sc)
 	}
-	ks := sc.ks[:n]
+	ks, v := sc.ks[:n], sc.v[:n]
 	kernelRow(sc.prof, sc.x, m.xs, sc.diff, ks)
-	return m.posterior(ks, sc.v[:n], sc.prof.Eval(zero(sc.diff)))
+	kss := sc.prof.Eval(zero(sc.diff))
+	mu := linalg.Dot(ks, m.alpha)
+	m.chol.ForwardSolveInto(ks, v)
+	va := kss - linalg.Dot(v, v)
+	if va < 0 {
+		va = 0
+	}
+	return m.yMean + m.yStd*mu, va * m.yStd * m.yStd
 }
 
 // kernelRow writes k(x, rows[i]) into out[i] for every row, evaluating prof
@@ -495,19 +503,6 @@ func kernelRow(prof kernel.PairProfile, x []float64, rows [][]float64, diff, out
 	}
 }
 
-// posterior finishes an exact prediction from the cross-covariance row ks and
-// the prior variance kss, using v as forward-solve scratch. Both prediction
-// paths end here, so they share every operation after the kernel row.
-func (m *Model) posterior(ks, v []float64, kss float64) (mean, variance float64) {
-	mu := linalg.Dot(ks, m.alpha)
-	m.chol.ForwardSolveInto(ks, v)
-	va := kss - linalg.Dot(v, v)
-	if va < 0 {
-		va = 0
-	}
-	return m.yMean + m.yStd*mu, va * m.yStd * m.yStd
-}
-
 // zero clears v and returns it.
 func zero(v []float64) []float64 {
 	for i := range v {
@@ -519,12 +514,12 @@ func zero(v []float64) []float64 {
 // splitProfile is a pair profile whose value splits into a part that reads
 // only the leading (design-space) coordinates of the difference vector and a
 // combination with the last coordinate; kernel.NARGP's profile is one. For
-// every diff, Combine(diff[last], XPart(diff)) must equal Eval(diff) bit for
-// bit.
+// every diff whose last coordinate is t − f, entry s of
+// CombineRow([t], f, XPart(diff)) must equal Eval(diff) bit for bit.
 type splitProfile interface {
 	kernel.PairProfile
 	XPart(diff []float64) (k2, k3 float64)
-	Combine(df, k2, k3 float64) float64
+	CombineRow(ts []float64, f, k2, k3 float64, out []float64)
 }
 
 // PredictLatentAugmented writes the latent posterior at the augmented points
@@ -534,14 +529,13 @@ type splitProfile interface {
 // every point of a propagation cloud shares x: with a kernel whose profile is
 // a splitProfile (kernel.NARGP) on an exact model, x is standardized once, the
 // design-space kernel factors of every training row and the prior variance
-// are computed once, and each point then costs one Combine per row plus the
-// dot product and forward solve. Low-rank models and kernels without the split
-// take the per-point path. Safe for concurrent use; allocates nothing in
-// steady state.
+// are computed once, and the whole cloud is then evaluated as one block (see
+// predictSplit). Low-rank models and kernels without the split take the
+// per-point path. Safe for concurrent use; allocates nothing in steady state.
 func (m *Model) PredictLatentAugmented(x, ts, means, variances []float64) {
 	sc := m.getPredictScratch()
 	if sp, ok := sc.prof.(splitProfile); ok && m.lowRank == nil {
-		m.predictSplit(x, ts, means, variances, sp, sc)
+		m.predictSplit(x, ts, means[:len(ts)], variances[:len(ts)], sp, sc)
 	} else {
 		d := len(m.xMean) - 1
 		aug := sc.aug
@@ -551,18 +545,51 @@ func (m *Model) PredictLatentAugmented(x, ts, means, variances []float64) {
 			means[s], variances[s] = m.predictLatentInto(aug, sc)
 		}
 	}
-	m.predPool.Put(sc)
+	m.predScratch.Put(sc)
+}
+
+// cloudBlock is the scratch of one block prediction: the n×S kernel block
+// (row i holds k(x_i, ·) for every node of the cloud, row-major) and the
+// standardized nodes.
+type cloudBlock struct {
+	k, ts []float64
+}
+
+// blockPool holds cloudBlocks for every model of the process. The blocks
+// are not kept per model: each Ask refits every model, so per-model blocks
+// would be allocated again after every refit. A pooled block grows on
+// demand and is reused by models of any size.
+var blockPool sync.Pool
+
+func getCloudBlock(n, S int) *cloudBlock {
+	b, ok := blockPool.Get().(*cloudBlock)
+	if !ok {
+		b = new(cloudBlock)
+	}
+	if cap(b.k) < n*S {
+		b.k = make([]float64, n*S)
+	}
+	if cap(b.ts) < S {
+		b.ts = make([]float64, S)
+	}
+	return b
 }
 
 // predictSplit is PredictLatentAugmented's shared-x path. It repeats
-// predictLatentInto's operations on the same operands in the same order:
-// diff[t] = std(x)[t] − x_i[t] for the design coordinates and
-// std(t) − x_i[last] for the last, so Combine(XPart) reproduces the kernel
-// row of every augmented point exactly.
+// predictLatentInto's operations on the same operands in the same order, per
+// node, while evaluating the S nodes of the cloud as one block:
+//
+//   - Kernel block. diff[t] = std(x)[t] − x_i[t] for the design coordinates
+//     gives XPart once per row; CombineRow then fills row i of the block
+//     against std(t_s) − x_i[last], reproducing every kernel row exactly.
+//   - Mean. μ_s = Σ_i K[i,s]·α_i accumulates in i-order, as linalg.Dot does,
+//     while row i is fresh; means holds the S running sums.
+//   - Variance. One blocked forward solve takes each column through
+//     ForwardSolveInto's operations, in place; Σ_i V[i,s]² then accumulates
+//     in i-order into variances before the per-point clamp and scaling.
 func (m *Model) predictSplit(x, ts, means, variances []float64, sp splitProfile, sc *predictScratch) {
 	d := len(m.xMean) - 1
-	n := len(m.xs)
-	sc.grow(n)
+	n, S := len(m.xs), len(ts)
 	if len(sc.k2) < n {
 		sc.k2 = make([]float64, n)
 		sc.k3 = make([]float64, n)
@@ -578,14 +605,37 @@ func (m *Model) predictSplit(x, ts, means, variances []float64, sp splitProfile,
 		k2[i], k3[i] = sp.XPart(diff)
 	}
 	kss := sp.Eval(zero(diff))
-	ks, v := sc.ks[:n], sc.v[:n]
+
+	blk := getCloudBlock(n, S)
+	sts, K := blk.ts[:S], blk.k[:n*S]
 	mean, std := m.xMean[d], m.xStd[d]
 	for s, t := range ts {
-		st := (t - mean) / std
-		for i := 0; i < n; i++ {
-			ks[i] = sp.Combine(st-m.xs[i][d], k2[i], k3[i])
+		sts[s] = (t - mean) / std
+	}
+	zero(means)
+	for i := 0; i < n; i++ {
+		row := K[i*S : (i+1)*S]
+		sp.CombineRow(sts, m.xs[i][d], k2[i], k3[i], row)
+		a := m.alpha[i]
+		for s, k := range row {
+			means[s] += k * a
 		}
-		means[s], variances[s] = m.posterior(ks, v, kss)
+	}
+	m.chol.ForwardSolveBlockInto(K, K, S)
+	zero(variances)
+	for i := 0; i < n; i++ {
+		for s, v := range K[i*S : (i+1)*S] {
+			variances[s] += v * v
+		}
+	}
+	blockPool.Put(blk)
+	for s := range means {
+		means[s] = m.yMean + m.yStd*means[s]
+		va := kss - variances[s]
+		if va < 0 {
+			va = 0
+		}
+		variances[s] = va * m.yStd * m.yStd
 	}
 }
 

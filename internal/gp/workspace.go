@@ -26,7 +26,9 @@ import (
 // that point only once the value is accepted, and nlmlGrad then starts from
 // the kept Cholesky factor, α, NLML and kernel profile. The memo is keyed
 // bitwise by the kernel's log-hyperparameters and the log-noise, so any
-// SetHyper or noise change that alters a bit refactorizes.
+// SetHyper or noise change that alters a bit refactorizes. The workspace
+// keeps one profile and refreshes it in place on every miss, so a new trial
+// point allocates nothing.
 type fitWorkspace struct {
 	kern     kernel.Kernel // private clone, mutated by SetHyper per objective call
 	logNoise float64
@@ -46,10 +48,10 @@ type fitWorkspace struct {
 
 	// Same-point memo of the last successful nlmlValue.
 	memoOK    bool
-	hyper     []float64 // scratch: the kernel's current log-hyperparameters
-	memoHyper []float64 // key: log-hyperparameters
-	memoNoise float64   // key: log-noise
-	prof      kernel.PairProfile
+	hyper     []float64          // scratch: the kernel's current log-hyperparameters
+	memoHyper []float64          // key: log-hyperparameters
+	memoNoise float64            // key: log-noise
+	prof      kernel.PairProfile // refreshed in place on a miss
 	nlml      float64
 }
 
@@ -97,9 +99,9 @@ func (w *fitWorkspace) nlmlValue() (float64, error) {
 	}
 	w.memoOK = false
 	n := len(w.ys)
-	prof := w.kern.Profile()
+	w.prof = kernel.RefreshProfile(w.kern, w.prof)
 	noise2 := math.Exp(2 * w.logNoise)
-	fillCovariance(w.K, prof, w.geo, noise2)
+	fillCovariance(w.K, w.prof, w.geo, noise2)
 	chol, err := linalg.NewCholeskyReuse(w.K, w.chol)
 	if err != nil {
 		return 0, err
@@ -107,7 +109,6 @@ func (w *fitWorkspace) nlmlValue() (float64, error) {
 	w.chol = chol
 	chol.SolveVecInto(w.ys, w.alpha)
 	w.nlml = 0.5*linalg.Dot(w.ys, w.alpha) + 0.5*chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
-	w.prof = prof
 	w.memoHyper = append(w.memoHyper[:0], w.hyper...)
 	w.memoNoise = w.logNoise
 	w.memoOK = true

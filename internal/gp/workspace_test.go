@@ -12,7 +12,8 @@ import (
 // TestNLMLValueMemo checks the fit workspace's same-point memo on both
 // kernels: nlmlValue equals nlmlGrad's value bit for bit, the gradient that
 // starts from the memo equals one computed from scratch, a memo hit
-// allocates nothing, and a SetHyper or log-noise change invalidates it.
+// allocates nothing, a SetHyper or log-noise change invalidates it, and a
+// miss on a warm workspace allocates nothing either.
 func TestNLMLValueMemo(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -105,6 +106,40 @@ func TestNLMLValueMemo(t *testing.T) {
 			sameValue("after a noise change", v3, want3)
 			if v3 == v2 || !linalg.SameBits(g3, wantG3) {
 				t.Fatalf("noise change: value %v (was %v), gradient %v, want %v", v3, v2, g3, wantG3)
+			}
+
+			// The workspace is warm: a miss refreshes the kept profile and
+			// refactorizes in place, allocating nothing.
+			flip := false
+			miss := func() {
+				flip = !flip
+				if flip {
+					w.kern.SetHyper(h1)
+				} else {
+					w.kern.SetHyper(h2)
+				}
+				if _, err := w.nlmlValue(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, miss); allocs != 0 {
+				t.Fatalf("memo miss allocated %v times", allocs)
+			}
+			// After the misses, the refreshed profile still serves the
+			// same-point gradient.
+			w.kern.SetHyper(h1)
+			v4, err := w.nlmlValue()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, g4, err := w.nlmlGrad()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want4, wantG4 := fresh(h1, noise2)
+			sameValue("after misses", v4, want4)
+			if !linalg.SameBits(g4, wantG4) {
+				t.Fatalf("gradient after misses %v, from scratch %v", g4, wantG4)
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NARGP is the structured multi-fidelity kernel of eq. (9) over the augmented
 // input z = (x_1..x_d, f):
@@ -107,7 +110,8 @@ type nargpProfile struct {
 //
 // so the x-part is computed once per training row and each point costs one
 // Combine. For every diff, Combine(diff[d], XPart(diff)) is Eval(diff): Eval
-// is built from the two steps.
+// is built from the two steps. CombineRow is Combine for a whole cloud of
+// last coordinates against one training row, without a call per point.
 func (k *NARGP) Profile() PairProfile {
 	return &nargpProfile{d: k.d,
 		k1: k.k1.Profile().(*seProfile), k2: k.k2.Profile().(*seProfile), k3: k.k3.Profile().(*seProfile)}
@@ -122,6 +126,20 @@ func (p *nargpProfile) XPart(diff []float64) (k2, k3 float64) {
 func (p *nargpProfile) Combine(df, k2, k3 float64) float64 {
 	p.df[0] = df
 	return float64(p.k1.Eval(p.df[:])*k2) + k3
+}
+
+// CombineRow writes Combine(ts[s]−f, k2, k3) into out[s] for every s: the
+// kernel between one training row, whose last coordinate is f and whose
+// x-part is (k2, k3), and the points (x, ts[s]). It inlines k1's
+// one-dimensional SE profile with the same operands and roundings as
+// seProfile.Eval, so every entry is bit-identical to Combine.
+func (p *nargpProfile) CombineRow(ts []float64, f, k2, k3 float64, out []float64) {
+	out = out[:len(ts)]
+	logAmp, s1 := p.k1.logAmp, p.k1.s[0]
+	for s, t := range ts {
+		d := (t - f) * s1
+		out[s] = float64(math.Exp(2*logAmp-0.5*(d*d))*k2) + k3
+	}
 }
 
 func (p *nargpProfile) Eval(diff []float64) float64 {

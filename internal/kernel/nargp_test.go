@@ -24,6 +24,7 @@ func compositeNARGP(d int) kernel.Kernel {
 type splitProfile interface {
 	XPart(diff []float64) (k2, k3 float64)
 	Combine(df, k2, k3 float64) float64
+	CombineRow(ts []float64, f, k2, k3 float64, out []float64)
 }
 
 func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
@@ -89,6 +90,20 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 			k2, k3 := sp.XPart(diff)
 			if a, b := sp.Combine(diff[d], k2, k3), pr.Eval(diff); !same(a, b) {
 				t.Fatalf("d=%d trial %d: Combine(XPart) %v != composite %v", d, trial, a, b)
+			}
+			// CombineRow against one training row (last coordinate x2[d])
+			// over a cloud whose first node is x1[d], so that node is the
+			// composite's pair.
+			ts := []float64{x1[d], x2[d], 3 * rng.NormFloat64(), math.Inf(1), 1e-300}
+			out := make([]float64, len(ts))
+			sp.CombineRow(ts, x2[d], k2, k3, out)
+			for s, tv := range ts {
+				if a := sp.Combine(tv-x2[d], k2, k3); !same(out[s], a) {
+					t.Fatalf("d=%d trial %d: CombineRow[%d] %v != Combine %v", d, trial, s, out[s], a)
+				}
+			}
+			if !same(out[0], pr.Eval(diff)) {
+				t.Fatalf("d=%d trial %d: CombineRow %v != composite %v", d, trial, out[0], pr.Eval(diff))
 			}
 		}
 	}

@@ -41,11 +41,40 @@ type seProfile struct {
 
 // Profile implements Kernel.
 func (k *SEARD) Profile() PairProfile {
-	p := &seProfile{logAmp: k.logAmp, s: make([]float64, k.dim), scaled: make([]float64, k.dim)}
+	p := &seProfile{s: make([]float64, k.dim), scaled: make([]float64, k.dim)}
+	p.load(k)
+	return p
+}
+
+// load sets p to k's current hyperparameters.
+func (p *seProfile) load(k *SEARD) {
+	p.logAmp = k.logAmp
 	for i, ls := range k.logScale {
 		p.s[i] = math.Exp(-ls)
 	}
-	return p
+}
+
+// RefreshProfile returns a profile of k's current hyperparameters, the same
+// as k.Profile(). When p is a profile of k's kind and shape, it is set in
+// place and returned instead of a new one, so a caller that walks one kernel
+// through many hyperparameter settings (a training loop) keeps one profile.
+// Kernels of other types always get k.Profile().
+func RefreshProfile(k Kernel, p PairProfile) PairProfile {
+	switch k := k.(type) {
+	case *SEARD:
+		if sp, ok := p.(*seProfile); ok && len(sp.s) == k.dim {
+			sp.load(k)
+			return sp
+		}
+	case *NARGP:
+		if np, ok := p.(*nargpProfile); ok && np.d == k.d {
+			np.k1.load(k.k1)
+			np.k2.load(k.k2)
+			np.k3.load(k.k3)
+			return np
+		}
+	}
+	return k.Profile()
 }
 
 func (p *seProfile) NumHyper() int { return 1 + len(p.s) }

@@ -26,6 +26,7 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 	for name, k := range profileKernels(d) {
 		t.Run(name, func(t *testing.T) {
 			nh := k.NumHyper()
+			var rp kernel.PairProfile // one profile refreshed across trials
 			for trial := 0; trial < 20; trial++ {
 				h := make([]float64, nh)
 				lo, hi := kernel.BoundsVectors(k)
@@ -36,6 +37,11 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 				p := k.Profile()
 				if p.NumHyper() != nh {
 					t.Fatalf("%s: profile NumHyper %d != %d", name, p.NumHyper(), nh)
+				}
+				prev := rp
+				rp = kernel.RefreshProfile(k, rp)
+				if reuses := name == "seard" || name == "nargp"; reuses && prev != nil && rp != prev {
+					t.Fatalf("%s trial %d: RefreshProfile built a new profile", name, trial)
 				}
 				x1 := make([]float64, d)
 				x2 := make([]float64, d)
@@ -60,6 +66,19 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 						t.Fatalf("%s trial %d: grad[%d] profile %v != direct %v",
 							name, trial, j, gProf[j], gDirect[j])
 					}
+				}
+				gRef := make([]float64, nh)
+				if got, want := rp.EvalGrad(diff, gRef), vd; got != want {
+					t.Fatalf("%s trial %d: refreshed profile EvalGrad %v != direct %v", name, trial, got, want)
+				}
+				for j := range gDirect {
+					if gRef[j] != gDirect[j] {
+						t.Fatalf("%s trial %d: grad[%d] refreshed profile %v != direct %v",
+							name, trial, j, gRef[j], gDirect[j])
+					}
+				}
+				if got, want := rp.Eval(diff), p.Eval(diff); got != want {
+					t.Fatalf("%s trial %d: refreshed profile Eval %v != fresh %v", name, trial, got, want)
 				}
 				// Zero-distance pair (diagonal of a covariance matrix).
 				if got, want := p.Eval(make([]float64, d)), k.Eval(x1, x1); got != want {

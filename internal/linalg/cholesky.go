@@ -371,6 +371,35 @@ func (c *Cholesky) ForwardSolveInto(b, y []float64) {
 	}
 }
 
+// ForwardSolveBlockInto solves L·Y = B for S right-hand sides at once. B and
+// Y are N×S blocks stored row-major: element (i, s) of column s is b[i*S+s].
+// Each column takes exactly ForwardSolveInto's operations, the subtractions
+// in k-order and then the division, so every column of y is bit-identical to
+// a single-RHS solve of that column of b. The block only interleaves the S
+// independent chains, which then overlap instead of each waiting on its own
+// latency. y may alias b.
+func (c *Cholesky) ForwardSolveBlockInto(b, y []float64, S int) {
+	n := c.N
+	if S < 0 || len(b) != n*S || len(y) != n*S {
+		panic(fmt.Sprintf("linalg: block forward solve lengths %d/%d != %d×%d", len(b), len(y), n, S))
+	}
+	st := c.L.Cols
+	for i := 0; i < n; i++ {
+		yi := y[i*S : (i+1)*S]
+		copy(yi, b[i*S:(i+1)*S])
+		for k, v := range c.L.Data[i*st : i*st+i] {
+			yk := y[k*S : (k+1)*S]
+			for s := range yi {
+				yi[s] -= v * yk[s]
+			}
+		}
+		dii := c.L.Data[i*st+i]
+		for s := range yi {
+			yi[s] /= dii
+		}
+	}
+}
+
 // BackwardSolveInto solves Lᵀ·x = y into x (len N). x may alias y.
 func (c *Cholesky) BackwardSolveInto(y, x []float64) {
 	n := c.N

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/gp"
 	"repro/internal/kernel"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -29,7 +29,7 @@ type MultiLevel struct {
 	// scratch recycles the buffers of fused predictions (see levelScratch),
 	// so Predict allocates nothing in steady state even when acquisition
 	// loops hammer it concurrently.
-	scratch sync.Pool
+	scratch parallel.FreeList[*levelScratch]
 }
 
 // levelScratch is the buffer set of one fused prediction: the augmented point
@@ -42,7 +42,7 @@ type levelScratch struct {
 }
 
 func (m *MultiLevel) getScratch() *levelScratch {
-	if sc, ok := m.scratch.Get().(*levelScratch); ok {
+	if sc, ok := m.scratch.Get(); ok {
 		return sc
 	}
 	n := 0

@@ -141,12 +141,12 @@ func TestWolfeGradientOnlyPastSufficientDecrease(t *testing.T) {
 	}
 	for _, step0 := range []float64{1e-4, 1e-3, 0.05, 0.2, 1, 10} {
 		var log []call
-		ev := &counted{f: recording(shifted, &log)}
-		_, _, _, ok := wolfeSearch(ev, x, fx, g, d, dg, step0)
+		ls := newLineSearch(recording(shifted, &log), make([]float64, 3*len(x)))
+		_, _, _, ok := ls.wolfe(x, fx, g, d, dg, step0)
 		if !ok {
 			t.Fatalf("step0 %v: no Wolfe point", step0)
 		}
-		if ev.grads == 0 {
+		if ls.grads == 0 {
 			t.Fatalf("step0 %v: accepted a point without its gradient", step0)
 		}
 		for _, e := range log {
@@ -174,13 +174,13 @@ func TestZoomFallbackKeepsAcceptedPoint(t *testing.T) {
 	g := make([]float64, 2)
 	fx := kink(x, g)
 	var log []call
-	ev := &counted{f: recording(kink, &log)}
-	xn, fn, gn, ok := wolfeSearch(ev, x, fx, g, d, linalg.Dot(g, d), 1)
+	ls := newLineSearch(recording(kink, &log), make([]float64, 3*len(x)))
+	xn, fn, gn, ok := ls.wolfe(x, fx, g, d, linalg.Dot(g, d), 1)
 	if !ok {
 		t.Fatal("fallback must accept the best sufficient-decrease point")
 	}
-	if ev.values != 31 {
-		t.Fatalf("%d value-only calls, want 1 line-search trial + 30 zoom trials", ev.values)
+	if ls.values != 31 {
+		t.Fatalf("%d value-only calls, want 1 line-search trial + 30 zoom trials", ls.values)
 	}
 	for i, e := range log {
 		if e.grad && (i == 0 || log[i-1].grad || !linalg.SameBits(log[i-1].x, e.x)) {
@@ -255,5 +255,30 @@ func TestMSPLocalSearchReusesBuffers(t *testing.T) {
 	}, box, x, LBFGSConfig{MaxIter: 30})
 	if calls < 10 {
 		t.Fatalf("only %d objective calls", calls)
+	}
+}
+
+// TestLBFGSIterationsAllocateNothing: every buffer of an L-BFGS run is
+// allocated up front, so a call allocates as often at MaxIter 50 as at
+// MaxIter 5, on a problem that stops early (the quadratic) and on one whose
+// history ring wraps (Rosenbrock from far away).
+func TestLBFGSIterationsAllocateNothing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    Objective
+		x0   []float64
+	}{
+		{"quadratic", quadratic([]float64{1, -2, 3}), []float64{0, 0, 0}},
+		{"rosenbrock", rosen, []float64{3, -4}},
+	} {
+		allocs := func(maxIter int) float64 {
+			return testing.AllocsPerRun(20, func() { LBFGS(c.f, c.x0, LBFGSConfig{MaxIter: maxIter}) })
+		}
+		if r := LBFGS(c.f, c.x0, LBFGSConfig{MaxIter: 50}); c.name == "rosenbrock" && r.Iters <= 2*lbfgsMemory {
+			t.Fatalf("%s: stopped after %d iterations; the check needs the history ring to wrap", c.name, r.Iters)
+		}
+		if a5, a50 := allocs(5), allocs(50); a5 != a50 {
+			t.Fatalf("%s: %v allocations at MaxIter 5, %v at MaxIter 50", c.name, a5, a50)
+		}
 	}
 }

@@ -51,48 +51,74 @@ type Result struct {
 	Converged  bool
 }
 
-// counted evaluates an Objective and counts its value-only and gradient
-// calls for Result.
-type counted struct {
+// lineSearch runs the strong-Wolfe searches of one LBFGS call. It counts
+// value-only and gradient calls for Result and owns the search's buffers:
+// the trial point and two gradients, reused by every search of the call.
+type lineSearch struct {
 	f             Objective
 	values, grads int
+	trial, gA, gB []float64
 }
 
-func (c *counted) value(p []float64) float64 {
-	c.values++
-	return c.f(p, nil)
+// newLineSearch returns a line search over f whose three buffers split buf
+// (length 3n for n-dimensional points).
+func newLineSearch(f Objective, buf []float64) lineSearch {
+	n := len(buf) / 3
+	return lineSearch{f: f, trial: buf[:n:n], gA: buf[n : 2*n : 2*n], gB: buf[2*n : 3*n : 3*n]}
 }
 
-func (c *counted) grad(p, grad []float64) float64 {
-	c.grads++
-	return c.f(p, grad)
+func (ls *lineSearch) value(p []float64) float64 {
+	ls.values++
+	return ls.f(p, nil)
+}
+
+func (ls *lineSearch) grad(p, grad []float64) float64 {
+	ls.grads++
+	return ls.f(p, grad)
 }
 
 // slope evaluates the gradient at p into grad and returns the directional
 // derivative along d.
-func (c *counted) slope(p, grad, d []float64) float64 {
-	c.grad(p, grad)
+func (ls *lineSearch) slope(p, grad, d []float64) float64 {
+	ls.grad(p, grad)
 	return linalg.Dot(grad, d)
 }
 
 // LBFGS minimizes f starting from x0 using limited-memory BFGS with a
 // strong-Wolfe cubic line search. x0 is not modified.
+//
+// A call makes one allocation, which holds every vector of the run: the
+// iterate, its gradient and the direction; the line search's trial point
+// and two gradients; the candidate curvature pair; and a ring of
+// min(lbfgsMemory, MaxIter) history pairs, into which an accepted candidate
+// is copied. Iterations allocate nothing, so the allocation count of a call
+// does not depend on how many iterations it runs.
 func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = 200
 	}
 	n := len(x0)
-	x := append([]float64(nil), x0...)
-	g := make([]float64, n)
-	ev := &counted{f: f}
-	fx := ev.grad(x, g)
-
-	type pair struct {
-		s, y []float64
-		rho  float64
+	mem := min(lbfgsMemory, cfg.MaxIter)
+	buf := make([]float64, (8+2*mem)*n)
+	next := func(k int) []float64 {
+		v := buf[: k*n : k*n]
+		buf = buf[k*n:]
+		return v
 	}
-	var hist []pair
-	d := make([]float64, n)
+	x, g, d := next(1), next(1), next(1)
+	copy(x, x0)
+	ls := newLineSearch(f, next(3))
+	sNew, yNew := next(1), next(1)
+	// History pair j (0 = oldest) is s_k = sHist[k*n:], y_k = yHist[k*n:]
+	// with k = (head+j) % mem.
+	sHist, yHist := next(mem), next(mem)
+	var rho, alphas [lbfgsMemory]float64
+	head, size := 0, 0
+	slot := func(j int) int { return (head + j) % mem }
+	hs := func(k int) []float64 { return sHist[k*n : (k+1)*n] }
+	hy := func(k int) []float64 { return yHist[k*n : (k+1)*n] }
+
+	fx := ls.grad(x, g)
 	res := Result{}
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		if maxAbs(g) < lbfgsGradTol {
@@ -102,23 +128,22 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 		}
 		// Two-loop recursion for d = −H·g.
 		copy(d, g)
-		alphas := make([]float64, len(hist))
-		for i := len(hist) - 1; i >= 0; i-- {
-			h := hist[i]
-			alphas[i] = h.rho * linalg.Dot(h.s, d)
-			linalg.AXPY(-alphas[i], h.y, d)
+		for i := size - 1; i >= 0; i-- {
+			k := slot(i)
+			alphas[i] = rho[k] * linalg.Dot(hs(k), d)
+			linalg.AXPY(-alphas[i], hy(k), d)
 		}
-		if len(hist) > 0 {
-			last := hist[len(hist)-1]
-			gamma := linalg.Dot(last.s, last.y) / linalg.Dot(last.y, last.y)
+		if size > 0 {
+			k := slot(size - 1)
+			gamma := linalg.Dot(hs(k), hy(k)) / linalg.Dot(hy(k), hy(k))
 			for i := range d {
 				d[i] *= gamma
 			}
 		}
-		for i := 0; i < len(hist); i++ {
-			h := hist[i]
-			beta := h.rho * linalg.Dot(h.y, d)
-			linalg.AXPY(alphas[i]-beta, h.s, d)
+		for i := 0; i < size; i++ {
+			k := slot(i)
+			beta := rho[k] * linalg.Dot(hy(k), d)
+			linalg.AXPY(alphas[i]-beta, hs(k), d)
 		}
 		for i := range d {
 			d[i] = -d[i]
@@ -130,7 +155,7 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 				d[i] = -g[i]
 			}
 			dg = -linalg.Dot(g, g)
-			hist = hist[:0]
+			size = 0
 		}
 		step0 := lbfgsStepInit
 		if iter == 0 {
@@ -139,22 +164,34 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 				step0 = 1 / gn
 			}
 		}
-		xNew, fNew, gNew, ok := wolfeSearch(ev, x, fx, g, d, dg, step0)
+		xNew, fNew, gNew, ok := ls.wolfe(x, fx, g, d, dg, step0)
 		if !ok {
 			res.Iters = iter
 			break
 		}
-		s := linalg.SubVec(xNew, x)
-		y := linalg.SubVec(gNew, g)
-		sy := linalg.Dot(s, y)
-		if sy > 1e-12*linalg.Norm2(s)*linalg.Norm2(y) {
-			hist = append(hist, pair{s: s, y: y, rho: 1 / sy})
-			if len(hist) > lbfgsMemory {
-				hist = hist[1:]
+		for i := range sNew {
+			sNew[i] = xNew[i] - x[i]
+			yNew[i] = gNew[i] - g[i]
+		}
+		sy := linalg.Dot(sNew, yNew)
+		if sy > 1e-12*linalg.Norm2(sNew)*linalg.Norm2(yNew) {
+			var k int
+			if size < mem {
+				k = slot(size)
+				size++
+			} else {
+				k = head // overwrite the oldest pair
+				head = (head + 1) % mem
 			}
+			copy(hs(k), sNew)
+			copy(hy(k), yNew)
+			rho[k] = 1 / sy
 		}
 		rel := math.Abs(fx-fNew) / math.Max(1, math.Abs(fx))
-		x, fx = xNew, fNew
+		// The accepted point is the line search's trial buffer; the old
+		// iterate's buffer becomes the next trial buffer.
+		x, ls.trial = xNew, x
+		fx = fNew
 		copy(g, gNew)
 		if rel < lbfgsFuncTol {
 			res.Converged = true
@@ -166,51 +203,50 @@ func LBFGS(f Objective, x0 []float64, cfg LBFGSConfig) Result {
 	res.X = x
 	res.F = fx
 	res.Gradient = g
-	res.ValueEvals = ev.values
-	res.GradEvals = ev.grads
+	res.ValueEvals = ls.values
+	res.GradEvals = ls.grads
 	return res
 }
 
-// stepPoint returns x + a·d as a new slice.
-func stepPoint(x, d []float64, a float64) []float64 {
-	p := make([]float64, len(x))
+// stepInto writes x + a·d into p.
+func stepInto(p, x, d []float64, a float64) {
 	for i := range p {
 		p[i] = x[i] + a*d[i]
 	}
-	return p
 }
 
-// wolfeSearch performs a strong-Wolfe line search along d from x. It returns
-// the accepted point, value and gradient, or ok=false when no acceptable step
-// was found. Each trial point is evaluated value-only; its gradient is asked
-// for only once the value passes the sufficient-decrease and fPrev tests,
-// the only branches that read the slope.
-func wolfeSearch(ev *counted,
-	x []float64, fx float64, g, d []float64, dg float64, step0 float64) (xn []float64, fn float64, gn []float64, ok bool) {
+// wolfe performs a strong-Wolfe line search along d from x. It returns the
+// accepted point, value and gradient, or ok=false when no acceptable step
+// was found. The point is ls.trial and the gradient one of ls.gA and ls.gB,
+// valid until the next search. Each trial point is evaluated value-only; its
+// gradient is asked for only once the value passes the sufficient-decrease
+// and fPrev tests, the only branches that read the slope.
+func (ls *lineSearch) wolfe(x []float64, fx float64, g, d []float64, dg float64, step0 float64) (xn []float64, fn float64, gn []float64, ok bool) {
 	const (
 		maxTry  = 30
 		stepMax = 1e10
 	)
 	aPrev, fPrev := 0.0, fx
-	gPrev := append([]float64(nil), g...) // gradient at aPrev
-	gA := make([]float64, len(x))
+	gPrev, gA := ls.gA, ls.gB // gradient at aPrev, and scratch
+	copy(gPrev, g)
+	pA := ls.trial
 	a := step0
 	for try := 0; try < maxTry; try++ {
-		pA := stepPoint(x, d, a)
-		fA := ev.value(pA)
+		stepInto(pA, x, d, a)
+		fA := ls.value(pA)
 		if math.IsNaN(fA) || math.IsInf(fA, 0) {
 			a = 0.5 * (aPrev + a)
 			continue
 		}
 		if fA > fx+wolfeC1*a*dg || (try > 0 && fA >= fPrev) {
-			return zoom(ev, x, fx, dg, d, aPrev, a, fPrev, gPrev, gA)
+			return ls.zoom(x, fx, dg, d, aPrev, a, fPrev, gPrev, gA)
 		}
-		dgA := ev.slope(pA, gA, d)
+		dgA := ls.slope(pA, gA, d)
 		if math.Abs(dgA) <= -wolfeC2*dg {
 			return pA, fA, gA, true
 		}
 		if dgA >= 0 {
-			return zoom(ev, x, fx, dg, d, a, aPrev, fA, gA, gPrev)
+			return ls.zoom(x, fx, dg, d, a, aPrev, fA, gA, gPrev)
 		}
 		aPrev, fPrev = a, fA
 		gPrev, gA = gA, gPrev
@@ -223,21 +259,21 @@ func wolfeSearch(ev *counted,
 }
 
 // zoom brackets a Wolfe point in [aLo, aHi] by bisection. gLo holds the
-// gradient at aLo and gA is scratch; zoom owns both. Like wolfeSearch it
+// gradient at aLo and gA is scratch; zoom owns both. Like wolfe it
 // evaluates each trial value-only and asks for the gradient only past the
 // sufficient-decrease and fLo tests.
-func zoom(ev *counted,
-	x []float64, fx, dg0 float64, d []float64,
+func (ls *lineSearch) zoom(x []float64, fx, dg0 float64, d []float64,
 	aLo, aHi, fLo float64, gLo, gA []float64) (xn []float64, fn float64, gn []float64, ok bool) {
+	pA := ls.trial
 	for try := 0; try < 30; try++ {
 		a := 0.5 * (aLo + aHi)
-		pA := stepPoint(x, d, a)
-		fA := ev.value(pA)
+		stepInto(pA, x, d, a)
+		fA := ls.value(pA)
 		if math.IsNaN(fA) || fA > fx+wolfeC1*a*dg0 || fA >= fLo {
 			aHi = a
 			continue
 		}
-		dgA := ev.slope(pA, gA, d)
+		dgA := ls.slope(pA, gA, d)
 		if math.Abs(dgA) <= -wolfeC2*dg0 {
 			return pA, fA, gA, true
 		}
@@ -253,7 +289,8 @@ func zoom(ev *counted,
 	// Accept the best sufficient-decrease point found, if any, with the
 	// value and gradient kept when it was accepted.
 	if aLo > 0 && fLo < fx {
-		return stepPoint(x, d, aLo), fLo, gLo, true
+		stepInto(pA, x, d, aLo)
+		return pA, fLo, gLo, true
 	}
 	return nil, 0, nil, false
 }

@@ -104,3 +104,30 @@ func TestWorkersNormalization(t *testing.T) {
 		t.Fatalf("DefaultWorkers with bogus env = %d", got)
 	}
 }
+
+// TestFreeListHandsOutEachValueOnce runs workers that take a value (or make
+// a new one), hold it and return it: no value is ever held by two workers at
+// once, and the list never grows past the number of workers.
+func TestFreeListHandsOutEachValueOnce(t *testing.T) {
+	var fl FreeList[*int64]
+	if _, ok := fl.Get(); ok {
+		t.Fatal("an empty list handed out a value")
+	}
+	const workers = 8
+	var made atomic.Int64
+	ForEach(workers, 2000, func(int) {
+		v, ok := fl.Get()
+		if !ok {
+			v = new(int64)
+			made.Add(1)
+		}
+		if atomic.AddInt64(v, 1) != 1 {
+			t.Error("a value was handed to two holders at once")
+		}
+		atomic.AddInt64(v, -1)
+		fl.Put(v)
+	})
+	if n := made.Load(); n > workers {
+		t.Fatalf("%d values made for %d workers", n, workers)
+	}
+}
