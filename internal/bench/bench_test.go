@@ -35,6 +35,7 @@ import (
 
 func BenchmarkGPFitSerial(b *testing.B)   { GPFit(1)(b) }
 func BenchmarkGPFitWorkers8(b *testing.B) { GPFit(8)(b) }
+func BenchmarkGPFitNARGP(b *testing.B)    { GPFitNARGP()(b) }
 func BenchmarkMSPSerial(b *testing.B)     { MSP(1)(b) }
 func BenchmarkMSPWorkers8(b *testing.B)   { MSP(8)(b) }
 func BenchmarkPredictSingle(b *testing.B) { PredictSingle()(b) }
@@ -76,6 +77,34 @@ func GPFit(workers int) func(*testing.B) {
 				Restarts: 4,
 				MaxIter:  25,
 				Workers:  workers,
+			}, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// GPFitNARGP measures the fusion model's high-fidelity training at the
+// power amplifier's shape: a 15-point NARGP fit over 5 design variables plus
+// the augmented lower-fidelity coordinate, 2 L-BFGS restarts, run serially.
+func GPFitNARGP() func(*testing.B) {
+	return func(b *testing.B) {
+		X5, yl, _, _ := dataset(4, 15, 5)
+		X := make([][]float64, len(X5))
+		y := make([]float64, len(X5))
+		for i, x := range X5 {
+			X[i] = append(append([]float64(nil), x...), yl[i])
+			y[i] = yl[i]*yl[i] + math.Cos(2*x[0])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rng := rand.New(rand.NewSource(7))
+			if _, err := gp.Fit(X, y, gp.Config{
+				Kernel:   kernel.NewNARGP(5),
+				Restarts: 2,
+				MaxIter:  100,
+				Workers:  1,
 			}, rng); err != nil {
 				b.Fatal(err)
 			}

@@ -39,8 +39,12 @@ func newPairGeo(xs [][]float64) *pairGeo {
 	return g
 }
 
+// pair returns the index of pair (i, j) in the cache's upper-triangle
+// order. Requires i ≤ j.
+func (g *pairGeo) pair(i, j int) int { return g.rowOff[i] + j - i }
+
 // diff returns the cached difference vector x_i − x_j. Requires i ≤ j.
 func (g *pairGeo) diff(i, j int) []float64 {
-	p := g.rowOff[i] + j - i
+	p := g.pair(i, j)
 	return g.diffs[p*g.d : p*g.d+g.d]
 }

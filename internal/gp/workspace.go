@@ -10,9 +10,9 @@ import (
 // fitWorkspace holds everything one training restart needs to evaluate the
 // NLML and its gradient without allocating: a cloned kernel (so concurrent
 // restarts never share mutable hyperparameter state), the covariance matrix,
-// a reusable Cholesky, the precision matrix, and gradient accumulators. The
-// geometry cache and the training targets are shared read-only across all
-// workspaces.
+// a reusable Cholesky, the per-pair kernel factors, and gradient
+// accumulators. The geometry cache and the training targets are shared
+// read-only across all workspaces.
 //
 // The arithmetic is ordered to be bit-identical to the original
 // matrix-per-hyperparameter implementation: the covariance is filled
@@ -24,11 +24,14 @@ import (
 // nlmlValue keeps its factorization as a same-point memo: the L-BFGS line
 // search asks for the value at a trial point first and for the gradient at
 // that point only once the value is accepted, and nlmlGrad then starts from
-// the kept Cholesky factor, α, NLML and kernel profile. The memo is keyed
-// bitwise by the kernel's log-hyperparameters and the log-noise, so any
-// SetHyper or noise change that alters a bit refactorizes. The workspace
-// keeps one profile and refreshes it in place on every miss, so a new trial
-// point allocates nothing.
+// the kept Cholesky factor, α, NLML, kernel profile and pair factors. The
+// memo is keyed bitwise by the kernel's log-hyperparameters and the
+// log-noise, so any SetHyper or noise change that alters a bit refactorizes.
+// The workspace keeps one profile and refreshes it in place on every miss,
+// so a new trial point allocates nothing.
+//
+// K is dead once it is factorized (a miss refills it from scratch), so
+// nlmlGrad writes the precision matrix K⁻¹ into K's storage.
 type fitWorkspace struct {
 	kern     kernel.Kernel // private clone, mutated by SetHyper per objective call
 	logNoise float64
@@ -38,13 +41,12 @@ type fitWorkspace struct {
 	ys  []float64
 
 	// Reusable numerics.
-	K       *linalg.Matrix
-	chol    *linalg.Cholesky
-	alpha   []float64
-	Kinv    *linalg.Matrix
-	scratch []float64
-	gbuf    []float64 // one kernel gradient, length nk
-	out     []float64 // NLML gradient accumulators, length nk+1
+	K     *linalg.Matrix // K + σ_n²·I, then K⁻¹ after nlmlGrad
+	chol  *linalg.Cholesky
+	alpha []float64
+	fact  []float64 // per-pair kernel factors: pair p's NumFactors at p*NumFactors
+	gbuf  []float64 // one kernel gradient, length nk
+	out   []float64 // NLML gradient accumulators, length nk+1
 
 	// Same-point memo of the last successful nlmlValue.
 	memoOK    bool
@@ -58,30 +60,35 @@ type fitWorkspace struct {
 func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, ys []float64) *fitWorkspace {
 	n := len(ys)
 	nk := kern.NumHyper()
-	return &fitWorkspace{
+	w := &fitWorkspace{
 		kern:      kern.Clone(),
 		geo:       geo,
 		ys:        ys,
 		K:         linalg.NewMatrix(n, n),
 		alpha:     make([]float64, n),
-		Kinv:      linalg.NewMatrix(n, n),
-		scratch:   make([]float64, n),
 		gbuf:      make([]float64, nk),
 		out:       make([]float64, nk+1),
 		hyper:     make([]float64, 0, nk),
 		memoHyper: make([]float64, 0, nk),
 	}
+	w.prof = w.kern.Profile()
+	w.fact = make([]float64, n*(n+1)/2*w.prof.NumFactors())
+	return w
 }
 
 // fillCovariance writes K + σ_n²·I into dst (symmetric-half evaluation, both
-// triangles stored) from the cached pair differences.
-func fillCovariance(dst *linalg.Matrix, prof kernel.PairProfile, geo *pairGeo, noise2 float64) {
+// triangles stored) from the cached pair differences, and each pair's kernel
+// factors into fact in the geometry's pair order.
+func fillCovariance(dst *linalg.Matrix, fact []float64, prof kernel.PairProfile, geo *pairGeo, noise2 float64) {
 	n := geo.n
+	nf := prof.NumFactors()
+	p := 0
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := prof.Eval(geo.diff(i, j))
+			v := prof.EvalFactors(geo.diff(i, j), fact[p:p+nf])
 			dst.Set(i, j, v)
 			dst.Set(j, i, v)
+			p += nf
 		}
 		dst.Add(i, i, noise2)
 	}
@@ -101,7 +108,7 @@ func (w *fitWorkspace) nlmlValue() (float64, error) {
 	n := len(w.ys)
 	w.prof = kernel.RefreshProfile(w.kern, w.prof)
 	noise2 := math.Exp(2 * w.logNoise)
-	fillCovariance(w.K, w.prof, w.geo, noise2)
+	fillCovariance(w.K, w.fact, w.prof, w.geo, noise2)
 	chol, err := linalg.NewCholeskyReuse(w.K, w.chol)
 	if err != nil {
 		return 0, err
@@ -120,8 +127,8 @@ func (w *fitWorkspace) nlmlValue() (float64, error) {
 // workspace's current kernel state. The returned slice is w.out, valid until
 // the next call.
 func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
-	// Pass 1: covariance fill and factorization, or the memo of the
-	// value-only call at this point.
+	// Pass 1: covariance fill, pair factors and factorization, or the memo
+	// of the value-only call at this point.
 	nlml, err := w.nlmlValue()
 	if err != nil {
 		return 0, nil, err
@@ -129,29 +136,32 @@ func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
 	n := len(w.ys)
 	nk := w.kern.NumHyper()
 	prof := w.prof
-	chol := w.chol
+	nf := prof.NumFactors()
 	noise2 := math.Exp(2 * w.logNoise)
 
-	// Pass 2: precision matrix (reused storage, no allocation).
-	chol.InverseInto(w.Kinv, w.scratch)
+	// Pass 2: precision matrix, written over K.
+	kinv := w.K
+	w.chol.InverseInto(kinv)
 
 	// Pass 3: grad_h = ½ Σ_ij (K⁻¹_ij − α_i α_j)·∂K_ij/∂logθ_h, accumulated
 	// in row-major (i, j) order per h. ∂K is symmetric, so entries below the
-	// diagonal reuse the (j, i) profile evaluation.
+	// diagonal read the (j, i) pair; its factors come from pass 1, so no
+	// kernel exp is taken here.
 	out := w.out
 	for h := 0; h <= nk; h++ {
 		out[h] = 0
 	}
 	alpha := w.alpha
 	for i := 0; i < n; i++ {
-		wi := w.Kinv.Row(i)
+		wi := kinv.Row(i)
 		ai := alpha[i]
 		for j := 0; j < n; j++ {
 			lo, hi := i, j
 			if lo > hi {
 				lo, hi = j, i
 			}
-			prof.EvalGrad(w.geo.diff(lo, hi), w.gbuf)
+			p := w.geo.pair(lo, hi) * nf
+			prof.GradFactors(w.geo.diff(lo, hi), w.fact[p:p+nf], w.gbuf)
 			wij := wi[j] - ai*alpha[j]
 			for h := 0; h < nk; h++ {
 				out[h] += wij * w.gbuf[h]
@@ -164,7 +174,7 @@ func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
 	// Noise gradient: ∂K/∂logσ_n = 2σ_n²·I.
 	s := 0.0
 	for i := 0; i < n; i++ {
-		s += w.Kinv.At(i, i) - alpha[i]*alpha[i]
+		s += kinv.At(i, i) - alpha[i]*alpha[i]
 	}
 	out[nk] = 0.5 * s * 2 * noise2
 	return nlml, out, nil

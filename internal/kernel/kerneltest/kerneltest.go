@@ -164,14 +164,17 @@ func (k *Slice) Clone() kernel.Kernel {
 	return &Slice{Inner: k.Inner.Clone(), Start: k.Start, End: k.End, fullDim: k.fullDim}
 }
 
+// sumProfile and productProfile keep a's factors first in f, then b's.
 type sumProfile struct {
 	a, b kernel.PairProfile
-	na   int
+	na   int // a's hyperparameter count
+	nfa  int // a's factor count
 }
 
 // Profile implements kernel.Kernel.
 func (k *Sum) Profile() kernel.PairProfile {
-	return &sumProfile{a: k.A.Profile(), b: k.B.Profile(), na: k.A.NumHyper()}
+	a := k.A.Profile()
+	return &sumProfile{a: a, b: k.B.Profile(), na: a.NumHyper(), nfa: a.NumFactors()}
 }
 
 func (p *sumProfile) NumHyper() int { return p.na + p.b.NumHyper() }
@@ -180,20 +183,28 @@ func (p *sumProfile) Eval(diff []float64) float64 {
 	return p.a.Eval(diff) + p.b.Eval(diff)
 }
 
-func (p *sumProfile) EvalGrad(diff, grad []float64) float64 {
-	va := p.a.EvalGrad(diff, grad[:p.na])
-	vb := p.b.EvalGrad(diff, grad[p.na:])
+func (p *sumProfile) NumFactors() int { return p.nfa + p.b.NumFactors() }
+
+func (p *sumProfile) EvalFactors(diff, f []float64) float64 {
+	return p.a.EvalFactors(diff, f[:p.nfa]) + p.b.EvalFactors(diff, f[p.nfa:])
+}
+
+func (p *sumProfile) GradFactors(diff, f, grad []float64) float64 {
+	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
+	vb := p.b.GradFactors(diff, f[p.nfa:], grad[p.na:])
 	return va + vb
 }
 
 type productProfile struct {
 	a, b kernel.PairProfile
-	na   int
+	na   int // a's hyperparameter count
+	nfa  int // a's factor count
 }
 
 // Profile implements kernel.Kernel.
 func (k *Product) Profile() kernel.PairProfile {
-	return &productProfile{a: k.A.Profile(), b: k.B.Profile(), na: k.A.NumHyper()}
+	a := k.A.Profile()
+	return &productProfile{a: a, b: k.B.Profile(), na: a.NumHyper(), nfa: a.NumFactors()}
 }
 
 func (p *productProfile) NumHyper() int { return p.na + p.b.NumHyper() }
@@ -202,9 +213,15 @@ func (p *productProfile) Eval(diff []float64) float64 {
 	return p.a.Eval(diff) * p.b.Eval(diff)
 }
 
-func (p *productProfile) EvalGrad(diff, grad []float64) float64 {
-	va := p.a.EvalGrad(diff, grad[:p.na])
-	vb := p.b.EvalGrad(diff, grad[p.na:])
+func (p *productProfile) NumFactors() int { return p.nfa + p.b.NumFactors() }
+
+func (p *productProfile) EvalFactors(diff, f []float64) float64 {
+	return p.a.EvalFactors(diff, f[:p.nfa]) * p.b.EvalFactors(diff, f[p.nfa:])
+}
+
+func (p *productProfile) GradFactors(diff, f, grad []float64) float64 {
+	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
+	vb := p.b.GradFactors(diff, f[p.nfa:], grad[p.na:])
 	for i := 0; i < p.na; i++ {
 		grad[i] *= vb
 	}
@@ -231,6 +248,12 @@ func (p *sliceProfile) Eval(diff []float64) float64 {
 	return p.inner.Eval(diff[p.start:p.end])
 }
 
-func (p *sliceProfile) EvalGrad(diff, grad []float64) float64 {
-	return p.inner.EvalGrad(diff[p.start:p.end], grad)
+func (p *sliceProfile) NumFactors() int { return p.inner.NumFactors() }
+
+func (p *sliceProfile) EvalFactors(diff, f []float64) float64 {
+	return p.inner.EvalFactors(diff[p.start:p.end], f)
+}
+
+func (p *sliceProfile) GradFactors(diff, f, grad []float64) float64 {
+	return p.inner.GradFactors(diff[p.start:p.end], f, grad)
 }

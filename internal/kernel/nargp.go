@@ -101,9 +101,9 @@ type nargpProfile struct {
 	df         [1]float64 // scratch: the last-coordinate difference
 }
 
-// Profile implements Kernel. Besides Eval and EvalGrad, the profile splits
-// its value in two steps for points that share x and differ only in the last
-// coordinate:
+// Profile implements Kernel. Besides Eval and the factor methods, the profile
+// splits its value in two steps for points that share x and differ only in
+// the last coordinate:
 //
 //	XPart(diff []float64) (k2, k3 float64)   // reads diff[:d] only
 //	Combine(df, k2, k3 float64) float64      // float64(k1(df)·k2) + k3
@@ -147,11 +147,22 @@ func (p *nargpProfile) Eval(diff []float64) float64 {
 	return p.Combine(diff[p.d], k2, k3)
 }
 
-func (p *nargpProfile) EvalGrad(diff, grad []float64) float64 {
+// NumFactors is 3: the exp of k1, k2 and k3, in that order.
+func (p *nargpProfile) NumFactors() int { return 3 }
+
+func (p *nargpProfile) EvalFactors(diff, f []float64) float64 {
+	d := p.d
+	f[0] = p.k1.Eval(diff[d : d+1])
+	f[1], f[2] = p.XPart(diff)
+	return float64(f[0]*f[1]) + f[2]
+}
+
+func (p *nargpProfile) GradFactors(diff, f, grad []float64) float64 {
 	d := p.d
 	n1, n2 := p.k1.NumHyper(), p.k2.NumHyper()
-	v1 := p.k1.EvalGrad(diff[d:d+1], grad[:n1])
-	v2 := p.k2.EvalGrad(diff[:d], grad[n1:n1+n2])
-	scaleProductGrad(grad[:n1+n2], n1, v1, v2)
-	return float64(v1*v2) + p.k3.EvalGrad(diff[:d], grad[n1+n2:])
+	p.k1.GradFactors(diff[d:d+1], f[0:1], grad[:n1])
+	p.k2.GradFactors(diff[:d], f[1:2], grad[n1:n1+n2])
+	scaleProductGrad(grad[:n1+n2], n1, f[0], f[1])
+	p.k3.GradFactors(diff[:d], f[2:3], grad[n1+n2:])
+	return float64(f[0]*f[1]) + f[2]
 }

@@ -77,9 +77,13 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 			if a, b := p.Eval(diff), pr.Eval(diff); !same(a, b) {
 				t.Fatalf("d=%d trial %d: profile Eval %v != composite %v", d, trial, a, b)
 			}
-			a, b = p.EvalGrad(diff, g), pr.EvalGrad(diff, gr)
+			f, fr := make([]float64, p.NumFactors()), make([]float64, pr.NumFactors())
+			if a, b := p.EvalFactors(diff, f), pr.EvalFactors(diff, fr); !same(a, b) {
+				t.Fatalf("d=%d trial %d: profile EvalFactors %v != composite %v", d, trial, a, b)
+			}
+			a, b = p.GradFactors(diff, f, g), pr.GradFactors(diff, fr, gr)
 			if !same(a, b) {
-				t.Fatalf("d=%d trial %d: profile EvalGrad %v != composite %v", d, trial, a, b)
+				t.Fatalf("d=%d trial %d: profile GradFactors %v != composite %v", d, trial, a, b)
 			}
 			for j := range g {
 				if !same(g[j], gr[j]) {

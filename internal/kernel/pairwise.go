@@ -10,14 +10,30 @@ import "math"
 // entry. Every kernel has one, and package gp trains, factorizes, appends and
 // predicts through it alone.
 //
+// # Factors
+//
+// The only transcendental left per pair is the exp of each SE factor, and
+// the gradient needs no new one: every ∂k/∂logθ is a product of the factor
+// values with polynomials in diff. A profile therefore splits its gradient
+// in two steps. EvalFactors returns the value and records the NumFactors exp
+// results it took; GradFactors rebuilds the gradient from those recorded
+// factors with multiplications only. A GP fit calls EvalFactors once per pair
+// while filling the covariance and GradFactors on the same pair when the
+// line search asks for a gradient, so the gradient pass takes no exp at all.
+//
 // # Bit-identity contract
 //
-// For every kernel, Profile().Eval(diff) and Profile().EvalGrad(diff, grad)
-// are bit-identical to Eval(x1, x2) and EvalGrad(x1, x2, grad) when
-// diff[i] == x1[i]−x2[i]: the per-dimension arithmetic runs in the same order
-// with the same roundings, only the loop-invariant factors are precomputed.
-// Tests enforce this, which keeps the direct Eval/EvalGrad methods a valid
-// reference for the profile a GP fit and prediction actually run.
+// For every kernel, with diff[i] == x1[i]−x2[i]:
+//   - Eval(diff) and EvalFactors(diff, f) are bit-identical to Eval(x1, x2);
+//   - GradFactors(diff, f, grad), given the f that EvalFactors(diff, f)
+//     wrote, returns that same value and writes into grad exactly what
+//     EvalGrad(x1, x2, grad) writes.
+//
+// The per-dimension arithmetic runs in the same order with the same
+// roundings; only the loop-invariant factors are precomputed and the exp
+// results are reused. Tests enforce this, which keeps the direct Eval/EvalGrad
+// methods a valid reference for the profile a GP fit and prediction actually
+// run.
 //
 // A profile captures the kernel's hyperparameters at Profile() time — it
 // does NOT track later SetHyper calls. Profiles carry internal scratch and
@@ -27,8 +43,15 @@ type PairProfile interface {
 	NumHyper() int
 	// Eval returns k for the pair with coordinate differences diff.
 	Eval(diff []float64) float64
-	// EvalGrad returns k and writes ∂k/∂logθ_j into grad (length NumHyper).
-	EvalGrad(diff, grad []float64) float64
+	// NumFactors returns how many exp factors EvalFactors records per pair.
+	NumFactors() int
+	// EvalFactors returns Eval(diff) and writes the pair's exp factors into
+	// f (length NumFactors).
+	EvalFactors(diff, f []float64) float64
+	// GradFactors returns k and writes ∂k/∂logθ_j into grad (length
+	// NumHyper), reading the factors EvalFactors wrote for the same diff
+	// from f. It takes no exp.
+	GradFactors(diff, f, grad []float64) float64
 }
 
 // --- SEARD ---
@@ -36,12 +59,11 @@ type PairProfile interface {
 type seProfile struct {
 	logAmp float64
 	s      []float64 // exp(−log l_i)
-	scaled []float64 // scratch: (Δ_i/l_i)²
 }
 
 // Profile implements Kernel.
 func (k *SEARD) Profile() PairProfile {
-	p := &seProfile{s: make([]float64, k.dim), scaled: make([]float64, k.dim)}
+	p := &seProfile{s: make([]float64, k.dim)}
 	p.load(k)
 	return p
 }
@@ -88,17 +110,21 @@ func (p *seProfile) Eval(diff []float64) float64 {
 	return math.Exp(2*p.logAmp - 0.5*q)
 }
 
-func (p *seProfile) EvalGrad(diff, grad []float64) float64 {
-	q := 0.0
+func (p *seProfile) NumFactors() int { return 1 }
+
+// EvalFactors records the kernel value itself: it is the one exp.
+func (p *seProfile) EvalFactors(diff, f []float64) float64 {
+	v := p.Eval(diff)
+	f[0] = v
+	return v
+}
+
+func (p *seProfile) GradFactors(diff, f, grad []float64) float64 {
+	v := f[0]
+	grad[0] = 2 * v // ∂k/∂log σ_f
 	for i, s := range p.s {
 		d := diff[i] * s
-		p.scaled[i] = d * d
-		q += p.scaled[i]
-	}
-	v := math.Exp(2*p.logAmp - 0.5*q)
-	grad[0] = 2 * v
-	for i, sc := range p.scaled {
-		grad[1+i] = v * sc
+		grad[1+i] = v * (d * d) // ∂k/∂log l_i = k·Δ_i²/l_i²
 	}
 	return v
 }

@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,18 +22,31 @@ func profileKernels(d int) map[string]kernel.Kernel {
 	}
 }
 
+// TestProfileBitIdenticalToDirect checks the PairProfile contract on every
+// kernel, for a fresh profile and one refreshed in place, at random and
+// bound hyperparameters, on a random pair and the zero-distance pair: Eval
+// and EvalFactors equal the direct Eval, and GradFactors over the recorded
+// factors equals the direct EvalGrad, all bit for bit.
 func TestProfileBitIdenticalToDirect(t *testing.T) {
 	const d = 4
 	rng := rand.New(rand.NewSource(7))
 	for name, k := range profileKernels(d) {
 		t.Run(name, func(t *testing.T) {
 			nh := k.NumHyper()
+			lo, hi := kernel.BoundsVectors(k)
 			var rp kernel.PairProfile // one profile refreshed across trials
 			for trial := 0; trial < 20; trial++ {
+				// Trials 0 and 1 sit on the bounds, where factors underflow.
 				h := make([]float64, nh)
-				lo, hi := kernel.BoundsVectors(k)
 				for j := range h {
-					h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+					switch trial {
+					case 0:
+						h[j] = lo[j]
+					case 1:
+						h[j] = hi[j]
+					default:
+						h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+					}
 				}
 				k.SetHyper(h)
 				p := k.Profile()
@@ -45,47 +60,50 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 				}
 				x1 := make([]float64, d)
 				x2 := make([]float64, d)
-				diff := make([]float64, d)
 				for j := 0; j < d; j++ {
 					x1[j] = rng.NormFloat64()
 					x2[j] = rng.NormFloat64()
-					diff[j] = x1[j] - x2[j]
 				}
-				gDirect := make([]float64, nh)
-				gProf := make([]float64, nh)
-				if got, want := p.Eval(diff), k.Eval(x1, x2); got != want {
-					t.Fatalf("%s trial %d: profile Eval %v != direct %v", name, trial, got, want)
-				}
-				vd := k.EvalGrad(x1, x2, gDirect)
-				vp := p.EvalGrad(diff, gProf)
-				if vp != vd {
-					t.Fatalf("%s trial %d: profile EvalGrad %v != direct %v", name, trial, vp, vd)
-				}
-				for j := range gDirect {
-					if gProf[j] != gDirect[j] {
-						t.Fatalf("%s trial %d: grad[%d] profile %v != direct %v",
-							name, trial, j, gProf[j], gDirect[j])
+				// The zero-distance pair is the diagonal of a covariance matrix.
+				for _, b := range [][]float64{x2, x1} {
+					diff := make([]float64, d)
+					for j := range diff {
+						diff[j] = x1[j] - b[j]
 					}
-				}
-				gRef := make([]float64, nh)
-				if got, want := rp.EvalGrad(diff, gRef), vd; got != want {
-					t.Fatalf("%s trial %d: refreshed profile EvalGrad %v != direct %v", name, trial, got, want)
-				}
-				for j := range gDirect {
-					if gRef[j] != gDirect[j] {
-						t.Fatalf("%s trial %d: grad[%d] refreshed profile %v != direct %v",
-							name, trial, j, gRef[j], gDirect[j])
-					}
-				}
-				if got, want := rp.Eval(diff), p.Eval(diff); got != want {
-					t.Fatalf("%s trial %d: refreshed profile Eval %v != fresh %v", name, trial, got, want)
-				}
-				// Zero-distance pair (diagonal of a covariance matrix).
-				if got, want := p.Eval(make([]float64, d)), k.Eval(x1, x1); got != want {
-					t.Fatalf("%s trial %d: diagonal profile %v != direct %v", name, trial, got, want)
+					checkProfile(t, fmt.Sprintf("trial %d: fresh", trial), k, p, x1, b, diff)
+					checkProfile(t, fmt.Sprintf("trial %d: refreshed", trial), k, rp, x1, b, diff)
 				}
 			}
 		})
+	}
+}
+
+// checkProfile requires p's Eval, EvalFactors and GradFactors on diff to
+// equal k's direct Eval and EvalGrad on (x1, x2) bit for bit.
+func checkProfile(t *testing.T, label string, k kernel.Kernel, p kernel.PairProfile, x1, x2, diff []float64) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	want := k.Eval(x1, x2)
+	gWant := make([]float64, k.NumHyper())
+	vWant := k.EvalGrad(x1, x2, gWant)
+	if got := p.Eval(diff); !same(got, want) {
+		t.Fatalf("%s profile Eval %v != direct %v", label, got, want)
+	}
+	f := make([]float64, p.NumFactors())
+	if got := p.EvalFactors(diff, f); !same(got, want) {
+		t.Fatalf("%s profile EvalFactors %v != direct Eval %v", label, got, want)
+	}
+	g := make([]float64, len(gWant))
+	for j := range g {
+		g[j] = math.NaN() // every entry must be written
+	}
+	if got := p.GradFactors(diff, f, g); !same(got, vWant) {
+		t.Fatalf("%s profile GradFactors %v != direct EvalGrad %v", label, got, vWant)
+	}
+	for j := range g {
+		if !same(g[j], gWant[j]) {
+			t.Fatalf("%s profile grad[%d] %v != direct %v", label, j, g[j], gWant[j])
+		}
 	}
 }
 

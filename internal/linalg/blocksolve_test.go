@@ -61,24 +61,7 @@ func TestForwardSolveBlockRespectsStride(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	const n0, n = 5, 19
 	a := randomSPD(rng, n)
-	lead := NewMatrix(n0, n0)
-	for i := 0; i < n0; i++ {
-		for j := 0; j < n0; j++ {
-			lead.Set(i, j, a.At(i, j))
-		}
-	}
-	grown, err := NewCholesky(lead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := n0; k < n; k++ {
-		if err := grown.AppendRow(a.Row(k)[:k], a.At(k, k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if grown.Cap() <= grown.N {
-		t.Fatalf("grown factor has capacity %d for %d rows; want spare columns", grown.Cap(), grown.N)
-	}
+	grown := growFactor(t, a, n0)
 	for _, S := range []int{1, 3, 30} {
 		checkBlockSolve(t, grown, randomBlock(rng, n, S), S)
 	}
@@ -126,6 +109,80 @@ func TestForwardSolveBlockPanicsOnLengthMismatch(t *testing.T) {
 	}
 }
 
+// growFactor factorizes the leading n0×n0 block of a and grows the factor to
+// a's full dimension by AppendRow, leaving its row stride above N.
+func growFactor(t *testing.T, a *Matrix, n0 int) *Cholesky {
+	t.Helper()
+	lead := NewMatrix(n0, n0)
+	for i := 0; i < n0; i++ {
+		for j := 0; j < n0; j++ {
+			lead.Set(i, j, a.At(i, j))
+		}
+	}
+	grown, err := NewCholesky(lead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := n0; k < a.Rows; k++ {
+		if err := grown.AppendRow(a.Row(k)[:k], a.At(k, k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown.Cap() <= grown.N {
+		t.Fatalf("grown factor has capacity %d for %d rows; want spare columns", grown.Cap(), grown.N)
+	}
+	return grown
+}
+
+// checkInverse requires every entry of InverseInto to equal SolveVecInto on
+// the matching unit vector bit for bit, whatever dst held before.
+func checkInverse(t *testing.T, c *Cholesky) {
+	t.Helper()
+	n := c.N
+	inv := NewMatrix(n, n)
+	for i := range inv.Data {
+		inv.Data[i] = math.NaN()
+	}
+	c.InverseInto(inv)
+	e := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := range e {
+			e[i] = 0
+		}
+		e[j] = 1
+		c.SolveVecInto(e, e)
+		for i := 0; i < n; i++ {
+			if math.Float64bits(inv.At(i, j)) != math.Float64bits(e[i]) {
+				t.Fatalf("n=%d: inverse (%d, %d) = %v, column solve %v", n, i, j, inv.At(i, j), e[i])
+			}
+		}
+	}
+}
+
+func TestInverseIntoMatchesColumnSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	for _, n := range []int{1, 2, 7, 33, 65} {
+		c, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInverse(t, c)
+	}
+	const n0, n = 5, 19
+	grown := growFactor(t, randomSPD(rng, n), n0)
+	checkInverse(t, grown)
+	for _, dims := range [][2]int{{n - 1, n - 1}, {n, n + 1}, {n + 1, n}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("InverseInto into %d×%d for N=%d: expected a panic", dims[0], dims[1], n)
+				}
+			}()
+			grown.InverseInto(NewMatrix(dims[0], dims[1]))
+		}()
+	}
+}
+
 // BenchmarkForwardSolveBlock solves a 30-node cloud against a 40-row factor,
 // the shape of one fused prediction on a mid-run model.
 func BenchmarkForwardSolveBlock(b *testing.B) {
@@ -140,5 +197,21 @@ func BenchmarkForwardSolveBlock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.ForwardSolveBlockInto(rhs, y, S)
+	}
+}
+
+// BenchmarkInverseInto inverts a 64-row factor, the precision matrix of one
+// NLML gradient on a large training set.
+func BenchmarkInverseInto(b *testing.B) {
+	const n = 64
+	c, err := NewCholesky(randomSPD(rand.New(rand.NewSource(97)), n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	inv := NewMatrix(n, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.InverseInto(inv)
 	}
 }

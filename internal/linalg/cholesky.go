@@ -416,26 +416,48 @@ func (c *Cholesky) BackwardSolveInto(y, x []float64) {
 	}
 }
 
-// InverseInto writes A⁻¹ into dst (N×N) using scratch (len N), allocating
-// nothing. The GP gradient loop calls this once per NLML evaluation.
-func (c *Cholesky) InverseInto(dst *Matrix, scratch []float64) {
+// backwardSolveBlockInto solves Lᵀ·X = Y for S right-hand sides at once, the
+// block counterpart of BackwardSolveInto with ForwardSolveBlockInto's layout
+// and guarantee: each column takes exactly BackwardSolveInto's operations, so
+// it is bit-identical to a single-RHS solve of that column. x may alias y.
+func (c *Cholesky) backwardSolveBlockInto(y, x []float64, S int) {
+	n := c.N
+	st := c.L.Cols
+	for i := n - 1; i >= 0; i-- {
+		xi := x[i*S : (i+1)*S]
+		copy(xi, y[i*S:(i+1)*S])
+		for k := i + 1; k < n; k++ {
+			v := c.L.Data[k*st+i]
+			xk := x[k*S : (k+1)*S]
+			for s := range xi {
+				xi[s] -= v * xk[s]
+			}
+		}
+		dii := c.L.Data[i*st+i]
+		for s := range xi {
+			xi[s] /= dii
+		}
+	}
+}
+
+// InverseInto writes A⁻¹ into dst (N×N), allocating nothing. It solves the
+// identity as one block, forward then backward, in dst's own storage; column
+// j takes exactly the operations of SolveVecInto on the unit vector e_j, so
+// every entry is bit-identical to the per-column solve. The GP gradient loop
+// calls this once per NLML gradient.
+func (c *Cholesky) InverseInto(dst *Matrix) {
 	n := c.N
 	if dst.Rows != n || dst.Cols != n {
 		panic(fmt.Sprintf("linalg: inverse into %d×%d, want %d×%d", dst.Rows, dst.Cols, n, n))
 	}
-	if len(scratch) != n {
-		panic(fmt.Sprintf("linalg: inverse scratch length %d != %d", len(scratch), n))
+	for i := range dst.Data {
+		dst.Data[i] = 0
 	}
-	for j := 0; j < n; j++ {
-		for i := range scratch {
-			scratch[i] = 0
-		}
-		scratch[j] = 1
-		c.SolveVecInto(scratch, scratch)
-		for i := 0; i < n; i++ {
-			dst.Data[i*n+j] = scratch[i]
-		}
+	for i := 0; i < n; i++ {
+		dst.Data[i*n+i] = 1
 	}
+	c.ForwardSolveBlockInto(dst.Data, dst.Data, n)
+	c.backwardSolveBlockInto(dst.Data, dst.Data, n)
 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.

@@ -91,7 +91,7 @@ func TestCholeskyInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := NewMatrix(5, 5)
-	c.InverseInto(inv, make([]float64, 5))
+	c.InverseInto(inv)
 	prod := a.Mul(inv)
 	id := Identity(5)
 	for i := range prod.Data {
