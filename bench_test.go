@@ -227,28 +227,6 @@ func reportAlgoMetrics(b *testing.B, tab map[string]*experiments.AlgoStats, sign
 	}
 }
 
-// BenchmarkTable3OpAmp regenerates the op-amp extension table (Table 3 in
-// EXPERIMENTS.md) at benchmark scale.
-func BenchmarkTable3OpAmp(b *testing.B) {
-	sc := experiments.QuickScaleOpAmp()
-	sc.Runs = 1
-	sc.MFBOBudget = 12
-	sc.WEIBOBudget = 12
-	sc.WEIBOInit = 6
-	sc.GASPADBudget = 24
-	sc.GASPADInit = 8
-	sc.DEBudget = 24
-	var tab map[string]*experiments.AlgoStats
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, tab, err = experiments.RunTableOpAmp(testbench.NewOpAmp(), sc, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportAlgoMetrics(b, tab, +1)
-}
-
 // ---------------------------------------------------------------------------
 // Headline claim: simulation-time reduction versus WEIBO
 // ---------------------------------------------------------------------------

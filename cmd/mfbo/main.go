@@ -4,14 +4,13 @@
 //	mfbo -problem poweramp -algo mfbo -budget 50
 //	mfbo -problem chargepump -algo weibo -budget 60 -seed 7
 //	mfbo -problem constrained -algo de -budget 200 -v
-//	mfbo -problem opamp -robust -eval-timeout 30s -checkpoint run.ckpt.json
+//	mfbo -problem poweramp -robust -eval-timeout 30s -checkpoint run.ckpt.json
 //	mfbo -problem forrester -chaos 0.2 -robust -v
 //
-// Problems: poweramp, chargepump, opamp, pedagogical, forrester, branin,
-// currin, park, borehole, hartmann3, constrained, plus the three-rung ladder
-// variants forrester3, poweramp3 and chargepump3 (`mfbo -list` prints each
-// problem's rung count and per-rung costs). Algorithms: mfbo (ours), weibo,
-// gaspad, de.
+// Problems: poweramp, chargepump, pedagogical, forrester, branin, currin,
+// park, borehole, hartmann3, constrained, plus the three-rung ladder variants
+// forrester3, poweramp3 and chargepump3 (`mfbo -list` prints each problem's
+// rung count and per-rung costs). Algorithms: mfbo (ours), weibo, gaspad, de.
 //
 // Robustness (mfbo algorithm only): -robust wraps the problem in the safe
 // evaluation runtime (panic recovery, NaN sanitization, retries, timeouts);

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	table := flag.Int("table", 1, "table to regenerate (1, 2, 3 = op-amp extension, 4 = fidelity-ladder vs two-fidelity)")
+	table := flag.Int("table", 1, "table to regenerate (1 = power amplifier, 2 = charge pump, 4 = fidelity ladder vs two-fidelity)")
 	scale := flag.String("scale", "quick", "experiment scale: quick | medium | paper")
 	seed := flag.Int64("seed", 42, "base random seed (replication i uses seed+i)")
 	trace := flag.Bool("trace", false, "also print per-algorithm median convergence traces")
@@ -38,15 +38,6 @@ func main() {
 	case 2:
 		sc := pickScale(*scale, experiments.QuickScaleCP(), mediumScaleCP(), experiments.PaperScaleCP())
 		tab, stats, err = experiments.RunTable2(testbench.NewChargePump(), sc, *seed)
-	case 3:
-		// Extension: the op-amp workload (not in the paper).
-		sc := experiments.QuickScaleOpAmp()
-		if *scale == "medium" || *scale == "paper" {
-			sc.Runs = 6
-			sc.MFBOBudget, sc.WEIBOBudget = 50, 50
-			sc.GASPADBudget, sc.DEBudget = 100, 100
-		}
-		tab, stats, err = experiments.RunTableOpAmp(testbench.NewOpAmp(), sc, *seed)
 	case 4:
 		// Extension: 3-rung fidelity ladder vs the same engine restricted to
 		// the bottom and top rungs (not in the paper).
@@ -57,7 +48,7 @@ func main() {
 		}
 		tab, stats, err = experiments.RunLadderComparison(testfunc.Forrester3(), sc, *seed)
 	default:
-		log.Fatalf("tables: unknown table %d (want 1, 2 or 3)", *table)
+		log.Fatalf("tables: unknown table %d (want 1, 2 or 4)", *table)
 	}
 	if err != nil {
 		log.Fatalf("tables: %v", err)

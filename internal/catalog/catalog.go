@@ -22,7 +22,6 @@ import (
 var builtins = map[string]func() problem.Problem{
 	"poweramp":    func() problem.Problem { return testbench.NewPowerAmp() },
 	"chargepump":  func() problem.Problem { return testbench.NewChargePump() },
-	"opamp":       func() problem.Problem { return testbench.NewOpAmp() },
 	"pedagogical": func() problem.Problem { return testfunc.Pedagogical() },
 	"forrester":   func() problem.Problem { return testfunc.Forrester() },
 	"branin":      func() problem.Problem { return testfunc.BraninMF() },

@@ -24,7 +24,7 @@ func TestNamesSortedAndStable(t *testing.T) {
 		seen[n] = true
 	}
 	for _, want := range []string{
-		"poweramp", "chargepump", "opamp", // circuit testbenches
+		"poweramp", "chargepump", // circuit testbenches
 		"forrester", "branin", "currin", "park", "borehole", "hartmann3", // MF benchmarks
 		"pedagogical", "constrained",
 	} {

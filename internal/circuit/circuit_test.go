@@ -292,28 +292,41 @@ func TestLCOscillationFrequency(t *testing.T) {
 }
 
 func TestSineSteadyStateAmplitude(t *testing.T) {
-	// RC low-pass driven at the corner frequency: |H| = 1/√2.
+	// RC low-pass driven by a sine: the settled output amplitude must match
+	// the analytic gain |H(f)| = 1/√(1+(f/fc)²).
 	R, C := 1e3, 1e-9
 	fc := 1 / (2 * math.Pi * R * C)
-	c := New()
-	c.AddVSource("V1", "in", Ground, Sine{Amplitude: 1, Freq: fc})
-	c.AddResistor("R1", "in", "out", R)
-	c.AddCapacitor("C1", "out", Ground, C)
-	period := 1 / fc
-	dt := period / 200
-	wf, err := NewSim(c).Transient(12*period, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measure over the last 4 periods (settled).
-	start, end := wf.Window(8*period, 12*period)
-	out, err := wf.NodeVoltages("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	amp := HarmonicAmplitude(out[start:end], dt, fc, 1)
-	if math.Abs(amp-1/math.Sqrt2) > 0.02 {
-		t.Fatalf("corner-frequency gain %v, want %v", amp, 1/math.Sqrt2)
+	for _, tc := range []struct {
+		name string
+		f    float64
+	}{
+		{"corner", fc},
+		{"below-corner", 0.7 * fc},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New()
+			c.AddVSource("V1", "in", Ground, Sine{Amplitude: 1, Freq: tc.f})
+			c.AddResistor("R1", "in", "out", R)
+			c.AddCapacitor("C1", "out", Ground, C)
+			period := 1 / tc.f
+			dt := period / 200
+			wf, err := NewSim(c).Transient(12*period, dt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Measure over the last 4 periods (settled).
+			start, end := wf.Window(8*period, 12*period)
+			out, err := wf.NodeVoltages("out")
+			if err != nil {
+				t.Fatal(err)
+			}
+			amp := HarmonicAmplitude(out[start:end], dt, tc.f, 1)
+			r := tc.f / fc
+			want := 1 / math.Sqrt(1+r*r)
+			if rel := math.Abs(amp-want) / want; rel > 0.01 {
+				t.Fatalf("gain at f = %.2f·fc: %v, want %v (relative error %.2g)", r, amp, want, rel)
+			}
+		})
 	}
 }
 

@@ -207,7 +207,6 @@ type VSource struct {
 	a, b   int
 	W      Waveform
 	branch int
-	ac     acSource
 }
 
 // DeviceName implements Device.

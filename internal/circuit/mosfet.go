@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MOSType selects the channel polarity.
 type MOSType int
@@ -140,12 +137,4 @@ func (m *MOSFET) Stamp(a *Asm) {
 func (m *MOSFET) Current(x []float64) float64 {
 	id, _, _, _ := m.operating(nodeVoltage(x, m.d), nodeVoltage(x, m.g), nodeVoltage(x, m.s))
 	return id
-}
-
-// SmallSignal returns the transconductance gm = |∂Id/∂Vg| and output
-// conductance gds = |∂Id/∂Vd| at the operating point x — the quantities
-// hand-analysis gain formulas are built from.
-func (m *MOSFET) SmallSignal(x []float64) (gm, gds float64) {
-	_, dd, dg, _ := m.operating(nodeVoltage(x, m.d), nodeVoltage(x, m.g), nodeVoltage(x, m.s))
-	return math.Abs(dg), math.Abs(dd)
 }

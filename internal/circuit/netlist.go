@@ -2,10 +2,9 @@
 // netlists of resistors, capacitors, inductors, square-law (level-1) MOSFETs
 // and independent sources; DC operating-point analysis by Newton–Raphson
 // iteration on the modified nodal analysis (MNA) equations with gmin
-// stepping; fixed-step trapezoidal transient analysis with companion models;
-// and small-signal AC sweeps. A small measurement toolkit (Goertzel
-// harmonics, THD, mean, extrema) turns waveforms into the circuit metrics the
-// testbenches report.
+// stepping; and fixed-step trapezoidal transient analysis with companion
+// models. A small measurement toolkit (Goertzel harmonics, THD, mean,
+// extrema) turns waveforms into the circuit metrics the testbenches report.
 //
 // The simulator exists to stand in for the commercial transistor-level
 // simulator used in the paper's experiments: the optimizer only ever sees

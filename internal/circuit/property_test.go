@@ -93,40 +93,3 @@ func TestTellegenPowerBalance(t *testing.T) {
 		}
 	}
 }
-
-// TestACTransientConsistency cross-validates AC analysis against transient
-// simulation: a driven linear RC network's steady-state amplitude and phase
-// must match the phasor solution.
-func TestACTransientConsistency(t *testing.T) {
-	R, C := 2e3, 0.5e-9
-	f := 1 / (2 * math.Pi * R * C) * 0.7 // near but not at the corner
-	build := func() *Circuit {
-		c := New()
-		c.AddVSource("VIN", "in", Ground, Sine{Amplitude: 1, Freq: f}).SetAC(1, 0)
-		c.AddResistor("R1", "in", "out", R)
-		c.AddCapacitor("C1", "out", Ground, C)
-		return c
-	}
-	// Phasor solution.
-	res, err := NewSim(build()).AC([]float64{f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMag := math.Hypot(real(res.V("out", 0)), imag(res.V("out", 0)))
-	// Transient steady state.
-	period := 1 / f
-	dt := period / 256
-	wf, err := NewSim(build()).Transient(14*period, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, end := wf.Window(10*period, 14*period)
-	out, err := wf.NodeVoltages("out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMag := HarmonicAmplitude(out[start:end], dt, f, 1)
-	if math.Abs(gotMag-wantMag) > 0.01*wantMag {
-		t.Fatalf("transient amplitude %v vs AC %v", gotMag, wantMag)
-	}
-}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/testbench"
 	"repro/internal/testfunc"
 )
 
@@ -39,25 +37,5 @@ func TestRunAllProblemProducesAllAlgos(t *testing.T) {
 		if a.Results[0].NumHigh == 0 {
 			t.Fatalf("%s: no high-fidelity evaluations", name)
 		}
-	}
-}
-
-func TestRunTableOpAmpRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-algorithm run in -short mode")
-	}
-	sc := microScale()
-	tab, stats, err := RunTableOpAmp(testbench.NewOpAmp(), sc, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tab.Render()
-	for _, want := range []string{"gain/dB", "UGF/MHz", "PM/deg", "P(best)/µW", "Avg. # Sim", "# Success"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing row %q:\n%s", want, out)
-		}
-	}
-	if len(stats) != len(AlgoOrder) {
-		t.Fatalf("stats for %d algos", len(stats))
 	}
 }

@@ -444,16 +444,6 @@ func (m *Model) factorize() error {
 	return nil
 }
 
-// nlmlGrad evaluates the NLML and its gradient at the model's current kernel
-// hyperparameters and noise. Fit uses per-restart workspaces directly; this
-// entry point serves gradient-check tests and one-off evaluations.
-func (m *Model) nlmlGrad() (float64, []float64, error) {
-	ws := newFitWorkspace(m.kern, newPairGeo(m.xs), m.ys)
-	ws.kern = m.kern // evaluate the live kernel, not a clone
-	ws.logNoise = m.logNoise
-	return ws.nlmlGrad()
-}
-
 // Predict returns the posterior predictive mean and variance at x, including
 // observation noise (first line of eq. 4 plus σ_n², matching the paper).
 func (m *Model) Predict(x []float64) (mean, variance float64) {

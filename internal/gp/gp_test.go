@@ -136,45 +136,51 @@ func TestNLMLGradientMatchesFiniteDifference(t *testing.T) {
 		X[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		y[i] = rng.NormFloat64()
 	}
-	m := &Model{cfg: Config{Kernel: kernel.NewSEARD(2)}, kern: kernel.NewSEARD(2)}
+	m := &Model{}
 	m.standardize(X, y)
-	m.logNoise = math.Log(0.1)
+	w := newFitWorkspace(kernel.NewSEARD(2), newPairGeo(m.xs), m.ys)
+	w.logNoise = math.Log(0.1)
+	// nlml returns the value and a copy of the gradient at the workspace's
+	// current point; the workspace reuses its gradient buffer per call.
+	nlml := func() (float64, []float64) {
+		v, g, err := w.nlmlGrad()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, append([]float64(nil), g...)
+	}
 
 	theta := []float64{0.3, -0.2, 0.4}
-	m.kern.SetHyper(theta)
-	v0, g, err := m.nlmlGrad()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w.kern.SetHyper(theta)
+	_, g := nlml()
 	const h = 1e-6
 	// Kernel hypers.
 	for j := range theta {
 		save := theta[j]
 		theta[j] = save + h
-		m.kern.SetHyper(theta)
-		up, _, _ := m.nlmlGrad()
+		w.kern.SetHyper(theta)
+		up, _ := nlml()
 		theta[j] = save - h
-		m.kern.SetHyper(theta)
-		dn, _, _ := m.nlmlGrad()
+		w.kern.SetHyper(theta)
+		dn, _ := nlml()
 		theta[j] = save
-		m.kern.SetHyper(theta)
+		w.kern.SetHyper(theta)
 		fd := (up - dn) / (2 * h)
 		if math.Abs(fd-g[j]) > 1e-4*(1+math.Abs(fd)) {
 			t.Fatalf("hyper %d: analytic %v vs fd %v", j, g[j], fd)
 		}
 	}
 	// Noise hyper.
-	saveN := m.logNoise
-	m.logNoise = saveN + h
-	up, _, _ := m.nlmlGrad()
-	m.logNoise = saveN - h
-	dn, _, _ := m.nlmlGrad()
-	m.logNoise = saveN
+	saveN := w.logNoise
+	w.logNoise = saveN + h
+	up, _ := nlml()
+	w.logNoise = saveN - h
+	dn, _ := nlml()
+	w.logNoise = saveN
 	fd := (up - dn) / (2 * h)
 	if math.Abs(fd-g[len(g)-1]) > 1e-4*(1+math.Abs(fd)) {
 		t.Fatalf("noise grad: analytic %v vs fd %v", g[len(g)-1], fd)
 	}
-	_ = v0
 }
 
 func TestTrainingImprovesNLML(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package linalg provides the dense linear-algebra kernel used by the
 // Gaussian-process and circuit-simulation layers: column-major-free dense
-// matrices, Cholesky and LU factorizations, triangular solves, complex LU for
-// small-signal circuit analysis, and a Jacobi symmetric eigensolver that the
-// tests use as a reference.
+// matrices, Cholesky and LU factorizations, triangular solves, and a Jacobi
+// symmetric eigensolver that the tests use as a reference.
 //
 // The package is deliberately small and allocation-conscious rather than
 // general: matrices are dense float64 in row-major order, and every routine
