@@ -202,9 +202,13 @@ func (e *Engine) checkpoint() error {
 	return nil
 }
 
-// Marshal renders the checkpoint as deterministic, human-inspectable JSON.
+// Marshal renders the checkpoint as deterministic, human-inspectable JSON:
+// exactly the bytes of json.MarshalIndent(ck, "", " "), written directly
+// (see ckEncoder). A NaN or infinite float is an error, as it is for
+// encoding/json.
 func (ck *Checkpoint) Marshal() ([]byte, error) {
-	return json.MarshalIndent(ck, "", " ")
+	var e ckEncoder
+	return e.encode(ck)
 }
 
 // UnmarshalCheckpoint parses a checkpoint previously produced by Marshal.
@@ -222,10 +226,15 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 // StoreCheckpointer returns a Checkpointer hook persisting every snapshot
 // into store under (storage.KindCheckpoint, id) as its Marshal bytes;
 // durability (storage.FS: temp file, fsync, rename, directory fsync) and
-// generational rollback are the store's business.
+// generational rollback are the store's business. The hook owns one encoder
+// whose splice memo carries over between calls, so a snapshot costs what
+// changed since the previous one; each call still hands the store a fresh
+// buffer. The hook is not safe for concurrent use: the engine calls it
+// serially, and so must anyone else holding it.
 func StoreCheckpointer(store storage.Store, id string) func(*Checkpoint) error {
+	enc := &ckEncoder{memo: true}
 	return func(ck *Checkpoint) error {
-		data, err := ck.Marshal()
+		data, err := enc.encode(ck)
 		if err != nil {
 			return fmt.Errorf("core: marshal checkpoint: %w", err)
 		}

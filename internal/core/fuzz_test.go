@@ -66,3 +66,38 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckpointMarshal pins the checkpoint encoder to its oracle on any
+// snapshot UnmarshalCheckpoint accepts: Marshal equals json.MarshalIndent
+// byte for byte (or both fail), and one memo encoder fed the snapshot with
+// its lists truncated, then the full snapshot, matches the oracle each time.
+func FuzzCheckpointMarshal(f *testing.F) {
+	f.Add(adaptiveSnapshot(f, testfunc.Forrester(), fastCfg(fuzzBudget)))
+	f.Add(adaptiveSnapshot(f, testfunc.Forrester3(), ladderCfg(fuzzBudget)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		enc := &ckEncoder{memo: true}
+		checkEncode(t, enc, truncatedLists(ck), "truncated")
+		checkEncode(t, enc, ck, "full")
+	})
+}
+
+// truncatedLists returns a shallow copy of ck whose memoized lists keep only
+// their first half.
+func truncatedLists(ck *Checkpoint) *Checkpoint {
+	half := func(m [][]float64) [][]float64 { return m[:len(m)/2] }
+	tr := *ck
+	tr.LowX, tr.LowY, tr.HighX, tr.HighY = half(ck.LowX), half(ck.LowY), half(ck.HighX), half(ck.HighY)
+	tr.History = ck.History[:len(ck.History)/2]
+	tr.MidX, tr.MidY = nil, nil
+	for _, m := range ck.MidX {
+		tr.MidX = append(tr.MidX, half(m))
+	}
+	for _, m := range ck.MidY {
+		tr.MidY = append(tr.MidY, half(m))
+	}
+	return &tr
+}

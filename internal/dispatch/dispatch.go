@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -461,6 +462,39 @@ func remember(set map[string]bool, order *[]string, k string) {
 		delete(set, (*order)[0])
 		*order = (*order)[1:]
 	}
+}
+
+// Forget drops what the queue remembers of a deleted session: its acked and
+// told keys (with their FIFO order entries), its depth and its attempt
+// counters. Its live leases still expire through Scan. A later report for the
+// session fails at Config.Resolve before any of these keys is read, so
+// forgetting changes no reply.
+func (q *Queue) Forget(sessionID string) {
+	prefix := sugKey(sessionID, "")
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	forget(q.acked, &q.ackedOrder, prefix)
+	forget(q.told, &q.toldOrder, prefix)
+	for k := range q.attempts {
+		if strings.HasPrefix(k, prefix) {
+			delete(q.attempts, k)
+		}
+	}
+	delete(q.depth, sessionID)
+}
+
+// forget removes every key with prefix from set and from order.
+func forget(set map[string]bool, order *[]string, prefix string) {
+	kept := (*order)[:0]
+	for _, k := range *order {
+		if strings.HasPrefix(k, prefix) {
+			delete(set, k)
+		} else {
+			kept = append(kept, k)
+		}
+	}
+	clear((*order)[len(kept):])
+	*order = kept
 }
 
 // Scan expires leases whose deadline passed: the suggestion becomes leasable

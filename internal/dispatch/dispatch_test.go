@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -418,5 +419,120 @@ func TestJanitorRaceLateReport(t *testing.T) {
 			t.Fatalf("iter %d: Observations = %d, want 1", iter, got)
 		}
 		q.Close()
+	}
+}
+
+// TestForgetDropsSessionKeys: after several sessions are leased, reported,
+// expired once and forgotten, none of their keys is left, another session's
+// keys are untouched, and a retried report still fails at Resolve.
+func TestForgetDropsSessionKeys(t *testing.T) {
+	sessions := map[string]*session.Session{}
+	for _, id := range []string{"s1", "s2", "s3", "s10"} {
+		sess, err := session.Open(session.Config{
+			Problem: testfunc.ConstrainedSynthetic(),
+			Core:    core.Config{Budget: 8, InitLow: 8, InitHigh: 4},
+			Seed:    17,
+			Store:   storage.NewMem(storage.MemConfig{}),
+			StoreID: id,
+			Limiter: session.NewLimiter(0),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[id] = sess
+	}
+	errGone := errors.New("session deleted")
+	var mu sync.Mutex
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	q, err := New(Config{
+		Resolve: func(id string) (*session.Session, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if s, ok := sessions[id]; ok {
+				return s, nil
+			}
+			return nil, errGone
+		},
+		MaxInFlight: 3,
+		LeaseTTL:    10 * time.Second,
+		ScanEvery:   -1,
+		Now:         clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(q.Close)
+	ctx := context.Background()
+	p := testfunc.ConstrainedSynthetic()
+	last := map[string]*Grant{}
+	for id := range sessions {
+		for i := 0; i < 2; i++ {
+			g, err := q.Lease(ctx, id, "w", 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev := p.Evaluate(g.Suggestion.X, g.Suggestion.Fid)
+			if _, err := q.ReportCtx(ctx, id, g.LeaseID, g.Suggestion.ID, fmt.Sprintf("idem-%d", i), ev); err != nil {
+				t.Fatal(err)
+			}
+			last[id] = g
+		}
+		if _, err := q.Lease(ctx, id, "w", 0, 0); err != nil { // expires below
+			t.Fatal(err)
+		}
+	}
+	clock.Advance(11 * time.Second)
+	if n := q.Scan(clock.Now()); n != len(sessions) {
+		t.Fatalf("Scan expired %d leases, want %d", n, len(sessions))
+	}
+
+	ownKeys := func(id string) (n int) {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		prefix := id + "/"
+		for _, set := range []map[string]bool{q.acked, q.told} {
+			for k := range set {
+				if strings.HasPrefix(k, prefix) {
+					n++
+				}
+			}
+		}
+		for _, order := range [][]string{q.ackedOrder, q.toldOrder} {
+			for _, k := range order {
+				if strings.HasPrefix(k, prefix) {
+					n++
+				}
+			}
+		}
+		for k := range q.attempts {
+			if strings.HasPrefix(k, prefix) {
+				n++
+			}
+		}
+		if _, ok := q.depth[id]; ok {
+			n++
+		}
+		return n
+	}
+	keep := ownKeys("s10")
+	if keep == 0 {
+		t.Fatal("the kept session left no keys to compare against")
+	}
+	for _, id := range []string{"s1", "s2", "s3"} {
+		mu.Lock()
+		delete(sessions, id)
+		mu.Unlock()
+		q.Forget(id)
+		if n := ownKeys(id); n != 0 {
+			t.Fatalf("session %s: %d keys left after Forget", id, n)
+		}
+		g := last[id]
+		ev := p.Evaluate(g.Suggestion.X, g.Suggestion.Fid)
+		if _, err := q.ReportCtx(ctx, id, g.LeaseID, g.Suggestion.ID, "idem-1", ev); !errors.Is(err, errGone) {
+			t.Fatalf("session %s: retried report gave %v, want the Resolve error", id, err)
+		}
+	}
+	if n := ownKeys("s10"); n != keep {
+		t.Fatalf("kept session s10 has %d keys after the others were forgotten, want %d", n, keep)
 	}
 }

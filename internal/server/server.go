@@ -982,10 +982,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	_, ok := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
+	s.queue.Forget(id)
 	// Every kind is session state. The lease record (KindOwner) goes too — it
 	// never counts toward existence, since the Claim above just created one.
+	// Only a session that was not live (evicted, or never here) needs the
+	// store to say whether it existed.
 	for _, kind := range storage.Kinds() {
-		if kind != storage.KindOwner {
+		if !ok && kind != storage.KindOwner {
 			if _, err := s.store.Get(kind, id); err == nil {
 				ok = true
 			}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -552,4 +553,57 @@ func isStatus(err error, status int, code string) bool {
 		return false
 	}
 	return apiErr.Status == status && apiErr.Code == code
+}
+
+// countingStore counts the Gets that reach the wrapped store.
+type countingStore struct {
+	storage.Store
+	gets atomic.Int64
+}
+
+func (c *countingStore) Get(kind storage.Kind, id string) ([]byte, error) {
+	c.gets.Add(1)
+	return c.Store.Get(kind, id)
+}
+
+// TestDeleteProbesStoreOnlyWhenNotLive: deleting a live session reads
+// nothing from the store; a session that exists only in the store still
+// answers 204 and is gone afterwards; an unknown one answers 404.
+func TestDeleteProbesStoreOnlyWhenNotLive(t *testing.T) {
+	store := &countingStore{Store: storage.NewMem(storage.MemConfig{})}
+	ctx := context.Background()
+	// A first server leaves "stored" behind in the store only.
+	first, _, cl := newTestServer(t, server.Config{Store: store})
+	req := fastReq("forrester", 6, 13)
+	req.ID = "stored"
+	if _, err := cl.CreateSession(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, cl = newTestServer(t, server.Config{Store: store})
+	req.ID = "live"
+	if _, err := cl.CreateSession(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	before := store.gets.Load()
+	if err := cl.Delete(ctx, "live"); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.gets.Load() - before; n != 0 {
+		t.Fatalf("deleting a live session issued %d store Gets, want 0", n)
+	}
+	if err := cl.Delete(ctx, "stored"); err != nil {
+		t.Fatalf("delete of a stored-only session: %v", err)
+	}
+	for _, id := range []string{"live", "stored"} {
+		if _, err := cl.Status(ctx, id); !isStatus(err, 404, api.CodeNotFound) {
+			t.Fatalf("deleted session %s still answers: %v", id, err)
+		}
+	}
+	if err := cl.Delete(ctx, "unknown"); !isStatus(err, 404, api.CodeNotFound) {
+		t.Fatalf("delete of an unknown session: %v", err)
+	}
 }

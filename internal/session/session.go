@@ -256,11 +256,13 @@ func (s *Session) History() []core.Observation {
 }
 
 // Persist force-writes the current snapshot to the session's store. Servers
-// call it before evicting idle sessions and during graceful shutdown.
+// call it before evicting idle sessions and during graceful shutdown. It goes
+// through the engine's own checkpoint hook, under s.mu like every Tell, so
+// the hook's encoder memo carries over and the store sees the same bytes.
 func (s *Session) Persist() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return core.StoreCheckpointer(s.cfg.Store, s.cfg.StoreID)(s.eng.Snapshot())
+	return s.cfg.Core.Checkpointer(s.eng.Snapshot())
 }
 
 // LastUsed reports the time of the most recent Ask/Tell.
