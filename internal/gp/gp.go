@@ -113,7 +113,7 @@ type Model struct {
 	lowRank *lowRankState
 
 	// Incremental-maintenance scratch (AppendObservation / Truncate).
-	rowBuf, diffBuf, solveBuf []float64
+	rowBuf, diffBuf, solveBuf, factBuf []float64
 
 	// predScratch holds the predictScratch buffers of finished predictions,
 	// so that PredictLatent allocates nothing in steady state even under
@@ -123,14 +123,15 @@ type Model struct {
 
 // predictScratch is the per-goroutine buffer set for one posterior
 // evaluation: the standardized query point, the cross-covariance row, the
-// forward-solve vector, a difference vector for the kernel profile, and the
-// profile itself (profiles carry scratch and must not be shared across
-// goroutines). PredictLatentAugmented adds the per-row design-space kernel
-// factors k2, k3 and the augmented point of its per-point fallback.
+// forward-solve vector, a difference vector and the row's kernel factors
+// (see factors) for the kernel profile, and the profile itself (profiles
+// carry scratch and must not be shared across goroutines).
+// PredictLatentAugmented adds the per-row design-space kernel factors k2, k3
+// and the augmented point of its per-point fallback.
 type predictScratch struct {
-	x, ks, v, diff []float64
-	k2, k3, aug    []float64
-	prof           kernel.PairProfile
+	x, ks, v, diff, fact []float64
+	k2, k3, aug          []float64
+	prof                 kernel.PairProfile
 }
 
 func (m *Model) getPredictScratch() *predictScratch {
@@ -421,16 +422,15 @@ func (m *Model) factorize() error {
 	noise2 := math.Exp(2 * m.logNoise)
 	prof := m.kern.Profile()
 	diff := make([]float64, len(m.xMean))
+	var fact []float64
+	if nf := prof.NumFactors(); nf > 1 {
+		fact = make([]float64, n*nf)
+	}
 	for i := 0; i < n; i++ {
-		xi := m.xs[i]
-		for j := i; j < n; j++ {
-			xj := m.xs[j]
-			for t := range diff {
-				diff[t] = xi[t] - xj[t]
-			}
-			v := prof.Eval(diff)
-			K.Set(i, j, v)
-			K.Set(j, i, v)
+		row := K.Data[i*n+i : (i+1)*n]
+		kernelRow(prof, m.xs[i], m.xs[i:], diff, fact, row)
+		for j, v := range row {
+			K.Set(i+j, i, v)
 		}
 		K.Add(i, i, noise2)
 	}
@@ -471,7 +471,7 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, varian
 		return m.lowRank.predict(m, sc)
 	}
 	ks, v := sc.ks[:n], sc.v[:n]
-	kernelRow(sc.prof, sc.x, m.xs, sc.diff, ks)
+	kernelRow(sc.prof, sc.x, m.xs, sc.diff, sc.factors(n), ks)
 	kss := sc.prof.Eval(zero(sc.diff))
 	mu := linalg.Dot(ks, m.alpha)
 	m.chol.ForwardSolveInto(ks, v)
@@ -483,14 +483,41 @@ func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, varian
 }
 
 // kernelRow writes k(x, rows[i]) into out[i] for every row, evaluating prof
-// on the difference vector x − rows[i] built in diff.
-func kernelRow(prof kernel.PairProfile, x []float64, rows [][]float64, diff, out []float64) {
+// on the difference vector x − rows[i] built in diff: every row's exp
+// arguments go into fact, one linalg.ExpInto takes their exps, and
+// FromFactors combines each row's. fact needs len(rows)·NumFactors entries
+// when the profile has more than one factor per pair; with one, out holds
+// the factors and fact is not used.
+func kernelRow(prof kernel.PairProfile, x []float64, rows [][]float64, diff, fact, out []float64) {
+	nf := prof.NumFactors()
+	if nf == 1 {
+		fact = out
+	}
+	fact = fact[:len(rows)*nf]
 	for i, xi := range rows {
 		for t := range diff {
 			diff[t] = x[t] - xi[t]
 		}
-		out[i] = prof.Eval(diff)
+		prof.FactorArgs(diff, fact[i*nf:i*nf+nf])
 	}
+	linalg.ExpInto(fact, fact)
+	for i := range rows {
+		out[i] = prof.FromFactors(fact[i*nf : i*nf+nf])
+	}
+}
+
+// factors returns kernelRow's factor buffer for n rows, grown on first use
+// by a profile with more than one factor per pair, and nil for a profile
+// with one.
+func (sc *predictScratch) factors(n int) []float64 {
+	k := n * sc.prof.NumFactors()
+	if k == n {
+		return nil
+	}
+	if len(sc.fact) < k {
+		sc.fact = make([]float64, k)
+	}
+	return sc.fact
 }
 
 // zero clears v and returns it.
@@ -503,12 +530,13 @@ func zero(v []float64) []float64 {
 
 // splitProfile is a pair profile whose value splits into a part that reads
 // only the leading (design-space) coordinates of the difference vector and a
-// combination with the last coordinate; kernel.NARGP's profile is one. For
-// every diff whose last coordinate is t − f, entry s of
-// CombineRow([t], f, XPart(diff)) must equal Eval(diff) bit for bit.
+// combination with the last coordinate; kernel.NARGP's profile is one.
+// XArgs returns the exp arguments of the design-space part. For every diff
+// whose last coordinate is t − f, with k2 and k3 the exps of XArgs(diff),
+// CombineRow([t], f, k2, k3) must equal Eval(diff) bit for bit.
 type splitProfile interface {
 	kernel.PairProfile
-	XPart(diff []float64) (k2, k3 float64)
+	XArgs(diff []float64) (a2, a3 float64)
 	CombineRow(ts []float64, f, k2, k3 float64, out []float64)
 }
 
@@ -570,8 +598,9 @@ func getCloudBlock(n, S int) *cloudBlock {
 // node, while evaluating the S nodes of the cloud as one block:
 //
 //   - Kernel block. diff[t] = std(x)[t] − x_i[t] for the design coordinates
-//     gives XPart once per row; CombineRow then fills row i of the block
-//     against std(t_s) − x_i[last], reproducing every kernel row exactly.
+//     gives XArgs once per row, and one linalg.ExpInto per factor takes the
+//     exps of all rows; CombineRow then fills row i of the block against
+//     std(t_s) − x_i[last], reproducing every kernel row exactly.
 //   - Mean. μ_s = Σ_i K[i,s]·α_i accumulates in i-order, as linalg.Dot does,
 //     while row i is fresh; means holds the S running sums.
 //   - Variance. One blocked forward solve takes each column through
@@ -592,8 +621,10 @@ func (m *Model) predictSplit(x, ts, means, variances []float64, sp splitProfile,
 		for t := 0; t < d; t++ {
 			diff[t] = xs[t] - xi[t]
 		}
-		k2[i], k3[i] = sp.XPart(diff)
+		k2[i], k3[i] = sp.XArgs(diff)
 	}
+	linalg.ExpInto(k2, k2)
+	linalg.ExpInto(k3, k3)
 	kss := sp.Eval(zero(diff))
 
 	blk := getCloudBlock(n, S)

@@ -45,7 +45,11 @@ func (m *Model) AppendObservation(x []float64, y float64) error {
 	row := m.rowScratch(n)
 	prof := m.kern.Profile()
 	diff := m.diffScratch(len(sx))
-	kernelRow(prof, sx, m.xs, diff, row)
+	var fact []float64
+	if nf := prof.NumFactors(); nf > 1 {
+		fact = m.factScratch(n * nf)
+	}
+	kernelRow(prof, sx, m.xs, diff, fact, row)
 	kss := prof.Eval(zero(diff))
 	noise2 := math.Exp(2 * m.logNoise)
 	if err := m.chol.AppendRow(row, kss+noise2); err != nil {
@@ -111,6 +115,13 @@ func (m *Model) rowScratch(n int) []float64 {
 		m.rowBuf = make([]float64, n, 2*n)
 	}
 	return m.rowBuf[:n]
+}
+
+func (m *Model) factScratch(k int) []float64 {
+	if cap(m.factBuf) < k {
+		m.factBuf = make([]float64, k, 2*k)
+	}
+	return m.factBuf[:k]
 }
 
 func (m *Model) diffScratch(d int) []float64 {

@@ -182,7 +182,7 @@ func (lr *lowRankState) refreshWeights(m *Model) {
 func (lr *lowRankState) predict(m *Model, sc *predictScratch) (mean, variance float64) {
 	mi := len(lr.zs)
 	km := sc.ks[:mi]
-	kernelRow(sc.prof, sc.x, lr.zs, sc.diff, km)
+	kernelRow(sc.prof, sc.x, lr.zs, sc.diff, sc.factors(mi), km)
 	mu := linalg.Dot(km, lr.w)
 	kss := sc.prof.Eval(zero(sc.diff))
 	v := sc.v[:mi]

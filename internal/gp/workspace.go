@@ -78,14 +78,20 @@ func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, ys []float64) *fitWorkspa
 
 // fillCovariance writes K + σ_n²·I into dst (symmetric-half evaluation, both
 // triangles stored) from the cached pair differences, and each pair's kernel
-// factors into fact in the geometry's pair order.
+// factors into fact in the geometry's pair order: every pair's exp arguments
+// first, then one linalg.ExpInto over all of them, then the fill.
 func fillCovariance(dst *linalg.Matrix, fact []float64, prof kernel.PairProfile, geo *pairGeo, noise2 float64) {
-	n := geo.n
+	n, d := geo.n, geo.d
 	nf := prof.NumFactors()
+	pairs := n * (n + 1) / 2
+	for p := 0; p < pairs; p++ {
+		prof.FactorArgs(geo.diffs[p*d:p*d+d], fact[p*nf:p*nf+nf])
+	}
+	linalg.ExpInto(fact[:pairs*nf], fact[:pairs*nf])
 	p := 0
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := prof.EvalFactors(geo.diff(i, j), fact[p:p+nf])
+			v := prof.FromFactors(fact[p : p+nf])
 			dst.Set(i, j, v)
 			dst.Set(j, i, v)
 			p += nf

@@ -164,7 +164,10 @@ func (k *Slice) Clone() kernel.Kernel {
 	return &Slice{Inner: k.Inner.Clone(), Start: k.Start, End: k.End, fullDim: k.fullDim}
 }
 
-// sumProfile and productProfile keep a's factors first in f, then b's.
+// Each profile's EvalFactors is kernel.EvalSplit over its own FactorArgs
+// and FromFactors, so the bit-identity oracles cover the split of every
+// composite. sumProfile and productProfile keep a's factors (and their
+// arguments) first in f, then b's.
 type sumProfile struct {
 	a, b kernel.PairProfile
 	na   int // a's hyperparameter count
@@ -185,9 +188,16 @@ func (p *sumProfile) Eval(diff []float64) float64 {
 
 func (p *sumProfile) NumFactors() int { return p.nfa + p.b.NumFactors() }
 
-func (p *sumProfile) EvalFactors(diff, f []float64) float64 {
-	return p.a.EvalFactors(diff, f[:p.nfa]) + p.b.EvalFactors(diff, f[p.nfa:])
+func (p *sumProfile) FactorArgs(diff, a []float64) {
+	p.a.FactorArgs(diff, a[:p.nfa])
+	p.b.FactorArgs(diff, a[p.nfa:])
 }
+
+func (p *sumProfile) FromFactors(f []float64) float64 {
+	return p.a.FromFactors(f[:p.nfa]) + p.b.FromFactors(f[p.nfa:])
+}
+
+func (p *sumProfile) EvalFactors(diff, f []float64) float64 { return kernel.EvalSplit(p, diff, f) }
 
 func (p *sumProfile) GradFactors(diff, f, grad []float64) float64 {
 	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
@@ -215,9 +225,16 @@ func (p *productProfile) Eval(diff []float64) float64 {
 
 func (p *productProfile) NumFactors() int { return p.nfa + p.b.NumFactors() }
 
-func (p *productProfile) EvalFactors(diff, f []float64) float64 {
-	return p.a.EvalFactors(diff, f[:p.nfa]) * p.b.EvalFactors(diff, f[p.nfa:])
+func (p *productProfile) FactorArgs(diff, a []float64) {
+	p.a.FactorArgs(diff, a[:p.nfa])
+	p.b.FactorArgs(diff, a[p.nfa:])
 }
+
+func (p *productProfile) FromFactors(f []float64) float64 {
+	return p.a.FromFactors(f[:p.nfa]) * p.b.FromFactors(f[p.nfa:])
+}
+
+func (p *productProfile) EvalFactors(diff, f []float64) float64 { return kernel.EvalSplit(p, diff, f) }
 
 func (p *productProfile) GradFactors(diff, f, grad []float64) float64 {
 	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
@@ -250,9 +267,13 @@ func (p *sliceProfile) Eval(diff []float64) float64 {
 
 func (p *sliceProfile) NumFactors() int { return p.inner.NumFactors() }
 
-func (p *sliceProfile) EvalFactors(diff, f []float64) float64 {
-	return p.inner.EvalFactors(diff[p.start:p.end], f)
+func (p *sliceProfile) FactorArgs(diff, a []float64) {
+	p.inner.FactorArgs(diff[p.start:p.end], a)
 }
+
+func (p *sliceProfile) FromFactors(f []float64) float64 { return p.inner.FromFactors(f) }
+
+func (p *sliceProfile) EvalFactors(diff, f []float64) float64 { return kernel.EvalSplit(p, diff, f) }
 
 func (p *sliceProfile) GradFactors(diff, f, grad []float64) float64 {
 	return p.inner.GradFactors(diff[p.start:p.end], f, grad)

@@ -2,7 +2,8 @@ package kernel
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/linalg"
 )
 
 // NARGP is the structured multi-fidelity kernel of eq. (9) over the augmented
@@ -98,20 +99,23 @@ func (k *NARGP) Clone() Kernel {
 type nargpProfile struct {
 	d          int
 	k1, k2, k3 *seProfile
-	df         [1]float64 // scratch: the last-coordinate difference
+	f          [3]float64 // scratch: one pair's factors
 }
 
 // Profile implements Kernel. Besides Eval and the factor methods, the profile
 // splits its value in two steps for points that share x and differ only in
 // the last coordinate:
 //
-//	XPart(diff []float64) (k2, k3 float64)   // reads diff[:d] only
+//	XArgs(diff []float64) (a2, a3 float64)   // reads diff[:d] only
 //	Combine(df, k2, k3 float64) float64      // float64(k1(df)·k2) + k3
 //
-// so the x-part is computed once per training row and each point costs one
-// Combine. For every diff, Combine(diff[d], XPart(diff)) is Eval(diff): Eval
-// is built from the two steps. CombineRow is Combine for a whole cloud of
-// last coordinates against one training row, without a call per point.
+// so the x-part is computed once per training row, k2 = exp(a2) and
+// k3 = exp(a3), and each point costs one Combine. XPart returns those exps
+// for one row. For every diff, Combine(diff[d], XPart(diff)) is Eval(diff):
+// both take the exp of each FactorArgs argument and combine the factors with
+// FromFactors. CombineRow is Combine for a
+// whole cloud of last coordinates against one training row, with one
+// linalg.ExpInto over the cloud instead of a call per point.
 func (k *NARGP) Profile() PairProfile {
 	return &nargpProfile{d: k.d,
 		k1: k.k1.Profile().(*seProfile), k2: k.k2.Profile().(*seProfile), k3: k.k3.Profile().(*seProfile)}
@@ -119,43 +123,57 @@ func (k *NARGP) Profile() PairProfile {
 
 func (p *nargpProfile) NumHyper() int { return p.k1.NumHyper() + p.k2.NumHyper() + p.k3.NumHyper() }
 
+// XArgs returns the exp arguments of k2 and k3, FactorArgs' a[1] and a[2].
+func (p *nargpProfile) XArgs(diff []float64) (a2, a3 float64) {
+	return p.k2.arg(diff[:p.d]), p.k3.arg(diff[:p.d])
+}
+
+// XPart returns k2 and k3, the exps of XArgs(diff).
 func (p *nargpProfile) XPart(diff []float64) (k2, k3 float64) {
 	return p.k2.Eval(diff[:p.d]), p.k3.Eval(diff[:p.d])
 }
 
 func (p *nargpProfile) Combine(df, k2, k3 float64) float64 {
-	p.df[0] = df
-	return float64(p.k1.Eval(p.df[:])*k2) + k3
+	p.f = [3]float64{df, k2, k3}
+	p.f[0] = p.k1.Eval(p.f[:1])
+	return p.FromFactors(p.f[:])
 }
 
 // CombineRow writes Combine(ts[s]−f, k2, k3) into out[s] for every s: the
 // kernel between one training row, whose last coordinate is f and whose
-// x-part is (k2, k3), and the points (x, ts[s]). It inlines k1's
-// one-dimensional SE profile with the same operands and roundings as
-// seProfile.Eval, so every entry is bit-identical to Combine.
+// x-part is (k2, k3), and the points (x, ts[s]). It writes k1's exp
+// arguments into out with the same operands and roundings as seProfile's
+// (a one-term sum q is d·d exactly), takes their exps with one ExpInto, and
+// combines each as FromFactors does, so every entry is bit-identical to
+// Combine.
 func (p *nargpProfile) CombineRow(ts []float64, f, k2, k3 float64, out []float64) {
 	out = out[:len(ts)]
 	logAmp, s1 := p.k1.logAmp, p.k1.s[0]
 	for s, t := range ts {
 		d := (t - f) * s1
-		out[s] = float64(math.Exp(2*logAmp-0.5*(d*d))*k2) + k3
+		out[s] = 2*logAmp - 0.5*(d*d)
+	}
+	linalg.ExpInto(out, out)
+	for s, e := range out {
+		out[s] = float64(e*k2) + k3
 	}
 }
 
-func (p *nargpProfile) Eval(diff []float64) float64 {
-	k2, k3 := p.XPart(diff)
-	return p.Combine(diff[p.d], k2, k3)
-}
+func (p *nargpProfile) Eval(diff []float64) float64 { return p.EvalFactors(diff, p.f[:]) }
 
 // NumFactors is 3: the exp of k1, k2 and k3, in that order.
 func (p *nargpProfile) NumFactors() int { return 3 }
 
-func (p *nargpProfile) EvalFactors(diff, f []float64) float64 {
+func (p *nargpProfile) FactorArgs(diff, a []float64) {
 	d := p.d
-	f[0] = p.k1.Eval(diff[d : d+1])
-	f[1], f[2] = p.XPart(diff)
-	return float64(f[0]*f[1]) + f[2]
+	a[0] = p.k1.arg(diff[d : d+1])
+	a[1], a[2] = p.XArgs(diff)
 }
+
+// FromFactors rounds the product before the sum (see NARGP).
+func (p *nargpProfile) FromFactors(f []float64) float64 { return float64(f[0]*f[1]) + f[2] }
+
+func (p *nargpProfile) EvalFactors(diff, f []float64) float64 { return EvalSplit(p, diff, f) }
 
 func (p *nargpProfile) GradFactors(diff, f, grad []float64) float64 {
 	d := p.d
@@ -164,5 +182,5 @@ func (p *nargpProfile) GradFactors(diff, f, grad []float64) float64 {
 	p.k2.GradFactors(diff[:d], f[1:2], grad[n1:n1+n2])
 	scaleProductGrad(grad[:n1+n2], n1, f[0], f[1])
 	p.k3.GradFactors(diff[:d], f[2:3], grad[n1+n2:])
-	return float64(f[0]*f[1]) + f[2]
+	return p.FromFactors(f)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/linalg"
 )
 
 // compositeNARGP is eq. (9) assembled from the generic combinators: the
@@ -120,4 +121,72 @@ func TestNARGPRejectsZeroDim(t *testing.T) {
 		}
 	}()
 	kernel.NewNARGP(0)
+}
+
+// TestNARGPSplitArgsMatchComposite checks the x-part arguments and the
+// cloud combine the way a fused prediction runs them: XArgs for many rows,
+// one linalg.ExpInto per factor, then CombineRow over a 30-node cloud, which
+// takes the vector path where there is one. Every x-part equals XPart and
+// every cloud entry the composite kernel, bit for bit.
+func TestNARGPSplitArgsMatchComposite(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	type argsProfile interface {
+		splitProfile
+		XArgs(diff []float64) (a2, a3 float64)
+	}
+	const rows, nodes = 9, 30
+	for _, d := range []int{1, 3, 5} {
+		k, ref := kernel.NewNARGP(d), compositeNARGP(d)
+		lo, hi := kernel.BoundsVectors(k)
+		rng := rand.New(rand.NewSource(int64(70 + d)))
+		for trial := 0; trial < 10; trial++ {
+			h := make([]float64, k.NumHyper())
+			for j := range h {
+				h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+			}
+			k.SetHyper(h)
+			ref.SetHyper(h)
+			p, pr := k.Profile().(argsProfile), ref.Profile()
+			x := make([]float64, d+1)
+			for j := range x {
+				x[j] = rng.NormFloat64()
+			}
+			xs := make([][]float64, rows)
+			k2, k3 := make([]float64, rows), make([]float64, rows)
+			diff := make([]float64, d+1)
+			for i := range xs {
+				xs[i] = make([]float64, d+1)
+				for j := range xs[i] {
+					xs[i][j] = rng.NormFloat64()
+				}
+				for j := 0; j < d; j++ {
+					diff[j] = x[j] - xs[i][j]
+				}
+				k2[i], k3[i] = p.XArgs(diff)
+			}
+			linalg.ExpInto(k2, k2)
+			linalg.ExpInto(k3, k3)
+			ts := make([]float64, nodes)
+			for s := range ts {
+				ts[s] = 3 * rng.NormFloat64()
+			}
+			ts[nodes-1] = math.Inf(1)
+			out := make([]float64, nodes)
+			for i, xi := range xs {
+				for j := 0; j < d; j++ {
+					diff[j] = x[j] - xi[j]
+				}
+				if a2, a3 := p.XPart(diff); !same(a2, k2[i]) || !same(a3, k3[i]) {
+					t.Fatalf("d=%d trial %d row %d: batched x-part (%v, %v) != XPart (%v, %v)", d, trial, i, k2[i], k3[i], a2, a3)
+				}
+				p.CombineRow(ts, xi[d], k2[i], k3[i], out)
+				for s, tv := range ts {
+					diff[d] = tv - xi[d]
+					if want := pr.Eval(diff); !same(out[s], want) {
+						t.Fatalf("d=%d trial %d row %d node %d: CombineRow %v != composite %v", d, trial, i, s, out[s], want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -1,6 +1,10 @@
 package kernel
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/linalg"
+)
 
 // PairProfile is a hyperparameter-resolved snapshot of a kernel that
 // evaluates on a cached coordinate-difference vector diff = x1 − x2 instead
@@ -12,28 +16,37 @@ import "math"
 //
 // # Factors
 //
-// The only transcendental left per pair is the exp of each SE factor, and
-// the gradient needs no new one: every ∂k/∂logθ is a product of the factor
-// values with polynomials in diff. A profile therefore splits its gradient
-// in two steps. EvalFactors returns the value and records the NumFactors exp
-// results it took; GradFactors rebuilds the gradient from those recorded
-// factors with multiplications only. A GP fit calls EvalFactors once per pair
-// while filling the covariance and GradFactors on the same pair when the
+// The only transcendental left per pair is the exp of each SE factor, and a
+// profile evaluates in three steps around it:
+//
+//   - FactorArgs writes the NumFactors exp arguments of the pair;
+//   - the caller takes their exps, one linalg.ExpInto over as many pairs as
+//     it has at hand (a covariance triangle, a kernel row);
+//   - FromFactors combines the factors into the kernel value.
+//
+// Eval and EvalFactors are these three steps for one pair (EvalSplit), so
+// there is one formula per kernel whichever way it is called. The gradient
+// needs no new exp: every ∂k/∂logθ is a product of the factor values with
+// polynomials in diff, so GradFactors rebuilds it from the recorded factors
+// with multiplications only. A GP fit records every pair's factors while
+// filling the covariance and calls GradFactors on the same pair when the
 // line search asks for a gradient, so the gradient pass takes no exp at all.
 //
 // # Bit-identity contract
 //
 // For every kernel, with diff[i] == x1[i]−x2[i]:
 //   - Eval(diff) and EvalFactors(diff, f) are bit-identical to Eval(x1, x2);
-//   - GradFactors(diff, f, grad), given the f that EvalFactors(diff, f)
-//     wrote, returns that same value and writes into grad exactly what
-//     EvalGrad(x1, x2, grad) writes.
+//   - FromFactors(f), where f holds math.Exp of each argument FactorArgs(diff,
+//     ·) wrote, is that same value, and f is what EvalFactors(diff, f) writes;
+//   - GradFactors(diff, f, grad), given that f, returns that same value and
+//     writes into grad exactly what EvalGrad(x1, x2, grad) writes.
 //
 // The per-dimension arithmetic runs in the same order with the same
 // roundings; only the loop-invariant factors are precomputed and the exp
-// results are reused. Tests enforce this, which keeps the direct Eval/EvalGrad
-// methods a valid reference for the profile a GP fit and prediction actually
-// run.
+// results are reused. linalg.ExpInto equals math.Exp bit for bit, so a batch
+// of arguments exponentiated together gives the factors a per-pair call
+// would. Tests enforce this, which keeps the direct Eval/EvalGrad methods a
+// valid reference for the profile a GP fit and prediction actually run.
 //
 // A profile captures the kernel's hyperparameters at Profile() time — it
 // does NOT track later SetHyper calls. Profiles carry internal scratch and
@@ -43,8 +56,14 @@ type PairProfile interface {
 	NumHyper() int
 	// Eval returns k for the pair with coordinate differences diff.
 	Eval(diff []float64) float64
-	// NumFactors returns how many exp factors EvalFactors records per pair.
+	// NumFactors returns how many exp factors a pair has.
 	NumFactors() int
+	// FactorArgs writes the exp arguments of the pair's factors into a
+	// (length NumFactors).
+	FactorArgs(diff, a []float64)
+	// FromFactors returns k from the pair's factors f (length NumFactors),
+	// the exps of the arguments FactorArgs wrote.
+	FromFactors(f []float64) float64
 	// EvalFactors returns Eval(diff) and writes the pair's exp factors into
 	// f (length NumFactors).
 	EvalFactors(diff, f []float64) float64
@@ -54,11 +73,21 @@ type PairProfile interface {
 	GradFactors(diff, f, grad []float64) float64
 }
 
+// EvalSplit is p's value on one pair by its three steps: FactorArgs into f,
+// their exps in place, FromFactors. It leaves the factors in f (length
+// p.NumFactors()), so it implements EvalFactors for every profile.
+func EvalSplit(p PairProfile, diff, f []float64) float64 {
+	p.FactorArgs(diff, f)
+	linalg.ExpInto(f, f)
+	return p.FromFactors(f)
+}
+
 // --- SEARD ---
 
 type seProfile struct {
 	logAmp float64
 	s      []float64 // exp(−log l_i)
+	f      [1]float64
 }
 
 // Profile implements Kernel.
@@ -101,23 +130,27 @@ func RefreshProfile(k Kernel, p PairProfile) PairProfile {
 
 func (p *seProfile) NumHyper() int { return 1 + len(p.s) }
 
-func (p *seProfile) Eval(diff []float64) float64 {
+func (p *seProfile) Eval(diff []float64) float64 { return p.EvalFactors(diff, p.f[:]) }
+
+func (p *seProfile) NumFactors() int { return 1 }
+
+// arg returns the exp argument of the pair: 2·log σ_f − ½·Σ_i (diff_i/l_i)²,
+// summed in i-order.
+func (p *seProfile) arg(diff []float64) float64 {
 	q := 0.0
 	for i, s := range p.s {
 		d := diff[i] * s
 		q += d * d
 	}
-	return math.Exp(2*p.logAmp - 0.5*q)
+	return 2*p.logAmp - 0.5*q
 }
 
-func (p *seProfile) NumFactors() int { return 1 }
+func (p *seProfile) FactorArgs(diff, a []float64) { a[0] = p.arg(diff) }
 
-// EvalFactors records the kernel value itself: it is the one exp.
-func (p *seProfile) EvalFactors(diff, f []float64) float64 {
-	v := p.Eval(diff)
-	f[0] = v
-	return v
-}
+// FromFactors returns the one factor: it is the kernel value itself.
+func (p *seProfile) FromFactors(f []float64) float64 { return f[0] }
+
+func (p *seProfile) EvalFactors(diff, f []float64) float64 { return EvalSplit(p, diff, f) }
 
 func (p *seProfile) GradFactors(diff, f, grad []float64) float64 {
 	v := f[0]

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/linalg"
 )
 
 // profileKernels enumerates the two production kernels and the test
@@ -121,5 +122,58 @@ func TestProfileSnapshotsHyperparameters(t *testing.T) {
 	}
 	if fresh := k.Profile().Eval(diff); fresh != k.Eval(x1, x2) {
 		t.Fatalf("fresh profile %v != direct %v", fresh, k.Eval(x1, x2))
+	}
+}
+
+// TestProfileSplitBatchMatchesDirect checks the three-step split the way
+// package gp runs it: the exp arguments of many pairs written into one
+// buffer, one linalg.ExpInto over all of them (whole blocks of four take the
+// vector path where there is one), then FromFactors per pair. Every value
+// equals the direct Eval and every factor the one EvalFactors records, bit
+// for bit, on every kernel.
+func TestProfileSplitBatchMatchesDirect(t *testing.T) {
+	const d, pairs = 4, 37
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := rand.New(rand.NewSource(11))
+	for name, k := range profileKernels(d) {
+		t.Run(name, func(t *testing.T) {
+			lo, hi := kernel.BoundsVectors(k)
+			for trial := 0; trial < 10; trial++ {
+				h := make([]float64, k.NumHyper())
+				for j := range h {
+					h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+				}
+				k.SetHyper(h)
+				p := k.Profile()
+				nf := p.NumFactors()
+				x1, x2, diffs := make([][]float64, pairs), make([][]float64, pairs), make([][]float64, pairs)
+				fact := make([]float64, pairs*nf)
+				for q := range diffs {
+					x1[q], x2[q], diffs[q] = make([]float64, d), make([]float64, d), make([]float64, d)
+					for j := 0; j < d; j++ {
+						x1[q][j], x2[q][j] = rng.NormFloat64(), rng.NormFloat64()
+						if q == 0 {
+							x2[q][j] = x1[q][j] // the zero-distance pair
+						}
+						diffs[q][j] = x1[q][j] - x2[q][j]
+					}
+					p.FactorArgs(diffs[q], fact[q*nf:q*nf+nf])
+				}
+				linalg.ExpInto(fact, fact)
+				f := make([]float64, nf)
+				for q := range diffs {
+					fq := fact[q*nf : q*nf+nf]
+					if got, want := p.FromFactors(fq), k.Eval(x1[q], x2[q]); !same(got, want) {
+						t.Fatalf("trial %d pair %d: FromFactors %v != direct Eval %v", trial, q, got, want)
+					}
+					p.EvalFactors(diffs[q], f)
+					for j := range f {
+						if !same(fq[j], f[j]) {
+							t.Fatalf("trial %d pair %d: batched factor %d %v != EvalFactors %v", trial, q, j, fq[j], f[j])
+						}
+					}
+				}
+			}
+		})
 	}
 }
