@@ -602,10 +602,12 @@ func getCloudBlock(n, S int) *cloudBlock {
 //     exps of all rows; CombineRow then fills row i of the block against
 //     std(t_s) − x_i[last], reproducing every kernel row exactly.
 //   - Mean. μ_s = Σ_i K[i,s]·α_i accumulates in i-order, as linalg.Dot does,
-//     while row i is fresh; means holds the S running sums.
+//     while row i is fresh: one linalg.AXPY per row into the S running sums
+//     in means (α_i·K[i,s] rounds as K[i,s]·α_i does).
 //   - Variance. One blocked forward solve takes each column through
 //     ForwardSolveInto's operations, in place; Σ_i V[i,s]² then accumulates
-//     in i-order into variances before the per-point clamp and scaling.
+//     in i-order into variances, one linalg.AddSquares per row, before the
+//     per-point clamp and scaling.
 func (m *Model) predictSplit(x, ts, means, variances []float64, sp splitProfile, sc *predictScratch) {
 	d := len(m.xMean) - 1
 	n, S := len(m.xs), len(ts)
@@ -637,17 +639,12 @@ func (m *Model) predictSplit(x, ts, means, variances []float64, sp splitProfile,
 	for i := 0; i < n; i++ {
 		row := K[i*S : (i+1)*S]
 		sp.CombineRow(sts, m.xs[i][d], k2[i], k3[i], row)
-		a := m.alpha[i]
-		for s, k := range row {
-			means[s] += k * a
-		}
+		linalg.AXPY(m.alpha[i], row, means)
 	}
 	m.chol.ForwardSolveBlockInto(K, K, S)
 	zero(variances)
 	for i := 0; i < n; i++ {
-		for s, v := range K[i*S : (i+1)*S] {
-			variances[s] += v * v
-		}
+		linalg.AddSquares(variances, K[i*S:(i+1)*S])
 	}
 	blockPool.Put(blk)
 	for s := range means {

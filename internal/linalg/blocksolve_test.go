@@ -183,6 +183,25 @@ func TestInverseIntoMatchesColumnSolves(t *testing.T) {
 	}
 }
 
+// benchBlockPaths runs f as a "vector" and a "scalar" sub-benchmark, with
+// the block kernels on and off; "vector" is skipped where they are not in
+// use.
+func benchBlockPaths(b *testing.B, f func(b *testing.B)) {
+	for _, path := range []string{"vector", "scalar"} {
+		b.Run(path, func(b *testing.B) {
+			if path == "vector" && !vectorBlock {
+				b.Skip("block kernels not in use on this platform")
+			}
+			saved := vectorBlock
+			vectorBlock = path == "vector"
+			defer func() { vectorBlock = saved }()
+			b.ReportAllocs()
+			b.ResetTimer()
+			f(b)
+		})
+	}
+}
+
 // BenchmarkForwardSolveBlock solves a 30-node cloud against a 40-row factor,
 // the shape of one fused prediction on a mid-run model.
 func BenchmarkForwardSolveBlock(b *testing.B) {
@@ -193,11 +212,11 @@ func BenchmarkForwardSolveBlock(b *testing.B) {
 		b.Fatal(err)
 	}
 	rhs, y := randomBlock(rng, n, S), make([]float64, n*S)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ForwardSolveBlockInto(rhs, y, S)
-	}
+	benchBlockPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.ForwardSolveBlockInto(rhs, y, S)
+		}
+	})
 }
 
 // BenchmarkInverseInto inverts a 64-row factor, the precision matrix of one
@@ -209,9 +228,9 @@ func BenchmarkInverseInto(b *testing.B) {
 		b.Fatal(err)
 	}
 	inv := NewMatrix(n, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.InverseInto(inv)
-	}
+	benchBlockPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.InverseInto(inv)
+		}
+	})
 }

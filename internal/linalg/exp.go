@@ -13,8 +13,8 @@ import (
 // stream with the same operations, constants and roundings as math.Exp's own
 // FMA assembly (see exp_amd64.s). A block of four whose reduced exponent
 // leaves the normal range, which covers NaN, ±Inf, overflow and subnormal or
-// zero results, is recomputed element by element with math.Exp, as is the
-// tail of fewer than four. The vector path is only used when an init-time
+// zero results, is recomputed element by element with math.Exp. A tail of
+// fewer than four runs as one block padded with zeros. The vector path is only used when an init-time
 // self-check agrees with math.Exp on a fixed probe set, so a math.Exp that
 // takes a different sequence (GODEBUG=cpu.fma=off, or another toolchain)
 // turns it off rather than changing any result. Every other platform, and

@@ -82,15 +82,16 @@ func vectorExpAgrees() bool {
 	return true
 }
 
-// expVector writes every whole block of four of src into dst on the vector
-// path, recomputing a block with math.Exp where expBlocks stops, and returns
-// the number of leading elements written.
+// expVector writes src into dst on the vector path, recomputing a block with
+// math.Exp where expBlocks stops, and returns the number of leading elements
+// written: all of them, or none when the path is off. A tail of fewer than
+// four runs as one block padded with zeros, of which only the live lanes are
+// copied back; the lanes are independent, so the padding changes no result.
 func expVector(dst, src []float64) int {
-	n := len(src) &^ 3
-	if !vectorExp || n == 0 {
+	if !vectorExp || len(src) == 0 {
 		return 0
 	}
-	dst = dst[:n]
+	n := len(src) &^ 3
 	i := 0
 	for i < n {
 		i += expBlocks(&dst[i], &src[i], n-i)
@@ -101,5 +102,16 @@ func expVector(dst, src []float64) int {
 			i += 4
 		}
 	}
-	return n
+	if n < len(src) {
+		var tail [4]float64
+		live := copy(tail[:], src[n:])
+		if expBlocks(&tail[0], &tail[0], 4) == 4 {
+			copy(dst[n:], tail[:live])
+		} else {
+			for j := n; j < len(src); j++ {
+				dst[j] = math.Exp(src[j])
+			}
+		}
+	}
+	return len(src)
 }

@@ -5,3 +5,5 @@ package linalg
 func hasVectorCPU() bool { return false }
 
 func kernelAgrees() bool { return false }
+
+func blockAgrees() bool { return false }

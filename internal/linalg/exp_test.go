@@ -33,8 +33,8 @@ func checkExpInto(t *testing.T, label string, src []float64) {
 
 // TestExpIntoMatchesMathExp is the bit-identity oracle: over 4M inputs drawn
 // from three shapes, ulp sweeps around the range edges and 0, every special
-// value in every lane of a block, and every short length, ExpInto equals
-// math.Exp.
+// value in every lane of a block or padded tail, and every short length,
+// ExpInto equals math.Exp.
 func TestExpIntoMatchesMathExp(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const chunk = 1 << 16
@@ -75,10 +75,12 @@ func TestExpIntoMatchesMathExp(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
 	for _, v := range specials {
-		for lane := 0; lane < 8; lane++ {
-			blk := []float64{-0.3, 1.7, -12.5, 0.01, 3.25, -40, 7.5, -0.9}
-			blk[lane] = v
-			checkExpInto(t, fmt.Sprintf("special %v in lane %d", v, lane), blk)
+		for n := 1; n <= 8; n++ {
+			for lane := 0; lane < n; lane++ {
+				blk := []float64{-0.3, 1.7, -12.5, 0.01, 3.25, -40, 7.5, -0.9}[:n]
+				blk[lane] = v
+				checkExpInto(t, fmt.Sprintf("special %v in lane %d of %d", v, lane, n), blk)
+			}
 		}
 	}
 

@@ -146,16 +146,6 @@ func Norm2(v []float64) float64 {
 	return mx * math.Sqrt(s)
 }
 
-// AXPY computes y ← y + alpha·x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: axpy length mismatch")
-	}
-	for i, xv := range x {
-		y[i] += alpha * xv
-	}
-}
-
 // SubVec returns a−b as a new vector.
 func SubVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
