@@ -112,12 +112,10 @@ type Model struct {
 	// approximation (Config.Inducing).
 	lowRank *lowRankState
 
-	// Incremental-maintenance scratch (AppendObservation / Truncate).
-	rowBuf, diffBuf, solveBuf, factBuf []float64
-
-	// predScratch holds the predictScratch buffers of finished predictions,
-	// so that PredictLatent allocates nothing in steady state even under
-	// concurrent batch prediction.
+	// predScratch holds the predictScratch buffers of finished predictions
+	// and appends, so that PredictLatent and AppendObservation allocate
+	// nothing for scratch in steady state, even under concurrent batch
+	// prediction.
 	predScratch parallel.FreeList[*predictScratch]
 }
 
@@ -150,11 +148,12 @@ func (m *Model) getPredictScratch() *predictScratch {
 }
 
 // grow resizes the per-row buffers for n training rows: incremental appends
-// can outgrow buffers sized at fit time.
+// can outgrow buffers sized at fit time. It doubles the capacity, so a run
+// of appends reallocates O(log n) times.
 func (sc *predictScratch) grow(n int) {
 	if len(sc.ks) < n {
-		sc.ks = make([]float64, n)
-		sc.v = make([]float64, n)
+		sc.ks = make([]float64, 2*n)
+		sc.v = make([]float64, 2*n)
 	}
 }
 
@@ -203,15 +202,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	}
 
 	if cfg.SkipTraining {
-		if trainNoise {
-			m.logNoise = math.Log(1e-2)
-		}
-		if len(cfg.WarmStart) >= nk {
-			m.kern.SetHyper(cfg.WarmStart[:nk])
-			if trainNoise && len(cfg.WarmStart) > nk {
-				m.logNoise = clamp(cfg.WarmStart[nk], minLogNoise, maxLogNoise)
-			}
-		}
+		m.setWarmStart(nk, trainNoise)
 		if err := m.factorize(); err != nil {
 			return nil, err
 		}
@@ -228,14 +219,10 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 	// the caller's warm start; the rest are random restarts.
 	starts := make([][]float64, 1+cfg.Restarts)
 	start := make([]float64, nTotal)
+	hyper, logNoise := warmStart(&cfg, nk, trainNoise)
+	copy(start, hyper)
 	if trainNoise {
-		start[nk] = math.Log(1e-2)
-	}
-	if len(cfg.WarmStart) >= nk {
-		copy(start[:nk], cfg.WarmStart[:nk])
-		if trainNoise && len(cfg.WarmStart) > nk {
-			start[nk] = clamp(cfg.WarmStart[nk], minLogNoise, maxLogNoise)
-		}
+		start[nk] = logNoise
 	}
 	starts[0] = start
 	for r := 0; r < cfg.Restarts; r++ {
@@ -261,6 +248,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 		f                     float64
 		x                     []float64
 		valueEvals, gradEvals int
+		worker                int // index of the workspace that ran the start
 	}
 	results := make([]fitResult, len(starts))
 	workers := parallel.Workers(cfg.Workers)
@@ -272,16 +260,20 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 		wss[w] = newFitWorkspace(m.kern, geo, m.ys)
 	}
 	fixedLogNoise := m.logNoise
+	// setTheta installs the packed hyper vector [kernel hypers..., logNoise?]
+	// in ws.
+	setTheta := func(ws *fitWorkspace, theta []float64) {
+		ws.kern.SetHyper(theta[:nk])
+		if trainNoise {
+			ws.logNoise = clamp(theta[nk], minLogNoise, maxLogNoise)
+		} else {
+			ws.logNoise = fixedLogNoise
+		}
+	}
 	parallel.ForEachWorker(workers, len(starts), func(w, idx int) {
 		ws := wss[w]
-		// Objective over the packed hyper vector [kernel hypers..., logNoise?].
 		obj := func(theta, grad []float64) float64 {
-			ws.kern.SetHyper(theta[:nk])
-			if trainNoise {
-				ws.logNoise = clamp(theta[nk], minLogNoise, maxLogNoise)
-			} else {
-				ws.logNoise = fixedLogNoise
-			}
+			setTheta(ws, theta)
 			if grad == nil {
 				v, err := ws.nlmlValue()
 				if err != nil {
@@ -300,7 +292,7 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 			return v
 		}
 		r := optimize.LBFGS(obj, starts[idx], optimize.LBFGSConfig{MaxIter: cfg.MaxIter})
-		results[idx] = fitResult{f: r.F, x: r.X, valueEvals: r.ValueEvals, gradEvals: r.GradEvals}
+		results[idx] = fitResult{f: r.F, x: r.X, valueEvals: r.ValueEvals, gradEvals: r.GradEvals, worker: w}
 	})
 	bestTheta := make([]float64, nTotal)
 	bestNLML := math.Inf(1)
@@ -326,13 +318,18 @@ func Fit(X [][]float64, y []float64, cfg Config, rng *rand.Rand) (*Model, error)
 		span.Attr("failed", 1)
 		return nil, errors.New("gp: training failed from every restart")
 	}
+	// The posterior at the winner is the NLML evaluation of its workspace at
+	// bestTheta: a memo hit when that workspace last evaluated exactly
+	// there, one refill otherwise. The model takes its factor and α.
+	ws := wss[results[info.BestStart].worker]
+	setTheta(ws, bestTheta)
+	nlml, err := ws.nlmlValue()
+	if err != nil {
+		return nil, fmt.Errorf("gp: covariance factorization: %w", err)
+	}
 	m.kern.SetHyper(bestTheta[:nk])
-	if trainNoise {
-		m.logNoise = clamp(bestTheta[nk], minLogNoise, maxLogNoise)
-	}
-	if err := m.factorize(); err != nil {
-		return nil, err
-	}
+	m.logNoise = ws.logNoise
+	m.chol, m.alpha, m.nlml = ws.chol, ws.alpha, nlml
 	m.info = info
 	span.Attr("restarts", float64(info.Restarts))
 	span.Attr("diverged", float64(info.Diverged))
@@ -413,35 +410,73 @@ func (m *Model) toStdXInto(x, out []float64) {
 	}
 }
 
-// factorize builds the Cholesky of K + σ_n²I and the alpha vector for the
-// current hyperparameters, using the kernel's pair profile (hyperparameter
-// transcendentals hoisted out of the O(n²) loop).
+// warmStart returns the kernel log-hypers of cfg.WarmStart (nil when it has
+// none) and the starting log-noise: the warm start's, clamped, when it has
+// one and trainNoise is set, else log 1e-2.
+func warmStart(cfg *Config, nk int, trainNoise bool) (hyper []float64, logNoise float64) {
+	logNoise = math.Log(1e-2)
+	if len(cfg.WarmStart) < nk {
+		return nil, logNoise
+	}
+	if trainNoise && len(cfg.WarmStart) > nk {
+		logNoise = clamp(cfg.WarmStart[nk], minLogNoise, maxLogNoise)
+	}
+	return cfg.WarmStart[:nk], logNoise
+}
+
+// setWarmStart installs the SkipTraining hyperparameters: the warm start's,
+// or the kernel's current ones when there is none. The log-noise is set only
+// when it is trained.
+func (m *Model) setWarmStart(nk int, trainNoise bool) {
+	hyper, logNoise := warmStart(&m.cfg, nk, trainNoise)
+	if hyper != nil {
+		m.kern.SetHyper(hyper)
+	}
+	if trainNoise {
+		m.logNoise = logNoise
+	}
+}
+
+// factorize builds the Cholesky of K + σ_n²I, α and the NLML for the current
+// hyperparameters: the SkipTraining fit, which has no training workspace.
 func (m *Model) factorize() error {
 	n := len(m.xs)
 	K := linalg.NewMatrix(n, n)
-	noise2 := math.Exp(2 * m.logNoise)
-	prof := m.kern.Profile()
-	diff := make([]float64, len(m.xMean))
-	var fact []float64
-	if nf := prof.NumFactors(); nf > 1 {
-		fact = make([]float64, n*nf)
-	}
-	for i := 0; i < n; i++ {
-		row := K.Data[i*n+i : (i+1)*n]
-		kernelRow(prof, m.xs[i], m.xs[i:], diff, fact, row)
-		for j, v := range row {
-			K.Set(i+j, i, v)
-		}
-		K.Add(i, i, noise2)
-	}
+	fillRows(K, m.kern.Profile(), m.xs, math.Exp(2*m.logNoise))
 	chol, err := linalg.NewCholesky(K)
 	if err != nil {
 		return fmt.Errorf("gp: covariance factorization: %w", err)
 	}
 	m.chol = chol
 	m.alpha = chol.SolveVec(m.ys)
-	m.nlml = 0.5*linalg.Dot(m.ys, m.alpha) + 0.5*chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
+	m.nlml = nlmlOf(m.ys, m.alpha, chol)
 	return nil
+}
+
+// fillRows writes the kernel matrix of xs plus diag·I into K, both triangles,
+// one kernelRow per row from the diagonal on.
+func fillRows(K *linalg.Matrix, prof kernel.PairProfile, xs [][]float64, diag float64) {
+	n := len(xs)
+	diff := make([]float64, len(xs[0]))
+	var fact []float64
+	if nf := prof.NumFactors(); nf > 1 {
+		fact = make([]float64, n*nf)
+	}
+	for i := 0; i < n; i++ {
+		row := K.Data[i*n+i : (i+1)*n]
+		kernelRow(prof, xs[i], xs[i:], diff, fact, row)
+		for j, v := range row {
+			K.Set(i+j, i, v)
+		}
+		K.Add(i, i, diag)
+	}
+}
+
+// nlmlOf returns the negative log marginal likelihood (eq. 3) of the
+// standardized targets ys given α = K⁻¹ys and the factor of K.
+func nlmlOf(ys, alpha []float64, chol *linalg.Cholesky) float64 {
+	n := len(ys)
+	return 0.5*linalg.Dot(ys, alpha) + 0.5*chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
 }
 
 // Predict returns the posterior predictive mean and variance at x, including

@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
 // AppendObservation folds one new observation (x, y) into the trained model
@@ -42,15 +40,12 @@ func (m *Model) AppendObservation(x []float64, y float64) error {
 		return nil
 	}
 	n := len(m.xs)
-	row := m.rowScratch(n)
-	prof := m.kern.Profile()
-	diff := m.diffScratch(len(sx))
-	var fact []float64
-	if nf := prof.NumFactors(); nf > 1 {
-		fact = m.factScratch(n * nf)
-	}
-	kernelRow(prof, sx, m.xs, diff, fact, row)
-	kss := prof.Eval(zero(diff))
+	sc := m.getPredictScratch()
+	defer m.predScratch.Put(sc)
+	sc.grow(n)
+	row := sc.ks[:n]
+	kernelRow(sc.prof, sx, m.xs, sc.diff, sc.factors(n), row)
+	kss := sc.prof.Eval(zero(sc.diff))
 	noise2 := math.Exp(2 * m.logNoise)
 	if err := m.chol.AppendRow(row, kss+noise2); err != nil {
 		return fmt.Errorf("gp: incremental factor update: %w", err)
@@ -91,9 +86,9 @@ func (m *Model) Truncate(n int) error {
 }
 
 // refreshAlpha recomputes α = K⁻¹y and the NLML from the current factor in
-// O(n²), reusing the model's solve buffers. The triangular solves perform the
-// same operation sequence as factorize's SolveVec, so recomputing after a
-// DropLast restores the pre-append α bit-identically.
+// O(n²), growing α by capacity doubling. The solve is factorize's SolveVec
+// into α, so recomputing after a DropLast restores the pre-append α
+// bit-identically.
 func (m *Model) refreshAlpha() {
 	n := len(m.xs)
 	if cap(m.alpha) < n {
@@ -101,32 +96,6 @@ func (m *Model) refreshAlpha() {
 	} else {
 		m.alpha = m.alpha[:n]
 	}
-	if cap(m.solveBuf) < n {
-		m.solveBuf = make([]float64, n, 2*n)
-	}
-	v := m.solveBuf[:n]
-	m.chol.ForwardSolveInto(m.ys, v)
-	m.chol.BackwardSolveInto(v, m.alpha)
-	m.nlml = 0.5*linalg.Dot(m.ys, m.alpha) + 0.5*m.chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
-}
-
-func (m *Model) rowScratch(n int) []float64 {
-	if cap(m.rowBuf) < n {
-		m.rowBuf = make([]float64, n, 2*n)
-	}
-	return m.rowBuf[:n]
-}
-
-func (m *Model) factScratch(k int) []float64 {
-	if cap(m.factBuf) < k {
-		m.factBuf = make([]float64, k, 2*k)
-	}
-	return m.factBuf[:k]
-}
-
-func (m *Model) diffScratch(d int) []float64 {
-	if cap(m.diffBuf) < d {
-		m.diffBuf = make([]float64, d)
-	}
-	return m.diffBuf[:d]
+	m.chol.SolveVecInto(m.ys, m.alpha)
+	m.nlml = nlmlOf(m.ys, m.alpha, m.chol)
 }

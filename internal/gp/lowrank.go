@@ -34,6 +34,7 @@ type lowRankState struct {
 	yy        float64
 	n         int // observations folded in
 	noise2    float64
+	u         []float64 // rank-1 update/downdate vector k_m/σ
 
 	stack []lrPush // undo log for Truncate, newest last
 }
@@ -65,15 +66,7 @@ func (m *Model) fitLowRank(rng *rand.Rand) error {
 	trainNoise := cfg.FixedNoise == nil
 	idx := inducingIndices(n, cfg.Inducing)
 	if cfg.SkipTraining {
-		if trainNoise {
-			m.logNoise = math.Log(1e-2)
-		}
-		if len(cfg.WarmStart) >= nk {
-			m.kern.SetHyper(cfg.WarmStart[:nk])
-			if trainNoise && len(cfg.WarmStart) > nk {
-				m.logNoise = clamp(cfg.WarmStart[nk], minLogNoise, maxLogNoise)
-			}
-		}
+		m.setWarmStart(nk, trainNoise)
 		m.info = FitInfo{SkippedTraining: true, LowRank: true}
 	} else {
 		subX := make([][]float64, len(idx))
@@ -108,21 +101,16 @@ func (m *Model) fitLowRank(rng *rand.Rand) error {
 func (m *Model) buildLowRank(idx []int) error {
 	n := len(m.xs)
 	mi := len(idx)
-	lr := &lowRankState{noise2: math.Exp(2 * m.logNoise), n: n}
+	lr := &lowRankState{noise2: math.Exp(2 * m.logNoise), n: n, u: make([]float64, mi)}
 	lr.zs = make([][]float64, mi)
 	for i, j := range idx {
 		lr.zs[i] = m.xs[j]
 	}
+	sc := m.getPredictScratch()
+	defer m.predScratch.Put(sc)
 	kmm := linalg.NewMatrix(mi, mi)
-	for i := 0; i < mi; i++ {
-		for j := i; j < mi; j++ {
-			v := m.kern.Eval(lr.zs[i], lr.zs[j])
-			kmm.Set(i, j, v)
-			kmm.Set(j, i, v)
-		}
-		// Nugget for the rank-deficient K_mm (duplicate design rows).
-		kmm.Add(i, i, 1e-8)
-	}
+	// Nugget for the rank-deficient K_mm (duplicate design rows).
+	fillRows(kmm, sc.prof, lr.zs, 1e-8)
 	cholMM, err := linalg.NewCholesky(kmm)
 	if err != nil {
 		return fmt.Errorf("gp: inducing covariance factorization: %w", err)
@@ -130,13 +118,11 @@ func (m *Model) buildLowRank(idx []int) error {
 	sigma := linalg.NewMatrix(mi, mi)
 	copy(sigma.Data, kmm.Data)
 	lr.b = make([]float64, mi)
-	km := make([]float64, mi)
+	km := sc.ks[:mi]
+	fact := sc.factors(mi)
 	inv := 1 / lr.noise2
 	for t := 0; t < n; t++ {
-		xt := m.xs[t]
-		for i := 0; i < mi; i++ {
-			km[i] = m.kern.Eval(lr.zs[i], xt)
-		}
+		kernelRow(sc.prof, m.xs[t], lr.zs, sc.diff, fact, km)
 		yt := m.ys[t]
 		lr.yy += yt * yt
 		for i := 0; i < mi; i++ {
@@ -202,15 +188,14 @@ func (lr *lowRankState) predict(m *Model, sc *predictScratch) (mean, variance fl
 func (lr *lowRankState) append(m *Model, sx []float64, sy float64) error {
 	mi := len(lr.zs)
 	km := make([]float64, mi)
-	for i, zi := range lr.zs {
-		km[i] = m.kern.Eval(sx, zi)
-	}
-	u := m.rowScratch(mi)
+	sc := m.getPredictScratch()
+	kernelRow(sc.prof, sx, lr.zs, sc.diff, sc.factors(mi), km)
+	m.predScratch.Put(sc)
 	s := 1 / math.Sqrt(lr.noise2)
 	for i, v := range km {
-		u[i] = v * s
+		lr.u[i] = v * s
 	}
-	lr.cholSigma.RankOneUpdate(u)
+	lr.cholSigma.RankOneUpdate(lr.u)
 	for i, v := range km {
 		lr.b[i] += v * sy
 	}
@@ -232,11 +217,10 @@ func (lr *lowRankState) truncate(m *Model, n int) error {
 	for lr.n > n {
 		p := lr.stack[len(lr.stack)-1]
 		lr.stack = lr.stack[:len(lr.stack)-1]
-		u := m.rowScratch(len(p.km))
 		for i, v := range p.km {
-			u[i] = v * s
+			lr.u[i] = v * s
 		}
-		if err := lr.cholSigma.RankOneDowndate(u); err != nil {
+		if err := lr.cholSigma.RankOneDowndate(lr.u); err != nil {
 			return fmt.Errorf("gp: fantasy retraction: %w", err)
 		}
 		for i, v := range p.km {

@@ -111,7 +111,6 @@ func (w *fitWorkspace) nlmlValue() (float64, error) {
 		return w.nlml, nil
 	}
 	w.memoOK = false
-	n := len(w.ys)
 	w.prof = kernel.RefreshProfile(w.kern, w.prof)
 	noise2 := math.Exp(2 * w.logNoise)
 	fillCovariance(w.K, w.fact, w.prof, w.geo, noise2)
@@ -121,7 +120,7 @@ func (w *fitWorkspace) nlmlValue() (float64, error) {
 	}
 	w.chol = chol
 	chol.SolveVecInto(w.ys, w.alpha)
-	w.nlml = 0.5*linalg.Dot(w.ys, w.alpha) + 0.5*chol.LogDet() + 0.5*float64(n)*math.Log(2*math.Pi)
+	w.nlml = nlmlOf(w.ys, w.alpha, chol)
 	w.memoHyper = append(w.memoHyper[:0], w.hyper...)
 	w.memoNoise = w.logNoise
 	w.memoOK = true

@@ -164,8 +164,8 @@ func (k *Slice) Clone() kernel.Kernel {
 	return &Slice{Inner: k.Inner.Clone(), Start: k.Start, End: k.End, fullDim: k.fullDim}
 }
 
-// Each profile's EvalFactors is kernel.EvalSplit over its own FactorArgs
-// and FromFactors, so the bit-identity oracles cover the split of every
+// The bit-identity oracles evaluate each profile through kernel.EvalSplit
+// over its own FactorArgs and FromFactors, so they cover the split of every
 // composite. sumProfile and productProfile keep a's factors (and their
 // arguments) first in f, then b's.
 type sumProfile struct {
@@ -196,8 +196,6 @@ func (p *sumProfile) FactorArgs(diff, a []float64) {
 func (p *sumProfile) FromFactors(f []float64) float64 {
 	return p.a.FromFactors(f[:p.nfa]) + p.b.FromFactors(f[p.nfa:])
 }
-
-func (p *sumProfile) EvalFactors(diff, f []float64) float64 { return kernel.EvalSplit(p, diff, f) }
 
 func (p *sumProfile) GradFactors(diff, f, grad []float64) float64 {
 	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
@@ -233,8 +231,6 @@ func (p *productProfile) FactorArgs(diff, a []float64) {
 func (p *productProfile) FromFactors(f []float64) float64 {
 	return p.a.FromFactors(f[:p.nfa]) * p.b.FromFactors(f[p.nfa:])
 }
-
-func (p *productProfile) EvalFactors(diff, f []float64) float64 { return kernel.EvalSplit(p, diff, f) }
 
 func (p *productProfile) GradFactors(diff, f, grad []float64) float64 {
 	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
@@ -272,8 +268,6 @@ func (p *sliceProfile) FactorArgs(diff, a []float64) {
 }
 
 func (p *sliceProfile) FromFactors(f []float64) float64 { return p.inner.FromFactors(f) }
-
-func (p *sliceProfile) EvalFactors(diff, f []float64) float64 { return kernel.EvalSplit(p, diff, f) }
 
 func (p *sliceProfile) GradFactors(diff, f, grad []float64) float64 {
 	return p.inner.GradFactors(diff[p.start:p.end], f, grad)

@@ -159,7 +159,7 @@ func (p *nargpProfile) CombineRow(ts []float64, f, k2, k3 float64, out []float64
 	}
 }
 
-func (p *nargpProfile) Eval(diff []float64) float64 { return p.EvalFactors(diff, p.f[:]) }
+func (p *nargpProfile) Eval(diff []float64) float64 { return EvalSplit(p, diff, p.f[:]) }
 
 // NumFactors is 3: the exp of k1, k2 and k3, in that order.
 func (p *nargpProfile) NumFactors() int { return 3 }
@@ -172,8 +172,6 @@ func (p *nargpProfile) FactorArgs(diff, a []float64) {
 
 // FromFactors rounds the product before the sum (see NARGP).
 func (p *nargpProfile) FromFactors(f []float64) float64 { return float64(f[0]*f[1]) + f[2] }
-
-func (p *nargpProfile) EvalFactors(diff, f []float64) float64 { return EvalSplit(p, diff, f) }
 
 func (p *nargpProfile) GradFactors(diff, f, grad []float64) float64 {
 	d := p.d

@@ -79,8 +79,8 @@ func TestNARGPMatchesCompositeBitForBit(t *testing.T) {
 				t.Fatalf("d=%d trial %d: profile Eval %v != composite %v", d, trial, a, b)
 			}
 			f, fr := make([]float64, p.NumFactors()), make([]float64, pr.NumFactors())
-			if a, b := p.EvalFactors(diff, f), pr.EvalFactors(diff, fr); !same(a, b) {
-				t.Fatalf("d=%d trial %d: profile EvalFactors %v != composite %v", d, trial, a, b)
+			if a, b := kernel.EvalSplit(p, diff, f), kernel.EvalSplit(pr, diff, fr); !same(a, b) {
+				t.Fatalf("d=%d trial %d: profile EvalSplit %v != composite %v", d, trial, a, b)
 			}
 			a, b = p.GradFactors(diff, f, g), pr.GradFactors(diff, fr, gr)
 			if !same(a, b) {

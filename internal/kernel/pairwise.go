@@ -24,9 +24,10 @@ import (
 //     it has at hand (a covariance triangle, a kernel row);
 //   - FromFactors combines the factors into the kernel value.
 //
-// Eval and EvalFactors are these three steps for one pair (EvalSplit), so
-// there is one formula per kernel whichever way it is called. The gradient
-// needs no new exp: every ∂k/∂logθ is a product of the factor values with
+// EvalSplit is these three steps for one pair, leaving the pair's factors in
+// its buffer, and Eval is EvalSplit on the profile's own scratch, so there is
+// one formula per kernel whichever way it is called. The gradient needs no
+// new exp: every ∂k/∂logθ is a product of the factor values with
 // polynomials in diff, so GradFactors rebuilds it from the recorded factors
 // with multiplications only. A GP fit records every pair's factors while
 // filling the covariance and calls GradFactors on the same pair when the
@@ -35,9 +36,9 @@ import (
 // # Bit-identity contract
 //
 // For every kernel, with diff[i] == x1[i]−x2[i]:
-//   - Eval(diff) and EvalFactors(diff, f) are bit-identical to Eval(x1, x2);
+//   - Eval(diff) and EvalSplit(p, diff, f) are bit-identical to Eval(x1, x2);
 //   - FromFactors(f), where f holds math.Exp of each argument FactorArgs(diff,
-//     ·) wrote, is that same value, and f is what EvalFactors(diff, f) writes;
+//     ·) wrote, is that same value, and f is what EvalSplit(p, diff, f) leaves;
 //   - GradFactors(diff, f, grad), given that f, returns that same value and
 //     writes into grad exactly what EvalGrad(x1, x2, grad) writes.
 //
@@ -64,18 +65,15 @@ type PairProfile interface {
 	// FromFactors returns k from the pair's factors f (length NumFactors),
 	// the exps of the arguments FactorArgs wrote.
 	FromFactors(f []float64) float64
-	// EvalFactors returns Eval(diff) and writes the pair's exp factors into
-	// f (length NumFactors).
-	EvalFactors(diff, f []float64) float64
 	// GradFactors returns k and writes ∂k/∂logθ_j into grad (length
-	// NumHyper), reading the factors EvalFactors wrote for the same diff
-	// from f. It takes no exp.
+	// NumHyper), reading the pair's factors, the exps of what FactorArgs
+	// wrote for the same diff, from f. It takes no exp.
 	GradFactors(diff, f, grad []float64) float64
 }
 
 // EvalSplit is p's value on one pair by its three steps: FactorArgs into f,
 // their exps in place, FromFactors. It leaves the factors in f (length
-// p.NumFactors()), so it implements EvalFactors for every profile.
+// p.NumFactors()) for GradFactors.
 func EvalSplit(p PairProfile, diff, f []float64) float64 {
 	p.FactorArgs(diff, f)
 	linalg.ExpInto(f, f)
@@ -130,7 +128,7 @@ func RefreshProfile(k Kernel, p PairProfile) PairProfile {
 
 func (p *seProfile) NumHyper() int { return 1 + len(p.s) }
 
-func (p *seProfile) Eval(diff []float64) float64 { return p.EvalFactors(diff, p.f[:]) }
+func (p *seProfile) Eval(diff []float64) float64 { return EvalSplit(p, diff, p.f[:]) }
 
 func (p *seProfile) NumFactors() int { return 1 }
 
@@ -149,8 +147,6 @@ func (p *seProfile) FactorArgs(diff, a []float64) { a[0] = p.arg(diff) }
 
 // FromFactors returns the one factor: it is the kernel value itself.
 func (p *seProfile) FromFactors(f []float64) float64 { return f[0] }
-
-func (p *seProfile) EvalFactors(diff, f []float64) float64 { return EvalSplit(p, diff, f) }
 
 func (p *seProfile) GradFactors(diff, f, grad []float64) float64 {
 	v := f[0]

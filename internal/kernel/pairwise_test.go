@@ -26,7 +26,7 @@ func profileKernels(d int) map[string]kernel.Kernel {
 // TestProfileBitIdenticalToDirect checks the PairProfile contract on every
 // kernel, for a fresh profile and one refreshed in place, at random and
 // bound hyperparameters, on a random pair and the zero-distance pair: Eval
-// and EvalFactors equal the direct Eval, and GradFactors over the recorded
+// and EvalSplit equal the direct Eval, and GradFactors over the recorded
 // factors equals the direct EvalGrad, all bit for bit.
 func TestProfileBitIdenticalToDirect(t *testing.T) {
 	const d = 4
@@ -79,7 +79,7 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 	}
 }
 
-// checkProfile requires p's Eval, EvalFactors and GradFactors on diff to
+// checkProfile requires p's Eval, EvalSplit and GradFactors on diff to
 // equal k's direct Eval and EvalGrad on (x1, x2) bit for bit.
 func checkProfile(t *testing.T, label string, k kernel.Kernel, p kernel.PairProfile, x1, x2, diff []float64) {
 	t.Helper()
@@ -91,8 +91,8 @@ func checkProfile(t *testing.T, label string, k kernel.Kernel, p kernel.PairProf
 		t.Fatalf("%s profile Eval %v != direct %v", label, got, want)
 	}
 	f := make([]float64, p.NumFactors())
-	if got := p.EvalFactors(diff, f); !same(got, want) {
-		t.Fatalf("%s profile EvalFactors %v != direct Eval %v", label, got, want)
+	if got := kernel.EvalSplit(p, diff, f); !same(got, want) {
+		t.Fatalf("%s profile EvalSplit %v != direct Eval %v", label, got, want)
 	}
 	g := make([]float64, len(gWant))
 	for j := range g {
@@ -129,7 +129,7 @@ func TestProfileSnapshotsHyperparameters(t *testing.T) {
 // package gp runs it: the exp arguments of many pairs written into one
 // buffer, one linalg.ExpInto over all of them (whole blocks of four take the
 // vector path where there is one), then FromFactors per pair. Every value
-// equals the direct Eval and every factor the one EvalFactors records, bit
+// equals the direct Eval and every factor the one EvalSplit leaves, bit
 // for bit, on every kernel.
 func TestProfileSplitBatchMatchesDirect(t *testing.T) {
 	const d, pairs = 4, 37
@@ -166,10 +166,10 @@ func TestProfileSplitBatchMatchesDirect(t *testing.T) {
 					if got, want := p.FromFactors(fq), k.Eval(x1[q], x2[q]); !same(got, want) {
 						t.Fatalf("trial %d pair %d: FromFactors %v != direct Eval %v", trial, q, got, want)
 					}
-					p.EvalFactors(diffs[q], f)
+					kernel.EvalSplit(p, diffs[q], f)
 					for j := range f {
 						if !same(fq[j], f[j]) {
-							t.Fatalf("trial %d pair %d: batched factor %d %v != EvalFactors %v", trial, q, j, fq[j], f[j])
+							t.Fatalf("trial %d pair %d: batched factor %d %v != EvalSplit %v", trial, q, j, fq[j], f[j])
 						}
 					}
 				}
