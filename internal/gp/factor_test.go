@@ -379,6 +379,40 @@ func TestLowRankMatchesEvalReference(t *testing.T) {
 	}
 }
 
+// TestLowRankScratchSizedToInducing fits a low-rank model at n=400 with
+// m=48 inducing points and requires its posterior to equal lowRankRef bit
+// for bit, and every pooled prediction scratch, the build's included, to
+// hold m-long row buffers, not history-length ones.
+func TestLowRankScratchSizedToInducing(t *testing.T) {
+	const n, mi = 400, 48
+	rng := rand.New(rand.NewSource(31))
+	X, y := incrTrainSet(rng, n, 3)
+	probes, _ := incrTrainSet(rng, 5, 3)
+	m, err := Fit(X, y, Config{Kernel: kernel.NewSEARD(3), Restarts: 1, MaxIter: 15, Inducing: mi, Workers: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newLowRankRef(t, m)
+	ref.nlml()
+	for _, p := range probes {
+		mu, va := m.PredictLatent(p)
+		rmu, rva := ref.predict(m, p)
+		if math.Float64bits(mu) != math.Float64bits(rmu) || math.Float64bits(va) != math.Float64bits(rva) {
+			t.Fatalf("posterior at %v is (%v, %v), reference (%v, %v)", p, mu, va, rmu, rva)
+		}
+	}
+	pooled := 0
+	for sc, ok := m.predScratch.Get(); ok; sc, ok = m.predScratch.Get() {
+		pooled++
+		if len(sc.ks) != mi || len(sc.v) != mi {
+			t.Fatalf("pooled scratch rows %d and %d, want the %d inducing points", len(sc.ks), len(sc.v), mi)
+		}
+	}
+	if pooled == 0 {
+		t.Fatal("no prediction scratch was pooled")
+	}
+}
+
 // TestAppendTruncateAllocations guards the steady state of a fantasy cycle,
 // one AppendObservation and the Truncate that retracts it: on an exact model
 // the only allocation is the stored standardized row (the kernel row, the

@@ -136,7 +136,7 @@ func (m *Model) getPredictScratch() *predictScratch {
 	if sc, ok := m.predScratch.Get(); ok {
 		return sc
 	}
-	n, d := len(m.xs), len(m.xMean)
+	n, d := m.rows(), len(m.xMean)
 	return &predictScratch{
 		x:    make([]float64, d),
 		ks:   make([]float64, n),
@@ -145,6 +145,15 @@ func (m *Model) getPredictScratch() *predictScratch {
 		aug:  make([]float64, d),
 		prof: m.kern.Profile(),
 	}
+}
+
+// rows returns how many training rows a posterior evaluation reads: the
+// inducing points of a low-rank model, every training point otherwise.
+func (m *Model) rows() int {
+	if m.lowRank != nil {
+		return len(m.lowRank.zs)
+	}
+	return len(m.xs)
 }
 
 // grow resizes the per-row buffers for n training rows: incremental appends
@@ -500,7 +509,7 @@ func (m *Model) PredictLatent(x []float64) (mean, variance float64) {
 
 func (m *Model) predictLatentInto(x []float64, sc *predictScratch) (mean, variance float64) {
 	m.toStdXInto(x, sc.x)
-	n := len(m.xs)
+	n := m.rows()
 	sc.grow(n)
 	if m.lowRank != nil {
 		return m.lowRank.predict(m, sc)

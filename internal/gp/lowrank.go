@@ -106,6 +106,9 @@ func (m *Model) buildLowRank(idx []int) error {
 	for i, j := range idx {
 		lr.zs[i] = m.xs[j]
 	}
+	// The model is low-rank from here on (a failed build fails the Fit), so
+	// its prediction scratch, this one first, is sized to the inducing set.
+	m.lowRank = lr
 	sc := m.getPredictScratch()
 	defer m.predScratch.Put(sc)
 	kmm := linalg.NewMatrix(mi, mi)
@@ -142,7 +145,6 @@ func (m *Model) buildLowRank(idx []int) error {
 	lr.cholSigma = cholSigma
 	lr.w = make([]float64, mi)
 	lr.refreshWeights(m)
-	m.lowRank = lr
 	m.chol = nil
 	m.alpha = nil
 	return nil

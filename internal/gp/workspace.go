@@ -2,6 +2,7 @@ package gp
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/linalg"
@@ -45,7 +46,6 @@ type fitWorkspace struct {
 	chol  *linalg.Cholesky
 	alpha []float64
 	fact  []float64 // per-pair kernel factors: pair p's NumFactors at p*NumFactors
-	gbuf  []float64 // one kernel gradient, length nk
 	out   []float64 // NLML gradient accumulators, length nk+1
 
 	// Same-point memo of the last successful nlmlValue.
@@ -66,7 +66,6 @@ func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, ys []float64) *fitWorkspa
 		ys:        ys,
 		K:         linalg.NewMatrix(n, n),
 		alpha:     make([]float64, n),
-		gbuf:      make([]float64, nk),
 		out:       make([]float64, nk+1),
 		hyper:     make([]float64, 0, nk),
 		memoHyper: make([]float64, 0, nk),
@@ -79,15 +78,13 @@ func newFitWorkspace(kern kernel.Kernel, geo *pairGeo, ys []float64) *fitWorkspa
 // fillCovariance writes K + σ_n²·I into dst (symmetric-half evaluation, both
 // triangles stored) from the cached pair differences, and each pair's kernel
 // factors into fact in the geometry's pair order: every pair's exp arguments
-// first, then one linalg.ExpInto over all of them, then the fill.
+// first (one PairArgs over the difference columns), then one linalg.ExpInto
+// over all of them, then the fill.
 func fillCovariance(dst *linalg.Matrix, fact []float64, prof kernel.PairProfile, geo *pairGeo, noise2 float64) {
-	n, d := geo.n, geo.d
+	n, P := geo.n, geo.pairs
 	nf := prof.NumFactors()
-	pairs := n * (n + 1) / 2
-	for p := 0; p < pairs; p++ {
-		prof.FactorArgs(geo.diffs[p*d:p*d+d], fact[p*nf:p*nf+nf])
-	}
-	linalg.ExpInto(fact[:pairs*nf], fact[:pairs*nf])
+	prof.PairArgs(geo.diffs, P, fact, nf)
+	linalg.ExpInto(fact[:P*nf], fact[:P*nf])
 	p := 0
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
@@ -149,32 +146,40 @@ func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
 	w.chol.InverseInto(kinv)
 
 	// Pass 3: grad_h = ½ Σ_ij (K⁻¹_ij − α_i α_j)·∂K_ij/∂logθ_h, accumulated
-	// in row-major (i, j) order per h. ∂K is symmetric, so entries below the
-	// diagonal read the (j, i) pair; its factors come from pass 1, so no
-	// kernel exp is taken here.
+	// in row-major (i, j) order per h. ∂K is symmetric, so PairGrads writes
+	// each pair's gradient once, from pass 1's factors (no kernel exp is
+	// taken here), and row i reads the pairs (j, i), j < i, gathered into
+	// one block, then its own pairs (i, j), j ≥ i, which the pair order
+	// keeps contiguous. AddScaledRows adds w_ij·∂K_ij for every h at once,
+	// one j after another, so each accumulator receives its terms in the
+	// reference order.
 	out := w.out
-	for h := 0; h <= nk; h++ {
-		out[h] = 0
+	acc := out[:nk]
+	for h := range acc {
+		acc[h] = 0
 	}
+	geo := w.geo
+	buf := getGradBuf(geo.pairs, n, nk)
+	g, wrow := buf.g[:geo.pairs*nk], buf.w[:n]
+	prof.PairGrads(geo.diffs, geo.pairs, w.fact, nf, g, nk)
 	alpha := w.alpha
 	for i := 0; i < n; i++ {
 		wi := kinv.Row(i)
 		ai := alpha[i]
-		for j := 0; j < n; j++ {
-			lo, hi := i, j
-			if lo > hi {
-				lo, hi = j, i
-			}
-			p := w.geo.pair(lo, hi) * nf
-			prof.GradFactors(w.geo.diff(lo, hi), w.fact[p:p+nf], w.gbuf)
-			wij := wi[j] - ai*alpha[j]
-			for h := 0; h < nk; h++ {
-				out[h] += wij * w.gbuf[h]
-			}
+		for j, aj := range alpha {
+			wrow[j] = wi[j] - ai*aj
 		}
+		left := buf.left[:i*nk]
+		for j := 0; j < i; j++ {
+			copy(left[j*nk:(j+1)*nk], g[geo.pair(j, i)*nk:])
+		}
+		linalg.AddScaledRows(acc, wrow[:i], left, nk)
+		r := geo.rowOff[i] * nk
+		linalg.AddScaledRows(acc, wrow[i:], g[r:r+(n-i)*nk], nk)
 	}
-	for h := 0; h < nk; h++ {
-		out[h] *= 0.5
+	gradPool.Put(buf)
+	for h := range acc {
+		acc[h] *= 0.5
 	}
 	// Noise gradient: ∂K/∂logσ_n = 2σ_n²·I.
 	s := 0.0
@@ -183,4 +188,36 @@ func (w *fitWorkspace) nlmlGrad() (float64, []float64, error) {
 	}
 	out[nk] = 0.5 * s * 2 * noise2
 	return nlml, out, nil
+}
+
+// gradBuf is the scratch of one gradient pass: every pair's ∂k/∂logθ in the
+// geometry's pair order (pair p's NumHyper entries at g[p*nk:]), the
+// gathered gradients of one row's pairs left of the diagonal, and the row's
+// weights K⁻¹_ij − α_i α_j.
+type gradBuf struct {
+	g, left, w []float64
+}
+
+// gradPool holds gradBufs for every fit of the process, as blockPool holds
+// cloudBlocks: a workspace lives for one Fit, so buffers kept per workspace
+// would be allocated again at every fit. Each gradient pass holds one buffer
+// from Get to Put, so the pool holds at most one per concurrent pass; a
+// pooled buffer grows on demand and serves fits of any size.
+var gradPool sync.Pool
+
+func getGradBuf(pairs, n, nk int) *gradBuf {
+	b, ok := gradPool.Get().(*gradBuf)
+	if !ok {
+		b = new(gradBuf)
+	}
+	if cap(b.g) < pairs*nk {
+		b.g = make([]float64, pairs*nk)
+	}
+	if cap(b.left) < n*nk {
+		b.left = make([]float64, n*nk)
+	}
+	if cap(b.w) < n {
+		b.w = make([]float64, n)
+	}
+	return b
 }

@@ -197,10 +197,20 @@ func (p *sumProfile) FromFactors(f []float64) float64 {
 	return p.a.FromFactors(f[:p.nfa]) + p.b.FromFactors(f[p.nfa:])
 }
 
-func (p *sumProfile) GradFactors(diff, f, grad []float64) float64 {
-	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
-	vb := p.b.GradFactors(diff, f[p.nfa:], grad[p.na:])
-	return va + vb
+func (p *sumProfile) PairArgs(diffs []float64, P int, a []float64, stride int) {
+	if P == 0 {
+		return
+	}
+	p.a.PairArgs(diffs, P, a, stride)
+	p.b.PairArgs(diffs, P, a[p.nfa:], stride)
+}
+
+func (p *sumProfile) PairGrads(diffs []float64, P int, f []float64, fs int, g []float64, gs int) {
+	if P == 0 {
+		return
+	}
+	p.a.PairGrads(diffs, P, f, fs, g, gs)
+	p.b.PairGrads(diffs, P, f[p.nfa:], fs, g[p.na:], gs)
 }
 
 type productProfile struct {
@@ -232,16 +242,33 @@ func (p *productProfile) FromFactors(f []float64) float64 {
 	return p.a.FromFactors(f[:p.nfa]) * p.b.FromFactors(f[p.nfa:])
 }
 
-func (p *productProfile) GradFactors(diff, f, grad []float64) float64 {
-	va := p.a.GradFactors(diff, f[:p.nfa], grad[:p.na])
-	vb := p.b.GradFactors(diff, f[p.nfa:], grad[p.na:])
-	for i := 0; i < p.na; i++ {
-		grad[i] *= vb
+func (p *productProfile) PairArgs(diffs []float64, P int, a []float64, stride int) {
+	if P == 0 {
+		return
 	}
-	for i := p.na; i < len(grad); i++ {
-		grad[i] *= va
+	p.a.PairArgs(diffs, P, a, stride)
+	p.b.PairArgs(diffs, P, a[p.nfa:], stride)
+}
+
+// PairGrads writes both parts' gradients, then scales each pair's into the
+// gradients of the product by the other part's value, as EvalGrad does.
+func (p *productProfile) PairGrads(diffs []float64, P int, f []float64, fs int, g []float64, gs int) {
+	if P == 0 {
+		return
 	}
-	return va * vb
+	p.a.PairGrads(diffs, P, f, fs, g, gs)
+	p.b.PairGrads(diffs, P, f[p.nfa:], fs, g[p.na:], gs)
+	nf, nh := p.NumFactors(), p.NumHyper()
+	for q := 0; q < P; q++ {
+		fq, grad := f[q*fs:q*fs+nf], g[q*gs:q*gs+nh]
+		va, vb := p.a.FromFactors(fq[:p.nfa]), p.b.FromFactors(fq[p.nfa:])
+		for i := 0; i < p.na; i++ {
+			grad[i] *= vb
+		}
+		for i := p.na; i < nh; i++ {
+			grad[i] *= va
+		}
+	}
 }
 
 type sliceProfile struct {
@@ -269,6 +296,12 @@ func (p *sliceProfile) FactorArgs(diff, a []float64) {
 
 func (p *sliceProfile) FromFactors(f []float64) float64 { return p.inner.FromFactors(f) }
 
-func (p *sliceProfile) GradFactors(diff, f, grad []float64) float64 {
-	return p.inner.GradFactors(diff[p.start:p.end], f, grad)
+// PairArgs hands the inner profile columns Start to End, the sliced
+// coordinates of every pair.
+func (p *sliceProfile) PairArgs(diffs []float64, P int, a []float64, stride int) {
+	p.inner.PairArgs(diffs[p.start*P:p.end*P], P, a, stride)
+}
+
+func (p *sliceProfile) PairGrads(diffs []float64, P int, f []float64, fs int, g []float64, gs int) {
+	p.inner.PairGrads(diffs[p.start*P:p.end*P], P, f, fs, g, gs)
 }

@@ -173,12 +173,27 @@ func (p *nargpProfile) FactorArgs(diff, a []float64) {
 // FromFactors rounds the product before the sum (see NARGP).
 func (p *nargpProfile) FromFactors(f []float64) float64 { return float64(f[0]*f[1]) + f[2] }
 
-func (p *nargpProfile) GradFactors(diff, f, grad []float64) float64 {
+func (p *nargpProfile) PairArgs(diffs []float64, P int, a []float64, stride int) {
+	if P == 0 {
+		return
+	}
 	d := p.d
-	n1, n2 := p.k1.NumHyper(), p.k2.NumHyper()
-	p.k1.GradFactors(diff[d:d+1], f[0:1], grad[:n1])
-	p.k2.GradFactors(diff[:d], f[1:2], grad[n1:n1+n2])
-	scaleProductGrad(grad[:n1+n2], n1, f[0], f[1])
-	p.k3.GradFactors(diff[:d], f[2:3], grad[n1+n2:])
-	return p.FromFactors(f)
+	p.k1.PairArgs(diffs[d*P:(d+1)*P], P, a, stride)
+	p.k2.PairArgs(diffs[:d*P], P, a[1:], stride)
+	p.k3.PairArgs(diffs[:d*P], P, a[2:], stride)
+}
+
+// PairGrads writes each pair's k1 and k2 factor gradients, scales them into
+// the gradients of the product k1·k2 (scaleProductGrad, as EvalGrad does),
+// then writes its k3 gradients.
+func (p *nargpProfile) PairGrads(diffs []float64, P int, f []float64, fs int, g []float64, gs int) {
+	d := p.d
+	n1, n2, nh := p.k1.NumHyper(), p.k2.NumHyper(), p.NumHyper()
+	for q := 0; q < P; q++ {
+		fq, grad := f[q*fs:q*fs+3], g[q*gs:q*gs+nh]
+		p.k1.gradAt(diffs[d*P:], P, q, fq[0], grad[:n1])
+		p.k2.gradAt(diffs, P, q, fq[1], grad[n1:n1+n2])
+		scaleProductGrad(grad[:n1+n2], n1, fq[0], fq[1])
+		p.k3.gradAt(diffs, P, q, fq[2], grad[n1+n2:])
+	}
 }

@@ -26,8 +26,9 @@ func profileKernels(d int) map[string]kernel.Kernel {
 // TestProfileBitIdenticalToDirect checks the PairProfile contract on every
 // kernel, for a fresh profile and one refreshed in place, at random and
 // bound hyperparameters, on a random pair and the zero-distance pair: Eval
-// and EvalSplit equal the direct Eval, and GradFactors over the recorded
-// factors equals the direct EvalGrad, all bit for bit.
+// and EvalSplit equal the direct Eval, PairArgs on a batch of one pair
+// writes what FactorArgs does, and PairGrads on it over the recorded factors
+// equals the direct EvalGrad, all bit for bit.
 func TestProfileBitIdenticalToDirect(t *testing.T) {
 	const d = 4
 	rng := rand.New(rand.NewSource(7))
@@ -79,8 +80,9 @@ func TestProfileBitIdenticalToDirect(t *testing.T) {
 	}
 }
 
-// checkProfile requires p's Eval, EvalSplit and GradFactors on diff to
-// equal k's direct Eval and EvalGrad on (x1, x2) bit for bit.
+// checkProfile requires p's Eval, EvalSplit and one-pair PairArgs and
+// PairGrads on diff to equal k's direct Eval and EvalGrad on (x1, x2) bit
+// for bit. A batch of one pair reads diff as its dimension-major columns.
 func checkProfile(t *testing.T, label string, k kernel.Kernel, p kernel.PairProfile, x1, x2, diff []float64) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -94,13 +96,20 @@ func checkProfile(t *testing.T, label string, k kernel.Kernel, p kernel.PairProf
 	if got := kernel.EvalSplit(p, diff, f); !same(got, want) {
 		t.Fatalf("%s profile EvalSplit %v != direct Eval %v", label, got, want)
 	}
+	if got := p.FromFactors(f); !same(got, vWant) {
+		t.Fatalf("%s profile FromFactors %v != direct EvalGrad %v", label, got, vWant)
+	}
+	a, aWant := make([]float64, len(f)), make([]float64, len(f))
+	p.FactorArgs(diff, aWant)
+	p.PairArgs(diff, 1, a, len(a))
+	if !linalg.SameBits(a, aWant) {
+		t.Fatalf("%s profile PairArgs %v != FactorArgs %v", label, a, aWant)
+	}
 	g := make([]float64, len(gWant))
 	for j := range g {
 		g[j] = math.NaN() // every entry must be written
 	}
-	if got := p.GradFactors(diff, f, g); !same(got, vWant) {
-		t.Fatalf("%s profile GradFactors %v != direct EvalGrad %v", label, got, vWant)
-	}
+	p.PairGrads(diff, 1, f, len(f), g, len(g))
 	for j := range g {
 		if !same(g[j], gWant[j]) {
 			t.Fatalf("%s profile grad[%d] %v != direct %v", label, j, g[j], gWant[j])
@@ -173,6 +182,109 @@ func TestProfileSplitBatchMatchesDirect(t *testing.T) {
 						}
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestPairBatchMatchesPerPair is the batch methods' oracle: on every kernel,
+// for batches of 0, 1, 2, 3, 5 and 40 pairs read dimension-major, PairArgs
+// writes each pair's arguments exactly as FactorArgs does for that pair
+// alone, and PairGrads, over the batch's factors, writes each pair's
+// gradient exactly as the direct EvalGrad does, bit for bit. The batches
+// hold +0 and −0 differences, and the trial at the lower bounds puts the
+// pairs so far apart that their factors underflow to 0. Both methods write
+// at a stride wider than a pair's entries and must leave the gaps alone.
+func TestPairBatchMatchesPerPair(t *testing.T) {
+	const d, gap = 4, 2
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(13))
+	for name, k := range profileKernels(d) {
+		t.Run(name, func(t *testing.T) {
+			nh := k.NumHyper()
+			lo, hi := kernel.BoundsVectors(k)
+			underflowed := 0
+			for _, P := range []int{0, 1, 2, 3, 5, 40} {
+				for trial := 0; trial < 4; trial++ {
+					h := make([]float64, nh)
+					for j := range h {
+						h[j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+						if trial == 0 {
+							h[j] = lo[j]
+						}
+					}
+					k.SetHyper(h)
+					p := k.Profile()
+					nf := p.NumFactors()
+					fs, gs := nf+gap, nh+gap
+					scale := 1.0
+					if trial == 0 {
+						scale = 20
+					}
+					x1, x2 := make([][]float64, P), make([][]float64, P)
+					diffs := make([]float64, d*P)
+					for q := 0; q < P; q++ {
+						x1[q], x2[q] = make([]float64, d), make([]float64, d)
+						for j := 0; j < d; j++ {
+							x1[q][j], x2[q][j] = scale*rng.NormFloat64(), scale*rng.NormFloat64()
+							switch (q + j) % 5 {
+							case 0:
+								x2[q][j] = x1[q][j] // +0
+							case 1:
+								x1[q][j], x2[q][j] = negZero, 0 // −0 − (+0) = −0
+							}
+							diffs[j*P+q] = x1[q][j] - x2[q][j]
+						}
+					}
+					label := fmt.Sprintf("P=%d trial %d", P, trial)
+					sentinel := math.Float64frombits(0x7ff8dead00000000)
+					a := make([]float64, P*fs)
+					for i := range a {
+						a[i] = sentinel
+					}
+					p.PairArgs(diffs, P, a, fs)
+					diff, want := make([]float64, d), make([]float64, nf)
+					for q := 0; q < P; q++ {
+						for j := range diff {
+							diff[j] = diffs[j*P+q]
+						}
+						p.FactorArgs(diff, want)
+						if !linalg.SameBits(a[q*fs:q*fs+nf], want) {
+							t.Fatalf("%s pair %d: PairArgs %v != FactorArgs %v", label, q, a[q*fs:q*fs+nf], want)
+						}
+						for i := q*fs + nf; i < (q+1)*fs; i++ {
+							if math.Float64bits(a[i]) != math.Float64bits(sentinel) {
+								t.Fatalf("%s pair %d: PairArgs wrote into the gap", label, q)
+							}
+						}
+					}
+					linalg.ExpInto(a, a)
+					g := make([]float64, P*gs)
+					for i := range g {
+						g[i] = sentinel
+					}
+					p.PairGrads(diffs, P, a, fs, g, gs)
+					gWant := make([]float64, nh)
+					for q := 0; q < P; q++ {
+						for _, f := range a[q*fs : q*fs+nf] {
+							if f == 0 {
+								underflowed++
+							}
+						}
+						k.EvalGrad(x1[q], x2[q], gWant)
+						if !linalg.SameBits(g[q*gs:q*gs+nh], gWant) {
+							t.Fatalf("%s pair %d: PairGrads %v != direct EvalGrad %v", label, q, g[q*gs:q*gs+nh], gWant)
+						}
+						for i := q*gs + nh; i < (q+1)*gs; i++ {
+							if math.Float64bits(g[i]) != math.Float64bits(sentinel) {
+								t.Fatalf("%s pair %d: PairGrads wrote into the gap", label, q)
+							}
+						}
+					}
+				}
+			}
+			if underflowed == 0 {
+				t.Fatal("no factor underflowed to 0: the bound trials test nothing")
 			}
 		})
 	}

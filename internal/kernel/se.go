@@ -11,6 +11,10 @@ import (
 //	k(x, x') = σ_f² · exp(−½ Σ_i (x_i − x'_i)² / l_i²).
 //
 // Hyperparameters (log-space): [log σ_f, log l_1, …, log l_d].
+//
+// Every product that feeds a sum or difference is rounded first, with an
+// explicit float64 conversion, so no platform fuses it into an FMA: the
+// profile's per-pair and batch methods repeat these roundings exactly.
 type SEARD struct {
 	dim      int
 	logAmp   float64   // log σ_f
@@ -51,9 +55,9 @@ func (k *SEARD) Eval(x1, x2 []float64) float64 {
 	q := 0.0
 	for i := 0; i < k.dim; i++ {
 		d := (x1[i] - x2[i]) * math.Exp(-k.logScale[i])
-		q += d * d
+		q += float64(d * d)
 	}
-	return math.Exp(2*k.logAmp - 0.5*q)
+	return math.Exp(2*k.logAmp - float64(0.5*q))
 }
 
 // EvalGrad implements Kernel.
@@ -63,10 +67,10 @@ func (k *SEARD) EvalGrad(x1, x2 []float64, grad []float64) float64 {
 	scaled := make([]float64, k.dim)
 	for i := 0; i < k.dim; i++ {
 		d := (x1[i] - x2[i]) * math.Exp(-k.logScale[i])
-		scaled[i] = d * d
+		scaled[i] = float64(d * d)
 		q += scaled[i]
 	}
-	v := math.Exp(2*k.logAmp - 0.5*q)
+	v := math.Exp(2*k.logAmp - float64(0.5*q))
 	grad[0] = 2 * v // ∂k/∂log σ_f
 	for i := 0; i < k.dim; i++ {
 		grad[1+i] = v * scaled[i] // ∂k/∂log l_i = k·Δ_i²/l_i²

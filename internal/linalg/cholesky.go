@@ -431,19 +431,29 @@ func (c *Cholesky) backwardSolveBlockInto(y, x []float64, S int) {
 // j takes exactly the operations of SolveVecInto on the unit vector e_j, so
 // every entry is bit-identical to the per-column solve. The GP gradient loop
 // calls this once per NLML gradient.
+//
+// The forward pass solves only the lanes s ≤ i of row i: L⁻¹ is lower
+// triangular, and the per-column solve leaves every entry above the diagonal
+// at the +0 it starts from (0 − v·(+0) stays +0 and +0/L_ii is +0 for a
+// finite factor with a positive diagonal, which every factorization this
+// package builds has), so those lanes keep the zeros they are given.
 func (c *Cholesky) InverseInto(dst *Matrix) {
 	n := c.N
 	if dst.Rows != n || dst.Cols != n {
 		panic(fmt.Sprintf("linalg: inverse into %d×%d, want %d×%d", dst.Rows, dst.Cols, n, n))
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
+	y := dst.Data
+	for i := range y {
+		y[i] = 0
 	}
+	st := c.L.Cols
 	for i := 0; i < n; i++ {
-		dst.Data[i*n+i] = 1
+		y[i*n+i] = 1
+		row := c.L.Data[i*st : i*st+i+1]
+		lanes := y[i*n : i*n+i+1]
+		rowSolve(lanes, lanes, row, 1, y[:i*n], n, i, row[i])
 	}
-	c.ForwardSolveBlockInto(dst.Data, dst.Data, n)
-	c.backwardSolveBlockInto(dst.Data, dst.Data, n)
+	c.backwardSolveBlockInto(y, y, n)
 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.

@@ -2,8 +2,8 @@ package linalg
 
 import "fmt"
 
-// The element-wise loops of the block solves and of the propagation cloud's
-// accumulations. Each has a Go loop, built on every platform, and on amd64
+// The element-wise loops of the block solves, of the propagation cloud's
+// accumulations and of the NLML gradient's. Each has a Go loop, built on every platform, and on amd64
 // an AVX2 kernel (kernels_amd64.s) that performs the same operations lane by
 // lane: VMULPD then VSUBPD or VADDPD, never a fused multiply-add, and VDIVPD
 // for a division, so every lane rounds exactly as the loop does. The kernel
@@ -50,6 +50,33 @@ func rowSolve(dst, src, c []float64, cs int, x []float64, xs, m int, d float64) 
 		return
 	}
 	rowSolveLoop(dst, src, c, cs, x, xs, m, d)
+}
+
+// AddScaledRows sets dst[s] ← dst[s] + c[0]·x[s] + c[1]·x[xs+s] + … +
+// c[m−1]·x[(m−1)·xs+s] for every s < len(dst), with m = len(c): each
+// product rounded, then added, in k-order, as m AXPY calls would. It is
+// rowSolve's additive sibling without the division, and it adds c[k]·x
+// rather than subtracting (−c[k])·x, which would flip the sign bit of a NaN
+// product. x must not overlap dst.
+func AddScaledRows(dst, c, x []float64, xs int) {
+	m := len(c)
+	if m > 0 && (xs < 0 || (m-1)*xs+len(dst) > len(x)) {
+		panic(fmt.Sprintf("linalg: add scaled rows of %d lanes over %d terms out of range", len(dst), m))
+	}
+	if vectorBlock {
+		addScaledRowsVec(dst, c, x, xs)
+		return
+	}
+	addScaledRowsLoop(dst, c, x, xs)
+}
+
+func addScaledRowsLoop(dst, c, x []float64, xs int) {
+	for k, v := range c {
+		xk := x[k*xs:][:len(dst)]
+		for s := range dst {
+			dst[s] += v * xk[s]
+		}
+	}
 }
 
 func axpyLoop(alpha float64, x, y []float64) {

@@ -4,9 +4,9 @@ package linalg
 
 import "math"
 
-// axpyVec, addSquaresVec and rowSolveVec are the AVX2 kernels of axpyLoop,
-// addSquaresLoop and rowSolveLoop (kernels_amd64.s). The callers check
-// every length first.
+// axpyVec, addSquaresVec, rowSolveVec and addScaledRowsVec are the AVX2
+// kernels of axpyLoop, addSquaresLoop, rowSolveLoop and addScaledRowsLoop
+// (kernels_amd64.s). The callers check every length first.
 
 //go:noescape
 func axpyVec(alpha float64, x, y []float64)
@@ -17,10 +17,13 @@ func addSquaresVec(dst, x []float64)
 //go:noescape
 func rowSolveVec(dst, src, c []float64, cs int, x []float64, xs, m int, d float64)
 
-// vectorBlock reports whether AXPY, AddSquares and the block solves take the
-// AVX2 kernels: the CPU and OS support AVX2 and FMA (the gate ExpInto uses;
-// the kernels themselves need only AVX), and every kernel agrees with its Go
-// loop on the probe set.
+//go:noescape
+func addScaledRowsVec(dst, c, x []float64, xs int)
+
+// vectorBlock reports whether AXPY, AddSquares, AddScaledRows and the block
+// solves take the AVX2 kernels: the CPU and OS support AVX2 and FMA (the gate
+// ExpInto uses; the kernels themselves need only AVX), and every kernel
+// agrees with its Go loop on the probe set.
 var vectorBlock = hasAVX2FMA() && blockKernelsAgree()
 
 // blockKernelsAgree runs each kernel and its Go loop on a fixed probe set
@@ -42,6 +45,13 @@ func blockKernelsAgree() bool {
 		for _, m := range []int{0, 1, 7} {
 			rowSolveLoop(want[:S], p[:S], p[40:], 2, p[100:], S+1, m, p[m+50])
 			rowSolveVec(got[:S], p[:S], p[40:], 2, p[100:], S+1, m, p[m+50])
+			if !SameBits(got[:S], want[:S]) {
+				return false
+			}
+			copy(want, p[300:])
+			copy(got, p[300:])
+			addScaledRowsLoop(want[:S], p[40:40+m], p[100:], S+1)
+			addScaledRowsVec(got[:S], p[40:40+m], p[100:], S+1)
 			if !SameBits(got[:S], want[:S]) {
 				return false
 			}

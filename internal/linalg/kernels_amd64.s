@@ -361,3 +361,214 @@ div3:
 rowdone:
 	VZEROUPPER
 	RET
+
+// func addScaledRowsVec(dst, c, x []float64, xs int)
+//
+// dst[s] += c[0]·x[s], then += c[1]·x[xs+s], … over m = len(c) terms, the
+// stages of rowSolveVec without the division: each block of lanes is loaded
+// from dst, stays in registers across the whole k loop (BX walks c, DX walks
+// x by xs from the block's first lane, R13 counts the terms) and is stored
+// back once.
+TEXT ·addScaledRowsVec(SB), NOSPLIT, $0-80
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  dst_len+8(FP), CX
+	MOVQ  c_base+24(FP), R8
+	MOVQ  c_len+32(FP), R12
+	MOVQ  x_base+48(FP), R10
+	MOVQ  xs+72(FP), R11
+	SHLQ  $3, R11
+	XORQ  AX, AX
+	TESTQ R12, R12
+	JZ    accdone
+
+acc16:
+	LEAQ    16(AX), DX
+	CMPQ    DX, CX
+	JGT     acc4
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+	VMOVUPD 96(DI)(AX*8), Y3
+	MOVQ    R8, BX
+	LEAQ    (R10)(AX*8), DX
+	MOVQ    R12, R13
+
+accterms16:
+	VBROADCASTSD (BX), Y4
+	VMULPD       (DX), Y4, Y5
+	VMULPD       32(DX), Y4, Y6
+	VMULPD       64(DX), Y4, Y7
+	VMULPD       96(DX), Y4, Y8
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, BX
+	ADDQ         R11, DX
+	DECQ         R13
+	JNZ          accterms16
+
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	VMOVUPD Y3, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	JMP     acc16
+
+acc4:
+	// As in rowSolveVec, the remaining whole chunks of four lanes share one
+	// k loop, as do the remaining single lanes.
+	LEAQ 12(AX), DX
+	CMPQ DX, CX
+	JLE  accchunks3
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JLE  accchunks2
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JGT  acc1
+
+	MOVQ    R8, BX
+	LEAQ    (R10)(AX*8), DX
+	MOVQ    R12, R13
+	VMOVUPD (DI)(AX*8), Y0
+
+accterms4:
+	VBROADCASTSD (BX), Y4
+	VMULPD       (DX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $8, BX
+	ADDQ         R11, DX
+	DECQ         R13
+	JNZ          accterms4
+
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     acc1
+
+accchunks2:
+	MOVQ    R8, BX
+	LEAQ    (R10)(AX*8), DX
+	MOVQ    R12, R13
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+
+accterms8:
+	VBROADCASTSD (BX), Y4
+	VMULPD       (DX), Y4, Y5
+	VMULPD       32(DX), Y4, Y6
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	ADDQ         $8, BX
+	ADDQ         R11, DX
+	DECQ         R13
+	JNZ          accterms8
+
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     acc1
+
+accchunks3:
+	MOVQ    R8, BX
+	LEAQ    (R10)(AX*8), DX
+	MOVQ    R12, R13
+	VMOVUPD (DI)(AX*8), Y0
+	VMOVUPD 32(DI)(AX*8), Y1
+	VMOVUPD 64(DI)(AX*8), Y2
+
+accterms12:
+	VBROADCASTSD (BX), Y4
+	VMULPD       (DX), Y4, Y5
+	VMULPD       32(DX), Y4, Y6
+	VMULPD       64(DX), Y4, Y7
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	ADDQ         $8, BX
+	ADDQ         R11, DX
+	DECQ         R13
+	JNZ          accterms12
+
+	VMOVUPD Y0, (DI)(AX*8)
+	VMOVUPD Y1, 32(DI)(AX*8)
+	VMOVUPD Y2, 64(DI)(AX*8)
+	ADDQ    $12, AX
+
+acc1:
+	LEAQ 3(AX), DX
+	CMPQ DX, CX
+	JLE  acclanes3
+	LEAQ 2(AX), DX
+	CMPQ DX, CX
+	JLE  acclanes2
+	CMPQ AX, CX
+	JGE  accdone
+
+	MOVQ   R8, BX
+	LEAQ   (R10)(AX*8), DX
+	MOVQ   R12, R13
+	VMOVSD (DI)(AX*8), X0
+
+accterms1:
+	VMOVSD (BX), X4
+	VMULSD (DX), X4, X5
+	VADDSD X5, X0, X0
+	ADDQ   $8, BX
+	ADDQ   R11, DX
+	DECQ   R13
+	JNZ    accterms1
+
+	VMOVSD X0, (DI)(AX*8)
+	JMP    accdone
+
+acclanes2:
+	MOVQ   R8, BX
+	LEAQ   (R10)(AX*8), DX
+	MOVQ   R12, R13
+	VMOVSD (DI)(AX*8), X0
+	VMOVSD 8(DI)(AX*8), X1
+
+accterms2:
+	VMOVSD (BX), X4
+	VMULSD (DX), X4, X5
+	VMULSD 8(DX), X4, X6
+	VADDSD X5, X0, X0
+	VADDSD X6, X1, X1
+	ADDQ   $8, BX
+	ADDQ   R11, DX
+	DECQ   R13
+	JNZ    accterms2
+
+	VMOVSD X0, (DI)(AX*8)
+	VMOVSD X1, 8(DI)(AX*8)
+	JMP    accdone
+
+acclanes3:
+	MOVQ   R8, BX
+	LEAQ   (R10)(AX*8), DX
+	MOVQ   R12, R13
+	VMOVSD (DI)(AX*8), X0
+	VMOVSD 8(DI)(AX*8), X1
+	VMOVSD 16(DI)(AX*8), X2
+
+accterms3:
+	VMOVSD (BX), X4
+	VMULSD (DX), X4, X5
+	VMULSD 8(DX), X4, X6
+	VMULSD 16(DX), X4, X7
+	VADDSD X5, X0, X0
+	VADDSD X6, X1, X1
+	VADDSD X7, X2, X2
+	ADDQ   $8, BX
+	ADDQ   R11, DX
+	DECQ   R13
+	JNZ    accterms3
+
+	VMOVSD X0, (DI)(AX*8)
+	VMOVSD X1, 8(DI)(AX*8)
+	VMOVSD X2, 16(DI)(AX*8)
+
+accdone:
+	VZEROUPPER
+	RET

@@ -162,6 +162,68 @@ func TestRowSolveMatchesLoopOnSpecials(t *testing.T) {
 	}
 }
 
+// TestAddScaledRowsMatchesLoopOnSpecials places each special value, and a
+// NaN with its sign bit set, in every lane of dst, in every lane of one x
+// row and in every term of c, and requires AddScaledRows to equal its Go
+// loop bit for bit, NaN bits included: with one special per call no product
+// has two NaN operands, so the result's bits are defined, and a kernel that
+// subtracted negated products would flip a NaN's sign.
+func TestAddScaledRowsMatchesLoopOnSpecials(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	specials := append([]float64{math.Float64frombits(0xfff8000000000001)}, blockSpecials...)
+	for _, S := range []int{1, 2, 3, 4, 6, 7, 14, 16, 21, 37} {
+		for _, m := range []int{0, 1, 3} {
+			xs := S + 1
+			dst0, x0, c0 := randomBlock(rng, 1, S), randomBlock(rng, max(m, 1), xs), randomBlock(rng, 1, m)
+			for _, v := range specials {
+				for p := 0; p < S; p++ {
+					for _, where := range []string{"dst", "x", "c"} {
+						if where == "c" && (m == 0 || p >= m) || where == "x" && m == 0 {
+							continue
+						}
+						dst, x, c := append([]float64(nil), dst0...), append([]float64(nil), x0...), append([]float64(nil), c0...)
+						switch where {
+						case "dst":
+							dst[p] = v
+						case "x":
+							x[(m-1)*xs+p] = v
+						case "c":
+							c[p] = v
+						}
+						want := append([]float64(nil), dst...)
+						AddScaledRows(dst, c, x, xs)
+						addScaledRowsLoop(want, c, x, xs)
+						if !SameBits(dst, want) {
+							t.Fatalf("S=%d m=%d %s[%d]=%v: got %v, Go loop %v", S, m, where, p, v, dst, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAddScaledRowsPanicsOutOfRange requires AddScaledRows to refuse, before
+// any kernel reads memory, every shape its x cannot hold.
+func TestAddScaledRowsPanicsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		nDst, nC, nX, xs int
+	}{
+		{"x too short", 4, 3, 11, 4},
+		{"negative stride", 4, 3, 12, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected a panic")
+				}
+			}()
+			AddScaledRows(make([]float64, tc.nDst), make([]float64, tc.nC), make([]float64, tc.nX), tc.xs)
+		})
+	}
+}
+
 func TestAddSquaresRejectsLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -220,8 +282,8 @@ func TestBlockKernelsVectorPathDispatch(t *testing.T) {
 }
 
 // FuzzBlockKernels reads a shape from the first three bytes and float64
-// lanes from the rest, and requires rowSolve, AXPY and AddSquares to equal
-// their Go loops on them.
+// lanes from the rest, and requires rowSolve, AddScaledRows, AXPY and
+// AddSquares to equal their Go loops on them.
 func FuzzBlockKernels(f *testing.F) {
 	seed := func(shape [3]byte, xs ...float64) []byte {
 		b := append([]byte(nil), shape[:]...)
@@ -261,6 +323,13 @@ func FuzzBlockKernels(f *testing.F) {
 		rowSolveLoop(want, src, c, cs, x, xs, m, d)
 		if i := sameOrNaN(got, want); i >= 0 {
 			t.Fatalf("rowSolve S=%d m=%d: lane %d = %v, Go loop %v", S, m, i, got[i], want[i])
+		}
+		copy(got, y)
+		copy(want, y)
+		AddScaledRows(got, c[:m], x, xs)
+		addScaledRowsLoop(want, c[:m], x, xs)
+		if i := sameOrNaN(got, want); i >= 0 {
+			t.Fatalf("AddScaledRows S=%d m=%d: lane %d = %v, Go loop %v", S, m, i, got[i], want[i])
 		}
 		copy(got, y)
 		copy(want, y)
